@@ -208,6 +208,9 @@ func (f *Fleet) mallocShard(t *sim.Thread, size uint64) int {
 // Malloc implements alloc.Allocator: route to the owning shard and
 // remember the owner so the matching free routes home.
 func (f *Fleet) Malloc(t *sim.Thread, size uint64) uint64 {
+	if size > maxMallocSize {
+		return 0
+	}
 	t.Exec(routeCost)
 	if f.FailoverArmed() {
 		addr, sh := f.failoverMalloc(t, size)

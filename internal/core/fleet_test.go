@@ -8,6 +8,7 @@ import (
 	"nextgenmalloc/internal/alloc"
 	"nextgenmalloc/internal/alloctest"
 	"nextgenmalloc/internal/fault"
+	"nextgenmalloc/internal/ring"
 	"nextgenmalloc/internal/sim"
 )
 
@@ -443,7 +444,7 @@ func FuzzFleetServeWord(f *testing.F) {
 			// malloc ring, shard 1 on its free ring.
 			c0 := fl.Shards()[0].clientOf(th)
 			c1 := fl.Shards()[1].clientOf(th)
-			if !c0.mreq.TryPush(th, w0a, w1a) || !c1.freq.TryPush(th, w0b, w1b) {
+			if !c0.mreq.TryPush(th, w0a&^ring.TagBit, w1a) || !c1.freq.TryPush(th, w0b&^ring.TagBit, w1b) {
 				t.Fatal("push into empty ring failed")
 			}
 			for again := true; again; {

@@ -139,7 +139,7 @@ type Config struct {
 	RingSlots int
 	// Batch, when > 1, coalesces up to Batch asynchronous frees per ring
 	// publication (§3.3 batched requests): slots are staged as they are
-	// written and the tail is published when a slot line fills or at the
+	// written and their tagged words stored when a slot line fills or at the
 	// next malloc/flush boundary. Capped at the slots-per-cache-line
 	// limit (sim.LineSize / ring.SlotSize = 4). 0 or 1 keeps the
 	// one-publication-per-free transport.
@@ -299,7 +299,7 @@ const (
 
 	mallocRingOff   = stashOff + stashSlots*stashStride
 	mallocRingSlots = 16
-	freeRingOff     = mallocRingOff + 384 // BytesFor(16) rounded to a line
+	freeRingOff     = mallocRingOff + 320 // BytesFor(16): head line + four slot lines
 )
 
 // stashSlot returns the per-class stash slot base on a client page.
@@ -374,8 +374,8 @@ type Allocator struct {
 // New builds the allocator; t performs the initial mmaps. In offload
 // mode a Server daemon must have been spawned and attached (see Server).
 // maxBatch is the deepest useful free-coalescing window: one cache line
-// of ring slots (staging past a line boundary would touch a second slot
-// line before the tail store amortizes the first).
+// of ring slots (the consumer takes a published line in one transfer;
+// staging past the boundary would only start on the next one).
 const maxBatch = int(sim.LineSize / ring.SlotSize)
 
 func New(t *sim.Thread, cfg Config) *Allocator {
@@ -853,6 +853,9 @@ func (a *Allocator) stashPop(t *sim.Thread, c *client, size uint64) (uint64, boo
 
 // Malloc implements alloc.Allocator.
 func (a *Allocator) Malloc(t *sim.Thread, size uint64) uint64 {
+	if size > maxMallocSize {
+		return 0
+	}
 	a.noteMalloc(size)
 	t.Exec(4)
 	if !a.cfg.Offload {
@@ -920,7 +923,7 @@ func (a *Allocator) Free(t *sim.Thread, addr uint64) {
 	c.seq++
 	if a.cfg.Batch > 1 && a.cfg.AsyncFree {
 		// Free coalescing: stage the request now (slot stores on a line
-		// the producer already owns) and defer the tail publication until
+		// the producer already owns) and defer the tagged stores until
 		// the slot line fills; Malloc/Flush publish any partial batch.
 		c.freq.Stage(t, opFree, addr)
 		if c.freq.Staged() >= a.cfg.Batch {
@@ -990,7 +993,7 @@ func (a *Allocator) Preheat(t *sim.Thread, sizes []uint64) {
 // Flush implements alloc.Flusher: it drains this thread's queued
 // asynchronous frees (a sync barrier through the ring). Staged
 // coalesced frees are published together with the barrier slot — Push
-// publishes the whole staged backlog in one tail store, so the barrier
+// publishes the whole staged backlog in slot order, so the barrier
 // keeps its FIFO position behind them.
 func (a *Allocator) Flush(t *sim.Thread) {
 	if !a.cfg.Offload {
@@ -1137,9 +1140,9 @@ func (s *Server) PollStats() (emptyPolls, emptyPollCycles uint64) {
 //
 // The loop is declared to the scheduler's time warp (sim.WaitSpec): a
 // quiescent ring set makes every iteration an identical sequence of
-// empty tail probes, stash gauge reads, and a capped backoff pause, and
+// empty slot probes, stash gauge reads, and a capped backoff pause, and
 // those rounds are skipped in bulk instead of being stepped on the
-// host. The declaration covers exactly the steady idle round — the tail
+// host. The declaration covers exactly the steady idle round — the slot
 // words the empty polls reload and the stash index words the idle
 // top-up gauges — and the horizon pins warped rounds strictly below the
 // next fault-stall window, so an armed plan observes the identical
@@ -1216,8 +1219,8 @@ func (s *Server) iterate(t *sim.Thread) bool {
 }
 
 // idleLoadAddrs declares the load sequence of one steady idle round to
-// the time-warp detector: the malloc-ring tail probed by the priority
-// pass, the malloc- and free-ring tails probed by the first background
+// the time-warp detector: the malloc-ring poll word probed by the priority
+// pass, the malloc- and free-ring poll words probed by the first background
 // iteration, per client, then the stash write/read index words the idle
 // top-up reads for every hot class whose stash is already full. Host
 // side only — building the list issues no simulated operations.
@@ -1228,10 +1231,10 @@ func (s *Server) idleLoadAddrs() []uint64 {
 	}
 	addrs := s.addrScratch[:0]
 	for _, c := range a.clients {
-		addrs = append(addrs, c.mreq.TailAddr())
+		addrs = append(addrs, c.mreq.PollAddr())
 	}
 	for _, c := range a.clients {
-		addrs = append(addrs, c.mreq.TailAddr(), c.freq.TailAddr())
+		addrs = append(addrs, c.mreq.PollAddr(), c.freq.PollAddr())
 	}
 	if a.preallocOn() {
 		for _, c := range a.clients {
@@ -1416,7 +1419,7 @@ func (s *Server) drain(t *sim.Thread) bool {
 		if faulty {
 			// A dropped doorbell must not strand published slots at
 			// shutdown: re-ring both doorbells (the producers have exited,
-			// so the tail lines are quiescent) before the final pops. This
+			// so the slot lines are quiescent) before the final pops. This
 			// is what keeps the liveness invariant pushes == pops.
 			c.mreq.Republish(t)
 			c.freq.Republish(t)

@@ -8,7 +8,10 @@ import (
 )
 
 // TestMultiClientOffload: several application threads share one server;
-// each gets correct, non-overlapping blocks.
+// each gets correct blocks, and no two blocks live at the same time
+// overlap. Every client holds all its blocks until all clients have
+// finished allocating (a freed block may legitimately be handed to
+// another client, so addresses are only comparable while live).
 func TestMultiClientOffload(t *testing.T) {
 	m := sim.New(sim.ScaledConfig())
 	srv := NewServer()
@@ -17,6 +20,7 @@ func TestMultiClientOffload(t *testing.T) {
 	var a *Allocator
 	const clients, per = 3, 300
 	results := make([][]uint64, clients)
+	allocated := 0 // host-side barrier: one simulated thread runs at a time
 	for i := 0; i < clients; i++ {
 		part := i
 		m.Spawn(fmt.Sprintf("c%d", part), part, func(th *sim.Thread) {
@@ -34,15 +38,21 @@ func TestMultiClientOffload(t *testing.T) {
 				addrs[k] = a.Malloc(th, 64)
 				th.Store64(addrs[k], uint64(part*10000+k))
 			}
-			// Verify before freeing: any cross-client overlap would show.
+			results[part] = addrs
+			for allocated++; allocated < clients; {
+				th.Pause(100)
+			}
+			// Every block of every client is live here: any cross-client
+			// overlap shows as a clobbered word (and as a duplicate below).
 			for k, p := range addrs {
 				if got := th.Load64(p); got != uint64(part*10000+k) {
 					t.Errorf("client %d block %d corrupted: %#x", part, k, got)
 				}
+			}
+			for _, p := range addrs {
 				a.Free(th, p)
 			}
 			a.Flush(th)
-			results[part] = addrs
 		})
 	}
 	m.Run()
@@ -120,6 +130,34 @@ func TestLargeObjectsThroughRing(t *testing.T) {
 		a.Flush(th)
 	})
 	m.Run()
+}
+
+// TestOversizeMallocFails: a size whose opMalloc word would spill into
+// the ring's lap-tag bit fails like an exhausted heap (0) before any
+// push, with and without the sealed protocol, and counts as no call.
+func TestOversizeMallocFails(t *testing.T) {
+	for _, resilient := range []bool{false, true} {
+		m := sim.New(sim.ScaledConfig())
+		srv := NewServer()
+		m.SpawnDaemon("server", m.Cores()-1, srv.Run)
+		m.Spawn("app", 0, func(th *sim.Thread) {
+			cfg := DefaultConfig()
+			cfg.Resilience.Enabled = resilient
+			a := New(th, cfg)
+			srv.Attach(a)
+			for _, size := range []uint64{maxMallocSize + 1, 1 << 47, 1<<56 - 1, ^uint64(0)} {
+				if p := a.Malloc(th, size); p != 0 {
+					t.Errorf("resilient=%v: Malloc(%#x) = %#x, want 0", resilient, size, p)
+				}
+			}
+			if n := a.Stats().MallocCalls; n != 0 {
+				t.Errorf("resilient=%v: %d malloc calls recorded for refused sizes", resilient, n)
+			}
+			a.Free(th, a.Malloc(th, 64))
+			a.Flush(th)
+		})
+		m.Run()
+	}
 }
 
 func TestLayoutString(t *testing.T) {

@@ -18,6 +18,7 @@ package core
 import (
 	"nextgenmalloc/internal/mem"
 	"nextgenmalloc/internal/region"
+	"nextgenmalloc/internal/ring"
 	"nextgenmalloc/internal/sim"
 )
 
@@ -171,16 +172,23 @@ const (
 // --- word sealing -----------------------------------------------------------
 
 // The top byte of slot word 0 is unused by the seed protocol (op in the
-// low byte, payload in bits 8..55). With resilience on, the client
+// low byte, payload in bits 8..54; bit 55 is the ring's lap tag,
+// ring.TagBit, which callers leave clear). With resilience on, the client
 // seals it: bits 60-63 carry a 4-bit sequence tag and bits 56-59 a
 // 4-bit XOR parity over both words, so any single-bit corruption of the
 // pair is detected by checkSeal and the request NACKed instead of
 // misinterpreted.
 const (
-	sealCost    = 2                   // host arithmetic charged per seal/check
-	payloadBits = uint64(1)<<56 - 1   // op + payload, below the seal byte
+	sealCost    = 2               // host arithmetic charged per seal/check
+	payloadBits = ring.TagBit - 1 // op + payload, below the ring's lap tag
 	parityShift = 56
 	tagShift    = 60
+
+	// maxMallocSize is the largest size an opMalloc word can carry
+	// (size<<8 must stay inside payloadBits). Malloc fails anything
+	// larger before it reaches a ring: 128 TiB is past every address
+	// space the simulator maps.
+	maxMallocSize = payloadBits >> 8
 )
 
 // parity4 folds x to a 4-bit XOR parity nibble.

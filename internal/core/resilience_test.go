@@ -6,6 +6,7 @@ import (
 	"nextgenmalloc/internal/alloctest"
 	"nextgenmalloc/internal/fault"
 	"nextgenmalloc/internal/mem"
+	"nextgenmalloc/internal/ring"
 	"nextgenmalloc/internal/sim"
 )
 
@@ -441,7 +442,7 @@ func FuzzServeWord(f *testing.F) {
 			srv := NewServer()
 			srv.Attach(a)
 			c := a.clientOf(th)
-			if !c.mreq.TryPush(th, w0a, w1a) || !c.freq.TryPush(th, w0b, w1b) {
+			if !c.mreq.TryPush(th, w0a&^ring.TagBit, w1a) || !c.freq.TryPush(th, w0b&^ring.TagBit, w1b) {
 				t.Fatal("push into empty ring failed")
 			}
 			for srv.Poll(th) {

@@ -100,35 +100,50 @@ func TestFleetFailoverPermanentKill(t *testing.T) {
 // deferred queue — and the finite stall must end in a probe-driven
 // rejoin.
 func TestFleetMidBatchShardDeathLiveness(t *testing.T) {
-	for _, sched := range []core.SchedPolicy{core.FixedScan, core.RoundRobin, core.DoorbellPriority, core.BatchDrain} {
-		t.Run(sched.String(), func(t *testing.T) {
-			// Churn frees a slot on every round (xalanc's phases can spend
-			// a whole degraded window in an allocation burst), so the
-			// outage is guaranteed to catch in-flight frees.
-			res := Run(Options{
-				Allocator:  "nextgen",
-				Workload:   &workload.Churn{NThreads: 2, Slots: 1000, Rounds: 10000, MinSize: 16, MaxSize: 256, TouchBytes: 32, Seed: 7},
-				Servers:    2,
-				Sched:      sched,
-				Tune:       func(c *core.Config) { c.Batch = 4 },
-				FaultPlans: []fault.Plan{{Seed: 3, StallStart: 100000, StallCycles: 400000, Shard: 1}},
-				Resilience: patientFailover(),
+	// Two stall windows. The early one (the original cell) opens at 100k
+	// cycles, inside the first batches, when the slot table is ~2 % full:
+	// few of the dead shard's blocks exist yet, so whether any free is
+	// deferred there is timing luck (at most one was, a reclaimed late
+	// response) and the cell asserts liveness, failover and rejoin only.
+	// The late one opens once the table is mostly populated, so the
+	// degraded window catches dozens of frees of the dead shard's blocks.
+	for _, c := range []struct {
+		prefix      string
+		stallStart  uint64
+		minDeferred uint64
+	}{
+		{"", 100000, 0},
+		{"late-stall/", 1000000, 10},
+	} {
+		for _, sched := range []core.SchedPolicy{core.FixedScan, core.RoundRobin, core.DoorbellPriority, core.BatchDrain} {
+			t.Run(c.prefix+sched.String(), func(t *testing.T) {
+				// Churn frees a slot on every round (xalanc's phases can spend
+				// a whole degraded window in an allocation burst).
+				res := Run(Options{
+					Allocator:  "nextgen",
+					Workload:   &workload.Churn{NThreads: 2, Slots: 1000, Rounds: 10000, MinSize: 16, MaxSize: 256, TouchBytes: 32, Seed: 7},
+					Servers:    2,
+					Sched:      sched,
+					Tune:       func(c *core.Config) { c.Batch = 4 },
+					FaultPlans: []fault.Plan{{Seed: 3, StallStart: c.stallStart, StallCycles: 400000, Shard: 1}},
+					Resilience: patientFailover(),
+				})
+				if err := res.CheckLiveness(); err != nil {
+					t.Fatal(err)
+				}
+				if res.Resilience == nil || res.Resilience.Injected.Stalls == 0 {
+					t.Fatal("stall plan injected nothing")
+				}
+				if res.Failover == nil || res.Failover.Totals.Downs == 0 {
+					t.Fatal("mid-batch shard death never re-homed the client")
+				}
+				if res.Failover.Totals.Rejoins == 0 {
+					t.Error("client never rejoined after the finite stall")
+				}
+				if got := res.Resilience.Client.DeferredFrees; got < c.minDeferred {
+					t.Errorf("%d frees deferred across the shard death, want at least %d", got, c.minDeferred)
+				}
 			})
-			if err := res.CheckLiveness(); err != nil {
-				t.Fatal(err)
-			}
-			if res.Resilience == nil || res.Resilience.Injected.Stalls == 0 {
-				t.Fatal("stall plan injected nothing")
-			}
-			if res.Failover == nil || res.Failover.Totals.Downs == 0 {
-				t.Fatal("mid-batch shard death never re-homed the client")
-			}
-			if res.Failover.Totals.Rejoins == 0 {
-				t.Error("client never rejoined after the finite stall")
-			}
-			if res.Resilience.Client.DeferredFrees == 0 {
-				t.Error("no free was deferred across the shard death")
-			}
-		})
+		}
 	}
 }

@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"nextgenmalloc/internal/sim"
@@ -127,5 +130,45 @@ func TestGoldenCounters(t *testing.T) {
 					w.Allocator, w.Workload, j, g.PerThread[j], w.PerThread[j])
 			}
 		}
+	}
+}
+
+// ringFreeGoldenSHA256 pins the golden entries that no change to the
+// rings can legitimately move: every kind that never talks to a server
+// (the classic allocators, bump, nextgen-inline*) on every workload that
+// passes nothing between its own threads. xmalloc is excluded — its
+// workers hand blocks to their neighbours through ring.SPSC, so even its
+// classic rows move with the transport. A deliberate regeneration for a
+// ring protocol change (-update rewrites the whole file) therefore
+// cannot hide an unrelated drift in the model underneath: these 8
+// entries must re-marshal to the same bytes they had before it.
+// Recompute only when the *machine model* intentionally changes (the
+// digest a failing run prints).
+const ringFreeGoldenSHA256 = "a7449cc214a07a34fc2d17e8e2488c947148938641e4173f3dc5fb37179e583a"
+
+func TestGoldenRingFreePinned(t *testing.T) {
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all, pinned []goldenEntry
+	if err := json.Unmarshal(data, &all); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range all {
+		offload := strings.HasPrefix(e.Allocator, "nextgen") && !strings.HasPrefix(e.Allocator, "nextgen-inline")
+		if offload != (e.Served > 0) {
+			t.Fatalf("%s/%s: kind name and Served=%d disagree about offload", e.Allocator, e.Workload, e.Served)
+		}
+		if !offload && e.Workload != "xmalloc" {
+			pinned = append(pinned, e)
+		}
+	}
+	raw, err := json.Marshal(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != ringFreeGoldenSHA256 {
+		t.Errorf("the %d ring-free golden entries changed: digest %s, pinned %s", len(pinned), got, ringFreeGoldenSHA256)
 	}
 }

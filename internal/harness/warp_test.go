@@ -12,8 +12,10 @@ import (
 // warpCases are the configurations the warp-equivalence gate covers:
 // plain offload, synchronous offload (client response spins), adaptive
 // prealloc (idle top-up gauges in the steady round), an armed fault
-// plan with resilience (stall horizons and deadline waits), and an
-// armed timeline sampler (probe cadence must survive warp).
+// plan with resilience (stall horizons and deadline waits), an armed
+// timeline sampler (probe cadence must survive warp), and a sharded
+// fleet (four servers each declaring their own clients' ring poll
+// words while eight workers spin on responses).
 func warpCases() map[string]Options {
 	return map[string]Options{
 		"offload": {
@@ -37,6 +39,11 @@ func warpCases() map[string]Options {
 			Allocator: "nextgen",
 			Workload:  &workload.Xmalloc{NThreads: 3, OpsPerThread: 400, TouchBytes: 64, Seed: 9},
 			FaultPlan: &fault.Plan{Seed: 11, DropEveryN: 64, CorruptEveryN: 128},
+		},
+		"fleet": {
+			Allocator: "nextgen",
+			Workload:  &workload.Xmalloc{NThreads: 8, OpsPerThread: 400, TouchBytes: 64, Seed: 3},
+			Servers:   4,
 		},
 		"timeline-armed": {
 			Allocator:      "nextgen",

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -120,6 +121,16 @@ func TestTransportTable(t *testing.T) {
 	offload.AllocStats.MallocCalls = 600
 	offload.AllocStats.FreeCalls = 400
 	inline := harness.Result{Allocator: "mimalloc"} // no Offload: renders "-"
+	// A resilient run whose retried pushes outnumber its malloc calls
+	// must read 0 stash hits, not 2^64-2.
+	retried := harness.Result{
+		Allocator: "nextgen",
+		Offload:   &harness.OffloadTelemetry{MallocRing: ring.Stats{Pushes: 602, Pops: 602, PushBatches: 602, PopBatches: 602}},
+	}
+	retried.AllocStats.MallocCalls = 600
+	if out := TransportTable("transport", []harness.Result{retried}); !regexp.MustCompile(`stash-hit mallocs\s+0\n`).MatchString(out) {
+		t.Errorf("retried pushes beyond malloc calls must saturate stash hits at 0:\n%s", out)
+	}
 	out := TransportTable("transport", []harness.Result{offload, inline})
 	for _, want := range []string{
 		"free reqs/publication", "4.00", // 400 pushes / 100 batches

@@ -2,23 +2,25 @@
 // rings in simulated shared memory — the transport NextGen-Malloc uses
 // between an application core and the dedicated allocator core.
 //
-// The layout is deliberately cache-conscious: the producer index, the
-// consumer index, and the slot array live on separate cache lines, so
-// the coherence traffic the simulator observes is exactly the line
-// ping-pong a real cross-core ring would generate (the overhead the
-// paper's §3.1.1 weighs against the pollution savings). Each side keeps
-// a shadow copy of the opposite index (the standard SPSC optimization),
-// so the common push touches only the slot line and the tail line, and
-// an empty poll costs a single load that stays cached until the
-// producer actually publishes.
+// The doorbell is in the slot: there is no shared producer index. Each
+// slot's first word carries a lap tag in TagBit, the producer stores
+// that word last, and the consumer detects publication by loading the
+// first word of the slot it is about to pop — the load it performs
+// anyway. A request therefore moves exactly one cache line from the
+// producer's core to the consumer's (the overhead the paper's §3.1.1
+// weighs against the pollution savings), and an empty poll costs a
+// single load that stays cached until the producer writes that line.
+// The consumer index survives, on its own line: the producer needs it
+// to know a slot is free again, reads it only when the ring looks full
+// (it keeps a shadow copy), and the alternative — the consumer clearing
+// each slot — would hand the slot line back once more per request.
 //
 // Because sim.LineSize/SlotSize slots share one cache line, a producer
-// can amortize the tail-line transfer across several requests: Stage
-// writes slots without publishing, Publish makes the whole batch
-// visible with one tail store, and PushN/PopN are the vectored
+// can still move several requests per line transfer: Stage holds a
+// request back without touching the slot array (the consumer polls that
+// line; a store there would hand it over once per staged slot), Publish
+// stores the whole batch back to back, and PushN/PopN are the vectored
 // wrappers (the batched-request opportunity of the paper's §3.3).
-// TryPush/TryPop remain the unbatched one-request path and are
-// cycle-identical to the pre-batching transport.
 package ring
 
 import (
@@ -37,7 +39,7 @@ import (
 type Stats struct {
 	Pushes      uint64
 	Pops        uint64
-	PushBatches uint64 // tail publications (Pushes/PushBatches = avg batch width)
+	PushBatches uint64 // publications (Pushes/PushBatches = avg batch width)
 	PopBatches  uint64 // head publications (Pops/PopBatches = avg drain width)
 	FullRetries uint64 // push attempts that found the ring full
 	StallCycles uint64 // producer cycles spent spinning in Push/Stage
@@ -62,37 +64,49 @@ func (s *Stats) Add(o Stats) {
 // response_addr pair of the paper's §4.2 prototype.
 const SlotSize = 16
 
-// headerSize is head line + tail line.
-const headerSize = 2 * sim.LineSize
+// TagBit is the bit of a slot's first word the ring reserves for its
+// lap tag. Callers must pass first words with it clear (TryStage
+// panics otherwise) and always get them back with it clear. It sits at
+// the top of the 56-bit op+payload field, under core's seal byte.
+const TagBit = uint64(1) << 55
+
+// headerSize is the head line.
+const headerSize = sim.LineSize
 
 // SPSC is a single-producer single-consumer ring of 16-byte slots.
 //
 // Word layout:
 //
-//	base + 0:          head (consumer index), own line
-//	base + 64:         tail (producer index), own line
-//	base + 128 + 16*i: slot i {word0, word1}
+//	base + 0:         head (consumer index), own line
+//	base + 64 + 16*i: slot i {word0 | lap tag, word1}
 //
-// The shadow fields model the index copies a real implementation keeps
-// in registers or producer/consumer-private lines.
+// Slot i of lap n (index n*size + i) is published when its first word's
+// TagBit equals lapTag(index): set on even laps, clear on odd ones, so
+// zeroed memory reads as "nothing published" and every lap's tag is the
+// previous lap's stale one.
+//
+// The index fields model the copies a real implementation keeps in
+// registers or producer/consumer-private lines.
 type SPSC struct {
-	base uint64
-	mask uint64
-	size uint64
+	base  uint64
+	mask  uint64 // slots - 1
+	shift uint   // log2(slots): index>>shift is the lap
 
-	prodTail   uint64 // producer's private tail mirror
+	prodTail   uint64 // producer's private tail
 	staged     uint64 // slots written past prodTail but not yet published
 	shadowHead uint64 // producer's last-read consumer index
 	consHead   uint64 // consumer's private head mirror
-	shadowTail uint64 // consumer's last-read producer index
 
-	// pubTail is the tail value actually delivered to the consumer's
-	// line. It trails prodTail only while a fault-injected doorbell drop
-	// is outstanding; Republish (or the next surviving Publish) catches
-	// it up.
+	// held holds the producer-private words of every slot from pubTail on
+	// (staged, or hidden by a lost doorbell), indexed like the slot array:
+	// registers until their stores, so no simulated cost.
+	held [][2]uint64
+	// pubTail is the index below which every slot carries its true tag.
+	// It trails prodTail only while a fault-injected doorbell drop is
+	// outstanding; Republish or the next surviving Publish catches it up.
 	pubTail uint64
-	// dropHook, when set, is consulted on each tail publication;
-	// returning true suppresses the tail store (a lost doorbell).
+	// dropHook, when set, is consulted on each publication; true stores
+	// the batch's first words with the stale tag (a lost doorbell).
 	dropHook func() bool
 
 	stats Stats
@@ -114,7 +128,7 @@ func (r *SPSC) Stats() Stats { return r.stats }
 // offload latency spans. Zero simulated cost.
 func (r *SPSC) EnableStamps() {
 	if r.stamps == nil {
-		r.stamps = make([]uint64, r.size)
+		r.stamps = make([]uint64, len(r.held))
 	}
 }
 
@@ -141,8 +155,7 @@ func (r *SPSC) PoppedStamps(k int, out []uint64) {
 
 // HostDepth returns the ring occupancy visible to the host (published
 // plus staged slots), without issuing simulated traffic — the gauge the
-// timeline sampler reads. Compare Len, which models a real consumer
-// probe and costs a simulated atomic load.
+// timeline sampler reads.
 func (r *SPSC) HostDepth() int {
 	return int(r.prodTail + r.staged - r.consHead)
 }
@@ -162,38 +175,45 @@ func New(base uint64, slots int) *SPSC {
 	if base%sim.LineSize != 0 {
 		panic("ring: base must be cache-line aligned")
 	}
-	return &SPSC{base: base, mask: uint64(slots - 1), size: uint64(slots)}
+	return &SPSC{
+		base: base, mask: uint64(slots - 1), shift: uint(bits.TrailingZeros(uint(slots))),
+		held: make([][2]uint64, slots),
+	}
 }
 
 func (r *SPSC) headAddr() uint64         { return r.base }
-func (r *SPSC) tailAddr() uint64         { return r.base + sim.LineSize }
 func (r *SPSC) slotAddr(i uint64) uint64 { return r.base + headerSize + (i&r.mask)*SlotSize }
 
-// TailAddr exposes the producer tail word's address — the word an empty
-// TryPop/PopN reloads — so the consumer can declare its idle-poll load
-// sequence to the scheduler's time-warp detector (sim.WaitSpec.Addrs).
-func (r *SPSC) TailAddr() uint64 { return r.tailAddr() }
+// lapTag is the TagBit value that marks slot index i published.
+func (r *SPSC) lapTag(i uint64) uint64 { return (^i >> r.shift & 1) * TagBit }
 
-// TryStage writes (w0, w1) into the next free slot without publishing
-// it; it returns false when the ring (counting earlier staged slots) is
-// full. Staged slots stay invisible to the consumer until Publish, so a
-// producer can coalesce several requests — consecutive slots share a
-// cache line (sim.LineSize/SlotSize per line) — and pay for a single
-// tail-line transfer. Producer-side only.
+// PollAddr exposes the address of the word an empty TryPop/PopN
+// reloads — the first word of the next slot to pop — so the consumer
+// can declare its idle-poll load sequence to the scheduler's time-warp
+// detector (sim.WaitSpec.Addrs).
+func (r *SPSC) PollAddr() uint64 { return r.slotAddr(r.consHead) }
+
+// TryStage claims the next free slot for (w0, w1) — w0 with TagBit
+// clear — and holds the words for Publish; it returns false when the
+// ring (counting earlier staged slots) is full. Staging stores nothing,
+// so requests bound for consecutive slots (sim.LineSize/SlotSize per
+// line) coalesce into a single line transfer. Producer-side only.
 func (r *SPSC) TryStage(t *sim.Thread, w0, w1 uint64) bool {
-	if r.prodTail+r.staged-r.shadowHead >= r.size {
+	if w0&TagBit != 0 {
+		panic(fmt.Sprintf("ring: first word %#x has the reserved lap-tag bit set", w0))
+	}
+	i := r.prodTail + r.staged
+	if i-r.shadowHead > r.mask {
 		// Looks full: refresh the consumer index.
 		r.shadowHead = t.AtomicLoad64(r.headAddr())
-		if r.prodTail+r.staged-r.shadowHead >= r.size {
+		if i-r.shadowHead > r.mask {
 			r.stats.FullRetries++
 			return false
 		}
 	}
-	slot := r.slotAddr(r.prodTail + r.staged)
-	t.Store64(slot, w0)
-	t.Store64(slot+8, w1)
+	r.held[i&r.mask] = [2]uint64{w0, w1}
 	if r.stamps != nil {
-		r.stamps[(r.prodTail+r.staged)&r.mask] = t.Clock()
+		r.stamps[i&r.mask] = t.Clock()
 	}
 	r.staged++
 	return true
@@ -202,54 +222,62 @@ func (r *SPSC) TryStage(t *sim.Thread, w0, w1 uint64) bool {
 // Staged reports how many slots are written but not yet published.
 func (r *SPSC) Staged() int { return int(r.staged) }
 
-// SetDropHook installs a fault-injection hook consulted on every tail
+// SetDropHook installs a fault-injection hook consulted on every
 // publication; returning true loses that doorbell (the slot words are
-// written, but the consumer keeps seeing the old tail until a later
-// publication or Republish delivers it). Nil disarms. Test/injection
-// use only — with no hook the transport is byte-identical to the seed.
+// written, but with the stale tag, so the consumer keeps seeing an
+// empty ring until a later publication or Republish delivers them).
+// Nil disarms. Test/injection use only.
 func (r *SPSC) SetDropHook(fn func() bool) { r.dropHook = fn }
 
-// Republish re-rings the doorbell: an unconditional release store of
-// the producer's true tail, recovering any publication a drop hook
-// suppressed. The retry path's store is deliberately not droppable —
-// it models a synchronous re-ring, not a fire-and-forget doorbell.
-// Producer-side state; the shutdown drain may also call it to surface
-// hidden slots before the final pops.
+// ring writes slots [from, to): the payload word, then a release store
+// of the first word with its lap tag flipped by flip (0 publishes,
+// TagBit hides).
+func (r *SPSC) ring(t *sim.Thread, from, to, flip uint64) {
+	for i := from; i < to; i++ {
+		w := r.held[i&r.mask]
+		t.Store64(r.slotAddr(i)+8, w[1])
+		t.AtomicStore64(r.slotAddr(i), w[0]|(r.lapTag(i)^flip))
+	}
+}
+
+// Republish re-rings the doorbell: it rewrites every slot a drop hook
+// hid, now with its true tag, and costs nothing when none is. Its stores are
+// deliberately not droppable — they model a synchronous re-ring, not a
+// fire-and-forget doorbell. Producer-side state; the shutdown drain may
+// also call it to surface hidden slots before the final pops.
 func (r *SPSC) Republish(t *sim.Thread) {
+	r.ring(t, r.pubTail, r.prodTail, 0)
 	r.pubTail = r.prodTail
-	t.AtomicStore64(r.tailAddr(), r.prodTail)
 }
 
 // Dropped reports whether a suppressed doorbell is outstanding (the
-// consumer's tail line is stale). Host-side observation only.
+// consumer cannot see every published slot). Host-side observation only.
 func (r *SPSC) Dropped() bool { return r.pubTail != r.prodTail }
 
-// Publish makes every staged slot visible with one release store of the
-// new tail. A no-op (no simulated traffic) when nothing is staged.
+// Publish writes every staged slot, in order, each made visible by the
+// release store of its tagged first word. A no-op (no simulated
+// traffic) when nothing is staged.
 func (r *SPSC) Publish(t *sim.Thread) {
 	if r.staged == 0 {
 		return
 	}
 	k := r.staged
 	r.staged = 0
-	r.prodTail += k
+	end := r.prodTail + k
 	if r.dropHook != nil && r.dropHook() {
-		// Doorbell lost: the producer still pays the store (it executed
-		// the instruction), but the line delivers the stale tail.
-		t.AtomicStore64(r.tailAddr(), r.pubTail)
+		// Doorbell lost: the producer still pays the stores (it executed
+		// the instructions), but the words land with the stale tag.
+		r.ring(t, r.prodTail, end, TagBit)
 	} else {
-		r.pubTail = r.prodTail
-		t.AtomicStore64(r.tailAddr(), r.prodTail)
+		r.ring(t, r.pubTail, end, 0)
+		r.pubTail = end
 	}
+	r.prodTail = end
 	r.stats.Pushes += k
 	r.stats.PushBatches++
 	// The histogram counts per request (its sum stays equal to Pushes):
 	// all k requests of this batch observed the same post-publish depth.
-	if b := bits.Len64(r.prodTail - r.shadowHead); b < len(r.stats.Occupancy) {
-		r.stats.Occupancy[b] += k
-	} else {
-		r.stats.Occupancy[len(r.stats.Occupancy)-1] += k
-	}
+	r.stats.Occupancy[min(bits.Len64(r.prodTail-r.shadowHead), len(r.stats.Occupancy)-1)] += k
 }
 
 // Stage spins until the slot is staged, publishing any staged backlog
@@ -281,24 +309,15 @@ func (r *SPSC) TryPush(t *sim.Thread, w0, w1 uint64) bool {
 	return true
 }
 
-// Push spins until the push succeeds, accounting the cycles spent
-// waiting for ring space as producer stall time.
+// Push is the unbatched Stage + Publish: it spins until the slot is
+// staged (producer stall time) and publishes it with any staged backlog.
 func (r *SPSC) Push(t *sim.Thread, w0, w1 uint64) {
-	if r.TryPush(t, w0, w1) {
-		return
-	}
-	start := t.Clock()
-	for {
-		t.Pause(32)
-		if r.TryPush(t, w0, w1) {
-			r.stats.StallCycles += t.Clock() - start
-			return
-		}
-	}
+	r.Stage(t, w0, w1)
+	r.Publish(t)
 }
 
-// PushN stages every request and publishes them with a single tail
-// store (spinning for space as needed, like Push).
+// PushN stages every request and publishes them as one batch (spinning
+// for space as needed, like Push).
 func (r *SPSC) PushN(t *sim.Thread, reqs [][2]uint64) {
 	for _, q := range reqs {
 		r.Stage(t, q[0], q[1])
@@ -309,52 +328,33 @@ func (r *SPSC) PushN(t *sim.Thread, reqs [][2]uint64) {
 // TryPop consumes one slot; ok is false when the ring is empty.
 // Consumer-side only.
 func (r *SPSC) TryPop(t *sim.Thread) (w0, w1 uint64, ok bool) {
-	if r.consHead == r.shadowTail {
-		r.shadowTail = t.AtomicLoad64(r.tailAddr())
-		if r.consHead == r.shadowTail {
-			return 0, 0, false
-		}
+	var buf [1][2]uint64
+	if r.PopN(t, buf[:]) == 0 {
+		return 0, 0, false
 	}
-	slot := r.slotAddr(r.consHead)
-	w0 = t.Load64(slot)
-	w1 = t.Load64(slot + 8)
-	r.consHead++
-	t.AtomicStore64(r.headAddr(), r.consHead)
-	r.stats.Pops++
-	r.stats.PopBatches++
-	return w0, w1, true
+	return buf[0][0], buf[0][1], true
 }
 
-// PopN consumes up to len(buf) slots, publishing the consumer index
-// once for the whole batch — the consumer-side mirror of Stage/Publish.
-// It returns the number of requests popped (0 when the ring is empty).
+// PopN consumes up to len(buf) slots, stopping at the first one whose
+// tag is not this lap's, and publishes the consumer index once for the
+// whole batch — the consumer-side mirror of Stage/Publish. It returns
+// the number of requests popped (0 when the ring is empty).
 func (r *SPSC) PopN(t *sim.Thread, buf [][2]uint64) int {
-	if len(buf) == 0 {
-		return 0
-	}
-	if r.consHead == r.shadowTail {
-		r.shadowTail = t.AtomicLoad64(r.tailAddr())
-		if r.consHead == r.shadowTail {
-			return 0
+	k := uint64(0)
+	for ; k < uint64(len(buf)); k++ {
+		slot := r.slotAddr(r.consHead + k)
+		w0 := t.AtomicLoad64(slot)
+		if w0&TagBit != r.lapTag(r.consHead+k) {
+			break
 		}
+		buf[k] = [2]uint64{w0 &^ TagBit, t.Load64(slot + 8)}
 	}
-	k := uint64(len(buf))
-	if avail := r.shadowTail - r.consHead; avail < k {
-		k = avail
-	}
-	for i := uint64(0); i < k; i++ {
-		slot := r.slotAddr(r.consHead + i)
-		buf[i][0] = t.Load64(slot)
-		buf[i][1] = t.Load64(slot + 8)
+	if k == 0 {
+		return 0
 	}
 	r.consHead += k
 	t.AtomicStore64(r.headAddr(), r.consHead)
 	r.stats.Pops += k
 	r.stats.PopBatches++
 	return int(k)
-}
-
-// Len returns the occupancy as seen by the consumer.
-func (r *SPSC) Len(t *sim.Thread) int {
-	return int(t.AtomicLoad64(r.tailAddr()) - r.consHead)
 }

@@ -9,7 +9,7 @@ import (
 	"nextgenmalloc/internal/sim"
 )
 
-func withThread(t *testing.T, fn func(th *sim.Thread)) {
+func withThread(_ testing.TB, fn func(th *sim.Thread)) {
 	m := sim.New(sim.DefaultConfig())
 	m.Spawn("t", 0, fn)
 	m.Run()
@@ -254,8 +254,8 @@ func TestPushPublishesStagedBacklog(t *testing.T) {
 		r := New(th.Mmap(1), 8)
 		r.TryStage(th, 1, 0)
 		r.TryStage(th, 2, 0)
-		// A plain push rides on the same tail store as the backlog and
-		// keeps its FIFO position behind it.
+		// A plain push publishes the backlog in the same batch and keeps
+		// its FIFO position behind it.
 		if !r.TryPush(th, 3, 0) {
 			t.Fatal("push failed")
 		}
@@ -309,8 +309,8 @@ func TestPushNPopN(t *testing.T) {
 
 // TestVectoredCheaperThanSingles pins the point of batching: moving the
 // same requests with PushN/PopN costs fewer simulated cycles than
-// one-at-a-time TryPush/TryPop, because the index publications are
-// amortized across each batch.
+// one-at-a-time TryPush/TryPop, because the consumer-index
+// publications are amortized across each batch.
 func TestVectoredCheaperThanSingles(t *testing.T) {
 	cost := func(batched bool) (cycles uint64) {
 		m := sim.New(sim.DefaultConfig())
@@ -436,8 +436,9 @@ func TestPushStallCycles(t *testing.T) {
 	}
 }
 
-// TestDropHookSuppressesDoorbell: a dropped publication leaves the
-// consumer blind to the new slots until Republish re-rings the bell.
+// TestDropHookSuppressesDoorbell: a dropped publication lands with the
+// stale lap tag, leaving the consumer blind to the new slots until
+// Republish rewrites the true one.
 func TestDropHookSuppressesDoorbell(t *testing.T) {
 	withThread(t, func(th *sim.Thread) {
 		r := New(th.Mmap(1), 8)

@@ -171,7 +171,9 @@ func TestDecodeHugeCountDoesNotPreallocate(t *testing.T) {
 	buf.Write(tmp[:n])
 	before := heapAllocBytes()
 	_, err := Decode(&buf)
-	grew := heapAllocBytes() - before
+	// Signed: a GC between the two reads shrinks the heap, and an
+	// unsigned difference would wrap to ~2^64.
+	grew := int64(heapAllocBytes()) - int64(before)
 	if err == nil {
 		t.Fatal("huge-count empty trace accepted")
 	}
