@@ -118,17 +118,6 @@ func BenchmarkAblateCore(b *testing.B) {
 	}
 }
 
-// BenchmarkAblatePrealloc regenerates the §3.3 preallocation ablation;
-// the metric is plain-offload-over-prealloc cycles.
-func BenchmarkAblatePrealloc(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := experiments.AblatePrealloc(benchScale)
-		plain := float64(out.Results[0].Total.Cycles)
-		pre := float64(out.Results[1].Total.Cycles)
-		b.ReportMetric(plain/pre, "plain/prealloc")
-	}
-}
-
 // BenchmarkSensitivity regenerates the §1 microbenchmark sensitivity
 // sweep; the metric is the worst/best wall-cycle spread over both
 // workloads (paper: can exceed 10x).

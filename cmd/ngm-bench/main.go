@@ -7,7 +7,7 @@
 //
 // With no experiment arguments it runs everything. Experiments:
 // figure1, table1, table2, table3, model, ablate-layout, ablate-core,
-// ablate-prealloc, sensitivity (and more; see -list).
+// ablate-transport, sensitivity (and more; see -list).
 //
 // Independent experiments — and the independent simulated machines
 // inside each one — are fanned out across up to -parallel host cores.
@@ -49,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonPath := fs.String("json", "", "also write raw results (PMU counters per run) as JSON to this file")
 	metricsPath := fs.String("metrics", "", "write machine-readable results ("+metrics.Schema+") to this file")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "max simulated machines running concurrently (1 = serial)")
-	batch := fs.Int("batch", -1, "override NextGen free-coalescing width for standard experiments, 1-4 (-1 = per-kind default)")
 	prealloc := fs.String("prealloc", "", "override NextGen prealloc policy for standard experiments: off, static, or adaptive (empty = per-kind default)")
 	layoutSpec := fs.String("layout", "", "override NextGen metadata layout for standard experiments: segregated, aggregated, or compact (empty = per-kind default)")
 	cpuProfile := fs.String("cpuprofile", "", "write a host CPU profile to this file")
@@ -79,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mcfg.Quantum = uint64(*quantum)
 	experiments.SetMachine(&mcfg)
 
-	tune, err := experiments.ParseTransport(*batch, *prealloc)
+	tune, err := experiments.ParseTransport(*prealloc)
 	if err != nil {
 		fmt.Fprintf(stderr, "ngm-bench: %v\n", err)
 		return 2
@@ -163,7 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"model":            func() experiments.Outcome { return experiments.Model() },
 		"ablate-layout":    func() experiments.Outcome { return experiments.AblateLayout(scale) },
 		"ablate-core":      func() experiments.Outcome { return experiments.AblateCore(scale) },
-		"ablate-prealloc":  func() experiments.Outcome { return experiments.AblatePrealloc(scale) },
 		"ablate-transport": func() experiments.Outcome { return experiments.AblateTransport(scale) },
 		"sensitivity":      func() experiments.Outcome { return experiments.Sensitivity(scale) },
 		"ablate-gc":        func() experiments.Outcome { return experiments.AblateGC(scale) },
@@ -178,7 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	order := []string{
 		"figure1", "table1", "table2", "table3", "model",
-		"ablate-layout", "ablate-core", "ablate-prealloc", "ablate-transport",
+		"ablate-layout", "ablate-core", "ablate-transport",
 		"sensitivity",
 		"ablate-gc", "ablate-faas", "ablate-gpu", "ablate-scaling", "ablate-room",
 		"fault-sweep", "fleet-sweep", "slo-sweep", "failover-sweep",

@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -37,7 +41,7 @@ func TestRejectsBadFlags(t *testing.T) {
 	}{
 		"bad scale":          {[]string{"-scale", "huge"}, "unknown scale"},
 		"zero quantum":       {[]string{"-quantum", "0"}, "-quantum must be > 0"},
-		"bad batch":          {[]string{"-batch", "9"}, "out of range"},
+		"removed batch flag": {[]string{"-batch", "4"}, "flag provided but not defined"},
 		"bad layout":         {[]string{"-layout", "bitmap"}, "unknown layout"},
 		"bad fault":          {[]string{"-fault", "warp=1"}, "unknown key"},
 		"bad resilience":     {[]string{"-resilience", "timeout"}, "not key=value"},
@@ -147,5 +151,75 @@ func TestSLOSweepThroughCLI(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("sweep output lacks %q:\n%s", want, stdout)
 		}
+	}
+}
+
+// TestDefaultSpellingsBitIdentical: every config-gated feature's explicit
+// default spelling must leave table3's metrics document byte-identical
+// to the flagless run. -warp=false is the one exception by design: the
+// warp is host-side only, so every simulated number must still match,
+// but the additive warp ledger (what the fast path skipped) is present
+// with warp on and absent with it off, and is dropped before comparing.
+func TestDefaultSpellingsBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs table3 seven times")
+	}
+	dir := t.TempDir()
+	metricsDoc := func(name string, flags ...string) []byte {
+		t.Helper()
+		defer resetGlobals()
+		path := filepath.Join(dir, name+".json")
+		args := append([]string{"-scale", "quick", "-metrics", path}, append(flags, "table3")...)
+		if rc, _, stderr := runCLI(args...); rc != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, rc, stderr)
+		}
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	flagless := metricsDoc("flagless")
+	for name, flags := range map[string][]string{
+		"layout":     {"-layout", "segregated"},
+		"topology":   {"-servers", "1", "-sched", "fixed-scan", "-partition", "client"},
+		"failover":   {"-failover", "off"},
+		"slo":        {"-slo", "off", "-tenants", "8"},
+		"resilience": {"-resilience", "off"},
+	} {
+		if !bytes.Equal(metricsDoc(name, flags...), flagless) {
+			t.Errorf("%v changed table3's metrics document", flags)
+		}
+	}
+
+	// stripWarp parses a document and removes every result's warp ledger,
+	// reporting how many it found.
+	stripWarp := func(doc []byte) (parsed map[string]any, ledgers int) {
+		t.Helper()
+		dec := json.NewDecoder(bytes.NewReader(doc))
+		dec.UseNumber() // compare cycle counts digit for digit, not as float64
+		if err := dec.Decode(&parsed); err != nil {
+			t.Fatal(err)
+		}
+		for _, exp := range parsed["experiments"].([]any) {
+			for _, res := range exp.(map[string]any)["results"].([]any) {
+				if _, ok := res.(map[string]any)["warp"]; ok {
+					ledgers++
+					delete(res.(map[string]any), "warp")
+				}
+			}
+		}
+		return parsed, ledgers
+	}
+	on, nOn := stripWarp(flagless)
+	off, nOff := stripWarp(metricsDoc("warp-off", "-warp=false"))
+	if nOn == 0 {
+		t.Error("the flagless document carries no warp ledger: the fast path never engaged")
+	}
+	if nOff != 0 {
+		t.Errorf("the -warp=false document still carries %d warp ledgers", nOff)
+	}
+	if !reflect.DeepEqual(on, off) {
+		t.Error("-warp=false changed table3's simulated numbers")
 	}
 }

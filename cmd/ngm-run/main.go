@@ -45,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ops := fs.Int("ops", 100000, "operation count (total or per thread, workload-dependent)")
 	threads := fs.Int("threads", 1, "worker thread count (multi-thread workloads)")
 	seed := fs.Uint64("seed", 1, "workload seed")
-	batch := fs.Int("batch", -1, "override NextGen free-coalescing width, 1-4 (-1 = per-kind default)")
 	servers := fs.Int("servers", 1, "offload server shard count (NextGen offload kinds; clients are partitioned across shards)")
 	schedSpec := fs.String("sched", "", "offload ring service order: fixed-scan, round-robin, doorbell-priority, or batch-drain (empty = fixed-scan)")
 	partSpec := fs.String("partition", "", "fleet shard partition: client or class (empty = client)")
@@ -71,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ngm-run: unknown allocator %q (choose from: %s)\n", *kind, strings.Join(harness.Kinds, ", "))
 		return 2
 	}
-	transportTune, err := experiments.ParseTransport(*batch, *prealloc)
+	transportTune, err := experiments.ParseTransport(*prealloc)
 	if err != nil {
 		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
 		return 2

@@ -28,8 +28,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		"negative ops":       {[]string{"-ops", "-5"}, "-ops must be >= 1"},
 		"sh6bench sub-batch": {[]string{"-workload", "sh6bench", "-ops", "99"}, "one batch"},
 		"unknown workload":   {[]string{"-workload", "nope"}, "unknown workload"},
-		"batch too wide":     {[]string{"-batch", "7"}, "out of range"},
-		"batch zero":         {[]string{"-batch", "0"}, "out of range"},
+		"removed batch flag": {[]string{"-batch", "4"}, "flag provided but not defined"},
 		"bad prealloc":       {[]string{"-prealloc", "bogus"}, "unknown prealloc policy"},
 		"bad layout":         {[]string{"-layout", "bitmap"}, "unknown layout"},
 		"bad fault key":      {[]string{"-fault", "warp=1"}, "unknown key"},

@@ -45,24 +45,13 @@ func TestConformanceCompactSyncFree(t *testing.T) {
 }
 
 func TestConformanceCompactBatch(t *testing.T) {
-	cfg := compactCfg()
-	cfg.Batch = 4
-	cfg.IdleBackoff = true
 	var srv *Server
-	alloctest.Run(t, alloctest.Options{
-		Factory: factory(cfg, &srv),
-		Daemon: func(m *sim.Machine) {
-			srv = NewServer()
-			m.SpawnDaemon("server", m.Cores()-1, srv.Run)
-		},
-	})
+	alloctestRun(t, lineRing(compactCfg()), &srv)
 }
 
 func TestConformanceCompactAdaptive(t *testing.T) {
 	cfg := compactCfg()
-	cfg.Batch = 4
 	cfg.AdaptivePrealloc = true
-	cfg.IdleBackoff = true
 	var srv *Server
 	alloctest.Run(t, alloctest.Options{
 		Factory: factory(cfg, &srv),

@@ -179,43 +179,93 @@ func TestNewFleetRejectsZeroServers(t *testing.T) {
 	m.Run()
 }
 
-// TestNegativeBatchNormalized: a negative coalescing width means the
-// unbatched transport, not a silent pass through the Batch > 1 checks.
-func TestNegativeBatchNormalized(t *testing.T) {
-	m := sim.New(sim.ScaledConfig())
-	srv := NewServer()
-	m.SpawnDaemon("server", m.Cores()-1, srv.Run)
-	m.Spawn("c0", 0, func(th *sim.Thread) {
-		cfg := DefaultConfig()
-		cfg.Batch = -3
-		a := New(th, cfg)
-		srv.Attach(a)
-		if a.cfg.Batch != 0 {
-			t.Errorf("Batch -3 normalized to %d, want 0", a.cfg.Batch)
-		}
-		a.Free(th, a.Malloc(th, 64))
-		a.Flush(th)
-	})
-	m.Run()
-}
-
-// TestBatchClampedToLine: widths past one cache line of slots clamp.
+// TestBatchClampedToLine: a client never holds back a whole line — with
+// room in the ring, k frees leave k mod maxBatch staged, and the next
+// Malloc leaves none.
 func TestBatchClampedToLine(t *testing.T) {
 	m := sim.New(sim.ScaledConfig())
 	srv := NewServer()
 	m.SpawnDaemon("server", m.Cores()-1, srv.Run)
 	m.Spawn("c0", 0, func(th *sim.Thread) {
-		cfg := DefaultConfig()
-		cfg.Batch = 99
-		a := New(th, cfg)
+		a := New(th, DefaultConfig())
 		srv.Attach(a)
-		if a.cfg.Batch != maxBatch {
-			t.Errorf("Batch 99 clamped to %d, want %d", a.cfg.Batch, maxBatch)
+		blocks := make([]uint64, 2*maxBatch+3)
+		for i := range blocks {
+			blocks[i] = a.Malloc(th, 64)
 		}
-		a.Free(th, a.Malloc(th, 64))
+		freq := a.clientOf(th).freq
+		for i, p := range blocks {
+			a.Free(th, p)
+			if got, want := freq.Staged(), (i+1)%maxBatch; got != want {
+				t.Errorf("after %d frees: %d staged, want %d", i+1, got, want)
+			}
+		}
+		a.Malloc(th, 64)
+		if got := freq.Staged(); got != 0 {
+			t.Errorf("%d frees still staged after a Malloc", got)
+		}
 		a.Flush(th)
 	})
 	m.Run()
+}
+
+// TestFleetForeignFreesWaitForFlush pins the price of staging on a
+// fleet: Fleet.Malloc publishes only the ring of the shard that serves
+// it, so fewer than maxBatch frees owed to a foreign shard stay staged
+// — however many mallocs the thread makes at home — until that line
+// fills or Fleet.Flush. A documented staleness bound, not starvation:
+// Flush delivers them and every shard's ledger balances.
+func TestFleetForeignFreesWaitForFlush(t *testing.T) {
+	m := sim.New(sim.ScaledConfig())
+	var srvs []*Server
+	fleetDaemon(2, &srvs)(m)
+	var f *Fleet
+	var handoff []uint64 // blocks of thread 0 (shard 0) for thread 1 (shard 1) to free
+	m.Spawn("c0", 0, func(th *sim.Thread) {
+		f = NewFleet(th, DefaultConfig(), 2, ByClient)
+		for j, sh := range f.Shards() {
+			srvs[j].Attach(sh)
+		}
+		blocks := make([]uint64, maxBatch-1)
+		for i := range blocks {
+			blocks[i] = f.Malloc(th, 64)
+		}
+		handoff = blocks
+		f.Flush(th)
+	})
+	m.Spawn("c1", 1, func(th *sim.Thread) {
+		for handoff == nil {
+			th.Pause(100)
+		}
+		home := f.Malloc(th, 64) // first touch: thread 1's home is shard 1
+		for _, p := range handoff {
+			f.Free(th, p)
+		}
+		foreign := f.Shards()[0].byThread[th.ID()].freq
+		for i := 0; i < 50; i++ {
+			f.Free(th, home)
+			home = f.Malloc(th, 64)
+		}
+		if foreign.Staged() != len(handoff) || foreign.HostDepth() != len(handoff) {
+			t.Errorf("after 50 home mallocs the foreign ring holds %d staged of depth %d, want %d and %d",
+				foreign.Staged(), foreign.HostDepth(), len(handoff), len(handoff))
+		}
+		f.Free(th, home)
+		f.Flush(th)
+		if foreign.Staged() != 0 || foreign.HostDepth() != 0 {
+			t.Errorf("after Flush the foreign ring still holds %d staged of depth %d", foreign.Staged(), foreign.HostDepth())
+		}
+	})
+	m.Run()
+	for i, sh := range f.Shards() {
+		mr, fr := sh.RingTelemetry()
+		if pushes, pops := mr.Pushes+fr.Pushes, mr.Pops+fr.Pops; pushes != pops || pops != sh.Served() {
+			t.Errorf("shard %d: %d pushed, %d popped, %d served", i, pushes, pops, sh.Served())
+		}
+	}
+	if live := f.Stats().LiveBytes; live != 0 {
+		t.Errorf("%d bytes still live after every block was freed and flushed", live)
+	}
 }
 
 // The Add-coverage walkers mirror internal/harness's: fill every uint64

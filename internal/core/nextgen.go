@@ -133,27 +133,18 @@ type Config struct {
 	Prealloc int
 	// AsyncFree releases the client as soon as a free request is queued
 	// (default true in offload mode; the paper argues free is off the
-	// critical path).
+	// critical path). Queued means staged: asynchronous frees leave the
+	// client a slot line at a time (§3.3 batched requests) — a ring
+	// holds back at most maxBatch-1 of them, until its line fills or the
+	// thread's next Malloc, Preheat or Flush on this allocator.
 	AsyncFree bool
 	// RingSlots is the per-client request ring capacity (power of two).
 	RingSlots int
-	// Batch, when > 1, coalesces up to Batch asynchronous frees per ring
-	// publication (§3.3 batched requests): slots are staged as they are
-	// written and their tagged words stored when a slot line fills or at the
-	// next malloc/flush boundary. Capped at the slots-per-cache-line
-	// limit (sim.LineSize / ring.SlotSize = 4). 0 or 1 keeps the
-	// one-publication-per-free transport.
-	Batch int
 	// AdaptivePrealloc replaces the static Prealloc depth with a
 	// feedback-driven one: each class's stash is sized from its rank in
 	// the client's recent-allocation list (noteHot), so hot classes get a
 	// deep stash and cold classes none.
 	AdaptivePrealloc bool
-	// IdleBackoff enables doorbell-style exponential backoff of the
-	// server's empty-poll pause, so an idle dedicated core stops burning
-	// cycles re-scanning empty rings (any served request resets the
-	// backoff).
-	IdleBackoff bool
 	// Sched selects the server's ring-service order (see SchedPolicy).
 	// The zero value (FixedScan) is the seed behaviour.
 	Sched SchedPolicy
@@ -371,25 +362,16 @@ type Allocator struct {
 	registerL simsync.SpinLock
 }
 
-// New builds the allocator; t performs the initial mmaps. In offload
-// mode a Server daemon must have been spawned and attached (see Server).
-// maxBatch is the deepest useful free-coalescing window: one cache line
-// of ring slots (the consumer takes a published line in one transfer;
-// staging past the boundary would only start on the next one).
+// maxBatch is the free-coalescing window: one cache line of ring slots
+// (the consumer takes a published line in one transfer; staging past
+// the boundary would only start on the next one).
 const maxBatch = int(sim.LineSize / ring.SlotSize)
 
+// New builds the allocator; t performs the initial mmaps. In offload
+// mode a Server daemon must have been spawned and attached (see Server).
 func New(t *sim.Thread, cfg Config) *Allocator {
 	if cfg.RingSlots == 0 {
 		cfg.RingSlots = 64
-	}
-	if cfg.Batch > maxBatch {
-		cfg.Batch = maxBatch
-	}
-	if cfg.Batch < 0 {
-		// A negative width is a caller bug; normalize to the unbatched
-		// transport instead of letting it slip through the Batch > 1
-		// checks as a third, accidental mode.
-		cfg.Batch = 0
 	}
 	if cfg.Resilience.Enabled {
 		cfg.Resilience.applyDefaults()
@@ -429,8 +411,6 @@ func (a *Allocator) Name() string {
 		return "nextgen-adaptive"
 	case a.cfg.Offload && a.cfg.Prealloc > 0:
 		return "nextgen-prealloc"
-	case a.cfg.Offload && a.cfg.Batch > 1:
-		return "nextgen-batch"
 	case a.cfg.Offload && a.cfg.Layout == Compact:
 		return "nextgen-compact"
 	case a.cfg.Offload:
@@ -786,8 +766,8 @@ func (a *Allocator) freeClass(t *sim.Thread, rec uint64, class int, addr uint64)
 	}
 }
 
-// engineMalloc / engineFree are the inline entry points around the
-// engine (lock in inline mode, bare in server context).
+// engineMalloc is the engine's malloc for a request size (caller holds
+// the lock in inline mode; bare in server context).
 func (a *Allocator) engineMalloc(t *sim.Thread, size uint64) uint64 {
 	class, ok := a.sc.ClassFor(size)
 	if !ok {
@@ -797,16 +777,6 @@ func (a *Allocator) engineMalloc(t *sim.Thread, size uint64) uint64 {
 		return t.Load64(rec + slBase)
 	}
 	return a.allocClass(t, class)
-}
-
-func (a *Allocator) engineFree(t *sim.Thread, addr uint64) {
-	rec := a.pagemapGet(t, addr)
-	classWord := t.Load64(rec + slClass)
-	if classWord == classLarge {
-		a.spanFree(t, rec)
-		return
-	}
-	a.freeClass(t, rec, int(classWord), addr)
 }
 
 // --- public API ----------------------------------------------------------------
@@ -865,12 +835,10 @@ func (a *Allocator) Malloc(t *sim.Thread, size uint64) uint64 {
 		return p
 	}
 	c := a.clientOf(t)
-	// Malloc boundary: publish any coalesced frees first, so the free
+	// Malloc boundary: publish any staged frees first, so the free
 	// backlog's staleness is bounded by one malloc (no-op when nothing
 	// is staged).
-	if a.cfg.Batch > 1 {
-		c.freq.Publish(t)
-	}
+	c.freq.Publish(t)
 	if addr, ok := a.stashPop(t, c, size); ok {
 		return addr
 	}
@@ -911,7 +879,7 @@ func (a *Allocator) Free(t *sim.Thread, addr uint64) {
 	// class only after its metadata lookup).
 	if !a.cfg.Offload {
 		a.lock.Lock(t)
-		a.engineFreeCounted(t, addr)
+		a.engineFree(t, addr, false)
 		a.lock.Unlock(t)
 		return
 	}
@@ -921,37 +889,57 @@ func (a *Allocator) Free(t *sim.Thread, addr uint64) {
 		return
 	}
 	c.seq++
-	if a.cfg.Batch > 1 && a.cfg.AsyncFree {
-		// Free coalescing: stage the request now (slot stores on a line
-		// the producer already owns) and defer the tagged stores until
-		// the slot line fills; Malloc/Flush publish any partial batch.
+	if a.cfg.AsyncFree {
+		// Stage the request and store the line when it fills;
+		// Malloc/Preheat/Flush publish a partial one.
 		c.freq.Stage(t, opFree, addr)
-		if c.freq.Staged() >= a.cfg.Batch {
+		if c.freq.Staged() >= maxBatch {
 			c.freq.Publish(t)
 		}
 		return
 	}
+	// Synchronous-free mode: chase the free with a sync barrier so the
+	// client observes completion (the ring is FIFO per client).
 	c.freq.Push(t, opFree, addr)
-	if !a.cfg.AsyncFree {
-		// Synchronous-free mode: chase the free with a sync barrier so
-		// the client observes completion (the ring is FIFO per client).
-		c.seq++
-		c.freq.Push(t, opSync, c.seq)
-		a.awaitSeq(t, c)
-	}
+	c.seq++
+	c.freq.Push(t, opSync, c.seq)
+	a.awaitSeq(t, c)
 }
 
-func (a *Allocator) engineFreeCounted(t *sim.Thread, addr uint64) {
+// engineFree is the engine's free, with the live-byte accounting (the
+// class is known only after the metadata lookup). validate adds the
+// stage an untrusted ring word needs — heap range, pagemap, class,
+// base/alignment/capacity and double-free checks — and makes engineFree
+// report false, with no state touched, for an address that cannot be a
+// live engine block (the corrupt-request NACK path). Without it the
+// address is trusted and the result is always true.
+func (a *Allocator) engineFree(t *sim.Thread, addr uint64, validate bool) bool {
+	if validate {
+		t.Exec(4) // range/alignment compare chain
+		if addr < mem.MmapBase || (addr-mem.MmapBase)>>mem.PageShift>>9 >= pagemapRootSlots {
+			return false
+		}
+	}
 	rec := a.pagemapGet(t, addr)
+	if validate && rec == 0 {
+		return false
+	}
 	classWord := t.Load64(rec + slClass)
 	if classWord == classLarge {
+		if validate && addr != t.Load64(rec+slBase) {
+			return false // interior pointer into a large block
+		}
 		a.stats.LiveBytes -= t.Load64(rec+slPages) << mem.PageShift
 		a.spanFree(t, rec)
-		return
+		return true
+	}
+	if validate && !a.validSmallFree(t, rec, classWord, addr) {
+		return false
 	}
 	class := int(classWord)
 	a.stats.LiveBytes -= a.sc.Size(class)
 	a.freeClass(t, rec, class, addr)
+	return true
 }
 
 // Preheat warms the allocator for the given request sizes before the
@@ -991,8 +979,8 @@ func (a *Allocator) Preheat(t *sim.Thread, sizes []uint64) {
 }
 
 // Flush implements alloc.Flusher: it drains this thread's queued
-// asynchronous frees (a sync barrier through the ring). Staged
-// coalesced frees are published together with the barrier slot — Push
+// asynchronous frees (a sync barrier through the ring). Staged frees
+// are published together with the barrier slot — Push
 // publishes the whole staged backlog in slot order, so the barrier
 // keeps its FIFO position behind them.
 func (a *Allocator) Flush(t *sim.Thread) {
@@ -1094,12 +1082,9 @@ type Server struct {
 	idleCycles uint64
 	// Empty-poll accounting: passes that found no ring work, and the
 	// cycles those passes burned scanning the rings (a subset of
-	// idleCycles — the overhead Config.IdleBackoff exists to shrink).
+	// idleCycles).
 	emptyPolls      uint64
 	emptyPollCycles uint64
-	// idlePause is the current doorbell-backoff pause (IdleBackoff only);
-	// any served request resets it.
-	idlePause int
 	// lastEmptyPoll is the scan cost of the most recent empty poll pass,
 	// used to scale emptyPollCycles exactly when the scheduler's time
 	// warp skips steady idle rounds (identical rounds scan identically).
@@ -1112,13 +1097,9 @@ type Server struct {
 	rr int
 }
 
-// Doorbell-backoff bounds: the pause starts at the fixed poll pause and
-// doubles per consecutive empty poll, capped low enough that a client's
-// first post-idle malloc still sees sub-microsecond service latency.
-const (
-	idlePauseMin = 8
-	idlePauseMax = 256
-)
+// emptyPollPause is how long the server rests after a pass that found
+// no work before it scans the rings again.
+const emptyPollPause = 8
 
 // NewServer returns an empty server awaiting Attach.
 func NewServer() *Server { return &Server{} }
@@ -1140,7 +1121,7 @@ func (s *Server) PollStats() (emptyPolls, emptyPollCycles uint64) {
 //
 // The loop is declared to the scheduler's time warp (sim.WaitSpec): a
 // quiescent ring set makes every iteration an identical sequence of
-// empty slot probes, stash gauge reads, and a capped backoff pause, and
+// empty slot probes, stash gauge reads, and a fixed pause, and
 // those rounds are skipped in bulk instead of being stepped on the
 // host. The declaration covers exactly the steady idle round — the slot
 // words the empty polls reload and the stash index words the idle
@@ -1194,25 +1175,12 @@ func (s *Server) iterate(t *sim.Thread) bool {
 	}
 	if s.Poll(t) {
 		s.busyCycles += t.Clock() - start
-		s.idlePause = 0
 	} else {
 		s.emptyPolls++
 		s.lastEmptyPoll = t.Clock() - start
 		s.emptyPollCycles += s.lastEmptyPoll
 		s.Idle(t)
-		pause := idlePauseMin
-		if s.a != nil && s.a.cfg.IdleBackoff {
-			// Doorbell backoff: each consecutive empty poll doubles
-			// the pause, so a quiescent ring set costs O(log) scans
-			// instead of one per idlePauseMin cycles.
-			if s.idlePause == 0 {
-				s.idlePause = idlePauseMin
-			} else if s.idlePause < idlePauseMax {
-				s.idlePause *= 2
-			}
-			pause = s.idlePause
-		}
-		t.Pause(pause)
+		t.Pause(emptyPollPause)
 		s.idleCycles += t.Clock() - start
 	}
 	return false
@@ -1248,120 +1216,6 @@ func (s *Server) idleLoadAddrs() []uint64 {
 	}
 	s.addrScratch = addrs
 	return addrs
-}
-
-// Poll performs one service pass over every client (malloc rings with
-// priority, then a slice of the free backlog, in the order Config.Sched
-// selects) and reports whether any work was found. Exposed so the
-// dedicated core can be shared with other service functions (the
-// paper's "can the room be used for other functions" question).
-func (s *Server) Poll(t *sim.Thread) bool {
-	a := s.a
-	if a == nil {
-		return false
-	}
-	switch a.cfg.Sched {
-	case RoundRobin:
-		return s.pollRoundRobin(t)
-	case DoorbellPriority:
-		return s.pollDoorbell(t)
-	case BatchDrain:
-		return s.pollBatchDrain(t)
-	}
-	return s.pollFixedScan(t)
-}
-
-// pollFixedScan is the seed service order: clients in registration
-// order, malloc rings first, then up to 16 background frees per client.
-// Between frees only the *current* client's malloc ring is re-checked,
-// so another client's synchronous malloc can wait behind this client's
-// whole free slice — the head-of-line unfairness the round-robin and
-// doorbell-priority policies fix. Kept bit-identical to the seed (the
-// golden suite pins it); fairness fixes live in the other policies.
-func (s *Server) pollFixedScan(t *sim.Thread) bool {
-	a := s.a
-	busy := false
-	// Priority pass: synchronous malloc requests first.
-	for _, c := range a.clients {
-		for {
-			w0, w1, ok := s.pop(t, c.mreq)
-			if !ok {
-				break
-			}
-			busy = true
-			s.serveSpan(t, c, c.mreq, w0, w1)
-		}
-	}
-	// Background pass: drain free backlog, re-checking the malloc
-	// ring between frees so a request never waits behind the batch.
-	for _, c := range a.clients {
-		if a.cfg.Batch > 1 {
-			for n := 0; n < 16; n += a.cfg.Batch {
-				if w0, w1, ok := s.pop(t, c.mreq); ok {
-					busy = true
-					s.serveSpan(t, c, c.mreq, w0, w1)
-				}
-				if s.popFreeLine(t, c) == 0 {
-					break
-				}
-				busy = true
-			}
-			continue
-		}
-		for n := 0; n < 16; n++ {
-			if w0, w1, ok := s.pop(t, c.mreq); ok {
-				busy = true
-				s.serveSpan(t, c, c.mreq, w0, w1)
-			}
-			w0, w1, ok := s.pop(t, c.freq)
-			if !ok {
-				break
-			}
-			busy = true
-			s.serveSpan(t, c, c.freq, w0, w1)
-		}
-	}
-	return busy
-}
-
-// popFreeLine pops one slot line (up to Batch requests) of c's free
-// backlog through the vectored PopN path — one head publication per
-// line instead of per free, the consumer-side half of batching — and
-// services it, folding batch latency spans. Reports the slots popped.
-func (s *Server) popFreeLine(t *sim.Thread, c *client) int {
-	a := s.a
-	var buf [maxBatch][2]uint64
-	var stamps [maxBatch]uint64
-	k := c.freq.PopN(t, buf[:a.cfg.Batch])
-	if k == 0 {
-		return 0
-	}
-	if inj := a.cfg.Faults; inj != nil && a.cfg.Resilience.Enabled {
-		for i := 0; i < k; i++ {
-			buf[i][0], buf[i][1] = inj.Corrupt(buf[i][0], buf[i][1])
-		}
-	}
-	lat := a.cfg.Latency
-	var deq uint64
-	if lat != nil {
-		c.freq.PoppedStamps(k, stamps[:])
-		deq = t.Clock()
-	}
-	for i := 0; i < k; i++ {
-		complete, served := s.serve(t, c, false, buf[i][0], buf[i][1])
-		if lat == nil || !served {
-			continue
-		}
-		if op, ok := spanOp(buf[i][0]); ok {
-			// Frees drained through the vectored path are classified as
-			// batch spans.
-			if op == timeline.OpFree {
-				op = timeline.OpBatch
-			}
-			lat.Record(op, c.threadID, stamps[i], deq, complete)
-		}
-	}
-	return k
 }
 
 // Idle spends spare core cycles topping up the stashes of recently
@@ -1424,19 +1278,9 @@ func (s *Server) drain(t *sim.Thread) bool {
 			c.mreq.Republish(t)
 			c.freq.Republish(t)
 		}
-		for {
-			w0, w1, ok := s.pop(t, c.mreq)
-			if !ok {
-				break
-			}
-			s.serveSpan(t, c, c.mreq, w0, w1)
+		for s.popServe(t, c, c.mreq) {
 		}
-		for {
-			w0, w1, ok := s.pop(t, c.freq)
-			if !ok {
-				break
-			}
-			s.serveSpan(t, c, c.freq, w0, w1)
+		for s.popServe(t, c, c.freq) {
 		}
 	}
 	return true
@@ -1450,17 +1294,31 @@ func (s *Server) injector() *fault.Injector {
 	return s.a.cfg.Faults
 }
 
-// pop is TryPop plus the corruption injection point: every word pair
-// the server receives may have a bit flipped by an armed plan (only
-// with resilience on — the seed protocol cannot survive it).
-func (s *Server) pop(t *sim.Thread, r *ring.SPSC) (uint64, uint64, bool) {
+// popServe pops one request off c's ring r, if one is published, and
+// services it; it reports whether there was one. The pop is the
+// corruption injection point: every word pair the server receives may
+// have a bit flipped by an armed plan (only with resilience on — the
+// seed protocol cannot survive it). When latency recording is armed the
+// request's span is folded: the ring's host-side stamp is the enqueue
+// time, and the pop just happened so the current server clock is the
+// dequeue time.
+func (s *Server) popServe(t *sim.Thread, c *client, r *ring.SPSC) bool {
+	a := s.a
 	w0, w1, ok := r.TryPop(t)
-	if ok {
-		if inj := s.a.cfg.Faults; inj != nil && s.a.cfg.Resilience.Enabled {
-			w0, w1 = inj.Corrupt(w0, w1)
+	if !ok {
+		return false
+	}
+	if inj := a.cfg.Faults; inj != nil && a.cfg.Resilience.Enabled {
+		w0, w1 = inj.Corrupt(w0, w1)
+	}
+	enq, deq := r.PoppedStamp(), t.Clock()
+	complete, served := s.serve(t, c, r == c.mreq, w0, w1)
+	if lat := a.cfg.Latency; lat != nil && served {
+		if op, ok := spanOp(w0); ok {
+			lat.Record(op, c.threadID, enq, deq, complete)
 		}
 	}
-	return w0, w1, ok
+	return true
 }
 
 // serve processes one request and returns the server clock at the point
@@ -1500,14 +1358,10 @@ func (s *Server) serve(t *sim.Thread, c *client, fromMalloc bool, w0, w1 uint64)
 			}
 		}
 	case opFree:
-		if a.cfg.Resilience.Enabled {
-			// Validated path: an unmappable or misaligned address is a
-			// corrupt request, not a crash.
-			if !a.serveFreeValidated(t, w1) {
-				return s.nack(t, c, fromMalloc), false
-			}
-		} else {
-			a.engineFreeCounted(t, w1)
+		// Under resilience an unmappable or misaligned address is a
+		// corrupt request, not a crash.
+		if !a.engineFree(t, w1, a.cfg.Resilience.Enabled) {
+			return s.nack(t, c, fromMalloc), false
 		}
 		complete = t.Clock()
 		// Asynchronous: no response. (The client's seq counter advanced,
@@ -1567,26 +1421,4 @@ func spanOp(w0 uint64) (timeline.Op, bool) {
 		return timeline.OpFree, true
 	}
 	return 0, false
-}
-
-// serveSpan services one singly-popped request and, when latency
-// recording is armed, folds its span: the ring's host-side stamp is the
-// enqueue time, and the pop just happened so the current server clock
-// is the dequeue time.
-func (s *Server) serveSpan(t *sim.Thread, c *client, r *ring.SPSC, w0, w1 uint64) {
-	fromMalloc := r == c.mreq
-	lat := s.a.cfg.Latency
-	if lat == nil {
-		s.serve(t, c, fromMalloc, w0, w1)
-		return
-	}
-	enq := r.PoppedStamp()
-	deq := t.Clock()
-	complete, served := s.serve(t, c, fromMalloc, w0, w1)
-	if !served {
-		return
-	}
-	if op, ok := spanOp(w0); ok {
-		lat.Record(op, c.threadID, enq, deq, complete)
-	}
 }

@@ -44,25 +44,23 @@ func TestConformancePrealloc(t *testing.T) {
 	})
 }
 
+// lineRing shrinks cfg's free rings to one slot line, so every full
+// staged line fills the ring: the Stage path that publishes its backlog
+// and spins for space (under resilience, the TryStage failure that
+// defers the free) runs all the time instead of never.
+func lineRing(cfg Config) Config {
+	cfg.RingSlots = maxBatch
+	return cfg
+}
+
 func TestConformanceBatch(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Batch = 4
-	cfg.IdleBackoff = true
 	var srv *Server
-	alloctest.Run(t, alloctest.Options{
-		Factory: factory(cfg, &srv),
-		Daemon: func(m *sim.Machine) {
-			srv = NewServer()
-			m.SpawnDaemon("server", m.Cores()-1, srv.Run)
-		},
-	})
+	alloctestRun(t, lineRing(DefaultConfig()), &srv)
 }
 
 func TestConformanceAdaptivePrealloc(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Batch = 4
 	cfg.AdaptivePrealloc = true
-	cfg.IdleBackoff = true
 	var srv *Server
 	alloctest.Run(t, alloctest.Options{
 		Factory: factory(cfg, &srv),
@@ -231,9 +229,11 @@ func TestNoAtomicsInEngine(t *testing.T) {
 	}
 }
 
-// TestBatchCoalescesFrees: with Batch=4, the free ring publishes its
-// tail once per slot line instead of once per free, and every free is
-// still applied by the flush barrier.
+// TestBatchCoalescesFrees: asynchronous frees leave the client a slot
+// line at a time — one publication per maxBatch frees while the ring has
+// room — and every free is still applied by the flush barrier. (A full
+// ring publishes its partial line before the producer spins, so a
+// saturated ring coalesces less; the ring here never fills.)
 func TestBatchCoalescesFrees(t *testing.T) {
 	m := sim.New(sim.ScaledConfig())
 	srv := NewServer()
@@ -241,7 +241,7 @@ func TestBatchCoalescesFrees(t *testing.T) {
 	var a *Allocator
 	m.Spawn("t", 0, func(th *sim.Thread) {
 		cfg := DefaultConfig()
-		cfg.Batch = 4
+		cfg.RingSlots = 256
 		a = New(th, cfg)
 		srv.Attach(a)
 		addrs := make([]uint64, 200)
@@ -258,18 +258,50 @@ func TestBatchCoalescesFrees(t *testing.T) {
 		t.Errorf("server served %d ops, want 401 (every staged free must drain)", got)
 	}
 	_, free := a.RingTelemetry()
-	// 200 frees + 1 sync; a full-width batch per 4 frees plus the final
-	// sync publication = ~51 tail stores instead of 201.
-	if free.Pushes != 201 {
-		t.Errorf("free-ring pushes = %d, want 201", free.Pushes)
+	// 200 frees + 1 sync: a full line per 4 frees plus the barrier's own
+	// publication.
+	if want := uint64(200/maxBatch + 1); free.Pushes != 201 || free.PushBatches != want {
+		t.Errorf("free ring: %d pushes in %d publications, want 201 in %d", free.Pushes, free.PushBatches, want)
 	}
-	if free.PushBatches*2 >= free.Pushes {
-		t.Errorf("free ring published %d batches for %d pushes; coalescing ineffective",
-			free.PushBatches, free.Pushes)
+	if st := free.FullRetries + free.StallCycles; st != 0 {
+		t.Errorf("the ring filled (%d full retries, %d stall cycles); the publication count above assumed it had room", free.FullRetries, free.StallCycles)
 	}
-	if free.PopBatches*2 >= free.Pops {
-		t.Errorf("server drained %d pops in %d head publications; vectored pop ineffective",
-			free.Pops, free.PopBatches)
+}
+
+// TestFreesInvalidateOncePerLine counts what staging is for, in the
+// style of ring's TestOneLineTransferPerRequest: with the server polling
+// the free ring, delivering n back-to-back frees (flush barrier
+// included) costs the client at most ⌈n/maxBatch⌉+1 invalidations — one
+// per slot line the server had to give back, not one per free.
+func TestFreesInvalidateOncePerLine(t *testing.T) {
+	const n = 46 // fits the ring; ends on a partial line the barrier completes
+	m := sim.New(sim.ScaledConfig())
+	srv := NewServer()
+	m.SpawnDaemon("server", m.Cores()-1, srv.Run)
+	var before, after sim.Counters
+	m.Spawn("t", 0, func(th *sim.Thread) {
+		a := New(th, DefaultConfig())
+		srv.Attach(a)
+		blocks := make([]uint64, n)
+		for i := range blocks {
+			blocks[i] = a.Malloc(th, 64)
+		}
+		before = th.Counters()
+		for _, p := range blocks {
+			th.Pause(300) // application work: the server is back to polling the next slot line
+			a.Free(th, p)
+		}
+		a.Flush(th)
+		after = th.Counters()
+	})
+	m.Run()
+	lines := uint64((n + maxBatch - 1) / maxBatch)
+	got := after.Invalidations - before.Invalidations
+	if got > lines+1 {
+		t.Errorf("%d frees cost the client %d invalidations, want at most %d (one per slot line, plus one)", n, got, lines+1)
+	}
+	if got < lines {
+		t.Errorf("%d frees cost the client only %d invalidations over %d lines: the server was not polling them, so the bound above was not exercised", n, got, lines)
 	}
 }
 
@@ -328,37 +360,6 @@ func TestAdaptiveStashDepthFollowsHeat(t *testing.T) {
 	}
 }
 
-// TestIdleBackoffCutsEmptyPolls: over the same idle stretch, doorbell
-// backoff performs far fewer empty ring scans than the fixed pause.
-func TestIdleBackoffCutsEmptyPolls(t *testing.T) {
-	run := func(backoff bool) (emptyPolls, emptyPollCycles uint64) {
-		m := sim.New(sim.ScaledConfig())
-		srv := NewServer()
-		m.SpawnDaemon("server", m.Cores()-1, srv.Run)
-		m.Spawn("t", 0, func(th *sim.Thread) {
-			cfg := DefaultConfig()
-			cfg.IdleBackoff = backoff
-			a := New(th, cfg)
-			srv.Attach(a)
-			p := a.Malloc(th, 64)
-			th.Pause(200000) // long quiescent stretch: the doorbell case
-			a.Free(th, p)
-			a.Flush(th)
-		})
-		m.Run()
-		return srv.PollStats()
-	}
-	fixedPolls, fixedCycles := run(false)
-	backoffPolls, backoffCycles := run(true)
-	if backoffPolls*4 >= fixedPolls {
-		t.Errorf("backoff made %d empty polls vs %d fixed; expected a >4x cut",
-			backoffPolls, fixedPolls)
-	}
-	if backoffCycles >= fixedCycles {
-		t.Errorf("backoff burned %d empty-poll cycles vs %d fixed", backoffCycles, fixedCycles)
-	}
-}
-
 // TestVariantNames pins the Name strings the harness and reports key on.
 func TestVariantNames(t *testing.T) {
 	cases := []struct {
@@ -367,8 +368,7 @@ func TestVariantNames(t *testing.T) {
 	}{
 		{func(c *Config) {}, "nextgen"},
 		{func(c *Config) { c.Prealloc = 12 }, "nextgen-prealloc"},
-		{func(c *Config) { c.Batch = 4 }, "nextgen-batch"},
-		{func(c *Config) { c.Batch = 4; c.AdaptivePrealloc = true }, "nextgen-adaptive"},
+		{func(c *Config) { c.AdaptivePrealloc = true }, "nextgen-adaptive"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

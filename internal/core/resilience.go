@@ -307,7 +307,7 @@ func (a *Allocator) emergencyMalloc(t *sim.Thread, c *client, size uint64) uint6
 
 // emergencyFree releases an emergency block; false means the address is
 // engine-owned and must travel the ring. The live-byte decrement happens
-// here because the server-side path (engineFreeCounted) never sees these
+// here because the server-side path (engineFree) never sees these
 // blocks.
 func (a *Allocator) emergencyFree(t *sim.Thread, c *client, addr uint64) bool {
 	rs := c.res
@@ -399,9 +399,7 @@ func (a *Allocator) mallocFallible(t *sim.Thread, size uint64) (uint64, bool) {
 		}
 	}
 	t.Exec(4)
-	if a.cfg.Batch > 1 {
-		c.freq.Publish(t)
-	}
+	c.freq.Publish(t)
 	if addr, ok := a.stashPop(t, c, size); ok {
 		a.noteMalloc(size)
 		return addr, true
@@ -526,32 +524,25 @@ func (a *Allocator) resilientFree(t *sim.Thread, c *client, addr uint64) {
 	c.seq++
 	seq := c.seq
 	t.Exec(sealCost)
-	w0 := sealWord(opFree, addr, seq)
-	if a.cfg.Batch > 1 && a.cfg.AsyncFree {
-		if !c.freq.TryStage(t, w0, addr) {
-			rs.deferred = append(rs.deferred, addr)
-			rs.stats.DeferredFrees++
-			return
-		}
-		if c.freq.Staged() >= a.cfg.Batch {
-			c.freq.Publish(t)
-		}
-		return
-	}
-	if !c.freq.TryPush(t, w0, addr) {
+	if !c.freq.TryStage(t, sealWord(opFree, addr, seq), addr) {
 		rs.deferred = append(rs.deferred, addr)
 		rs.stats.DeferredFrees++
 		return
 	}
-	if !a.cfg.AsyncFree {
-		// Synchronous-free mode: bounded barrier instead of the seed's
-		// infinite spin.
-		c.seq++
-		bseq := c.seq
-		t.Exec(sealCost)
-		if c.freq.TryPush(t, sealWord(opSync, bseq, bseq), bseq) {
-			a.awaitSync(t, c, bseq)
+	if a.cfg.AsyncFree {
+		if c.freq.Staged() >= maxBatch {
+			c.freq.Publish(t)
 		}
+		return
+	}
+	// Synchronous-free mode: bounded barrier instead of the seed's
+	// infinite spin.
+	c.freq.Publish(t)
+	c.seq++
+	bseq := c.seq
+	t.Exec(sealCost)
+	if c.freq.TryPush(t, sealWord(opSync, bseq, bseq), bseq) {
+		a.awaitSync(t, c, bseq)
 	}
 }
 
@@ -633,7 +624,7 @@ func (a *Allocator) resilientFlush(t *sim.Thread, c *client) {
 	}
 	if !rs.degraded {
 		a.drainDeferred(t, c)
-		c.freq.Publish(t) // staged coalesced frees travel ahead of the barrier
+		c.freq.Publish(t) // staged frees travel ahead of the barrier
 		c.seq++
 		seq := c.seq
 		t.Exec(sealCost)
@@ -804,77 +795,43 @@ func (s *Server) nack(t *sim.Thread, c *client, fromMalloc bool) uint64 {
 // the pagemap walk.
 const pagemapRootSlots = 16 << mem.PageShift / 8
 
-// serveFreeValidated performs an opFree with full address validation:
-// heap range, pagemap lookup, class sanity, base/alignment/capacity
-// checks. False (with no state touched) means the address cannot be a
-// live engine block — the corrupt-request NACK path. The happy path
-// mirrors engineFreeCounted's bookkeeping exactly.
-func (a *Allocator) serveFreeValidated(t *sim.Thread, addr uint64) bool {
-	t.Exec(4) // range/alignment compare chain
-	if addr < mem.MmapBase {
-		return false
-	}
-	rel := (addr - mem.MmapBase) >> mem.PageShift
-	if rel>>9 >= pagemapRootSlots {
-		return false
-	}
-	rec := a.pagemapGet(t, addr)
-	if rec == 0 {
-		return false
-	}
-	classWord := t.Load64(rec + slClass)
-	switch {
-	case classWord == classLarge:
-		if addr != t.Load64(rec+slBase) {
-			return false // interior pointer into a large block
-		}
-		a.stats.LiveBytes -= t.Load64(rec+slPages) << mem.PageShift
-		a.spanFree(t, rec)
-		return true
-	case classWord < uint64(a.sc.NumClasses()):
-		class := int(classWord)
-		base := t.Load64(rec + slBase)
-		if addr < base {
-			return false
-		}
-		size := a.sc.Size(class)
-		if a.cfg.Layout == Compact {
-			// Compact validation: decompose into group/unit, check the
-			// in-band offset byte and group ordinal, and reject a free
-			// whose mask bit is already set (per-unit double-free
-			// detection, stronger than the slab-level slTop check).
-			stride := compactStride(size)
-			rel := addr - base
-			g, off := rel/stride, rel%stride
-			if off < compactHdrBytes || (off-compactHdrBytes)%size != 0 {
-				return false
-			}
-			i := (off - compactHdrBytes) / size
-			if g*compactGroupUnits+i >= t.Load64(rec+slCapacity) {
-				return false
-			}
-			hdr := base + g*stride
-			if t.Load8(hdr+i) != compactIdxTag|i || t.Load64(hdr+compactHdrIdx) != g {
-				return false
-			}
-			if t.Load64(rec+slMasks+g*8)&(uint64(1)<<i) != 0 {
-				return false // unit already free: double free
-			}
-			a.stats.LiveBytes -= size
-			a.freeClass(t, rec, class, addr)
-			return true
-		}
-		off := addr - base
-		if off%size != 0 || off/size >= t.Load64(rec+slCapacity) {
-			return false
-		}
-		if t.Load64(rec+slTop) >= t.Load64(rec+slCapacity) {
-			return false // slab already fully free: double free
-		}
-		a.stats.LiveBytes -= size
-		a.freeClass(t, rec, class, addr)
-		return true
-	default:
+// validSmallFree is engineFree's validation stage for a slab block:
+// class sanity, then base, alignment, capacity and double-free checks
+// against the slab record rec. False means addr cannot be a live block
+// of that slab.
+func (a *Allocator) validSmallFree(t *sim.Thread, rec, classWord, addr uint64) bool {
+	if classWord >= uint64(a.sc.NumClasses()) {
 		return false // free span or garbage class word
 	}
+	base := t.Load64(rec + slBase)
+	if addr < base {
+		return false
+	}
+	size := a.sc.Size(int(classWord))
+	if a.cfg.Layout == Compact {
+		// Compact validation: decompose into group/unit, check the
+		// in-band offset byte and group ordinal, and reject a free
+		// whose mask bit is already set (per-unit double-free
+		// detection, stronger than the slab-level slTop check).
+		stride := compactStride(size)
+		rel := addr - base
+		g, off := rel/stride, rel%stride
+		if off < compactHdrBytes || (off-compactHdrBytes)%size != 0 {
+			return false
+		}
+		i := (off - compactHdrBytes) / size
+		if g*compactGroupUnits+i >= t.Load64(rec+slCapacity) {
+			return false
+		}
+		hdr := base + g*stride
+		if t.Load8(hdr+i) != compactIdxTag|i || t.Load64(hdr+compactHdrIdx) != g {
+			return false
+		}
+		return t.Load64(rec+slMasks+g*8)&(uint64(1)<<i) == 0 // set: unit already free
+	}
+	off := addr - base
+	if off%size != 0 || off/size >= t.Load64(rec+slCapacity) {
+		return false
+	}
+	return t.Load64(rec+slTop) < t.Load64(rec+slCapacity) // equal: slab already fully free
 }

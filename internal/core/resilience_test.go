@@ -86,16 +86,10 @@ func TestConformanceResilienceSyncFree(t *testing.T) {
 }
 
 func TestConformanceResilienceBatch(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Batch = 4
+	cfg := lineRing(DefaultConfig())
+	cfg.Resilience = DefaultResilience()
 	var srv *Server
-	alloctest.Run(t, alloctest.Options{
-		Factory: resilientFactory(cfg, &srv),
-		Daemon: func(m *sim.Machine) {
-			srv = NewServer()
-			m.SpawnDaemon("server", m.Cores()-1, srv.Run)
-		},
-	})
+	alloctestRun(t, cfg, &srv)
 }
 
 // TestResilientCleanRun: with the policy armed but no faults injected,

@@ -2,16 +2,17 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"nextgenmalloc/internal/sim"
 )
 
 // SchedPolicy selects the order in which the server core services its
-// clients' rings on each Poll pass. The zero value (FixedScan) is the
-// seed behaviour and stays bit-identical to it; the other policies fix
-// the fixed-scan fairness bugs (head-of-line blocking of one client's
-// synchronous malloc behind another client's free slice, and the
-// registration-order scan bias that favours early clients).
+// clients' rings on each Poll pass: one row of schedTable. The zero
+// value (FixedScan) is the seed behaviour and stays bit-identical to it;
+// the other rows fix its fairness bugs (head-of-line blocking of one
+// client's synchronous malloc behind another client's free slice, and
+// the registration-order scan bias that favours early clients).
 type SchedPolicy int
 
 const (
@@ -22,13 +23,12 @@ const (
 	FixedScan SchedPolicy = iota
 	// RoundRobin rotates the scan's starting client each pass so no
 	// client is permanently first, and re-checks every malloc ring
-	// between free lines so a synchronous request never waits behind
+	// between frees so a synchronous request never waits behind
 	// another client's free backlog.
 	RoundRobin
-	// DoorbellPriority pops background frees one at a time and
-	// re-checks every malloc ring after each, minimising synchronous
-	// malloc latency at the cost of per-free head publications (no
-	// vectored drain).
+	// DoorbellPriority keeps the registration-order scan but re-checks
+	// every malloc ring between frees, minimising synchronous malloc
+	// latency.
 	DoorbellPriority
 	// BatchDrain empties each client's entire free backlog before
 	// moving on (no 16-op slice cap), maximising drain throughput at
@@ -36,17 +36,24 @@ const (
 	BatchDrain
 )
 
+// schedTable is the whole difference between the policies. Every row
+// re-checks malloc rings before each free pop; the rows choose whose.
+var schedTable = [...]struct {
+	name       string
+	rotate     bool // start each pass one client further on
+	recheckAll bool // between frees, drain every client's malloc ring, not just the current client's
+	sliceCap   int  // background frees per client per pass
+}{
+	FixedScan:        {"fixed-scan", false, false, 16},
+	RoundRobin:       {"round-robin", true, true, 16},
+	DoorbellPriority: {"doorbell-priority", false, true, 16},
+	BatchDrain:       {"batch-drain", false, false, math.MaxInt},
+}
+
 // String reports the policy's CLI spelling.
 func (p SchedPolicy) String() string {
-	switch p {
-	case FixedScan:
-		return "fixed-scan"
-	case RoundRobin:
-		return "round-robin"
-	case DoorbellPriority:
-		return "doorbell-priority"
-	case BatchDrain:
-		return "batch-drain"
+	if p >= 0 && int(p) < len(schedTable) {
+		return schedTable[p].name
 	}
 	return fmt.Sprintf("sched(%d)", int(p))
 }
@@ -54,15 +61,13 @@ func (p SchedPolicy) String() string {
 // ParseSched maps a CLI spelling to its policy. The empty string is
 // the default (fixed-scan, the seed behaviour).
 func ParseSched(s string) (SchedPolicy, error) {
-	switch s {
-	case "", "fixed-scan":
+	if s == "" {
 		return FixedScan, nil
-	case "round-robin":
-		return RoundRobin, nil
-	case "doorbell-priority":
-		return DoorbellPriority, nil
-	case "batch-drain":
-		return BatchDrain, nil
+	}
+	for p, row := range schedTable {
+		if row.name == s {
+			return SchedPolicy(p), nil
+		}
 	}
 	return 0, fmt.Errorf("unknown scheduling policy %q (want fixed-scan, round-robin, doorbell-priority or batch-drain)", s)
 }
@@ -92,127 +97,51 @@ func (a *Allocator) ClientServices() []ClientService {
 	return out
 }
 
-// pollMallocs drains every client's malloc ring and reports whether
-// any request was found. The fair policies call this between
-// background frees so a synchronous malloc never waits behind another
-// client's free backlog (fixed-scan only re-checks the current
-// client's ring — the head-of-line bug the fair policies fix).
-func (s *Server) pollMallocs(t *sim.Thread) bool {
+// Poll performs one service pass over every client — malloc rings with
+// priority, then a slice of each client's free backlog with malloc
+// rings re-checked before every free, as Config.Sched's schedTable row
+// directs — and reports whether any work was found. Exposed so the
+// dedicated core can be shared with other service functions (the
+// paper's "can the room be used for other functions" question).
+func (s *Server) Poll(t *sim.Thread) bool {
 	a := s.a
-	busy := false
-	for _, c := range a.clients {
-		for {
-			w0, w1, ok := s.pop(t, c.mreq)
-			if !ok {
-				break
-			}
-			busy = true
-			s.serveSpan(t, c, c.mreq, w0, w1)
-		}
-	}
-	return busy
-}
-
-// pollRoundRobin is the RoundRobin policy: one pass with the scan
-// start rotating across clients, malloc rings drained first from the
-// rotating start, then a bounded slice of each client's free backlog
-// with every malloc ring re-checked between free lines.
-func (s *Server) pollRoundRobin(t *sim.Thread) bool {
-	a := s.a
-	n := len(a.clients)
-	if n == 0 {
+	if a == nil {
 		return false
 	}
-	start := s.rr % n
-	s.rr++
+	pol := schedTable[a.cfg.Sched]
+	start := 0
+	if pol.rotate {
+		start = s.rr
+		s.rr++
+	}
+	busy := s.drainMallocs(t, start)
+	clients := a.clients
+	for i := range clients {
+		c := clients[(start+i)%len(clients)]
+		for n := 0; n < pol.sliceCap; n++ {
+			if pol.recheckAll {
+				busy = s.drainMallocs(t, start) || busy
+			} else if s.popServe(t, c, c.mreq) {
+				busy = true
+			}
+			if !s.popServe(t, c, c.freq) {
+				break
+			}
+			busy = true
+		}
+	}
+	return busy
+}
+
+// drainMallocs empties every client's malloc ring, scanning from client
+// index start (mod the client count), and reports whether any request
+// was found.
+func (s *Server) drainMallocs(t *sim.Thread, start int) bool {
 	busy := false
-	// Priority pass: malloc rings from the rotating start.
-	for i := 0; i < n; i++ {
-		c := a.clients[(start+i)%n]
-		for {
-			w0, w1, ok := s.pop(t, c.mreq)
-			if !ok {
-				break
-			}
-			busy = true
-			s.serveSpan(t, c, c.mreq, w0, w1)
-		}
-	}
-	// Background pass: a bounded free slice per client, fairness-first —
-	// all malloc rings are re-checked between lines.
-	step := 1
-	if a.cfg.Batch > 1 {
-		step = a.cfg.Batch
-	}
-	for i := 0; i < n; i++ {
-		c := a.clients[(start+i)%n]
-		for done := 0; done < 16; done += step {
-			if s.pollMallocs(t) {
-				busy = true
-			}
-			if a.cfg.Batch > 1 {
-				if s.popFreeLine(t, c) == 0 {
-					break
-				}
-			} else {
-				w0, w1, ok := s.pop(t, c.freq)
-				if !ok {
-					break
-				}
-				s.serveSpan(t, c, c.freq, w0, w1)
-			}
-			busy = true
-		}
-	}
-	return busy
-}
-
-// pollDoorbell is the DoorbellPriority policy: background frees pop
-// one at a time (the vectored drain is bypassed) and every malloc ring
-// is re-checked after each free, so a synchronous malloc waits for at
-// most one free service anywhere in the pass.
-func (s *Server) pollDoorbell(t *sim.Thread) bool {
-	a := s.a
-	busy := s.pollMallocs(t)
-	for _, c := range a.clients {
-		for n := 0; n < 16; n++ {
-			w0, w1, ok := s.pop(t, c.freq)
-			if !ok {
-				break
-			}
-			busy = true
-			s.serveSpan(t, c, c.freq, w0, w1)
-			if s.pollMallocs(t) {
-				busy = true
-			}
-		}
-	}
-	return busy
-}
-
-// pollBatchDrain is the BatchDrain policy: each client's free backlog
-// is drained to empty (no slice cap) with only the current client's
-// malloc ring interleaved, maximising drain throughput per pass.
-func (s *Server) pollBatchDrain(t *sim.Thread) bool {
-	a := s.a
-	busy := s.pollMallocs(t)
-	for _, c := range a.clients {
-		for {
-			if w0, w1, ok := s.pop(t, c.mreq); ok {
-				busy = true
-				s.serveSpan(t, c, c.mreq, w0, w1)
-			}
-			if a.cfg.Batch > 1 {
-				if s.popFreeLine(t, c) == 0 {
-					break
-				}
-			} else {
-				w0, w1, ok := s.pop(t, c.freq)
-				if !ok {
-					break
-				}
-				s.serveSpan(t, c, c.freq, w0, w1)
-			}
+	clients := s.a.clients
+	for i := range clients {
+		c := clients[(start+i)%len(clients)]
+		for s.popServe(t, c, c.mreq) {
 			busy = true
 		}
 	}

@@ -43,7 +43,7 @@ type Outcome struct {
 
 func runSet(w func() workload.Workload, kinds []string) []harness.Result {
 	return runAll(len(kinds), func(i int) harness.Result {
-		// Tune is the CLI's global -batch/-prealloc override (nil unless
+		// Tune is the CLI's global -prealloc/-layout override (nil unless
 		// set); it only affects NextGen kinds.
 		return run(harness.Options{Allocator: kinds[i], Workload: w(), Tune: globalTune()})
 	})
@@ -168,18 +168,6 @@ func AblateCore(s Scale) Outcome {
 	return Outcome{ID: "ablate-core", Results: results, Text: text}
 }
 
-// AblatePrealloc measures predictive preallocation (paper §3.3.2 / MMT
-// discussion) and synchronous vs asynchronous free.
-func AblatePrealloc(s Scale) Outcome {
-	w := func() workload.Workload { return table3Xalanc(s) }
-	results := runSet(w, []string{"nextgen", "nextgen-prealloc", "nextgen-sync"})
-	return Outcome{
-		ID:      "ablate-prealloc",
-		Results: results,
-		Text:    report.CounterTable("Ablation: preallocation and async free (application cores)", results),
-	}
-}
-
 // Sensitivity reproduces the §1 claim that allocation-intensive
 // microbenchmarks (xmalloc, cache-scratch) swing >10x with the
 // allocator.
@@ -213,7 +201,7 @@ func Sensitivity(s Scale) Outcome {
 func All(s Scale) []Outcome {
 	return []Outcome{
 		Figure1(s), Table1(s), Table2(s), Table3(s), Model(),
-		AblateLayout(s), AblateCore(s), AblatePrealloc(s), AblateTransport(s),
+		AblateLayout(s), AblateCore(s), AblateTransport(s),
 		Sensitivity(s),
 		AblateGC(s), AblateFaaS(s), AblateGPU(s), AblateScaling(s),
 		AblateRoom(s), FaultSweep(s), FleetSweep(s), SLOSweep(s),

@@ -32,23 +32,22 @@ func TestQuickFigure1(t *testing.T) {
 	}
 }
 
-// TestQuickAblateLayout checks the rebuilt layout x transport ablation:
-// 18 cells (3 layouts x 3 transports x 2 workloads), every layout
-// present in every transport block, and the compact cells carrying the
-// dense record stride.
+// TestQuickAblateLayout checks the layout x prealloc-policy ablation:
+// 12 cells (3 layouts x 2 policies x 2 workloads), every layout present
+// in every policy block, and the compact cells carrying the dense
+// record stride.
 func TestQuickAblateLayout(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs eighteen simulations")
+		t.Skip("runs twelve simulations")
 	}
 	s := Quick
 	s.XalancOps = 8000
 	out := AblateLayout(s)
-	if len(out.Results) != 18 {
-		t.Fatalf("got %d results, want 18", len(out.Results))
+	if len(out.Results) != 12 {
+		t.Fatalf("got %d results, want 12", len(out.Results))
 	}
 	for _, label := range []string{
 		"segregated/default", "aggregated/default", "compact/default",
-		"segregated/batch", "compact/batch",
 		"segregated/adaptive", "compact/adaptive",
 	} {
 		if !strings.Contains(out.Text, label) {

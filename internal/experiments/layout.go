@@ -63,7 +63,7 @@ func globalTune() func(*core.Config) {
 // AblateLayout quantifies the paper §3's metadata-layout trade-off with
 // the repo's own attribution telemetry: all three layouts (segregated
 // index stacks, aggregated intrusive lists, compact bitmask groups)
-// crossed with the offload transport (default, batched, adaptive) on
+// crossed with the preallocation policy (none, adaptive) on
 // the Table 1 and Table 3 xalanc shapes. Each cell reports the layout's
 // static metadata footprint next to the measured metadata-class LLC and
 // dTLB misses (worker + server cores) and cycles per malloc/free, with
@@ -72,7 +72,6 @@ func AblateLayout(s Scale) Outcome {
 	layouts := []core.Layout{core.Segregated, core.Aggregated, core.Compact}
 	transports := []struct{ name, kind string }{
 		{"default", "nextgen"},
-		{"batch", "nextgen-batch"},
 		{"adaptive", "nextgen-adaptive"},
 	}
 	workloads := []struct {
@@ -107,7 +106,7 @@ func AblateLayout(s Scale) Outcome {
 			cols[c] = report.LayoutCell{Result: set[c], Layout: layouts[c%nl], Baseline: base}
 		}
 		b.WriteString(report.LayoutTable(
-			"Ablation: metadata layout x offload transport, "+wl.name+" (meta misses: worker+server cores)", cols))
+			"Ablation: metadata layout x prealloc policy, "+wl.name+" (meta misses: worker+server cores)", cols))
 		b.WriteByte('\n')
 	}
 	return Outcome{ID: "ablate-layout", Results: all, Text: b.String()}

@@ -11,7 +11,7 @@ import (
 )
 
 // transportTune is the global config override installed by the CLIs'
-// -batch/-prealloc flags; nil leaves every kind's defaults alone.
+// -prealloc flag; nil leaves every kind's defaults alone.
 var transportTune func(*core.Config)
 
 // SetTransport installs a transport tune applied to every NextGen run
@@ -19,82 +19,45 @@ var transportTune func(*core.Config)
 // AblateTransport sweep ignores it — the sweep owns its variants.
 func SetTransport(tune func(*core.Config)) { transportTune = tune }
 
-// ParseTransport converts the CLI's -batch/-prealloc values into a
-// config tune. batch -1 and prealloc "" mean "kind default" and yield a
-// nil tune when both are defaults. batch must be in [1,4] (4 slots fill
-// one cache line; wider staging buys nothing); prealloc is one of
-// "off", "static" (the nextgen-prealloc depth of 12), or "adaptive".
-func ParseTransport(batch int, prealloc string) (func(*core.Config), error) {
-	if batch == -1 && prealloc == "" {
-		return nil, nil
-	}
-	if batch != -1 && (batch < 1 || batch > 4) {
-		return nil, fmt.Errorf("batch width %d out of range [1,4]", batch)
-	}
+// ParseTransport converts the CLI's -prealloc value into a config tune.
+// "" means "kind default" and yields a nil tune; otherwise prealloc is
+// one of "off", "static" (the nextgen-prealloc depth of 12), or
+// "adaptive".
+func ParseTransport(prealloc string) (func(*core.Config), error) {
 	switch prealloc {
-	case "", "off", "static", "adaptive":
-	default:
-		return nil, fmt.Errorf("unknown prealloc policy %q (want off, static, or adaptive)", prealloc)
+	case "":
+		return nil, nil
+	case "off":
+		return func(c *core.Config) { c.Prealloc, c.AdaptivePrealloc = 0, false }, nil
+	case "static":
+		return func(c *core.Config) { c.Prealloc, c.AdaptivePrealloc = 12, false }, nil
+	case "adaptive":
+		return func(c *core.Config) { c.AdaptivePrealloc = true }, nil
 	}
-	return func(c *core.Config) {
-		if batch != -1 {
-			c.Batch = batch
-			c.IdleBackoff = batch > 1
-		}
-		switch prealloc {
-		case "off":
-			c.Prealloc = 0
-			c.AdaptivePrealloc = false
-		case "static":
-			c.Prealloc = 12
-			c.AdaptivePrealloc = false
-		case "adaptive":
-			c.AdaptivePrealloc = true
-			c.IdleBackoff = true
-		}
-	}, nil
+	return nil, fmt.Errorf("unknown prealloc policy %q (want off, static, or adaptive)", prealloc)
 }
 
-// transportVariant is one column of the AblateTransport sweep.
-type transportVariant struct {
-	label string
-	kind  string
-	tune  func(*core.Config)
-}
+// transportKinds are the columns of the AblateTransport sweep: Mimalloc
+// as the paper's Table 3 reference, then the offload transport with no
+// preallocation (the §4.2 prototype), static depth 12, the
+// noteHot-driven stash, and synchronous free.
+var transportKinds = []string{"mimalloc", "nextgen", "nextgen-prealloc", "nextgen-adaptive", "nextgen-sync"}
 
-// transportVariants sweeps batch width (1, 2, 4) crossed with the
-// prealloc policy (none, static, adaptive), with Mimalloc as the
-// paper's Table 3 reference column.
-func transportVariants() []transportVariant {
-	return []transportVariant{
-		{"mimalloc", "mimalloc", nil},
-		{"nextgen", "nextgen", nil}, // batch=1, no prealloc: the §4.2 prototype transport
-		{"nextgen-batch2", "nextgen", func(c *core.Config) { c.Batch = 2; c.IdleBackoff = true }},
-		{"nextgen-batch", "nextgen-batch", nil},       // batch=4 + idle backoff
-		{"nextgen-prealloc", "nextgen-prealloc", nil}, // static depth 12, unbatched
-		{"nextgen-adaptive", "nextgen-adaptive", nil}, // batch=4 + noteHot-driven stash
-	}
-}
-
-// AblateTransport measures what the batched transport and the adaptive
-// preallocation policy buy (the §3.3 opportunities): malloc round trips
+// AblateTransport measures what the preallocation policies and
+// asynchronous free buy (the §3.3 opportunities): malloc round trips
 // avoided, free-ring publications amortized, producer stall cycles, and
 // the server's empty-poll overhead, on the Table 3 xalanc shape and on
 // allocation-dense 2-thread xmalloc.
 func AblateTransport(s Scale) Outcome {
-	variants := transportVariants()
 	workloads := []func() workload.Workload{
 		func() workload.Workload { return table3Xalanc(s) },
 		func() workload.Workload {
 			return &workload.Xmalloc{NThreads: 2, OpsPerThread: s.XmallocOps, TouchBytes: 128, Seed: 3}
 		},
 	}
-	nv := len(variants)
+	nv := len(transportKinds)
 	all := runAll(nv*len(workloads), func(i int) harness.Result {
-		v := variants[i%nv]
-		r := run(harness.Options{Allocator: v.kind, Workload: workloads[i/nv](), Tune: v.tune})
-		r.Allocator = v.label // distinguish tuned variants of the same kind
-		return r
+		return run(harness.Options{Allocator: transportKinds[i%nv], Workload: workloads[i/nv]()})
 	})
 	xal, xm := all[:nv], all[nv:]
 

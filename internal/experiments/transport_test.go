@@ -9,97 +9,98 @@ import (
 )
 
 func TestParseTransport(t *testing.T) {
-	if tune, err := ParseTransport(-1, ""); err != nil || tune != nil {
-		t.Errorf("defaults should yield a nil tune (err %v, tune nil: %v)", err, tune == nil)
+	if tune, err := ParseTransport(""); err != nil || tune != nil {
+		t.Errorf("the default should yield a nil tune (err %v, tune nil: %v)", err, tune == nil)
 	}
-	if _, err := ParseTransport(5, ""); err == nil {
-		t.Error("batch 5 should be rejected (a line holds 4 slots)")
-	}
-	if _, err := ParseTransport(0, ""); err == nil {
-		t.Error("batch 0 should be rejected")
-	}
-	if _, err := ParseTransport(-1, "sometimes"); err == nil {
+	if _, err := ParseTransport("sometimes"); err == nil {
 		t.Error("unknown prealloc policy should be rejected")
 	}
-	tune, err := ParseTransport(2, "adaptive")
-	if err != nil {
-		t.Fatalf("ParseTransport(2, adaptive): %v", err)
-	}
-	cfg := core.DefaultConfig()
-	tune(&cfg)
-	if cfg.Batch != 2 || !cfg.AdaptivePrealloc || !cfg.IdleBackoff {
-		t.Errorf("tune produced %+v, want Batch=2 AdaptivePrealloc IdleBackoff", cfg)
-	}
-	tune, err = ParseTransport(1, "off")
-	if err != nil {
-		t.Fatalf("ParseTransport(1, off): %v", err)
-	}
-	cfg = core.DefaultConfig()
-	cfg.Prealloc = 12
-	tune(&cfg)
-	if cfg.Batch != 1 || cfg.Prealloc != 0 || cfg.IdleBackoff {
-		t.Errorf("tune produced %+v, want the unbatched no-prealloc transport", cfg)
+	for _, tc := range []struct {
+		policy   string
+		depth    int
+		adaptive bool
+	}{{"off", 0, false}, {"static", 12, false}, {"adaptive", 5, true}} {
+		tune, err := ParseTransport(tc.policy)
+		if err != nil {
+			t.Fatalf("ParseTransport(%s): %v", tc.policy, err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.Prealloc = 5
+		cfg.AdaptivePrealloc = tc.policy != "adaptive"
+		tune(&cfg)
+		if cfg.Prealloc != tc.depth || cfg.AdaptivePrealloc != tc.adaptive {
+			t.Errorf("%s tune produced Prealloc=%d AdaptivePrealloc=%v, want %d %v",
+				tc.policy, cfg.Prealloc, cfg.AdaptivePrealloc, tc.depth, tc.adaptive)
+		}
 	}
 }
 
 // TestQuickAblateTransport runs the sweep at reduced quick scale and
-// checks the directions the batched transport exists to produce: fewer
-// tail publications than requests, no more producer stall cycles per op,
-// less server time burned on empty polls, and an xalanc margin over
-// Mimalloc no worse than the default transport's.
+// checks the directions the transport exists to produce on xalanc:
+// every asynchronous kind publishes its frees more than two to a line
+// (xalanc frees in bursts; xmalloc alternates free and malloc, so there
+// every free is published by the malloc behind it), preallocation adds
+// no producer stall cycles per op, and the adaptive policy's margin over
+// Mimalloc is no worse than plain offload's.
 func TestQuickAblateTransport(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs twelve simulations")
+		t.Skip("runs ten simulations")
 	}
 	s := Quick
 	s.XalancOps = 20000
 	s.XmallocOps = 5000
 	out := AblateTransport(s)
-	for _, want := range []string{"nextgen-batch2", "free reqs/publication", "cycle margin over Mimalloc"} {
+	for _, want := range []string{"nextgen-sync", "free reqs/publication", "cycle margin over Mimalloc"} {
 		if !strings.Contains(out.Text, want) {
 			t.Errorf("sweep text missing %q:\n%s", want, out.Text)
 		}
 	}
-	byLabel := map[string]harness.Result{}
-	for _, r := range out.Results[:len(out.Results)/2] { // xalanc half
-		byLabel[r.Allocator] = r
+	half := len(out.Results) / 2
+	xal, xm := map[string]harness.Result{}, map[string]harness.Result{}
+	for i, r := range out.Results {
+		if i < half {
+			xal[r.Allocator] = r
+		} else {
+			xm[r.Allocator] = r
+		}
 	}
-	base, batched, adaptive := byLabel["nextgen"], byLabel["nextgen-batch"], byLabel["nextgen-adaptive"]
-	mi := byLabel["mimalloc"]
-	if base.Offload == nil || batched.Offload == nil || adaptive.Offload == nil {
-		t.Fatal("offload telemetry missing from sweep results")
-	}
-
-	// Free coalescing: the batched transport publishes the free-ring tail
-	// far less often than once per request.
-	if f := batched.Offload.FreeRing; f.PushBatches*2 >= f.Pushes {
-		t.Errorf("batch=4 published %d times for %d free pushes; expected coalescing", f.PushBatches, f.Pushes)
-	}
-	if f := base.Offload.FreeRing; f.PushBatches != f.Pushes {
-		t.Errorf("default transport should publish per push (%d batches, %d pushes)", f.PushBatches, f.Pushes)
+	async := []string{"nextgen", "nextgen-prealloc", "nextgen-adaptive"}
+	for _, kind := range append(async, "nextgen-sync") {
+		if xal[kind].Offload == nil || xm[kind].Offload == nil {
+			t.Fatalf("offload telemetry missing from the %s results", kind)
+		}
 	}
 
-	// Producer stalls: batching must not add stall cycles per op.
+	// Free coalescing: well over two requests per publication wherever
+	// frees are asynchronous; a synchronous free travels with its barrier
+	// and nothing else.
+	for _, kind := range async {
+		if f := xal[kind].Offload.FreeRing; f.PushBatches*2 >= f.Pushes {
+			t.Errorf("%s published %d times for %d free pushes on xalanc; expected coalescing", kind, f.PushBatches, f.Pushes)
+		}
+	}
+	if f := xal["nextgen-sync"].Offload.FreeRing; f.PushBatches != f.Pushes {
+		t.Errorf("nextgen-sync should publish per push (%d publications, %d pushes)", f.PushBatches, f.Pushes)
+	}
+
+	// Producer stalls: preallocation must not add stall cycles per op.
 	stalls := func(r harness.Result) float64 {
 		ops := r.AllocStats.MallocCalls + r.AllocStats.FreeCalls
 		return float64(r.Offload.MallocRing.StallCycles+r.Offload.FreeRing.StallCycles) / float64(ops)
 	}
-	if stalls(batched) > stalls(base) {
-		t.Errorf("batch=4 stall cyc/op %.4f exceeds default %.4f", stalls(batched), stalls(base))
+	for _, kind := range async[1:] {
+		if stalls(xal[kind]) > stalls(xal["nextgen"]) {
+			t.Errorf("%s stall cyc/op %.4f exceeds plain offload's %.4f", kind, stalls(xal[kind]), stalls(xal["nextgen"]))
+		}
 	}
 
-	// Doorbell backoff: far less server time scanning empty rings.
-	if batched.Offload.ServerEmptyPollCycles >= base.Offload.ServerEmptyPollCycles {
-		t.Errorf("backoff spent %d empty-poll cycles vs default %d",
-			batched.Offload.ServerEmptyPollCycles, base.Offload.ServerEmptyPollCycles)
-	}
-
-	// The adaptive transport's margin over Mimalloc must be no worse
-	// than the default offload transport's.
+	// The adaptive policy's margin over Mimalloc must be no worse than
+	// plain offload's.
+	mi := xal["mimalloc"]
 	margin := func(r harness.Result) float64 {
 		return (float64(mi.Total.Cycles) - float64(r.Total.Cycles)) / float64(mi.Total.Cycles)
 	}
-	if margin(adaptive) < margin(base) {
-		t.Errorf("adaptive margin %.4f worse than default %.4f", margin(adaptive), margin(base))
+	if margin(xal["nextgen-adaptive"]) < margin(xal["nextgen"]) {
+		t.Errorf("adaptive margin %.4f worse than plain offload's %.4f", margin(xal["nextgen-adaptive"]), margin(xal["nextgen"]))
 	}
 }

@@ -93,8 +93,8 @@ func TestFleetFailoverPermanentKill(t *testing.T) {
 }
 
 // TestFleetMidBatchShardDeathLiveness (mid-batch death): a shard stalls
-// while its clients hold half-flushed coalesced free batches (Batch 4
-// stages frees unpublished in the ring). Under every service policy the
+// while its clients hold half-flushed free lines (frees staged
+// unpublished in the ring). Under every service policy the
 // run must complete with the ledger balanced — the degraded client's
 // staged slots are republished and drained, later frees ride the
 // deferred queue — and the finite stall must end in a probe-driven
@@ -124,7 +124,6 @@ func TestFleetMidBatchShardDeathLiveness(t *testing.T) {
 					Workload:   &workload.Churn{NThreads: 2, Slots: 1000, Rounds: 10000, MinSize: 16, MaxSize: 256, TouchBytes: 32, Seed: 7},
 					Servers:    2,
 					Sched:      sched,
-					Tune:       func(c *core.Config) { c.Batch = 4 },
 					FaultPlans: []fault.Plan{{Seed: 3, StallStart: c.stallStart, StallCycles: 400000, Shard: 1}},
 					Resilience: patientFailover(),
 				})

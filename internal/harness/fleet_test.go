@@ -190,10 +190,10 @@ func TestStarvationGapUnderStall(t *testing.T) {
 
 // TestCrossClientWaitBound pins the Server.Poll fairness fix: under
 // fixed-scan, the background free pass re-checks only the current
-// client's malloc ring between lines, so client A's synchronous malloc
-// can wait behind client B's whole coalesced free batch.
+// client's malloc ring between frees, so client A's synchronous malloc
+// can wait behind client B's whole 16-free slice.
 // doorbell-priority and round-robin re-check every malloc ring between
-// free lines and must cut the p99 malloc queue wait at least in half.
+// frees and must cut the p99 malloc queue wait at least in half.
 // (The single worst span is a warm-up artifact shared by every policy
 // — the first mallocs wait out another client's initial slab carve,
 // which no policy preempts — so the bound is pinned at p99.)
@@ -206,7 +206,6 @@ func TestCrossClientWaitBound(t *testing.T) {
 			Workload:       fleetXalanc(8, 1500),
 			Machine:        &cfg,
 			Sched:          sched,
-			Tune:           func(c *core.Config) { c.Batch = 4 },
 			SampleInterval: 1 << 16,
 		})
 		if err := res.CheckLiveness(); err != nil {

@@ -11,7 +11,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"nextgenmalloc/internal/alloc"
 	"nextgenmalloc/internal/allocators/bump"
@@ -30,13 +29,54 @@ import (
 	"nextgenmalloc/internal/workload"
 )
 
+// kindRow describes one allocator kind. A classic row carries its
+// constructor; a NextGen row (classic == nil) is core.DefaultConfig with
+// Offload set from the row and tune applied on top.
+type kindRow struct {
+	name    string
+	classic func(*sim.Thread) alloc.Allocator
+	offload bool
+	tune    func(*core.Config)
+}
+
+// kindTable is the one list of allocators the harness can instantiate,
+// in golden-file order.
+var kindTable = []kindRow{
+	{name: "ptmalloc2", classic: func(t *sim.Thread) alloc.Allocator { return ptmalloc.New(t) }},
+	{name: "jemalloc", classic: func(t *sim.Thread) alloc.Allocator { return jemalloc.New(t, 0) }},
+	{name: "tcmalloc", classic: func(t *sim.Thread) alloc.Allocator { return tcmalloc.New(t) }},
+	{name: "mimalloc", classic: func(t *sim.Thread) alloc.Allocator { return mimalloc.New(t) }},
+	{name: "bump", classic: func(t *sim.Thread) alloc.Allocator { return bump.New(t) }},
+	{name: "nextgen", offload: true},
+	{name: "nextgen-prealloc", offload: true, tune: func(c *core.Config) { c.Prealloc = 12 }},
+	{name: "nextgen-sync", offload: true, tune: func(c *core.Config) { c.AsyncFree = false }},
+	{name: "nextgen-inline"},
+	{name: "nextgen-inline-agg", tune: func(c *core.Config) { c.Layout = core.Aggregated }},
+	// nextgen-nearmem is plain nextgen; RunE gives its server cores the
+	// near-memory profile.
+	{name: "nextgen-nearmem", offload: true},
+	{name: "nextgen-adaptive", offload: true, tune: func(c *core.Config) { c.AdaptivePrealloc = true }},
+	{name: "nextgen-compact", offload: true, tune: func(c *core.Config) { c.Layout = core.Compact }},
+	{name: "nextgen-inline-compact", tune: func(c *core.Config) { c.Layout = core.Compact }},
+}
+
 // Kinds lists every allocator the harness can instantiate.
-var Kinds = []string{
-	"ptmalloc2", "jemalloc", "tcmalloc", "mimalloc", "bump",
-	"nextgen", "nextgen-prealloc", "nextgen-sync",
-	"nextgen-inline", "nextgen-inline-agg", "nextgen-nearmem",
-	"nextgen-batch", "nextgen-adaptive",
-	"nextgen-compact", "nextgen-inline-compact",
+var Kinds = func() []string {
+	names := make([]string, len(kindTable))
+	for i, k := range kindTable {
+		names[i] = k.name
+	}
+	return names
+}()
+
+// findKind returns kind's row in kindTable, or nil.
+func findKind(kind string) *kindRow {
+	for i := range kindTable {
+		if kindTable[i].name == kind {
+			return &kindTable[i]
+		}
+	}
+	return nil
 }
 
 // ClassicKinds are the four allocators of Figure 1 / Table 1, in the
@@ -45,14 +85,7 @@ var ClassicKinds = []string{"ptmalloc2", "jemalloc", "tcmalloc", "mimalloc"}
 
 // KnownKind reports whether kind is an allocator Run can instantiate
 // (CLI flag validation shares the harness's own check).
-func KnownKind(kind string) bool {
-	for _, k := range Kinds {
-		if k == kind {
-			return true
-		}
-	}
-	return false
-}
+func KnownKind(kind string) bool { return findKind(kind) != nil }
 
 // Options configures one experiment.
 type Options struct {
@@ -85,8 +118,8 @@ type Options struct {
 	// non-NextGen allocators.
 	Sched core.SchedPolicy
 	// Tune, when non-nil, adjusts the NextGen config derived from the
-	// kind before construction (e.g. a transport sweep overriding Batch
-	// or the prealloc policy). Ignored for non-NextGen allocators.
+	// kind before construction (e.g. a sweep overriding the layout or
+	// the prealloc policy). Ignored for non-NextGen allocators.
 	Tune func(*core.Config)
 	// Wrap, when non-nil, decorates the allocator before use (e.g. a
 	// trace recorder).
@@ -296,7 +329,7 @@ type OffloadTelemetry struct {
 	ServerIdleCycles uint64
 	// ServerEmptyPolls counts poll passes that found no ring work;
 	// ServerEmptyPollCycles is what those passes cost in ring scanning
-	// (a subset of ServerIdleCycles — the overhead idle backoff shrinks).
+	// (a subset of ServerIdleCycles).
 	ServerEmptyPolls      uint64
 	ServerEmptyPollCycles uint64
 }
@@ -346,12 +379,8 @@ func (r Result) MPKI() (llcLoad, llcStore, dtlbLoad, dtlbStore float64) {
 
 // needsServer reports whether kind runs the offload daemon.
 func needsServer(kind string) bool {
-	switch kind {
-	case "nextgen", "nextgen-prealloc", "nextgen-sync", "nextgen-nearmem",
-		"nextgen-batch", "nextgen-adaptive", "nextgen-compact":
-		return true
-	}
-	return false
+	k := findKind(kind)
+	return k != nil && k.offload
 }
 
 // OffloadKind reports whether kind runs the offload transport — the
@@ -398,44 +427,21 @@ func (r Result) CheckLiveness() error {
 	return nil
 }
 
-// nextgenConfig maps a kind to the core.Config variant.
-func nextgenConfig(kind string) core.Config {
-	cfg := core.DefaultConfig()
-	switch kind {
-	case "nextgen-prealloc":
-		cfg.Prealloc = 12
-	case "nextgen-sync":
-		cfg.AsyncFree = false
-	case "nextgen-inline":
-		cfg.Offload = false
-	case "nextgen-inline-agg":
-		cfg.Offload = false
-		cfg.Layout = core.Aggregated
-	case "nextgen-batch":
-		cfg.Batch = 4
-		cfg.IdleBackoff = true
-	case "nextgen-adaptive":
-		cfg.Batch = 4
-		cfg.AdaptivePrealloc = true
-		cfg.IdleBackoff = true
-	case "nextgen-compact":
-		cfg.Layout = core.Compact
-	case "nextgen-inline-compact":
-		cfg.Offload = false
-		cfg.Layout = core.Compact
-	}
-	return cfg
-}
-
-// nextgenOptions resolves the core.Config a NextGen run will use — kind
-// defaults, the topology's scheduling policy, then Options.Tune — or
-// ok=false for a non-NextGen allocator. RunE validates the result
-// before any simulated thread runs; makeAllocator builds from it.
+// nextgenOptions resolves the core.Config a NextGen run will use — the
+// kind's kindTable row, the topology's scheduling policy, then
+// Options.Tune — or ok=false for a non-NextGen allocator. RunE validates
+// the result before any simulated thread runs; makeAllocator builds
+// from it.
 func nextgenOptions(opt Options) (cfg core.Config, ok bool) {
-	if !strings.HasPrefix(opt.Allocator, "nextgen") {
+	k := findKind(opt.Allocator)
+	if k == nil || k.classic != nil {
 		return core.Config{}, false
 	}
-	cfg = nextgenConfig(opt.Allocator)
+	cfg = core.DefaultConfig()
+	cfg.Offload = k.offload
+	if k.tune != nil {
+		k.tune(&cfg)
+	}
 	cfg.Sched = opt.Sched
 	if opt.Tune != nil {
 		opt.Tune(&cfg)
@@ -459,14 +465,7 @@ func Run(opt Options) Result {
 // panicking — CLIs print the message and exit instead of dumping a
 // goroutine trace.
 func RunE(opt Options) (Result, error) {
-	known := false
-	for _, k := range Kinds {
-		if k == opt.Allocator {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !KnownKind(opt.Allocator) {
 		return Result{}, fmt.Errorf("harness: unknown allocator %q", opt.Allocator)
 	}
 	ngCfg, isNG := nextgenOptions(opt)
@@ -833,46 +832,33 @@ func offloadShards(a alloc.Allocator) []*core.Allocator {
 // injs holds one fault injector per daemon (nil entries = clean shard),
 // or nil when no plan is armed.
 func makeAllocator(t *sim.Thread, opt Options, servers int, srvs []*core.Server, latRec *timeline.LatencyRecorder, injs []*fault.Injector) alloc.Allocator {
-	switch kind := opt.Allocator; kind {
-	case "ptmalloc2":
-		return ptmalloc.New(t)
-	case "jemalloc":
-		return jemalloc.New(t, 0)
-	case "tcmalloc":
-		return tcmalloc.New(t)
-	case "mimalloc":
-		return mimalloc.New(t)
-	case "bump":
-		return bump.New(t)
-	case "nextgen", "nextgen-prealloc", "nextgen-sync", "nextgen-nearmem",
-		"nextgen-inline", "nextgen-inline-agg", "nextgen-batch", "nextgen-adaptive",
-		"nextgen-compact", "nextgen-inline-compact":
-		cfg, _ := nextgenOptions(opt)
-		cfg.Latency = latRec
-		if opt.Resilience != nil {
-			cfg.Resilience = *opt.Resilience
-		} else if injs != nil {
-			cfg.Resilience = core.DefaultResilience()
-		}
-		if servers > 1 {
-			// Each shard gets its own injector after construction; the
-			// shared cfg stays clean so untargeted shards run the seed
-			// server loop.
-			f := core.NewFleet(t, cfg, servers, opt.Partition)
-			f.SetShardFaults(injs)
-			for i, sh := range f.Shards() {
-				srvs[i].Attach(sh)
-			}
-			return f
-		}
-		if len(injs) > 0 {
-			cfg.Faults = injs[0]
-		}
-		a := core.New(t, cfg)
-		if len(srvs) > 0 {
-			srvs[0].Attach(a)
-		}
-		return a
+	cfg, isNG := nextgenOptions(opt)
+	if !isNG {
+		return findKind(opt.Allocator).classic(t)
 	}
-	panic(fmt.Sprintf("harness: unknown allocator %q", opt.Allocator))
+	cfg.Latency = latRec
+	if opt.Resilience != nil {
+		cfg.Resilience = *opt.Resilience
+	} else if injs != nil {
+		cfg.Resilience = core.DefaultResilience()
+	}
+	if servers > 1 {
+		// Each shard gets its own injector after construction; the
+		// shared cfg stays clean so untargeted shards run the seed
+		// server loop.
+		f := core.NewFleet(t, cfg, servers, opt.Partition)
+		f.SetShardFaults(injs)
+		for i, sh := range f.Shards() {
+			srvs[i].Attach(sh)
+		}
+		return f
+	}
+	if len(injs) > 0 {
+		cfg.Faults = injs[0]
+	}
+	a := core.New(t, cfg)
+	if len(srvs) > 0 {
+		srvs[0].Attach(a)
+	}
+	return a
 }

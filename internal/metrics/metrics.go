@@ -264,14 +264,13 @@ type Offload struct {
 
 // Ring is one direction's SPSC telemetry. Occupancy is the log2-bucket
 // histogram of ring depth after each push (bucket b counts depths in
-// [2^(b-1), 2^b); bucket 0 is unused). PushBatches/PopBatches count
-// index publications, so pushes/push_batches is the average coalesced
-// batch width (additive in schema v1).
+// [2^(b-1), 2^b); bucket 0 is unused). PushBatches counts
+// publications, so pushes/push_batches is the average coalesced batch
+// width (additive in schema v1).
 type Ring struct {
 	Pushes      uint64   `json:"pushes"`
 	Pops        uint64   `json:"pops"`
 	PushBatches uint64   `json:"push_batches"`
-	PopBatches  uint64   `json:"pop_batches"`
 	FullRetries uint64   `json:"full_retries"`
 	StallCycles uint64   `json:"stall_cycles"`
 	Occupancy   []uint64 `json:"occupancy_log2"`
@@ -327,7 +326,6 @@ type Resilience struct {
 type OffloadLatency struct {
 	Malloc *OpLatency `json:"malloc,omitempty"`
 	Free   *OpLatency `json:"free,omitempty"`
-	Batch  *OpLatency `json:"batch,omitempty"`
 	// DroppedSpans counts raw spans beyond the retention cap (the
 	// digests above still include them).
 	DroppedSpans uint64 `json:"dropped_spans"`
@@ -358,7 +356,6 @@ func ringMetrics(s ring.Stats) Ring {
 		Pushes:      s.Pushes,
 		Pops:        s.Pops,
 		PushBatches: s.PushBatches,
-		PopBatches:  s.PopBatches,
 		FullRetries: s.FullRetries,
 		StallCycles: s.StallCycles,
 		Occupancy:   append([]uint64(nil), s.Occupancy[:]...),
@@ -393,7 +390,6 @@ func latencyMetrics(rec *timeline.LatencyRecorder) *OffloadLatency {
 	return &OffloadLatency{
 		Malloc:       opLatency(rec.ByOp[timeline.OpMalloc]),
 		Free:         opLatency(rec.ByOp[timeline.OpFree]),
-		Batch:        opLatency(rec.ByOp[timeline.OpBatch]),
 		DroppedSpans: rec.Dropped,
 	}
 }
@@ -966,7 +962,7 @@ func validateLatency(exp string, i int, ol *OffloadLatency) error {
 	ops := []struct {
 		name string
 		op   *OpLatency
-	}{{"malloc", ol.Malloc}, {"free", ol.Free}, {"batch", ol.Batch}}
+	}{{"malloc", ol.Malloc}, {"free", ol.Free}}
 	present := false
 	for _, o := range ops {
 		if o.op == nil {

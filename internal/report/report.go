@@ -196,9 +196,6 @@ func TransportRows(results []harness.Result) [][]string {
 		row("free reqs/publication", func(r harness.Result) string {
 			return ratio(r.Offload.FreeRing.Pushes, r.Offload.FreeRing.PushBatches)
 		}),
-		row("free pops/drain batch", func(r harness.Result) string {
-			return ratio(r.Offload.FreeRing.Pops, r.Offload.FreeRing.PopBatches)
-		}),
 		row("producer stall cyc/op", func(r harness.Result) string {
 			return perOp(r.Offload.MallocRing.StallCycles+r.Offload.FreeRing.StallCycles, r)
 		}),

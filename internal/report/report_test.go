@@ -108,10 +108,10 @@ func TestTableRaggedRows(t *testing.T) {
 
 func TestTransportTable(t *testing.T) {
 	offload := harness.Result{
-		Allocator: "nextgen-batch",
+		Allocator: "nextgen",
 		Offload: &harness.OffloadTelemetry{
-			MallocRing:            ring.Stats{Pushes: 100, Pops: 100, PushBatches: 100, PopBatches: 100},
-			FreeRing:              ring.Stats{Pushes: 400, Pops: 400, PushBatches: 100, PopBatches: 100, StallCycles: 50},
+			MallocRing:            ring.Stats{Pushes: 100, Pops: 100, PushBatches: 100},
+			FreeRing:              ring.Stats{Pushes: 400, Pops: 400, PushBatches: 100, StallCycles: 50},
 			ServerBusyCycles:      5000,
 			ServerIdleCycles:      2000,
 			ServerEmptyPolls:      7,
@@ -125,7 +125,7 @@ func TestTransportTable(t *testing.T) {
 	// must read 0 stash hits, not 2^64-2.
 	retried := harness.Result{
 		Allocator: "nextgen",
-		Offload:   &harness.OffloadTelemetry{MallocRing: ring.Stats{Pushes: 602, Pops: 602, PushBatches: 602, PopBatches: 602}},
+		Offload:   &harness.OffloadTelemetry{MallocRing: ring.Stats{Pushes: 602, Pops: 602, PushBatches: 602}},
 	}
 	retried.AllocStats.MallocCalls = 600
 	if out := TransportTable("transport", []harness.Result{retried}); !regexp.MustCompile(`stash-hit mallocs\s+0\n`).MatchString(out) {

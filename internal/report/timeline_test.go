@@ -103,23 +103,25 @@ func TestLatencyTable(t *testing.T) {
 	rec := timeline.NewLatencyRecorder(0)
 	for i := uint64(0); i < 100; i++ {
 		rec.Record(timeline.OpMalloc, 1, i*10, i*10+3, i*10+8)
-		rec.Record(timeline.OpBatch, 2, i*10, i*10+6, i*10+7)
+		rec.Record(timeline.OpFree, 2, i*10, i*10+6, i*10+7)
 	}
 	out := LatencyTable("lat", rec)
 	for _, want := range []string{
 		"lat", "op / phase", "count", "p50", "p99", "max",
 		"malloc queue-wait", "malloc service", "malloc end-to-end",
-		"batch queue-wait",
+		"free queue-wait",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("latency table missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "free") {
-		t.Errorf("zero-count op should be skipped:\n%s", out)
-	}
 	if strings.Contains(out, "retention cap") {
 		t.Errorf("no drops occurred, footnote should be absent:\n%s", out)
+	}
+	mallocOnly := timeline.NewLatencyRecorder(0)
+	mallocOnly.Record(timeline.OpMalloc, 1, 0, 3, 8)
+	if out := LatencyTable("lat", mallocOnly); strings.Contains(out, "free") {
+		t.Errorf("zero-count op should be skipped:\n%s", out)
 	}
 }
 

@@ -37,7 +37,7 @@ func word(n uint64) (w0, w1 uint64) {
 // size and returns how many slots were popped. Low three bits pick the
 // operation, the rest its argument:
 //
-//	0,1 TryStage   2 Publish   3 TryPush   4,5 TryPop   6 PopN(arg%6)
+//	0,1 TryStage   2 Publish   3 TryPush   4,5 TryPop   6 TryPop until empty, at most arg%6 times
 //	7 arg&2==0: drop the next publication; else Republish
 func runSchedule(t testing.TB, slots int, ops []byte) (pops uint64) {
 	t.Helper()
@@ -124,16 +124,20 @@ func runSchedule(t testing.TB, slots int, ops []byte) (pops uint64) {
 				if !full {
 					publish(drop)
 				}
-			case 4, 5:
-				w0, w1, ok := r.TryPop(th)
-				var got [][2]uint64
-				if ok {
-					got = [][2]uint64{{w0, w1}}
+			case 4, 5, 6:
+				asked := 1
+				if b&7 == 6 {
+					asked = arg % 6
 				}
-				expectPop(got, 1)
-			case 6:
-				buf := make([][2]uint64, arg%6)
-				expectPop(buf[:r.PopN(th, buf)], len(buf))
+				var got [][2]uint64
+				for len(got) < asked {
+					w0, w1, ok := r.TryPop(th)
+					if !ok {
+						break
+					}
+					got = append(got, [2]uint64{w0, w1})
+				}
+				expectPop(got, asked)
 			case 7:
 				if arg&2 == 0 {
 					dropNext = true
@@ -188,7 +192,7 @@ func FuzzRingSchedule(f *testing.F) {
 	f.Add(uint8(1), []byte{0, 0, 0, 4, 2, 6 | 5<<3, 4})                 // staged slots stay invisible
 	f.Add(uint8(0), []byte{7, 3, 4, 3, 4, 7 | 2<<3, 4, 4})              // drop, blocked successor, republish
 	f.Add(uint8(2), []byte{7, 0, 0, 2, 0, 2, 6 | 4<<3, 3, 6 | 4<<3})    // a surviving publish heals a drop
-	f.Add(uint8(0), []byte{0, 0, 0, 0, 0, 3, 2, 6 | 5<<3, 6 | 0<<3, 3}) // full ring, empty PopN buffer
+	f.Add(uint8(0), []byte{0, 0, 0, 0, 0, 3, 2, 6 | 5<<3, 6 | 0<<3, 3}) // full ring, zero-pop drain
 	f.Fuzz(func(t *testing.T, size uint8, ops []byte) {
 		runSchedule(t, 4<<(2*(size%3)), ops)
 	})
@@ -283,7 +287,7 @@ func TestOneLineTransferPerRequest(t *testing.T) {
 // consumer polls the very line a batch is headed for, so a staged slot
 // must not touch it. With an empty poll after every TryStage, a batch of
 // one line's worth of slots still moves that line once — one producer
-// invalidation at Publish, one consumer dirty transfer at PopN. (A
+// invalidation at Publish, one consumer dirty transfer at the first pop. (A
 // stage-time store to the slot would make it one of each per slot.)
 func TestStagingStaysOffThePolledLine(t *testing.T) {
 	const slots, width = 16, sim.LineSize / SlotSize
@@ -317,7 +321,6 @@ func TestStagingStaysOffThePolledLine(t *testing.T) {
 		prod[1] = th.Counters()
 	})
 	m.Spawn("consumer", 1, func(th *sim.Thread) {
-		var buf [width][2]uint64
 		for b := 0; b < warm+batches; b++ {
 			if b == warm {
 				cons[0] = th.Counters()
@@ -330,7 +333,11 @@ func TestStagingStaysOffThePolledLine(t *testing.T) {
 				if j == width {
 					want = width
 				}
-				if got := r.PopN(th, buf[:]); got != want {
+				got := 0
+				for _, _, ok := r.TryPop(th); ok; _, _, ok = r.TryPop(th) {
+					got++
+				}
+				if got != want {
 					t.Errorf("batch %d, turn %d: popped %d slots, want %d", b, j, got, want)
 				}
 				done++

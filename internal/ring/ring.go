@@ -18,9 +18,10 @@
 // Because sim.LineSize/SlotSize slots share one cache line, a producer
 // can still move several requests per line transfer: Stage holds a
 // request back without touching the slot array (the consumer polls that
-// line; a store there would hand it over once per staged slot), Publish
-// stores the whole batch back to back, and PushN/PopN are the vectored
-// wrappers (the batched-request opportunity of the paper's §3.3).
+// line; a store there would hand it over once per staged slot) and
+// Publish stores the whole batch back to back (the batched-request
+// opportunity of the paper's §3.3). The consumer pops one slot at a
+// time: the line is already in its cache after the first.
 package ring
 
 import (
@@ -40,7 +41,6 @@ type Stats struct {
 	Pushes      uint64
 	Pops        uint64
 	PushBatches uint64 // publications (Pushes/PushBatches = avg batch width)
-	PopBatches  uint64 // head publications (Pops/PopBatches = avg drain width)
 	FullRetries uint64 // push attempts that found the ring full
 	StallCycles uint64 // producer cycles spent spinning in Push/Stage
 	Occupancy   [12]uint64
@@ -51,7 +51,6 @@ func (s *Stats) Add(o Stats) {
 	s.Pushes += o.Pushes
 	s.Pops += o.Pops
 	s.PushBatches += o.PushBatches
-	s.PopBatches += o.PopBatches
 	s.FullRetries += o.FullRetries
 	s.StallCycles += o.StallCycles
 	for i := range s.Occupancy {
@@ -124,8 +123,8 @@ func (r *SPSC) Stats() Stats { return r.stats }
 
 // EnableStamps turns on host-side enqueue-cycle stamping: every slot
 // staged afterwards remembers the producer clock at stage time, which
-// the consumer reads back through PoppedStamp/PoppedStamps to build
-// offload latency spans. Zero simulated cost.
+// the consumer reads back through PoppedStamp to build offload latency
+// spans. Zero simulated cost.
 func (r *SPSC) EnableStamps() {
 	if r.stamps == nil {
 		r.stamps = make([]uint64, len(r.held))
@@ -139,18 +138,6 @@ func (r *SPSC) PoppedStamp() uint64 {
 		return 0
 	}
 	return r.stamps[(r.consHead-1)&r.mask]
-}
-
-// PoppedStamps fills out with the enqueue stamps of the last k slots
-// consumed (oldest first), matching a PopN that returned k. A no-op
-// when stamping is disabled.
-func (r *SPSC) PoppedStamps(k int, out []uint64) {
-	if r.stamps == nil {
-		return
-	}
-	for i := 0; i < k; i++ {
-		out[i] = r.stamps[(r.consHead-uint64(k-i))&r.mask]
-	}
 }
 
 // HostDepth returns the ring occupancy visible to the host (published
@@ -187,7 +174,7 @@ func (r *SPSC) slotAddr(i uint64) uint64 { return r.base + headerSize + (i&r.mas
 // lapTag is the TagBit value that marks slot index i published.
 func (r *SPSC) lapTag(i uint64) uint64 { return (^i >> r.shift & 1) * TagBit }
 
-// PollAddr exposes the address of the word an empty TryPop/PopN
+// PollAddr exposes the address of the word an empty TryPop
 // reloads — the first word of the next slot to pop — so the consumer
 // can declare its idle-poll load sequence to the scheduler's time-warp
 // detector (sim.WaitSpec.Addrs).
@@ -316,45 +303,18 @@ func (r *SPSC) Push(t *sim.Thread, w0, w1 uint64) {
 	r.Publish(t)
 }
 
-// PushN stages every request and publishes them as one batch (spinning
-// for space as needed, like Push).
-func (r *SPSC) PushN(t *sim.Thread, reqs [][2]uint64) {
-	for _, q := range reqs {
-		r.Stage(t, q[0], q[1])
-	}
-	r.Publish(t)
-}
-
-// TryPop consumes one slot; ok is false when the ring is empty.
-// Consumer-side only.
+// TryPop consumes one slot — stopping at a first word whose tag is not
+// this lap's — and publishes the consumer index; ok is false when the
+// ring is empty. Consumer-side only.
 func (r *SPSC) TryPop(t *sim.Thread) (w0, w1 uint64, ok bool) {
-	var buf [1][2]uint64
-	if r.PopN(t, buf[:]) == 0 {
+	slot := r.slotAddr(r.consHead)
+	w0 = t.AtomicLoad64(slot)
+	if w0&TagBit != r.lapTag(r.consHead) {
 		return 0, 0, false
 	}
-	return buf[0][0], buf[0][1], true
-}
-
-// PopN consumes up to len(buf) slots, stopping at the first one whose
-// tag is not this lap's, and publishes the consumer index once for the
-// whole batch — the consumer-side mirror of Stage/Publish. It returns
-// the number of requests popped (0 when the ring is empty).
-func (r *SPSC) PopN(t *sim.Thread, buf [][2]uint64) int {
-	k := uint64(0)
-	for ; k < uint64(len(buf)); k++ {
-		slot := r.slotAddr(r.consHead + k)
-		w0 := t.AtomicLoad64(slot)
-		if w0&TagBit != r.lapTag(r.consHead+k) {
-			break
-		}
-		buf[k] = [2]uint64{w0 &^ TagBit, t.Load64(slot + 8)}
-	}
-	if k == 0 {
-		return 0
-	}
-	r.consHead += k
+	w1 = t.Load64(slot + 8)
+	r.consHead++
 	t.AtomicStore64(r.headAddr(), r.consHead)
-	r.stats.Pops += k
-	r.stats.PopBatches++
-	return int(k)
+	r.stats.Pops++
+	return w0 &^ TagBit, w1, true
 }

@@ -31,7 +31,7 @@ func testSeries() *Series {
 func TestWriteChromeTraceIsValidTraceEventJSON(t *testing.T) {
 	rec := NewLatencyRecorder(0)
 	rec.Record(OpMalloc, 1, 110, 130, 170)
-	rec.Record(OpBatch, 2, 150, 150, 150) // zero-duration span must still emit dur >= 1
+	rec.Record(OpFree, 2, 150, 150, 150) // zero-duration span must still emit dur >= 1
 
 	var buf bytes.Buffer
 	err := WriteChromeTrace(&buf, []TraceRun{{

@@ -9,10 +9,8 @@ const (
 	// OpMalloc is a synchronous malloc round trip (client spins on the
 	// response line).
 	OpMalloc Op = iota
-	// OpFree is an asynchronous free popped singly by the server.
+	// OpFree is an asynchronous free.
 	OpFree
-	// OpBatch is a free drained through the vectored PopN path.
-	OpBatch
 	// NumOps sizes per-op arrays.
 	NumOps
 )
@@ -24,8 +22,6 @@ func (o Op) String() string {
 		return "malloc"
 	case OpFree:
 		return "free"
-	case OpBatch:
-		return "batch"
 	}
 	return "unknown"
 }

@@ -184,7 +184,7 @@ func TestSpanPartition(t *testing.T) {
 	spans := []Span{
 		{Op: OpMalloc, Enqueue: 100, Dequeue: 150, Complete: 220},
 		{Op: OpFree, Enqueue: 100, Dequeue: 100, Complete: 100},
-		{Op: OpBatch, Enqueue: 200, Dequeue: 180, Complete: 260}, // skewed: deq < enq
+		{Op: OpFree, Enqueue: 200, Dequeue: 180, Complete: 260}, // skewed: deq < enq
 		{Op: OpMalloc, Enqueue: 0, Dequeue: 0, Complete: 5},
 	}
 	for i, s := range spans {
@@ -217,7 +217,7 @@ func TestRecorderCapsSpansButNotHistograms(t *testing.T) {
 }
 
 func TestOpString(t *testing.T) {
-	for op, want := range map[Op]string{OpMalloc: "malloc", OpFree: "free", OpBatch: "batch", NumOps: "unknown"} {
+	for op, want := range map[Op]string{OpMalloc: "malloc", OpFree: "free", NumOps: "unknown"} {
 		if got := op.String(); got != want {
 			t.Errorf("Op(%d).String() = %q, want %q", op, got, want)
 		}
