@@ -15,15 +15,15 @@ import (
 	"nextgenmalloc/internal/workload"
 )
 
-// benchScale matches the committed EXPERIMENTS.md numbers (the paper
+// benchEnv matches the committed EXPERIMENTS.md numbers (the paper
 // shapes are scale-sensitive); a full -bench run takes a few minutes.
-var benchScale = experiments.Full
+var benchEnv = experiments.Env{Scale: experiments.Full}
 
 // BenchmarkFigure1 regenerates Figure 1: xalanc execution-time spread
 // across the four classic allocators (paper: up to 1.72x).
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiments.Figure1(benchScale)
+		out := experiments.Figure1(benchEnv)
 		worst, best := 0.0, 0.0
 		for _, r := range out.Results {
 			c := float64(r.Total.Cycles)
@@ -43,7 +43,7 @@ func BenchmarkFigure1(b *testing.B) {
 // modern allocator (paper: >10x).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiments.Table1(benchScale)
+		out := experiments.Table1(benchEnv)
 		pt := float64(out.Results[0].Total.DTLBLoadMisses)
 		best := pt
 		for _, r := range out.Results[1:] {
@@ -60,7 +60,7 @@ func BenchmarkTable1(b *testing.B) {
 // more than 10x).
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiments.Table2(benchScale)
+		out := experiments.Table2(benchEnv)
 		one := out.Results[0].Total
 		eight := out.Results[3].Total
 		growth := float64(eight.LLCLoadMisses+eight.LLCStoreMisses) /
@@ -75,7 +75,7 @@ func BenchmarkTable2(b *testing.B) {
 // preallocating configuration (paper: 4.51%).
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiments.Table3(benchScale)
+		out := experiments.Table3(benchEnv)
 		mi := float64(out.Results[0].Total.Cycles)
 		ng := float64(out.Results[1].Total.Cycles)
 		pre := float64(out.Results[2].Total.Cycles)
@@ -98,7 +98,7 @@ func BenchmarkModel(b *testing.B) {
 // transport's table 1 cells (results 0..2 of the sweep).
 func BenchmarkAblateLayout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiments.AblateLayout(benchScale)
+		out := experiments.AblateLayout(benchEnv)
 		seg := float64(out.Results[0].Total.Cycles)
 		agg := float64(out.Results[1].Total.Cycles)
 		compact := float64(out.Results[2].Total.Cycles)
@@ -111,7 +111,7 @@ func BenchmarkAblateLayout(b *testing.B) {
 // metric is near-memory-over-big-core application cycles.
 func BenchmarkAblateCore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiments.AblateCore(benchScale)
+		out := experiments.AblateCore(benchEnv)
 		big := float64(out.Results[0].Total.Cycles)
 		near := float64(out.Results[1].Total.Cycles)
 		b.ReportMetric(near/big, "near/big")
@@ -123,7 +123,7 @@ func BenchmarkAblateCore(b *testing.B) {
 // workloads (paper: can exceed 10x).
 func BenchmarkSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiments.Sensitivity(benchScale)
+		out := experiments.Sensitivity(benchEnv)
 		// Results arrive grouped by workload (4 allocators each); report
 		// the largest within-workload spread.
 		maxSpread := 0.0
@@ -181,7 +181,7 @@ func BenchmarkXmallocThreads(b *testing.B) {
 // metric is the mutator-core LLC+TLB pollution ratio inline/offloaded.
 func BenchmarkAblateGC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiments.AblateGC(benchScale)
+		out := experiments.AblateGC(benchEnv)
 		_ = out
 	}
 }
@@ -189,7 +189,7 @@ func BenchmarkAblateGC(b *testing.B) {
 // BenchmarkAblateFaaS regenerates the §3.3.2 cold-start ablation.
 func BenchmarkAblateFaaS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiments.AblateFaaS(benchScale)
+		out := experiments.AblateFaaS(benchEnv)
 		_ = out
 	}
 }
@@ -197,7 +197,7 @@ func BenchmarkAblateFaaS(b *testing.B) {
 // BenchmarkAblateGPU regenerates the §3.3.1 async-allocation ablation.
 func BenchmarkAblateGPU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiments.AblateGPU(benchScale)
+		out := experiments.AblateGPU(benchEnv)
 		_ = out
 	}
 }
@@ -206,7 +206,7 @@ func BenchmarkAblateGPU(b *testing.B) {
 // question (a)); the metric is the 8-thread nextgen/mimalloc ratio.
 func BenchmarkAblateScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiments.AblateScaling(benchScale)
+		out := experiments.AblateScaling(benchEnv)
 		_ = out
 	}
 }
@@ -215,7 +215,7 @@ func BenchmarkAblateScaling(b *testing.B) {
 // (paper intro question (c)).
 func BenchmarkAblateRoom(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := experiments.AblateRoom(benchScale)
+		out := experiments.AblateRoom(benchEnv)
 		_ = out
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
-	"nextgenmalloc/internal/core"
 	"nextgenmalloc/internal/experiments"
 )
 
@@ -19,36 +19,28 @@ func runCLI(args ...string) (int, string, string) {
 	return rc, out.String(), errb.String()
 }
 
-// resetGlobals undoes the package-level experiment configuration a run
-// installs, so tests stay independent.
-func resetGlobals() {
-	experiments.SetMachine(nil)
-	experiments.SetTransport(nil)
-	experiments.SetLayout(nil)
-	experiments.SetFault(nil, nil)
-	experiments.SetTimeline(0)
-	experiments.SetFleet(0, core.FixedScan, core.ByClient)
-	experiments.SetSLO(nil)
-	experiments.SetTenants(0)
-	experiments.SetParallelism(1)
-}
-
 func TestRejectsBadFlags(t *testing.T) {
-	defer resetGlobals()
 	for name, tc := range map[string]struct {
 		args []string
 		want string
 	}{
 		"bad scale":          {[]string{"-scale", "huge"}, "unknown scale"},
-		"zero quantum":       {[]string{"-quantum", "0"}, "-quantum must be > 0"},
 		"removed batch flag": {[]string{"-batch", "4"}, "flag provided but not defined"},
-		"bad layout":         {[]string{"-layout", "bitmap"}, "unknown layout"},
-		"bad fault":          {[]string{"-fault", "warp=1"}, "unknown key"},
-		"bad resilience":     {[]string{"-resilience", "timeout"}, "not key=value"},
-		"bad sched":          {[]string{"-sched", "fifo"}, "unknown scheduling policy"},
-		"bad partition":      {[]string{"-partition", "thread"}, "unknown partition"},
-		"negative servers":   {[]string{"-servers", "-2"}, "negative server count"},
 		"unknown experiment": {[]string{"-scale", "quick", "nope"}, "unknown experiment"},
+		// One wiring case per shared run flag (experiments.RunFlags; its
+		// own test holds the full matrix of bad spellings).
+		"bad prealloc":      {[]string{"-prealloc", "bogus"}, "unknown prealloc policy"},
+		"bad layout":        {[]string{"-layout", "bitmap"}, "unknown layout"},
+		"bad fault":         {[]string{"-fault", "warp=1"}, "unknown key"},
+		"bad resilience":    {[]string{"-resilience", "timeout"}, "not key=value"},
+		"bad failover":      {[]string{"-failover", "abc"}, "positive threshold"},
+		"negative servers":  {[]string{"-servers", "-2"}, "negative server count"},
+		"bad sched":         {[]string{"-sched", "fifo"}, "unknown scheduling policy"},
+		"bad partition":     {[]string{"-partition", "thread"}, "unknown partition"},
+		"bad timeline":      {[]string{"-timeline", "fast"}, "invalid value"},
+		"bare chrome-trace": {[]string{"-chrome-trace"}, "flag needs an argument"},
+		"bad warp":          {[]string{"-warp=maybe"}, "invalid boolean value"},
+		"zero quantum":      {[]string{"-quantum", "0"}, "-quantum must be > 0"},
 	} {
 		rc, _, stderr := runCLI(tc.args...)
 		if rc != 2 {
@@ -60,15 +52,37 @@ func TestRejectsBadFlags(t *testing.T) {
 	}
 }
 
-func TestListIncludesFleetSweep(t *testing.T) {
-	defer resetGlobals()
+// listIDs runs -list and checks it prints exactly the registry's ids,
+// in registry order, each once.
+func listIDs(t *testing.T) []string {
+	t.Helper()
 	rc, stdout, stderr := runCLI("-list")
 	if rc != 0 {
 		t.Fatalf("exit %d, stderr: %s", rc, stderr)
 	}
+	ids := strings.Fields(stdout)
+	seen := map[string]bool{}
+	for _, id := range ids {
+		if seen[id] {
+			t.Errorf("-list prints %q twice", id)
+		}
+		seen[id] = true
+	}
+	var want []string
+	for _, x := range experiments.Registry {
+		want = append(want, x.ID)
+	}
+	if !slices.Equal(ids, want) {
+		t.Errorf("-list prints %v, want the registry %v", ids, want)
+	}
+	return ids
+}
+
+func TestListIncludesFleetSweep(t *testing.T) {
+	ids := listIDs(t)
 	for _, id := range []string{"table3", "fault-sweep", "fleet-sweep"} {
-		if !strings.Contains(stdout, id) {
-			t.Errorf("-list output lacks %q:\n%s", id, stdout)
+		if !slices.Contains(ids, id) {
+			t.Errorf("-list output lacks %q: %v", id, ids)
 		}
 	}
 }
@@ -76,7 +90,6 @@ func TestListIncludesFleetSweep(t *testing.T) {
 // TestModelRunsWithFleetFlags: the topology flags install cleanly and
 // a (simulation-free) experiment still runs under them.
 func TestModelRunsWithFleetFlags(t *testing.T) {
-	defer resetGlobals()
 	rc, stdout, stderr := runCLI("-scale", "quick", "-servers", "2", "-sched", "round-robin", "model")
 	if rc != 0 {
 		t.Fatalf("exit %d, stderr: %s", rc, stderr)
@@ -92,7 +105,6 @@ func TestTable3ShardedTopology(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs six simulations")
 	}
-	defer resetGlobals()
 	rc, stdout, stderr := runCLI("-scale", "quick", "-parallel", "2",
 		"-servers", "2", "-sched", "round-robin", "table3")
 	if rc != 0 {
@@ -104,7 +116,6 @@ func TestTable3ShardedTopology(t *testing.T) {
 }
 
 func TestRejectsBadSLOFlags(t *testing.T) {
-	defer resetGlobals()
 	for name, tc := range map[string]struct {
 		args []string
 		want string
@@ -124,13 +135,8 @@ func TestRejectsBadSLOFlags(t *testing.T) {
 }
 
 func TestListIncludesSLOSweep(t *testing.T) {
-	defer resetGlobals()
-	rc, stdout, stderr := runCLI("-list")
-	if rc != 0 {
-		t.Fatalf("exit %d, stderr: %s", rc, stderr)
-	}
-	if !strings.Contains(stdout, "slo-sweep") {
-		t.Errorf("-list output lacks slo-sweep:\n%s", stdout)
+	if ids := listIDs(t); !slices.Contains(ids, "slo-sweep") {
+		t.Errorf("-list output lacks slo-sweep: %v", ids)
 	}
 }
 
@@ -140,9 +146,6 @@ func TestSLOSweepThroughCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs five simulations")
 	}
-	defer resetGlobals()
-	defer experiments.SetSLO(nil)
-	defer experiments.SetTenants(0)
 	rc, stdout, stderr := runCLI("-scale", "quick", "-parallel", "2", "-tenants", "6", "slo-sweep")
 	if rc != 0 {
 		t.Fatalf("exit %d, stderr: %s", rc, stderr)
@@ -167,7 +170,6 @@ func TestDefaultSpellingsBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	metricsDoc := func(name string, flags ...string) []byte {
 		t.Helper()
-		defer resetGlobals()
 		path := filepath.Join(dir, name+".json")
 		args := append([]string{"-scale", "quick", "-metrics", path}, append(flags, "table3")...)
 		if rc, _, stderr := runCLI(args...); rc != 0 {

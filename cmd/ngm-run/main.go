@@ -20,7 +20,6 @@ import (
 	"nextgenmalloc/internal/harness"
 	"nextgenmalloc/internal/metrics"
 	"nextgenmalloc/internal/report"
-	"nextgenmalloc/internal/sim"
 	"nextgenmalloc/internal/timeline"
 	"nextgenmalloc/internal/workload"
 )
@@ -33,10 +32,6 @@ func main() {
 // one batch would silently truncate to zero passes.
 const sh6benchBatch = 100
 
-// defaultTimelineInterval is the sampling interval -chrome-trace implies
-// when -timeline is not given explicitly.
-const defaultTimelineInterval = 50000
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ngm-run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -45,21 +40,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ops := fs.Int("ops", 100000, "operation count (total or per thread, workload-dependent)")
 	threads := fs.Int("threads", 1, "worker thread count (multi-thread workloads)")
 	seed := fs.Uint64("seed", 1, "workload seed")
-	servers := fs.Int("servers", 1, "offload server shard count (NextGen offload kinds; clients are partitioned across shards)")
-	schedSpec := fs.String("sched", "", "offload ring service order: fixed-scan, round-robin, doorbell-priority, or batch-drain (empty = fixed-scan)")
-	partSpec := fs.String("partition", "", "fleet shard partition: client or class (empty = client)")
-	prealloc := fs.String("prealloc", "", "override NextGen prealloc policy: off, static, or adaptive (empty = per-kind default)")
-	layoutSpec := fs.String("layout", "", "override NextGen metadata layout: segregated, aggregated, or compact (empty = per-kind default)")
-	faultSpec := fs.String("fault", "", "inject offload faults: ;-separated plans, each a comma list of shard/seed/stall-len/stall-start/stall-period/drop/corrupt/slow key=value pairs (empty = none)")
-	resSpec := fs.String("resilience", "", "offload degradation policy: off, on/default, or a comma list of timeout/retries/backoff/fallback/probe/max-request key=value pairs (empty = kind default)")
-	failoverSpec := fs.String("failover", "", "fleet malloc failover: off, on/default, or the consecutive-timeout threshold before a client re-homes (empty = off; needs -servers >= 2)")
-	sloSpec := fs.String("slo", "", "per-tenant SLO tracking: off, on/default, or a comma list of window/interactive/bulk/spans/target-ppm key=value pairs (empty = off; only the service workload reports tenants)")
 	tenants := fs.Int("tenants", 8, "tenant count for the service workload (ignored by other workloads)")
 	metricsPath := fs.String("metrics", "", "write machine-readable results ("+metrics.Schema+") to this file")
-	timelineIv := fs.Uint64("timeline", 0, "sample a cycle-interval timeline every N cycles (0 = off; implied by -chrome-trace)")
-	tracePath := fs.String("chrome-trace", "", "write a Chrome trace-event JSON file (chrome://tracing / Perfetto) to this path")
-	warp := fs.Bool("warp", true, "skip provably-idle wait windows in the scheduler (bit-identical counters; -warp=false forces fully-stepped execution)")
-	quantum := fs.Int64("quantum", 64, "scheduler lease slack in cycles (must be > 0)")
+	runFlags := experiments.RunFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -70,61 +53,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ngm-run: unknown allocator %q (choose from: %s)\n", *kind, strings.Join(harness.Kinds, ", "))
 		return 2
 	}
-	transportTune, err := experiments.ParseTransport(*prealloc)
+	env, tracePath, err := runFlags()
 	if err != nil {
 		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
 		return 2
 	}
-	layoutTune, err := experiments.ParseLayout(*layoutSpec)
-	if err != nil {
-		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
-		return 2
-	}
-	tune := experiments.Tunes(transportTune, layoutTune)
-	faultPlans, err := experiments.ParseFaults(*faultSpec)
-	if err != nil {
-		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
-		return 2
-	}
-	resilience, err := experiments.ParseResilience(*resSpec)
-	if err != nil {
-		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
-		return 2
-	}
-	failoverAfter, err := experiments.ParseFailover(*failoverSpec)
-	if err != nil {
-		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
-		return 2
-	}
-	resilience = experiments.WithFailover(resilience, failoverAfter)
-	sloOpt, err := experiments.ParseSLO(*sloSpec)
-	if err != nil {
-		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
-		return 2
-	}
+	base := env.Base
 	if *tenants < 1 {
 		fmt.Fprintf(stderr, "ngm-run: -tenants must be >= 1 (got %d)\n", *tenants)
 		return 2
 	}
-	if len(faultPlans) > 0 && !harness.OffloadKind(*kind) {
+	if len(base.FaultPlans) > 0 && !harness.OffloadKind(*kind) {
 		fmt.Fprintf(stderr, "ngm-run: -fault targets the offload path; %q runs no offload server\n", *kind)
 		return 2
 	}
-	if failoverAfter > 0 && *servers < 2 {
-		fmt.Fprintf(stderr, "ngm-run: -failover re-homes across fleet shards; it needs -servers >= 2 (got %d)\n", *servers)
+	if base.Resilience != nil && base.Resilience.FailoverAfter > 0 && base.Servers < 2 {
+		fmt.Fprintf(stderr, "ngm-run: -failover re-homes across fleet shards; it needs -servers >= 2 (got %d)\n", base.Servers)
 		return 2
 	}
-	sched, err := core.ParseSched(*schedSpec)
-	if err != nil {
-		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
-		return 2
-	}
-	part, err := core.ParsePartition(*partSpec)
-	if err != nil {
-		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
-		return 2
-	}
-	if (*servers != 1 || sched != core.FixedScan || part != core.ByClient) && !harness.OffloadKind(*kind) {
+	if (base.Servers != 1 || base.Sched != core.FixedScan || base.Partition != core.ByClient) && !harness.OffloadKind(*kind) {
 		fmt.Fprintf(stderr, "ngm-run: -servers/-sched/-partition target the offload path; %q runs no offload server\n", *kind)
 		return 2
 	}
@@ -136,10 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ngm-run: -ops must be >= 1 (got %d)\n", *ops)
 		return 2
 	}
-	if *quantum <= 0 {
-		fmt.Fprintf(stderr, "ngm-run: -quantum must be > 0 (got %d)\n", *quantum)
-		return 2
-	}
 	if *wname == "sh6bench" && *ops < sh6benchBatch {
 		fmt.Fprintf(stderr, "ngm-run: sh6bench needs -ops >= %d (one batch); got %d\n", sh6benchBatch, *ops)
 		return 2
@@ -149,12 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// silently dropping it.
 		fmt.Fprintf(stderr, "ngm-run: warning: sh6bench runs whole %d-op batches; -ops %d truncated to %d\n",
 			sh6benchBatch, *ops, (*ops/sh6benchBatch)*sh6benchBatch)
-	}
-	// -chrome-trace without -timeline samples at the default interval;
-	// the trace needs a series to emit.
-	interval := *timelineIv
-	if interval == 0 && *tracePath != "" {
-		interval = defaultTimelineInterval
 	}
 
 	var w workload.Workload
@@ -184,23 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	mcfg := sim.ScaledConfig()
-	mcfg.Warp = *warp
-	mcfg.Quantum = uint64(*quantum)
-
-	res, err := harness.RunE(harness.Options{
-		Allocator:      *kind,
-		Workload:       w,
-		Tune:           tune,
-		SampleInterval: interval,
-		FaultPlans:     faultPlans,
-		Resilience:     resilience,
-		Machine:        &mcfg,
-		Servers:        *servers,
-		Sched:          sched,
-		Partition:      part,
-		SLO:            sloOpt,
-	})
+	res, err := harness.RunE(env.Apply(harness.Options{Allocator: *kind, Workload: w, Tune: env.Tune}))
 	if err != nil {
 		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
 		return 2
@@ -275,11 +196,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, report.SLOTable("per-tenant SLO ledger (end-to-end cycles)", res.SLO))
 	}
 
-	if *tracePath != "" {
+	if tracePath != "" {
 		if !res.Latency.HasSpans() {
 			fmt.Fprintf(stderr, "ngm-run: warning: %s records no offload spans (not an offload allocator); the trace carries counter series only\n", *kind)
 		}
-		f, err := os.Create(*tracePath)
+		f, err := os.Create(tracePath)
 		if err != nil {
 			fmt.Fprintf(stderr, "ngm-run: %v\n", err)
 			return 1
@@ -299,10 +220,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintf(stderr, "ngm-run: write %s: %v\n", *tracePath, err)
+			fmt.Fprintf(stderr, "ngm-run: write %s: %v\n", tracePath, err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "chrome trace written to %s\n", *tracePath)
+		fmt.Fprintf(stdout, "chrome trace written to %s\n", tracePath)
 	}
 
 	if *metricsPath != "" {

@@ -40,6 +40,11 @@ func TestRejectsBadFlags(t *testing.T) {
 		"bad sched":          {[]string{"-sched", "fifo"}, "unknown scheduling policy"},
 		"bad partition":      {[]string{"-partition", "thread"}, "unknown partition"},
 		"negative servers":   {[]string{"-servers", "-2"}, "negative server count"},
+		"bad failover":       {[]string{"-failover", "abc"}, "positive threshold"},
+		"bare chrome-trace":  {[]string{"-chrome-trace"}, "flag needs an argument"},
+		"bad warp":           {[]string{"-warp=maybe"}, "invalid boolean value"},
+		"failover one server": {
+			[]string{"-failover", "on"}, "needs -servers >= 2"},
 		"servers off offload": {
 			[]string{"-alloc", "mimalloc", "-servers", "2"}, "no offload server"},
 		"sched off offload": {

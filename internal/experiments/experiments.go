@@ -4,7 +4,7 @@
 //
 // Every experiment runs on sim.ScaledConfig (capacities scaled with the
 // scaled-down workloads; see EXPERIMENTS.md for the methodology) and is
-// bit-deterministic for a given Scale.
+// bit-deterministic for a given Env.
 package experiments
 
 import (
@@ -41,19 +41,41 @@ type Outcome struct {
 	Text    string
 }
 
-func runSet(w func() workload.Workload, kinds []string) []harness.Result {
-	return runAll(len(kinds), func(i int) harness.Result {
-		// Tune is the CLI's global -prealloc/-layout override (nil unless
-		// set); it only affects NextGen kinds.
-		return run(harness.Options{Allocator: kinds[i], Workload: w(), Tune: globalTune()})
-	})
+// Experiment is one entry of the Registry: the id ngm-bench selects it
+// by and the function that runs it.
+type Experiment struct {
+	ID  string
+	Run func(Env) Outcome
+}
+
+// Registry is every experiment ngm-bench can run, in its -list and
+// default run order.
+var Registry = []Experiment{
+	{"figure1", Figure1},
+	{"table1", Table1},
+	{"table2", Table2},
+	{"table3", Table3},
+	{"model", func(Env) Outcome { return Model() }},
+	{"ablate-layout", AblateLayout},
+	{"ablate-core", AblateCore},
+	{"ablate-transport", AblateTransport},
+	{"sensitivity", Sensitivity},
+	{"ablate-gc", AblateGC},
+	{"ablate-faas", AblateFaaS},
+	{"ablate-gpu", AblateGPU},
+	{"ablate-scaling", AblateScaling},
+	{"ablate-room", AblateRoom},
+	{"fault-sweep", FaultSweep},
+	{"fleet-sweep", FleetSweep},
+	{"slo-sweep", SLOSweep},
+	{"failover-sweep", FailoverSweep},
 }
 
 // Figure1 reproduces the execution-time sensitivity bars: xalanc across
 // the four classic allocators (paper: up to 1.72x between PTMalloc2 and
 // Mimalloc).
-func Figure1(s Scale) Outcome {
-	results := runSet(func() workload.Workload { return workload.DefaultXalanc(s.XalancOps) }, harness.ClassicKinds)
+func Figure1(e Env) Outcome {
+	results := e.runSet(func() workload.Workload { return workload.DefaultXalanc(e.Scale.XalancOps) }, harness.ClassicKinds)
 	labels := make([]string, len(results))
 	values := make([]float64, len(results))
 	for i, r := range results {
@@ -70,8 +92,8 @@ func Figure1(s Scale) Outcome {
 
 // Table1 reproduces the PMU-counter table for xalanc across the four
 // classic allocators.
-func Table1(s Scale) Outcome {
-	results := runSet(func() workload.Workload { return workload.DefaultXalanc(s.XalancOps) }, harness.ClassicKinds)
+func Table1(e Env) Outcome {
+	results := e.runSet(func() workload.Workload { return workload.DefaultXalanc(e.Scale.XalancOps) }, harness.ClassicKinds)
 	return Outcome{
 		ID:      "table1",
 		Results: results,
@@ -82,11 +104,11 @@ func Table1(s Scale) Outcome {
 
 // Table2 reproduces the xmalloc thread-scaling study on TCMalloc
 // (paper: LLC misses grow >10x from 1 to 8 threads).
-func Table2(s Scale) Outcome {
+func Table2(e Env) Outcome {
 	threads := []int{1, 2, 4, 8}
 	results := runAll(len(threads), func(i int) harness.Result {
-		w := &workload.Xmalloc{NThreads: threads[i], OpsPerThread: s.XmallocOps, TouchBytes: 128, Seed: 3}
-		return run(harness.Options{Allocator: "tcmalloc", Workload: w})
+		w := &workload.Xmalloc{NThreads: threads[i], OpsPerThread: e.Scale.XmallocOps, TouchBytes: 128, Seed: 3}
+		return e.run(harness.Options{Allocator: "tcmalloc", Workload: w})
 	})
 	header := []string{"# of threads"}
 	for _, n := range threads {
@@ -104,9 +126,9 @@ func Table2(s Scale) Outcome {
 // comparison on xalanc (paper: 4.51% improvement from reduced dTLB-load,
 // LLC-load and LLC-store misses). The application cores' counters are
 // compared, as perf attributes them to the process's compute cores.
-func Table3(s Scale) Outcome {
-	w := func() workload.Workload { return table3Xalanc(s) }
-	results := runSet(w, []string{"mimalloc", "nextgen", "nextgen-prealloc"})
+func Table3(e Env) Outcome {
+	w := func() workload.Workload { return table3Xalanc(e.Scale) }
+	results := e.runSet(w, []string{"mimalloc", "nextgen", "nextgen-prealloc"})
 	text := report.CounterTable("Table 3: Mimalloc vs NextGen-Malloc on xalanc (application cores)", results)
 	mi, ng, pre := results[0], results[1], results[2]
 	imp := func(r harness.Result) float64 {
@@ -155,9 +177,9 @@ func Model() Outcome {
 
 // AblateCore compares offloading to a symmetric big core vs a
 // near-memory core (paper §3.2).
-func AblateCore(s Scale) Outcome {
-	w := func() workload.Workload { return table3Xalanc(s) }
-	results := runSet(w, []string{"nextgen", "nextgen-nearmem"})
+func AblateCore(e Env) Outcome {
+	w := func() workload.Workload { return table3Xalanc(e.Scale) }
+	results := e.runSet(w, []string{"nextgen", "nextgen-nearmem"})
 	text := report.CounterTable("Ablation: offload target core type (application cores)", results)
 	for _, r := range results {
 		text += fmt.Sprintf("%s server core: cycles=%s L1miss=%s LLCmiss=%s\n",
@@ -171,7 +193,8 @@ func AblateCore(s Scale) Outcome {
 // Sensitivity reproduces the §1 claim that allocation-intensive
 // microbenchmarks (xmalloc, cache-scratch) swing >10x with the
 // allocator.
-func Sensitivity(s Scale) Outcome {
+func Sensitivity(e Env) Outcome {
+	s := e.Scale
 	wnames := []string{"xmalloc", "cache-scratch"}
 	nk := len(harness.ClassicKinds)
 	all := runAll(len(wnames)*nk, func(i int) harness.Result {
@@ -181,7 +204,7 @@ func Sensitivity(s Scale) Outcome {
 		} else {
 			w = &workload.CacheScratch{NThreads: 4, ObjSize: 8, Rounds: s.ScratchRounds, Inner: 50}
 		}
-		return run(harness.Options{Allocator: harness.ClassicKinds[i%nk], Workload: w})
+		return e.run(harness.Options{Allocator: harness.ClassicKinds[i%nk], Workload: w})
 	})
 	var b strings.Builder
 	for wi, wname := range wnames {
@@ -195,16 +218,4 @@ func Sensitivity(s Scale) Outcome {
 		b.WriteByte('\n')
 	}
 	return Outcome{ID: "sensitivity", Results: all, Text: b.String()}
-}
-
-// All runs every experiment at the given scale.
-func All(s Scale) []Outcome {
-	return []Outcome{
-		Figure1(s), Table1(s), Table2(s), Table3(s), Model(),
-		AblateLayout(s), AblateCore(s), AblateTransport(s),
-		Sensitivity(s),
-		AblateGC(s), AblateFaaS(s), AblateGPU(s), AblateScaling(s),
-		AblateRoom(s), FaultSweep(s), FleetSweep(s), SLOSweep(s),
-		FailoverSweep(s),
-	}
 }

@@ -23,7 +23,7 @@ func TestQuickFigure1(t *testing.T) {
 	}
 	s := Quick
 	s.XalancOps = 20000
-	out := Figure1(s)
+	out := Figure1(Env{Scale: s})
 	if len(out.Results) != 4 {
 		t.Fatalf("expected 4 results, got %d", len(out.Results))
 	}
@@ -42,7 +42,7 @@ func TestQuickAblateLayout(t *testing.T) {
 	}
 	s := Quick
 	s.XalancOps = 8000
-	out := AblateLayout(s)
+	out := AblateLayout(Env{Scale: s})
 	if len(out.Results) != 12 {
 		t.Fatalf("got %d results, want 12", len(out.Results))
 	}
@@ -76,19 +76,19 @@ func TestQuickExtensions(t *testing.T) {
 		t.Skip("runs several simulations")
 	}
 	t.Run("GC", func(t *testing.T) {
-		out := AblateGC(Quick)
+		out := AblateGC(Env{Scale: Quick})
 		if !strings.Contains(out.Text, "offloaded") {
 			t.Errorf("missing offloaded row:\n%s", out.Text)
 		}
 	})
 	t.Run("FaaS", func(t *testing.T) {
-		out := AblateFaaS(Quick)
+		out := AblateFaaS(Env{Scale: Quick})
 		if !strings.Contains(out.Text, "nextgen preheated") {
 			t.Errorf("missing preheated row:\n%s", out.Text)
 		}
 	})
 	t.Run("GPU", func(t *testing.T) {
-		out := AblateGPU(Quick)
+		out := AblateGPU(Env{Scale: Quick})
 		if !strings.Contains(out.Text, "speedup") {
 			t.Errorf("missing speedup line:\n%s", out.Text)
 		}
@@ -101,7 +101,7 @@ func TestQuickScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs eight simulations")
 	}
-	out := AblateScaling(Quick)
+	out := AblateScaling(Env{Scale: Quick})
 	if !strings.Contains(out.Text, "8") {
 		t.Errorf("missing 8-thread row:\n%s", out.Text)
 	}
@@ -112,7 +112,7 @@ func TestQuickRoom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two simulations")
 	}
-	out := AblateRoom(Quick)
+	out := AblateRoom(Env{Scale: Quick})
 	if !strings.Contains(out.Text, "shared room") || !strings.Contains(out.Text, "dedicated rooms") {
 		t.Errorf("missing rows:\n%s", out.Text)
 	}

@@ -15,8 +15,8 @@ import (
 // worker's cold start pays for slab carving and (for the offloaded
 // allocator) stash warmup; preheating the allocator with the function's
 // known allocation profile moves that cost off the first request.
-func AblateFaaS(s Scale) Outcome {
-	invocations := s.XalancOps / 1000
+func AblateFaaS(e Env) Outcome {
+	invocations := e.Scale.XalancOps / 1000
 	if invocations < 50 {
 		invocations = 50
 	}
@@ -49,7 +49,7 @@ func AblateFaaS(s Scale) Outcome {
 				}
 			}
 		}
-		run(opt)
+		e.run(opt)
 		cold, steady := w.ColdStart(), w.SteadyState()
 		return []string{
 			c.label,

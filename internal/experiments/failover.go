@@ -114,10 +114,10 @@ func quickFailoverCells() []failoverCell {
 
 // runFailoverCells executes the grid on the multi-tenant service
 // workload with per-tenant SLO tracking armed.
-func runFailoverCells(s Scale, cells []failoverCell) []harness.Result {
+func runFailoverCells(e Env, cells []failoverCell) []harness.Result {
 	opts := slo.DefaultOptions()
-	if sloOptions != nil {
-		opts = *sloOptions
+	if e.Base.SLO != nil {
+		opts = *e.Base.SLO
 	}
 	return runAll(len(cells), func(i int) harness.Result {
 		c := cells[i]
@@ -128,12 +128,12 @@ func runFailoverCells(s Scale, cells []failoverCell) []harness.Result {
 		}
 		r := harness.Run(harness.Options{
 			Allocator:  "nextgen",
-			Workload:   sloService(s, 8),
+			Workload:   sloService(e.Scale, 8),
 			Servers:    c.shards,
 			FaultPlans: plans,
 			Resilience: failoverResilience(c.kill > 0 && c.failover),
 			SLO:        &o,
-			Machine:    schedCfg,
+			Machine:    e.machine(),
 		})
 		r.Allocator = c.label
 		return r
@@ -272,9 +272,9 @@ func failoverOutcome(id string, s Scale, cells []failoverCell, all []harness.Res
 // down/rejoin/forward ledger, and the recovery cycle. Failover should
 // hold the worst tenant near the clean baseline; emergency-only pays
 // the blocking rejoin probe on its tenants' tail every ProbeCycles.
-func FailoverSweep(s Scale) Outcome {
-	cells := failoverCells(s)
-	return failoverOutcome("failover-sweep", s, cells, runFailoverCells(s, cells))
+func FailoverSweep(e Env) Outcome {
+	cells := failoverCells(e.Scale)
+	return failoverOutcome("failover-sweep", e.Scale, cells, runFailoverCells(e, cells))
 }
 
 // QuickFailoverSweep is the condensed CI smoke: the 4-shard topology
@@ -282,5 +282,5 @@ func FailoverSweep(s Scale) Outcome {
 // clean, at the quick scale.
 func QuickFailoverSweep() Outcome {
 	cells := quickFailoverCells()
-	return failoverOutcome("failover-sweep-quick", Quick, cells, runFailoverCells(Quick, cells))
+	return failoverOutcome("failover-sweep-quick", Quick, cells, runFailoverCells(Env{Scale: Quick}, cells))
 }

@@ -12,44 +12,6 @@ import (
 	"nextgenmalloc/internal/timeline"
 )
 
-// faultPlans / faultResilience are the global overrides installed by
-// the CLIs' -fault/-resilience flags; they apply to every harness run
-// launched through the standard experiment sets. The FaultSweep and
-// FailoverSweep own their per-cell plans and ignore them.
-var (
-	faultPlans      []fault.Plan
-	faultResilience *core.Resilience
-)
-
-// SetFault installs a single fault plan and resilience policy applied to
-// every run launched through the standard experiment sets (nil disarms).
-func SetFault(p *fault.Plan, r *core.Resilience) {
-	if p == nil {
-		SetFaults(nil, r)
-		return
-	}
-	SetFaults([]fault.Plan{*p}, r)
-}
-
-// SetFaults installs a multi-plan fault spec (each plan targeting the
-// shard its shard= selector names) and a resilience policy, applied to
-// every run launched through the standard experiment sets. Empty plans
-// and a nil policy disarm.
-func SetFaults(ps []fault.Plan, r *core.Resilience) {
-	faultPlans = ps
-	faultResilience = r
-}
-
-// ParseFault converts the CLI's -fault spec into a plan ("" or "none"
-// yields nil). It wraps fault.ParsePlan so command packages don't need
-// the fault import.
-func ParseFault(spec string) (*fault.Plan, error) { return fault.ParsePlan(spec) }
-
-// ParseFaults converts the CLI's -fault spec into a plan list: a
-// ";"-separated sequence of ParseFault specs, each optionally targeting
-// one fleet shard with shard=N. "" or "none" yields nil.
-func ParseFaults(spec string) ([]fault.Plan, error) { return fault.ParsePlans(spec) }
-
 // ParseFailover converts the CLI's -failover spec into a FailoverAfter
 // threshold (consecutive home-shard timeouts before a client re-homes
 // its mallocs). ""/"off" is 0 (disarmed, the seed behaviour);
@@ -69,10 +31,10 @@ func ParseFailover(spec string) (int, error) {
 	return int(n), nil
 }
 
-// WithFailover arms fleet failover on a resilience policy: after 0 it
+// withFailover arms fleet failover on a resilience policy: after 0 it
 // returns r unchanged; otherwise it returns a copy of r (or of the
 // default policy when r is nil) with FailoverAfter set.
-func WithFailover(r *core.Resilience, after int) *core.Resilience {
+func withFailover(r *core.Resilience, after int) *core.Resilience {
 	if after == 0 {
 		return r
 	}
@@ -133,7 +95,7 @@ func ParseResilience(spec string) (*core.Resilience, error) {
 type faultCell struct {
 	label string
 	kind  string
-	plan  *fault.Plan
+	plans []fault.Plan
 	res   *core.Resilience
 	slots int // free-ring depth (0 = kind default)
 }
@@ -150,7 +112,7 @@ func faultCells() []faultCell {
 	for _, stall := range []uint64{20000, 120000} {
 		for _, timeout := range []uint64{4000, 16000} {
 			for _, slots := range []int{64, 256} {
-				plan := &fault.Plan{
+				plan := fault.Plan{
 					Seed:          1,
 					StallStart:    50000,
 					StallCycles:   stall,
@@ -169,7 +131,7 @@ func faultCells() []faultCell {
 				cells = append(cells, faultCell{
 					label: fmt.Sprintf("ngm s%dk t%dk r%d", stall/1000, timeout/1000, slots),
 					kind:  "nextgen",
-					plan:  plan,
+					plans: []fault.Plan{plan},
 					res:   res,
 					slots: slots,
 				})
@@ -186,12 +148,12 @@ func faultCells() []faultCell {
 // degradation ledger, offload malloc p99, the share of mallocs served
 // by the local fallback, and the cycle cost against Mimalloc (the
 // "allocator without a room") and against fault-free NextGen.
-func FaultSweep(s Scale) Outcome {
+func FaultSweep(e Env) Outcome {
 	cells := faultCells()
-	// The sweep arms its own latency sampling (the global -timeline
+	// The sweep arms its own latency sampling (the Env's -timeline
 	// interval still wins when set) and calls harness.Run directly so
-	// per-cell plans are not overridden by the CLI globals.
-	interval := timelineInterval
+	// the Env's fault knobs do not override the per-cell plans.
+	interval := e.Base.SampleInterval
 	if interval == 0 {
 		interval = 4096
 	}
@@ -204,12 +166,12 @@ func FaultSweep(s Scale) Outcome {
 		}
 		r := harness.Run(harness.Options{
 			Allocator:      c.kind,
-			Workload:       table3Xalanc(s),
+			Workload:       table3Xalanc(e.Scale),
 			Tune:           tune,
-			FaultPlan:      c.plan,
+			FaultPlans:     c.plans,
 			Resilience:     c.res,
 			SampleInterval: interval,
-			Machine:        schedCfg,
+			Machine:        e.machine(),
 		})
 		r.Allocator = c.label
 		return r

@@ -46,7 +46,7 @@ func TestQuickFaultSweep(t *testing.T) {
 	}
 	s := Quick
 	s.XalancOps = 20000
-	out := FaultSweep(s)
+	out := FaultSweep(Env{Scale: s})
 	if len(out.Results) != 10 {
 		t.Fatalf("expected 10 results, got %d", len(out.Results))
 	}
@@ -76,13 +76,13 @@ func TestQuickFaultSweep(t *testing.T) {
 	}
 }
 
-// TestSetFaultArmsRuns: the CLI globals flow into the standard
-// experiment runner the same way -timeline does.
+// TestSetFaultArmsRuns: the Env's fault plans and resilience policy
+// flow into the standard experiment runner the same way -timeline does.
 func TestSetFaultArmsRuns(t *testing.T) {
 	// Periodic windows: a one-shot window this short could elapse while
 	// the server is inside a single long serve (first-touch slab carve),
 	// in which case nothing is injected.
-	plan, err := ParseFault("stall-len=60000,stall-start=30000,stall-period=240000")
+	plans, err := fault.ParsePlans("stall-len=60000,stall-start=30000,stall-period=240000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,10 @@ func TestSetFaultArmsRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetFault(plan, res)
-	defer SetFault(nil, nil)
-	r := run(harness.Options{Allocator: "nextgen", Workload: workload.DefaultXalanc(2000)})
+	e := Env{Base: harness.Options{FaultPlans: plans, Resilience: res}}
+	r := e.run(harness.Options{Allocator: "nextgen", Workload: workload.DefaultXalanc(2000)})
 	if r.Resilience == nil {
-		t.Fatal("global fault plan did not reach the run")
+		t.Fatal("the Env's fault plan did not reach the run")
 	}
 	if r.Resilience.Injected.Stalls == 0 {
 		t.Error("armed stall plan injected nothing")
@@ -102,13 +101,13 @@ func TestSetFaultArmsRuns(t *testing.T) {
 	if err := r.CheckLiveness(); err != nil {
 		t.Error(err)
 	}
-	// A sweep-owned plan must win over the globals.
-	own := &fault.Plan{SlowFactor: 2}
-	r2 := run(harness.Options{Allocator: "nextgen", Workload: workload.DefaultXalanc(2000), FaultPlan: own})
+	// A sweep-owned plan must win over the Env's.
+	own := []fault.Plan{{SlowFactor: 2}}
+	r2 := e.run(harness.Options{Allocator: "nextgen", Workload: workload.DefaultXalanc(2000), FaultPlans: own})
 	if r2.Resilience == nil || r2.Resilience.Injected.SlowdownCycles == 0 {
 		t.Error("per-run plan was not honoured")
 	}
 	if r2.Resilience.Injected.Stalls != 0 {
-		t.Error("global plan leaked into a run that owns its plan")
+		t.Error("the Env's plan leaked into a run that owns its plan")
 	}
 }

@@ -8,31 +8,10 @@ import (
 	"nextgenmalloc/internal/core"
 	"nextgenmalloc/internal/harness"
 	"nextgenmalloc/internal/report"
+	"nextgenmalloc/internal/sim"
 	"nextgenmalloc/internal/timeline"
 	"nextgenmalloc/internal/workload"
 )
-
-// fleetServers / fleetSched / fleetPartition are the global topology
-// overrides installed by the CLIs' -servers/-sched/-partition flags;
-// they apply to every offload run launched through the standard
-// experiment sets. The FleetSweep owns its per-cell topology and calls
-// harness.Run directly.
-var (
-	fleetServers   int
-	fleetSched     core.SchedPolicy
-	fleetPartition core.Partition
-)
-
-// SetFleet installs the offload topology (server shard count, ring
-// scheduling policy, shard partition) applied to every offload run
-// launched through the standard experiment sets. servers 0/1 and the
-// zero-valued policy/partition are the seed single-server fixed-scan
-// topology.
-func SetFleet(servers int, sched core.SchedPolicy, part core.Partition) {
-	fleetServers = servers
-	fleetSched = sched
-	fleetPartition = part
-}
 
 // fleetCell is one topology of the saturation sweep.
 type fleetCell struct {
@@ -66,6 +45,19 @@ func fleetCells() []fleetCell {
 	}
 	cells = append(cells, fleetCell{workers: 64, servers: 2, sched: core.RoundRobin, part: core.ByClass})
 	return cells
+}
+
+// fleetMachine is a cell's machine: one core per worker and server, and
+// long leases unless -quantum was given — they let the time warp skip
+// deep into the saturated workers' response-line waits (~7x host time on
+// the biggest cells).
+func (e Env) fleetMachine(c fleetCell) *sim.Config {
+	cfg := e.machine()
+	if !e.quantumSet() {
+		cfg.Quantum = 4096
+	}
+	cfg.Cores = c.workers + c.servers
+	return cfg
 }
 
 // fleetWorkload is the per-worker transformer: table3 allocation
@@ -157,26 +149,18 @@ func fleetRow(c fleetCell, r harness.Result) report.FleetRow {
 // busiest shard's busy share (the saturation gauge), the worst
 // per-client p99 malloc latency, and the widest per-client service gap
 // (the starvation metric).
-func FleetSweep(s Scale) Outcome {
+func FleetSweep(e Env) Outcome {
 	cells := fleetCells()
-	interval := timelineInterval
+	interval := e.Base.SampleInterval
 	if interval == 0 {
 		interval = 1 << 20
 	}
 	all := runAll(len(cells), func(i int) harness.Result {
 		c := cells[i]
-		cfg := scaledConfig()
-		cfg.Cores = c.workers + c.servers
-		if schedCfg == nil {
-			// Long leases let the time warp skip deep into the saturated
-			// workers' response-line waits (~7x host time on the biggest
-			// cells); an explicit CLI -quantum still wins.
-			cfg.Quantum = 4096
-		}
 		r := harness.Run(harness.Options{
 			Allocator:      "nextgen",
-			Workload:       fleetWorkload(s, c.workers),
-			Machine:        &cfg,
+			Workload:       fleetWorkload(e.Scale, c.workers),
+			Machine:        e.fleetMachine(c),
 			Servers:        c.servers,
 			Sched:          c.sched,
 			Partition:      c.part,

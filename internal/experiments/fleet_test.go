@@ -20,7 +20,7 @@ func TestQuickFleetSweep(t *testing.T) {
 		t.Skip("runs sixteen simulations")
 	}
 	s := Quick
-	out := FleetSweep(s)
+	out := FleetSweep(Env{Scale: s})
 	cells := fleetCells()
 	if len(out.Results) != len(cells) {
 		t.Fatalf("expected %d results, got %d", len(cells), len(out.Results))
@@ -83,30 +83,29 @@ func TestQuickFleetSweep(t *testing.T) {
 	}
 }
 
-// TestSetFleetArmsRuns: the CLI topology globals flow into the
-// standard experiment runner the same way -timeline and -fault do, and
-// a run that owns its topology wins over them.
+// TestSetFleetArmsRuns: the Env's topology flows into the standard
+// experiment runner the same way -timeline and -fault do, and a run that
+// owns its topology wins over it.
 func TestSetFleetArmsRuns(t *testing.T) {
-	SetFleet(2, core.RoundRobin, core.ByClient)
-	defer SetFleet(0, core.FixedScan, core.ByClient)
+	e := Env{Base: harness.Options{Servers: 2, Sched: core.RoundRobin}}
 
-	r := run(harness.Options{Allocator: "nextgen", Workload: workload.DefaultXalanc(2000)})
+	r := e.run(harness.Options{Allocator: "nextgen", Workload: workload.DefaultXalanc(2000)})
 	if len(r.Servers) != 2 {
-		t.Fatalf("global topology did not reach the run: %d server blocks, want 2", len(r.Servers))
+		t.Fatalf("the Env's topology did not reach the run: %d server blocks, want 2", len(r.Servers))
 	}
 	if err := r.CheckLiveness(); err != nil {
 		t.Error(err)
 	}
 
-	// Inline allocators have no server to shard; the globals must not
-	// touch them.
-	r2 := run(harness.Options{Allocator: "mimalloc", Workload: workload.DefaultXalanc(2000)})
+	// Inline allocators have no server to shard; the Env must not touch
+	// them.
+	r2 := e.run(harness.Options{Allocator: "mimalloc", Workload: workload.DefaultXalanc(2000)})
 	if len(r2.Servers) != 0 {
 		t.Errorf("topology leaked into an inline allocator run: %d server blocks", len(r2.Servers))
 	}
 
 	// A run that sets its own server count keeps it.
-	r3 := run(harness.Options{Allocator: "nextgen", Workload: workload.DefaultXalanc(2000), Servers: 1})
+	r3 := e.run(harness.Options{Allocator: "nextgen", Workload: workload.DefaultXalanc(2000), Servers: 1})
 	if len(r3.Servers) != 1 {
 		t.Errorf("per-run server count was not honoured: %d server blocks, want 1", len(r3.Servers))
 	}

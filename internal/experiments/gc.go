@@ -18,10 +18,10 @@ type gcResult struct {
 
 // runGCBench executes a GCBench-style program: a long-lived tree is
 // built once and traversed continuously while short-lived trees are
-// built and dropped, forcing regular collections. offload selects where
-// those collections run.
-func runGCBench(offload bool, shortTrees, treeDepth int) gcResult {
-	m := sim.New(scaledConfig())
+// built and dropped, forcing regular collections, on a machine built
+// from cfg. offload selects where those collections run.
+func runGCBench(cfg sim.Config, offload bool, shortTrees, treeDepth int) gcResult {
+	m := sim.New(cfg)
 	gcCore := m.Cores() - 1
 	var h *gcheap.Heap
 	var off *gcheap.Offloader
@@ -111,13 +111,13 @@ func runGCBench(offload bool, shortTrees, treeDepth int) gcResult {
 // AblateGC reproduces the §3.3.2 extension: offloading stop-the-world
 // garbage collection to the dedicated core, versus collecting on the
 // mutator's core.
-func AblateGC(s Scale) Outcome {
-	shortTrees := s.XalancOps / 1250 * 8
+func AblateGC(e Env) Outcome {
+	shortTrees := e.Scale.XalancOps / 1250 * 8
 	if shortTrees < 32 {
 		shortTrees = 32
 	}
 	both := runAll(2, func(i int) gcResult {
-		return runGCBench(i == 1, shortTrees, 9)
+		return runGCBench(*e.machine(), i == 1, shortTrees, 9)
 	})
 	inline, offl := both[0], both[1]
 

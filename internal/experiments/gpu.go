@@ -15,9 +15,9 @@ import (
 // operation (the cudaMalloc/cudaMemcpy default); in async mode all five
 // operations ride the stream and the CPU only throttles on staging-
 // buffer reuse (double buffering) — allocation latency disappears into
-// the copy, the paper's §3.3.1 proposal.
-func runGPUPipeline(async bool, batches int, bufBytes uint64) (cpuCycles uint64, st gpu.Stats) {
-	m := sim.New(scaledConfig())
+// the copy, the paper's §3.3.1 proposal. The machine is built from cfg.
+func runGPUPipeline(cfg sim.Config, async bool, batches int, bufBytes uint64) (cpuCycles uint64, st gpu.Stats) {
+	m := sim.New(cfg)
 	var e *gpu.Engine
 	m.SpawnDaemon("gpu-engine", m.Cores()-1, func(th *sim.Thread) {
 		for e == nil {
@@ -82,8 +82,8 @@ func runGPUPipeline(async bool, batches int, bufBytes uint64) (cpuCycles uint64,
 // AblateGPU reproduces the §3.3.1 extension: asynchronous device
 // allocation folded into the copy stream versus synchronous
 // allocate/copy/launch.
-func AblateGPU(s Scale) Outcome {
-	batches := s.XalancOps / 1000
+func AblateGPU(e Env) Outcome {
+	batches := e.Scale.XalancOps / 1000
 	if batches < 40 {
 		batches = 40
 	}
@@ -93,7 +93,7 @@ func AblateGPU(s Scale) Outcome {
 		stats  gpu.Stats
 	}
 	both := runAll(2, func(i int) pipeResult {
-		c, st := runGPUPipeline(i == 1, batches, bufBytes)
+		c, st := runGPUPipeline(*e.machine(), i == 1, batches, bufBytes)
 		return pipeResult{c, st}
 	})
 	syncCyc, syncStats := both[0].cycles, both[0].stats

@@ -9,15 +9,6 @@ import (
 	"nextgenmalloc/internal/workload"
 )
 
-// layoutTune is the global config override installed by the CLIs'
-// -layout flag; nil keeps each kind's default layout.
-var layoutTune func(*core.Config)
-
-// SetLayout installs a metadata-layout override for every NextGen run
-// launched through the standard experiment sets (runSet). The
-// layout-ablation sweep ignores it — its cells pin their own layouts.
-func SetLayout(tune func(*core.Config)) { layoutTune = tune }
-
 // ParseLayout converts a -layout flag value into a config tune. ""
 // returns a nil tune (keep per-kind defaults); an unknown spelling is
 // an error the CLIs turn into exit 2.
@@ -32,11 +23,11 @@ func ParseLayout(spec string) (func(*core.Config), error) {
 	return func(c *core.Config) { c.Layout = l }, nil
 }
 
-// Tunes composes config tunes left to right, skipping nils; nil when
+// tunes composes config tunes left to right, skipping nils; nil when
 // none apply.
-func Tunes(tunes ...func(*core.Config)) func(*core.Config) {
-	live := tunes[:0:0]
-	for _, t := range tunes {
+func tunes(ts ...func(*core.Config)) func(*core.Config) {
+	live := ts[:0:0]
+	for _, t := range ts {
 		if t != nil {
 			live = append(live, t)
 		}
@@ -54,12 +45,6 @@ func Tunes(tunes ...func(*core.Config)) func(*core.Config) {
 	}
 }
 
-// globalTune is the standing override the standard experiment sets
-// apply to every NextGen run: the transport flags first, then -layout.
-func globalTune() func(*core.Config) {
-	return Tunes(transportTune, layoutTune)
-}
-
 // AblateLayout quantifies the paper §3's metadata-layout trade-off with
 // the repo's own attribution telemetry: all three layouts (segregated
 // index stacks, aggregated intrusive lists, compact bitmask groups)
@@ -68,7 +53,8 @@ func globalTune() func(*core.Config) {
 // static metadata footprint next to the measured metadata-class LLC and
 // dTLB misses (worker + server cores) and cycles per malloc/free, with
 // deltas against the segregated baseline of the same transport.
-func AblateLayout(s Scale) Outcome {
+func AblateLayout(e Env) Outcome {
+	s := e.Scale
 	layouts := []core.Layout{core.Segregated, core.Aggregated, core.Compact}
 	transports := []struct{ name, kind string }{
 		{"default", "nextgen"},
@@ -86,7 +72,7 @@ func AblateLayout(s Scale) Outcome {
 	all := runAll(cells*len(workloads), func(i int) harness.Result {
 		l := layouts[i%nl]
 		tr := transports[(i%cells)/nl]
-		r := run(harness.Options{
+		r := e.run(harness.Options{
 			Allocator: tr.kind,
 			Workload:  workloads[i/cells].make(),
 			Tune:      func(c *core.Config) { c.Layout = l },

@@ -23,9 +23,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	defer SetParallelism(prev)
 
 	SetParallelism(1)
-	serial := Figure1(s)
+	serial := Figure1(Env{Scale: s})
 	SetParallelism(4)
-	parallel := Figure1(s)
+	parallel := Figure1(Env{Scale: s})
 
 	if serial.Text != parallel.Text {
 		t.Errorf("rendered text differs between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s",

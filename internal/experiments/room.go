@@ -14,9 +14,10 @@ import (
 // service functions placed either on two dedicated cores (allocator
 // core + GC core) or multiplexed on one shared core, the paper's
 // closing intro question: "Can the room be used for other functions
-// instead of exclusively for memory allocation?"
-func runSharedRoom(shared bool, rounds int) (appCycles uint64, serviceCores int, pause uint64) {
-	m := sim.New(scaledConfig())
+// instead of exclusively for memory allocation?" The machine is built
+// from cfg.
+func runSharedRoom(cfg sim.Config, shared bool, rounds int) (appCycles uint64, serviceCores int, pause uint64) {
+	m := sim.New(cfg)
 	allocCore := m.Cores() - 1
 	gcCore := m.Cores() - 2
 
@@ -109,8 +110,8 @@ func runSharedRoom(shared bool, rounds int) (appCycles uint64, serviceCores int,
 
 // AblateRoom measures the cost of multiplexing the allocator server and
 // the GC collector on one dedicated core versus giving each its own.
-func AblateRoom(s Scale) Outcome {
-	rounds := s.XalancOps / 500
+func AblateRoom(e Env) Outcome {
+	rounds := e.Scale.XalancOps / 500
 	if rounds < 100 {
 		rounds = 100
 	}
@@ -120,7 +121,7 @@ func AblateRoom(s Scale) Outcome {
 		pause  uint64
 	}
 	both := runAll(2, func(i int) roomResult {
-		c, n, p := runSharedRoom(i == 1, rounds)
+		c, n, p := runSharedRoom(*e.machine(), i == 1, rounds)
 		return roomResult{c, n, p}
 	})
 	twoCyc, twoCores, twoPause := both[0].cycles, both[0].cores, both[0].pause

@@ -15,8 +15,8 @@ import (
 // dominated, the offload worst case) on 1..8 application threads
 // against Mimalloc (per-thread heaps, embarrassingly parallel) and
 // NextGen with preallocation (one server core).
-func AblateScaling(s Scale) Outcome {
-	rounds := s.ChurnRounds / 4
+func AblateScaling(e Env) Outcome {
+	rounds := e.Scale.ChurnRounds / 4
 	if rounds < 10000 {
 		rounds = 10000
 	}
@@ -29,7 +29,7 @@ func AblateScaling(s Scale) Outcome {
 	// independent machine.
 	grid := runAll(len(threads)*len(kinds), func(i int) harness.Result {
 		n := threads[i/len(kinds)]
-		return run(harness.Options{
+		return e.run(harness.Options{
 			Allocator: kinds[i%len(kinds)],
 			Workload: &workload.Churn{
 				NThreads: n, Slots: 4000, Rounds: rounds / n,

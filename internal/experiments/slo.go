@@ -12,24 +12,6 @@ import (
 	"nextgenmalloc/internal/workload"
 )
 
-// sloOptions / sloTenants are the global overrides installed by the
-// CLIs' -slo/-tenants flags. sloOptions arms per-tenant SLO tracking on
-// every run launched through the standard experiment sets (workloads
-// that aren't slo.Observable just leave the tracker empty); sloTenants
-// overrides the SLOSweep's tenant-count axis.
-var (
-	sloOptions *slo.Options
-	sloTenants int
-)
-
-// SetSLO installs the SLO tracker options applied to every run launched
-// through the standard experiment sets (nil disarms).
-func SetSLO(o *slo.Options) { sloOptions = o }
-
-// SetTenants overrides the SLOSweep's tenant-count axis (0 restores the
-// default axis).
-func SetTenants(n int) { sloTenants = n }
-
 // ParseSLO converts the CLI's -slo spec into tracker options. "" or
 // "off" yields nil (disarmed); "on"/"default" is slo.DefaultOptions;
 // and a comma list of key=value pairs tunes individual knobs over the
@@ -85,37 +67,38 @@ type sloCell struct {
 	kind    string
 	tenants int
 	servers int
-	plan    *fault.Plan
+	plans   []fault.Plan
 }
 
 // sloStallPlan is the sweep's armed fault plan: periodic 120k-cycle
 // server stalls (the fault sweep's harshest stall length), no loss or
 // corruption — the question is purely what a stalled allocator core
 // does to tenant tail latency.
-func sloStallPlan() *fault.Plan {
-	return &fault.Plan{Seed: 1, StallStart: 50000, StallCycles: 120000, StallPeriod: 480000}
+func sloStallPlan() []fault.Plan {
+	return []fault.Plan{{Seed: 1, StallStart: 50000, StallCycles: 120000, StallPeriod: 480000}}
 }
 
 // sloCells builds the sweep grid: tenant count × allocator × fault
 // plan, plus sharded-fleet cells at the widest tenant count (1 vs 4
-// shards under the same stall plan — the fairness story).
-func sloCells() []sloCell {
+// shards under the same stall plan — the fairness story). tenants > 0
+// collapses the tenant axis to that one count.
+func sloCells(tenants int) []sloCell {
 	tenantAxis := []int{4, 12}
-	if sloTenants > 0 {
-		tenantAxis = []int{sloTenants}
+	if tenants > 0 {
+		tenantAxis = []int{tenants}
 	}
 	var cells []sloCell
 	for _, n := range tenantAxis {
 		cells = append(cells,
 			sloCell{label: fmt.Sprintf("mimalloc t%d", n), kind: "mimalloc", tenants: n},
 			sloCell{label: fmt.Sprintf("ngm clean t%d", n), kind: "nextgen", tenants: n},
-			sloCell{label: fmt.Sprintf("ngm stall t%d", n), kind: "nextgen", tenants: n, plan: sloStallPlan()},
+			sloCell{label: fmt.Sprintf("ngm stall t%d", n), kind: "nextgen", tenants: n, plans: sloStallPlan()},
 		)
 	}
 	wide := tenantAxis[len(tenantAxis)-1]
 	cells = append(cells,
 		sloCell{label: fmt.Sprintf("ngm clean t%d 4sh", wide), kind: "nextgen", tenants: wide, servers: 4},
-		sloCell{label: fmt.Sprintf("ngm stall t%d 4sh", wide), kind: "nextgen", tenants: wide, servers: 4, plan: sloStallPlan()},
+		sloCell{label: fmt.Sprintf("ngm stall t%d 4sh", wide), kind: "nextgen", tenants: wide, servers: 4, plans: sloStallPlan()},
 	)
 	return cells
 }
@@ -154,22 +137,22 @@ func worstTenantViolations(r harness.Result) uint64 {
 // cores does to the worst tenant under a stall. Headline metric per
 // cell: overall end-to-end p99 and the SLO-violation count; the worst
 // window localizes when the budget burned.
-func SLOSweep(s Scale) Outcome {
-	cells := sloCells()
+func SLOSweep(e Env) Outcome {
+	cells := sloCells(e.Tenants)
 	opts := slo.DefaultOptions()
-	if sloOptions != nil {
-		opts = *sloOptions
+	if e.Base.SLO != nil {
+		opts = *e.Base.SLO
 	}
 	all := runAll(len(cells), func(i int) harness.Result {
 		c := cells[i]
 		o := opts
 		r := harness.Run(harness.Options{
-			Allocator: c.kind,
-			Workload:  sloService(s, c.tenants),
-			Servers:   c.servers,
-			FaultPlan: c.plan,
-			SLO:       &o,
-			Machine:   schedCfg,
+			Allocator:  c.kind,
+			Workload:   sloService(e.Scale, c.tenants),
+			Servers:    c.servers,
+			FaultPlans: c.plans,
+			SLO:        &o,
+			Machine:    e.machine(),
 		})
 		r.Allocator = c.label
 		return r

@@ -51,7 +51,7 @@ func TestQuickSLOSweep(t *testing.T) {
 	}
 	s := Quick
 	s.ServiceRequests = 300
-	out := SLOSweep(s)
+	out := SLOSweep(Env{Scale: s})
 	if len(out.Results) != 8 {
 		t.Fatalf("expected 8 results, got %d", len(out.Results))
 	}
@@ -113,32 +113,31 @@ func TestQuickSLOSweep(t *testing.T) {
 	}
 }
 
-// TestSetSLOArmsRuns: the CLI's -slo global flows into the standard
+// TestSetSLOArmsRuns: the Env's SLO options flow into the standard
 // experiment runner the same way -timeline does, and a run that owns
-// its tracker options wins over the global.
+// its tracker options wins over the Env's.
 func TestSetSLOArmsRuns(t *testing.T) {
 	o := slo.DefaultOptions()
-	SetSLO(&o)
-	defer SetSLO(nil)
+	e := Env{Base: harness.Options{SLO: &o}}
 	svc := &workload.Service{NWorkers: 2, RequestsPerWorker: 40, Tenants: 4,
 		MeanGapCycles: 2000, BurstLen: 4, Seed: 5}
-	r := run(harness.Options{Allocator: "mimalloc", Workload: svc})
+	r := e.run(harness.Options{Allocator: "mimalloc", Workload: svc})
 	if r.SLO == nil || !r.SLO.HasData() {
-		t.Fatal("global SLO options did not reach the run")
+		t.Fatal("the Env's SLO options did not reach the run")
 	}
 	// A workload that never observes leaves the tracker empty (the
 	// metrics layer then omits the block).
-	r2 := run(harness.Options{Allocator: "mimalloc", Workload: workload.DefaultXalanc(1500)})
+	r2 := e.run(harness.Options{Allocator: "mimalloc", Workload: workload.DefaultXalanc(1500)})
 	if r2.SLO == nil {
 		t.Fatal("tracker not attached to non-service run")
 	}
 	if r2.SLO.HasData() {
 		t.Error("xalanc run somehow recorded tenant requests")
 	}
-	// Per-run options win over the global.
+	// Per-run options win over the Env's.
 	own := slo.DefaultOptions()
 	own.WindowCycles = 1 << 12
-	r3 := run(harness.Options{Allocator: "mimalloc", Workload: svc, SLO: &own})
+	r3 := e.run(harness.Options{Allocator: "mimalloc", Workload: svc, SLO: &own})
 	if got := r3.SLO.Options().WindowCycles; got != 1<<12 {
 		t.Errorf("per-run window %d, want %d", got, 1<<12)
 	}
@@ -147,9 +146,7 @@ func TestSetSLOArmsRuns(t *testing.T) {
 // TestSetTenantsOverridesAxis: -tenants collapses the sweep grid to one
 // tenant count.
 func TestSetTenantsOverridesAxis(t *testing.T) {
-	SetTenants(6)
-	defer SetTenants(0)
-	cells := sloCells()
+	cells := sloCells(6)
 	if len(cells) != 5 {
 		t.Fatalf("override grid has %d cells, want 5", len(cells))
 	}

@@ -7,24 +7,23 @@ import (
 	"nextgenmalloc/internal/sim"
 )
 
-// TestSetTimelineArmsRuns: the package-level tuning must thread a sample
-// interval into every experiment run, and resetting it must disarm.
+// TestSetTimelineArmsRuns: the Env's sample interval must reach every
+// experiment run, and interval 0 must disarm.
 func TestSetTimelineArmsRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	s := Quick
-	s.XalancOps = 5000
-	SetTimeline(5000)
-	defer SetTimeline(0)
-	res := run(harness.Options{Allocator: "nextgen", Workload: table3Xalanc(s)})
+	e := Env{Scale: Quick}
+	e.Scale.XalancOps = 5000
+	e.Base.SampleInterval = 5000
+	res := e.run(harness.Options{Allocator: "nextgen", Workload: table3Xalanc(e.Scale)})
 	if res.Timeline == nil || len(res.Timeline.Samples) == 0 {
-		t.Fatal("SetTimeline did not arm the sampler")
+		t.Fatal("the Env's interval did not arm the sampler")
 	}
-	SetTimeline(0)
-	res = run(harness.Options{Allocator: "nextgen", Workload: table3Xalanc(s)})
+	e.Base.SampleInterval = 0
+	res = e.run(harness.Options{Allocator: "nextgen", Workload: table3Xalanc(e.Scale)})
 	if res.Timeline != nil {
-		t.Fatal("SetTimeline(0) did not disarm the sampler")
+		t.Fatal("interval 0 did not disarm the sampler")
 	}
 }
 
@@ -38,10 +37,9 @@ func TestWarmupVersusSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation")
 	}
-	s := Quick
-	SetTimeline(10000)
-	defer SetTimeline(0)
-	res := run(harness.Options{Allocator: "nextgen", Workload: table3Xalanc(s)})
+	e := Env{Scale: Quick}
+	e.Base.SampleInterval = 10000
+	res := e.run(harness.Options{Allocator: "nextgen", Workload: table3Xalanc(e.Scale)})
 	series := res.Timeline
 	if len(series.Samples) < 4 {
 		t.Fatalf("only %d samples; need at least 4 to split halves", len(series.Samples))

@@ -10,15 +10,6 @@ import (
 	"nextgenmalloc/internal/workload"
 )
 
-// transportTune is the global config override installed by the CLIs'
-// -prealloc flag; nil leaves every kind's defaults alone.
-var transportTune func(*core.Config)
-
-// SetTransport installs a transport tune applied to every NextGen run
-// launched through the standard experiment sets (runSet). The
-// AblateTransport sweep ignores it — the sweep owns its variants.
-func SetTransport(tune func(*core.Config)) { transportTune = tune }
-
 // ParseTransport converts the CLI's -prealloc value into a config tune.
 // "" means "kind default" and yields a nil tune; otherwise prealloc is
 // one of "off", "static" (the nextgen-prealloc depth of 12), or
@@ -48,16 +39,16 @@ var transportKinds = []string{"mimalloc", "nextgen", "nextgen-prealloc", "nextge
 // avoided, free-ring publications amortized, producer stall cycles, and
 // the server's empty-poll overhead, on the Table 3 xalanc shape and on
 // allocation-dense 2-thread xmalloc.
-func AblateTransport(s Scale) Outcome {
+func AblateTransport(e Env) Outcome {
 	workloads := []func() workload.Workload{
-		func() workload.Workload { return table3Xalanc(s) },
+		func() workload.Workload { return table3Xalanc(e.Scale) },
 		func() workload.Workload {
-			return &workload.Xmalloc{NThreads: 2, OpsPerThread: s.XmallocOps, TouchBytes: 128, Seed: 3}
+			return &workload.Xmalloc{NThreads: 2, OpsPerThread: e.Scale.XmallocOps, TouchBytes: 128, Seed: 3}
 		},
 	}
 	nv := len(transportKinds)
 	all := runAll(nv*len(workloads), func(i int) harness.Result {
-		return run(harness.Options{Allocator: transportKinds[i%nv], Workload: workloads[i/nv]()})
+		return e.run(harness.Options{Allocator: transportKinds[i%nv], Workload: workloads[i/nv]()})
 	})
 	xal, xm := all[:nv], all[nv:]
 

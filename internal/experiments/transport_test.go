@@ -49,7 +49,7 @@ func TestQuickAblateTransport(t *testing.T) {
 	s := Quick
 	s.XalancOps = 20000
 	s.XmallocOps = 5000
-	out := AblateTransport(s)
+	out := AblateTransport(Env{Scale: s})
 	for _, want := range []string{"nextgen-sync", "free reqs/publication", "cycle margin over Mimalloc"} {
 		if !strings.Contains(out.Text, want) {
 			t.Errorf("sweep text missing %q:\n%s", want, out.Text)

@@ -169,7 +169,7 @@ func TestStarvationGapUnderStall(t *testing.T) {
 	stalled := opts()
 	// Periodic windows: a one-shot window can elapse inside one long
 	// serve or a warp-skipped idle stretch, injecting nothing.
-	stalled.FaultPlan = &fault.Plan{StallCycles: stall, StallStart: 30000, StallPeriod: 240000}
+	stalled.FaultPlans = []fault.Plan{{StallCycles: stall, StallStart: 30000, StallPeriod: 240000}}
 	res := Run(stalled)
 	if err := res.CheckLiveness(); err != nil {
 		t.Fatal(err)

@@ -140,26 +140,24 @@ type Options struct {
 	// (timeline.DefaultSpanCap when 0). Sweeps over big topologies
 	// raise it so per-client percentiles keep their tails.
 	SpanCapacity int
-	// FaultPlan arms deterministic fault injection on offload runs (see
-	// internal/fault); nil or unarmed means a clean run. When a plan is
-	// armed and Resilience is nil, core.DefaultResilience is applied
-	// automatically — doorbell drops and corruption are unsurvivable for
-	// the seed blocking protocol, and even a bare stall plan is only
-	// worth measuring with the degradation machinery on. Pass an explicit
-	// Resilience (possibly zero-valued) to override.
-	FaultPlan *fault.Plan
-	// FaultPlans arms several plans at once (fault.ParsePlans), each
+	// FaultPlans arms deterministic fault injection on offload runs (see
+	// internal/fault; fault.ParsePlans reads the CLI spelling), each plan
 	// targeting the shard its shard= selector names (or every shard for
-	// a broadcast plan). Takes precedence over FaultPlan when non-empty.
-	// On a sharded run every targeted shard gets its own injector seeded
-	// from the plan seed and the shard index (fault.NewShardInjector), so
-	// a plan hits the same shard with the same fault sequence regardless
-	// of topology or interleaving; a single-server run keeps the seed
-	// injector stream bit for bit.
+	// a broadcast plan); empty or unarmed plans mean a clean run. On a
+	// sharded run every targeted shard gets its own injector seeded from
+	// the plan seed and the shard index (fault.NewShardInjector), so a
+	// plan hits the same shard with the same fault sequence regardless of
+	// topology or interleaving; a single-server run keeps the seed
+	// injector stream bit for bit. When a plan is armed and Resilience is
+	// nil, core.DefaultResilience is applied automatically — doorbell
+	// drops and corruption are unsurvivable for the seed blocking
+	// protocol, and even a bare stall plan is only worth measuring with
+	// the degradation machinery on. Pass an explicit Resilience (possibly
+	// zero-valued) to override.
 	FaultPlans []fault.Plan
 	// Resilience overrides NextGen's graceful-degradation policy (applied
-	// after Tune). nil keeps the kind's default: disabled, unless
-	// FaultPlan forces the default policy on (see above). Ignored for
+	// after Tune). nil keeps the kind's default: disabled, unless an
+	// armed FaultPlans entry forces the default policy on (see above). Ignored for
 	// non-NextGen allocators.
 	Resilience *core.Resilience
 	// SLO, when non-nil, arms a per-tenant SLO tracker handed to the
@@ -226,7 +224,7 @@ type Result struct {
 	// non-NextGen allocators).
 	MetaRecordBytes int
 	// Resilience carries the degradation/fault telemetry; nil unless the
-	// run armed Options.FaultPlan(s) or a resilience policy.
+	// run armed Options.FaultPlans or a resilience policy.
 	Resilience *ResilienceTelemetry
 	// Failover carries the fleet failover telemetry: per-client routing
 	// ledgers, the re-home transition log, and fleet totals. nil unless
@@ -545,13 +543,9 @@ func RunE(opt Options) (Result, error) {
 	// i's fault sequence never depends on what the other shards are
 	// doing, the seed injector stream on a single server so pre-fleet
 	// fault runs stay byte-identical.
-	plans := opt.FaultPlans
-	if len(plans) == 0 && opt.FaultPlan != nil {
-		plans = []fault.Plan{*opt.FaultPlan}
-	}
 	var injs []*fault.Injector // per server daemon; nil entry = clean shard
 	if len(srvs) > 0 {
-		for _, p := range plans {
+		for _, p := range opt.FaultPlans {
 			if !p.Armed() {
 				continue
 			}

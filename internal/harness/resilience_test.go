@@ -41,7 +41,7 @@ func TestFaultRunLiveness(t *testing.T) {
 			res := Run(Options{
 				Allocator:  "nextgen",
 				Workload:   w,
-				FaultPlan:  &plan,
+				FaultPlans: []fault.Plan{plan},
 				Resilience: quickResilience(),
 			})
 			if err := res.CheckLiveness(); err != nil {
@@ -73,7 +73,7 @@ func TestStallPlanDegrades(t *testing.T) {
 	res := Run(Options{
 		Allocator:  "nextgen",
 		Workload:   w,
-		FaultPlan:  &fault.Plan{StallCycles: 150000, StallStart: 50000},
+		FaultPlans: []fault.Plan{{StallCycles: 150000, StallStart: 50000}},
 		Resilience: quickResilience(),
 	})
 	rt := res.Resilience
@@ -94,7 +94,7 @@ func TestFaultRunDeterminism(t *testing.T) {
 		return Run(Options{
 			Allocator:  "nextgen",
 			Workload:   w,
-			FaultPlan:  &fault.Plan{Seed: 7, StallCycles: 60000, StallStart: 40000, CorruptEveryN: 128},
+			FaultPlans: []fault.Plan{{Seed: 7, StallCycles: 60000, StallStart: 40000, CorruptEveryN: 128}},
 			Resilience: quickResilience(),
 		})
 	}
@@ -114,9 +114,9 @@ func TestFaultPlanAutoDefaultsResilience(t *testing.T) {
 	w := workload.DefaultXalanc(1500)
 	w.NodeSlots = 1000
 	res := Run(Options{
-		Allocator: "nextgen",
-		Workload:  w,
-		FaultPlan: &fault.Plan{SlowFactor: 2},
+		Allocator:  "nextgen",
+		Workload:   w,
+		FaultPlans: []fault.Plan{{SlowFactor: 2}},
 	})
 	if res.Resilience == nil {
 		t.Fatal("auto-defaulted resilience produced no telemetry")
@@ -136,9 +136,9 @@ func TestFaultPlanIgnoredOffRing(t *testing.T) {
 	w := workload.DefaultXalanc(1500)
 	w.NodeSlots = 1000
 	res := Run(Options{
-		Allocator: "mimalloc",
-		Workload:  w,
-		FaultPlan: &fault.Plan{StallCycles: 50000},
+		Allocator:  "mimalloc",
+		Workload:   w,
+		FaultPlans: []fault.Plan{{StallCycles: 50000}},
 	})
 	if res.Resilience != nil {
 		t.Fatalf("non-offload run grew resilience telemetry: %+v", res.Resilience)

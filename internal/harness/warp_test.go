@@ -31,14 +31,14 @@ func warpCases() map[string]Options {
 			Workload:  workload.DefaultXalanc(1500),
 		},
 		"fault-stall": {
-			Allocator: "nextgen",
-			Workload:  &workload.Xmalloc{NThreads: 3, OpsPerThread: 500, TouchBytes: 64, Seed: 7},
-			FaultPlan: &fault.Plan{Seed: 7, StallCycles: 60000, StallStart: 40000, StallPeriod: 200000},
+			Allocator:  "nextgen",
+			Workload:   &workload.Xmalloc{NThreads: 3, OpsPerThread: 500, TouchBytes: 64, Seed: 7},
+			FaultPlans: []fault.Plan{{Seed: 7, StallCycles: 60000, StallStart: 40000, StallPeriod: 200000}},
 		},
 		"fault-drops": {
-			Allocator: "nextgen",
-			Workload:  &workload.Xmalloc{NThreads: 3, OpsPerThread: 400, TouchBytes: 64, Seed: 9},
-			FaultPlan: &fault.Plan{Seed: 11, DropEveryN: 64, CorruptEveryN: 128},
+			Allocator:  "nextgen",
+			Workload:   &workload.Xmalloc{NThreads: 3, OpsPerThread: 400, TouchBytes: 64, Seed: 9},
+			FaultPlans: []fault.Plan{{Seed: 11, DropEveryN: 64, CorruptEveryN: 128}},
 		},
 		"fleet": {
 			Allocator: "nextgen",

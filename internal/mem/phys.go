@@ -151,14 +151,14 @@ func checkSpan(paddr uint64, size int) {
 // little-endian.
 func (p *Physical) Load(paddr uint64, size int) uint64 {
 	checkSpan(paddr, size)
-	return p.frame(paddr >> PageShift).Load(paddr&PageMask, size)
+	return p.frame(paddr>>PageShift).Load(paddr&PageMask, size)
 }
 
 // Store writes size bytes (1, 2, 4, or 8) at physical address paddr,
 // little-endian.
 func (p *Physical) Store(paddr uint64, size int, val uint64) {
 	checkSpan(paddr, size)
-	p.frame(paddr >> PageShift).Store(paddr&PageMask, size, val)
+	p.frame(paddr>>PageShift).Store(paddr&PageMask, size, val)
 }
 
 // ReadBytes copies n bytes starting at paddr into dst; the span must not

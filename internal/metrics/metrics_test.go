@@ -124,9 +124,9 @@ func TestWriteFile(t *testing.T) {
 
 func TestResilienceMetricsRoundTrip(t *testing.T) {
 	res := harness.Run(harness.Options{
-		Allocator: "nextgen",
-		Workload:  workload.DefaultXalanc(1500),
-		FaultPlan: &fault.Plan{Seed: 4, StallCycles: 80000, StallStart: 30000},
+		Allocator:  "nextgen",
+		Workload:   workload.DefaultXalanc(1500),
+		FaultPlans: []fault.Plan{{Seed: 4, StallCycles: 80000, StallStart: 30000}},
 		Resilience: &core.Resilience{
 			Enabled: true, TimeoutCycles: 4000, MaxRetries: 1,
 			BackoffCycles: 512, FallbackAfter: 1, ProbeCycles: 10000,

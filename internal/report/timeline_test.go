@@ -45,11 +45,11 @@ func timelineSeries(serverBusy bool) *timeline.Series {
 		cores := make([]timeline.CoreSample, 3)
 		for c := range cores {
 			cores[c].Counters = sim.Counters{
-				Cycles:        i * 100,
-				Instructions:  i * 1000,
-				Loads:         i * 400,
-				Stores:        i * 200,
-				LLCLoadMisses: i * 9,
+				Cycles:         i * 100,
+				Instructions:   i * 1000,
+				Loads:          i * 400,
+				Stores:         i * 200,
+				LLCLoadMisses:  i * 9,
 				DTLBLoadMisses: i,
 			}
 		}

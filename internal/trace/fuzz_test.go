@@ -19,12 +19,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(valid(nil))
 	f.Add(valid([]Op{{Kind: OpMalloc, Arg: 64}, {Kind: OpFree, Arg: 0}}))
 	f.Add(valid([]Op{{Kind: OpMalloc, Arg: 1 << 40}}))
-	f.Add([]byte{})                               // short header
-	f.Add([]byte{'N', 'G', 'T', 2})               // wrong version
-	f.Add([]byte{'N', 'G', 'T', 1})               // missing count
-	f.Add([]byte{'N', 'G', 'T', 1, 0xff, 0xff})   // truncated varint count
-	f.Add([]byte{'N', 'G', 'T', 1, 3, 1, 64})     // count 3, one op, truncated
-	f.Add([]byte{'N', 'G', 'T', 1, 1, 9, 0})      // bad op kind
+	f.Add([]byte{})                                  // short header
+	f.Add([]byte{'N', 'G', 'T', 2})                  // wrong version
+	f.Add([]byte{'N', 'G', 'T', 1})                  // missing count
+	f.Add([]byte{'N', 'G', 'T', 1, 0xff, 0xff})      // truncated varint count
+	f.Add([]byte{'N', 'G', 'T', 1, 3, 1, 64})        // count 3, one op, truncated
+	f.Add([]byte{'N', 'G', 'T', 1, 1, 9, 0})         // bad op kind
 	f.Add(valid([]Op{{Kind: OpMalloc, Arg: 8}})[:6]) // truncated mid-op
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Decode(bytes.NewReader(data))
