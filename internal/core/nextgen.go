@@ -276,9 +276,21 @@ const (
 // table of per-class cache lines the server restocks while the client
 // is still spinning on the response line, so a stash hit costs no round
 // trip at all (predictive preallocation, §3.3.2).
+//
+// The response is one word and one store: the low 17 bits of the
+// request's seq in bits 47-63 (the tag) over the malloc result (0 for a
+// sync barrier). Every simulated address is below 2^47. Only requests
+// that get an answer take a seq (frees and preheats carry none), and a
+// plain client waits on one at a time, so a wait starts with the
+// previous seq's answer (or the zeroed page's seq 0) in the word and
+// tags are exact. A resilient client's waits stay exact unless its
+// server leaves 2^17 requests in a row unanswered or answers one 2^17
+// seqs late.
 const (
-	respSeq  = 0 // server publishes the request sequence number here
-	respAddr = 8 // malloc result
+	respWord     = 0 // tag(seq)<<respTagShift | addr
+	respTagShift = 47
+	respTagMask  = 1<<64 - 1<<respTagShift
+	respTagSpan  = 1 << (64 - respTagShift) // seqs before a tag repeats
 
 	stashOff    = 64  // one SPSC slot per size class (no collisions)
 	stashSlots  = 64  // covers every class the engine serves
@@ -845,23 +857,26 @@ func (a *Allocator) Malloc(t *sim.Thread, size uint64) uint64 {
 	if a.cfg.Resilience.Enabled {
 		return a.resilientMalloc(t, c, size)
 	}
-	// Synchronous request: push and spin on the response line (the two
-	// flag variables of the paper's prototype collapse onto seq).
+	// Synchronous request: push and spin on the response word (the
+	// paper's two flag variables collapse into one tagged word).
 	c.seq++
 	c.mreq.Push(t, opMalloc|size<<8, c.seq)
-	a.awaitSeq(t, c)
-	return t.Load64(c.page + respAddr)
+	return a.awaitSeq(t, c) &^ respTagMask
 }
 
-// awaitSeq spins on the response line until the server publishes c.seq.
-// The wait is declared to the scheduler's time warp: a steady round is
-// one response-word load plus the inter-poll pause, so long waits are
-// skipped in bulk with bit-identical counters.
-func (a *Allocator) awaitSeq(t *sim.Thread, c *client) {
-	addrs := [1]uint64{c.page + respSeq}
+// answers reports whether response word v carries seq's tag.
+func answers(v, seq uint64) bool { return (v^seq<<respTagShift)&respTagMask == 0 }
+
+// awaitSeq spins on the response word until the server answers c.seq
+// and returns the word it matched. The wait is declared to the
+// scheduler's time warp: a steady round is one response-word load plus
+// the inter-poll pause, so long waits are skipped in bulk with
+// bit-identical counters.
+func (a *Allocator) awaitSeq(t *sim.Thread, c *client) (v uint64) {
+	addrs := [1]uint64{c.page + respWord}
 	t.WarpLoop(sim.WaitSpec{
 		Round: func() bool {
-			if t.AtomicLoad64(c.page+respSeq) == c.seq {
+			if v = t.AtomicLoad64(c.page + respWord); answers(v, c.seq) {
 				return true
 			}
 			t.Pause(4)
@@ -869,6 +884,7 @@ func (a *Allocator) awaitSeq(t *sim.Thread, c *client) {
 		},
 		Addrs: func() []uint64 { return addrs[:] },
 	})
+	return v
 }
 
 // Free implements alloc.Allocator.
@@ -888,7 +904,6 @@ func (a *Allocator) Free(t *sim.Thread, addr uint64) {
 		a.resilientFree(t, c, addr)
 		return
 	}
-	c.seq++
 	if a.cfg.AsyncFree {
 		// Stage the request and store the line when it fills;
 		// Malloc/Preheat/Flush publish a partial one.
@@ -970,7 +985,6 @@ func (a *Allocator) Preheat(t *sim.Thread, sizes []uint64) {
 			a.resilientPreheat(t, c, class)
 			continue
 		}
-		c.seq++
 		c.freq.Push(t, opPreheat|uint64(class)<<8, 0)
 	}
 	if a.cfg.Offload {
@@ -1344,8 +1358,7 @@ func (s *Server) serve(t *sim.Thread, c *client, fromMalloc bool, w0, w1 uint64)
 			return s.nack(t, c, fromMalloc), false
 		}
 		addr := a.engineMalloc(t, size)
-		t.Store64(c.page+respAddr, addr)
-		t.AtomicStore64(c.page+respSeq, w1)
+		t.AtomicStore64(c.page+respWord, w1<<respTagShift|addr)
 		complete = t.Clock()
 		// The client is already unblocked; restock its stash off the
 		// critical path and remember the class for idle top-ups. The
@@ -1364,10 +1377,9 @@ func (s *Server) serve(t *sim.Thread, c *client, fromMalloc bool, w0, w1 uint64)
 			return s.nack(t, c, fromMalloc), false
 		}
 		complete = t.Clock()
-		// Asynchronous: no response. (The client's seq counter advanced,
-		// so a later sync op publishes the newest seq.)
+		// Asynchronous: no response and no seq.
 	case opSync:
-		t.AtomicStore64(c.page+respSeq, w1)
+		t.AtomicStore64(c.page+respWord, w1<<respTagShift)
 		complete = t.Clock()
 	case opPreheat:
 		// Stock the class's stash and pre-carve its slab so the first

@@ -160,8 +160,8 @@ func (a *Allocator) ResilienceTelemetry() ResilienceStats {
 // ResilienceEnabled reports whether the degradation policy is armed.
 func (a *Allocator) ResilienceEnabled() bool { return a.cfg.Resilience.Enabled }
 
-// NACK words on the client page (same line as respSeq/respAddr; offsets
-// 16 and 24 were unused). Each is a counter the server bumps when it
+// NACK words on the client page (same line as the response word, which
+// fills offset 0). Each is a counter the server bumps when it
 // rejects a request from the corresponding ring; the client keeps a host
 // mirror and treats any change as "something of mine was dropped".
 const (
@@ -433,7 +433,7 @@ func (a *Allocator) awaitMalloc(t *sim.Thread, c *client, seq, size uint64) (uin
 	rs := c.res
 	backoff := r.BackoffCycles
 	repush := false
-	addrs := [2]uint64{c.page + respSeq, c.page + respNackM}
+	addrs := [2]uint64{c.page + respWord, c.page + respNackM}
 	for attempt := 0; ; attempt++ {
 		var addr uint64
 		got := false
@@ -445,12 +445,12 @@ func (a *Allocator) awaitMalloc(t *sim.Thread, c *client, seq, size uint64) (uin
 						repush = false
 					}
 				}
-				v := t.AtomicLoad64(c.page + respSeq)
-				if v == seq {
-					addr, got = t.Load64(c.page+respAddr), true
+				v := t.AtomicLoad64(c.page + respWord)
+				if answers(v, seq) {
+					addr, got = v&^respTagMask, true
 					return true
 				}
-				a.maybeReclaim(t, c, v)
+				a.maybeReclaim(c, v)
 				if nk := t.AtomicLoad64(c.page + respNackM); nk != rs.nackSeenM {
 					rs.nackSeenM = nk
 					// Only re-push when our request is provably the NACK's
@@ -483,20 +483,25 @@ func (a *Allocator) awaitMalloc(t *sim.Thread, c *client, seq, size uint64) (uin
 	}
 }
 
-// maybeReclaim catches the late response of an abandoned malloc: the
-// block is queued for a deferred free and the live-byte ledger is
-// rebalanced (the abandoned request's increment was consumed by its
-// emergency replacement, so the engine's eventual free-side decrement
-// needs an offsetting credit).
-func (a *Allocator) maybeReclaim(t *sim.Thread, c *client, v uint64) {
+// maybeReclaim catches the late response of an abandoned malloc in the
+// response word v a wait just loaded: the block is queued for a
+// deferred free and the live-byte ledger is rebalanced (the abandoned
+// request's increment was consumed by its emergency replacement, so the
+// engine's eventual free-side decrement needs an offsetting credit).
+func (a *Allocator) maybeReclaim(c *client, v uint64) {
 	rs := c.res
+	// Entries are in seq order. One 2^17 requests old shares its tag with
+	// a newer request, so its answer can no longer be told apart: drop it
+	// unreclaimed (AbandonedRequests - ReclaimedBlocks counts the leak).
+	for len(rs.abandoned) > 0 && c.seq-rs.abandoned[0].seq >= respTagSpan {
+		rs.abandoned = rs.abandoned[1:]
+	}
 	for i, ab := range rs.abandoned {
-		if ab.seq != v {
+		if !answers(v, ab.seq) {
 			continue
 		}
-		addr := t.Load64(c.page + respAddr)
 		rs.abandoned = append(rs.abandoned[:i], rs.abandoned[i+1:]...)
-		rs.deferred = append(rs.deferred, addr)
+		rs.deferred = append(rs.deferred, v&^respTagMask)
 		rs.stats.ReclaimedBlocks++
 		rs.stats.DeferredFrees++
 		if class, ok := a.sc.ClassFor(ab.size); ok {
@@ -521,10 +526,8 @@ func (a *Allocator) resilientFree(t *sim.Thread, c *client, addr uint64) {
 		return
 	}
 	a.drainDeferred(t, c)
-	c.seq++
-	seq := c.seq
 	t.Exec(sealCost)
-	if !c.freq.TryStage(t, sealWord(opFree, addr, seq), addr) {
+	if !c.freq.TryStage(t, sealWord(opFree, addr, c.seq), addr) {
 		rs.deferred = append(rs.deferred, addr)
 		rs.stats.DeferredFrees++
 		return
@@ -551,12 +554,10 @@ func (a *Allocator) drainDeferred(t *sim.Thread, c *client) {
 	rs := c.res
 	for len(rs.deferred) > 0 {
 		addr := rs.deferred[0]
-		seq := c.seq + 1
 		t.Exec(sealCost)
-		if !c.freq.TryPush(t, sealWord(opFree, addr, seq), addr) {
+		if !c.freq.TryPush(t, sealWord(opFree, addr, c.seq), addr) {
 			return
 		}
-		c.seq = seq
 		rs.deferred = rs.deferred[1:]
 	}
 }
@@ -568,7 +569,7 @@ func (a *Allocator) awaitSync(t *sim.Thread, c *client, seq uint64) bool {
 	rs := c.res
 	backoff := r.BackoffCycles
 	repush := false
-	addrs := [2]uint64{c.page + respSeq, c.page + respNackF}
+	addrs := [2]uint64{c.page + respWord, c.page + respNackF}
 	for attempt := 0; ; attempt++ {
 		got := false
 		t.WarpLoop(sim.WaitSpec{
@@ -579,12 +580,12 @@ func (a *Allocator) awaitSync(t *sim.Thread, c *client, seq uint64) bool {
 						repush = false
 					}
 				}
-				v := t.AtomicLoad64(c.page + respSeq)
-				if v == seq {
+				v := t.AtomicLoad64(c.page + respWord)
+				if answers(v, seq) {
 					got = true
 					return true
 				}
-				a.maybeReclaim(t, c, v)
+				a.maybeReclaim(c, v)
 				if nk := t.AtomicLoad64(c.page + respNackF); nk != rs.nackSeenF {
 					rs.nackSeenF = nk
 					// A free-ring NACK may be for a free rather than this
@@ -650,11 +651,8 @@ func (a *Allocator) resilientFlush(t *sim.Thread, c *client) {
 // resilientPreheat queues a preheat request without blocking; a full
 // ring drops it (preheat is advisory).
 func (a *Allocator) resilientPreheat(t *sim.Thread, c *client, class int) {
-	seq := c.seq + 1
 	t.Exec(sealCost)
-	if c.freq.TryPush(t, sealWord(opPreheat|uint64(class)<<8, 0, seq), 0) {
-		c.seq = seq
-	}
+	c.freq.TryPush(t, sealWord(opPreheat|uint64(class)<<8, 0, c.seq), 0)
 }
 
 // enterDegraded flips the client to local emergency allocation and
@@ -704,13 +702,13 @@ func (a *Allocator) pollRejoin(t *sim.Thread, c *client) bool {
 	r := &a.cfg.Resilience
 	rs := c.res
 	if rs.probeSeq != 0 {
-		v := t.AtomicLoad64(c.page + respSeq)
-		if v == rs.probeSeq {
+		v := t.AtomicLoad64(c.page + respWord)
+		if answers(v, rs.probeSeq) {
 			rs.probeSeq = 0
 			a.exitDegraded(t, c)
 			return true
 		}
-		a.maybeReclaim(t, c, v)
+		a.maybeReclaim(c, v)
 	}
 	if t.Clock()-rs.lastProbe < r.ProbeCycles {
 		return false
@@ -744,15 +742,15 @@ func (a *Allocator) tryRejoin(t *sim.Thread, c *client, force bool) bool {
 	}
 	c.freq.Republish(t) // this probe's doorbell must not be the dropped one
 	got := false
-	addrs := [1]uint64{c.page + respSeq}
+	addrs := [1]uint64{c.page + respWord}
 	t.WarpLoop(sim.WaitSpec{
 		Round: func() bool {
-			v := t.AtomicLoad64(c.page + respSeq)
-			if v == seq {
+			v := t.AtomicLoad64(c.page + respWord)
+			if answers(v, seq) {
 				got = true
 				return true
 			}
-			a.maybeReclaim(t, c, v)
+			a.maybeReclaim(c, v)
 			t.Pause(4)
 			return false
 		},

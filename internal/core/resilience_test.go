@@ -313,10 +313,11 @@ func TestServerValidationNacks(t *testing.T) {
 		// A well-formed malloc is served.
 		c.mreq.TryPush(th, sealWord(opMalloc|64<<8, 5, 5), 5)
 		drain()
-		if got := th.AtomicLoad64(c.page + respSeq); got != 5 {
-			t.Errorf("valid malloc not answered: respSeq = %d", got)
+		resp := th.AtomicLoad64(c.page + respWord)
+		if !answers(resp, 5) {
+			t.Errorf("valid malloc not answered: response word = %#x", resp)
 		}
-		addr := th.Load64(c.page + respAddr)
+		addr := resp &^ respTagMask
 		if addr == 0 {
 			t.Error("valid malloc returned 0")
 		}
@@ -419,9 +420,11 @@ func TestCorruptionNacksEndToEnd(t *testing.T) {
 
 // FuzzServeWord: the server must survive arbitrary word pairs on both
 // rings — no panic, and exactly one outcome (served or NACKed) per
-// popped request.
+// popped request. A served malloc's response word carries its request's
+// tag over an address below the tag bits; a NACK leaves the word alone.
 func FuzzServeWord(f *testing.F) {
 	f.Add(sealWord(opMalloc|64<<8, 1, 1), uint64(1), sealWord(opFree, 0x1234, 2), uint64(0x1234))
+	f.Add(sealWord(opMalloc|4096<<8, 1<<17|9, 9), uint64(1<<17|9), sealWord(opSync, 1<<20|3, 3), uint64(1<<20|3))
 	f.Add(sealWord(opSync, 3, 3), uint64(3), sealWord(opPreheat|2<<8, 0, 4), uint64(0))
 	f.Add(uint64(0), uint64(0), uint64(0), uint64(0))
 	f.Add(uint64(0xdead_beef_dead_beef), uint64(0xffff_ffff_ffff_ffff),
@@ -436,11 +439,31 @@ func FuzzServeWord(f *testing.F) {
 			srv := NewServer()
 			srv.Attach(a)
 			c := a.clientOf(th)
-			if !c.mreq.TryPush(th, w0a&^ring.TagBit, w1a) || !c.freq.TryPush(th, w0b&^ring.TagBit, w1b) {
-				t.Fatal("push into empty ring failed")
+			// One request at a time, so each leaves its own mark on the
+			// response word.
+			serve := func(r *ring.SPSC, w0, w1 uint64) {
+				w0 &^= ring.TagBit
+				before, nacked := th.AtomicLoad64(c.page+respWord), a.ResilienceTelemetry()
+				if !r.TryPush(th, w0, w1) {
+					t.Error("push into empty ring failed")
+					return
+				}
+				for srv.Poll(th) {
+				}
+				after, rs := th.AtomicLoad64(c.page+respWord), a.ResilienceTelemetry()
+				switch {
+				case rs.MallocNacks+rs.FreeNacks != nacked.MallocNacks+nacked.FreeNacks:
+					if after != before {
+						t.Errorf("NACK of %#x/%#x rewrote the response word %#x -> %#x", w0, w1, before, after)
+					}
+				case unseal(w0)&0xff == opMalloc:
+					if addr := after &^ respTagMask; !answers(after, w1) || addr < mem.MmapBase {
+						t.Errorf("malloc %#x/%#x answered %#x: want tag %#x over a heap address", w0, w1, after, w1<<respTagShift>>respTagShift)
+					}
+				}
 			}
-			for srv.Poll(th) {
-			}
+			serve(c.mreq, w0a, w1a)
+			serve(c.freq, w0b, w1b)
 			mr, fr := c.mreq.Stats(), c.freq.Stats()
 			if mr.Pops != 1 || fr.Pops != 1 {
 				t.Fatalf("pops = %d/%d, want 1/1", mr.Pops, fr.Pops)

@@ -149,9 +149,10 @@ const ringFreeGoldenSHA256 = "a7449cc214a07a34fc2d17e8e2488c947148938641e4173f3d
 // asynchronous frees leave the client cannot move: the 8 non-offload
 // xmalloc rows (their hand-off queues push one slot at a time) and the 2
 // nextgen-sync rows (a synchronous free is pushed with its barrier,
-// never staged). They do move with the ring protocol itself; recompute
-// then, and only then.
-const unstagedGoldenSHA256 = "22d35abe8021c889ef80f0e059adf03d9da75c4d657afc1595d4fab723f315af"
+// never staged). They do move with the ring protocol itself, and the 2
+// nextgen-sync rows with the response word (their barriers wait on it);
+// recompute then, and only then.
+const unstagedGoldenSHA256 = "12c56eba00885da73ef5e6a81c509b421683119249a30d88c93e0ba4331bdabc"
 
 func TestGoldenRingFreePinned(t *testing.T) {
 	data, err := os.ReadFile(goldenPath)

@@ -83,7 +83,7 @@ func DefaultConfig() Config {
 		Syscall:           mem.DefaultSyscallCosts(),
 		AtomicExtraCycles: 63,
 		FenceCycles:       20,
-		// 96-cycle leases keep cross-core event skew below the LLC
+		// 64-cycle leases keep cross-core event skew below the LLC
 		// round-trip time, so polling cores observe requests with
 		// realistic latency (coarser leases would inflate every
 		// cross-core interaction by the lease length).
