@@ -11,10 +11,10 @@
 //     like a conventional UMA (the ablation baseline).
 //   - Offload: a server daemon pinned to its own core polls per-client
 //     SPSC rings in shared memory. Malloc is a synchronous request
-//     (the client spins on a response line, as in the paper's §4.2
-//     prototype with its two flag variables); free is asynchronous and
-//     costs the client only a ring push (§3.1.2: "the entire free phase
-//     is not on the critical path").
+//     (the client spins on one tagged response word, resp.go, where the
+//     paper's §4.2 prototype uses two flag variables); free is
+//     asynchronous and costs the client only a ring push (§3.1.2: "the
+//     entire free phase is not on the critical path").
 //
 // The metadata engine keeps per-slab free-block *index stacks* of 16-bit
 // indices (the paper's suggested segregated encoding) in a dedicated
@@ -275,23 +275,9 @@ const (
 // critical path). The preallocation stash is a small direct-mapped
 // table of per-class cache lines the server restocks while the client
 // is still spinning on the response line, so a stash hit costs no round
-// trip at all (predictive preallocation, §3.3.2).
-//
-// The response is one word and one store: the low 17 bits of the
-// request's seq in bits 47-63 (the tag) over the malloc result (0 for a
-// sync barrier). Every simulated address is below 2^47. Only requests
-// that get an answer take a seq (frees and preheats carry none), and a
-// plain client waits on one at a time, so a wait starts with the
-// previous seq's answer (or the zeroed page's seq 0) in the word and
-// tags are exact. A resilient client's waits stay exact unless its
-// server leaves 2^17 requests in a row unanswered or answers one 2^17
-// seqs late.
+// trip at all (predictive preallocation, §3.3.2). The response line
+// that opens the page is resp.go's.
 const (
-	respWord     = 0 // tag(seq)<<respTagShift | addr
-	respTagShift = 47
-	respTagMask  = 1<<64 - 1<<respTagShift
-	respTagSpan  = 1 << (64 - respTagShift) // seqs before a tag repeats
-
 	stashOff    = 64  // one SPSC slot per size class (no collisions)
 	stashSlots  = 64  // covers every class the engine serves
 	stashStride = 256 // writeIdx line, readIdx line, 14 address words
@@ -320,8 +306,9 @@ type client struct {
 	page     uint64             // shared response/stash page
 	mreq     *ring.SPSC         // synchronous malloc/sync requests
 	freq     *ring.SPSC         // asynchronous frees (+ flush barriers)
-	seq      uint64             // host mirror of the next sequence number
+	seq      uint64             // the last sequence number issued (only issue writes it)
 	res      *clientResilience  // degradation state (nil when disabled)
+	spinAt   [2]uint64          // spin's warp-declared loads (a field: no allocation per wait)
 	readIdx  [stashSlots]uint64 // client-register mirrors of stash read indices
 	// hot tracks the classes this client allocated recently; the server
 	// tops up their stashes from its idle cycles.
@@ -799,11 +786,16 @@ func (a *Allocator) engineMalloc(t *sim.Thread, size uint64) uint64 {
 // shard that actually served the request.
 func (a *Allocator) noteMalloc(size uint64) {
 	a.stats.MallocCalls++
+	a.stats.LiveBytes += a.blockBytes(size)
+}
+
+// blockBytes is what a malloc of size adds to the live-byte ledger: its
+// class's block size, or whole pages for a large block.
+func (a *Allocator) blockBytes(size uint64) uint64 {
 	if class, ok := a.sc.ClassFor(size); ok {
-		a.stats.LiveBytes += a.sc.Size(class)
-	} else {
-		a.stats.LiveBytes += (size + mem.PageSize - 1) &^ (mem.PageSize - 1)
+		return a.sc.Size(class)
 	}
+	return (size + mem.PageSize - 1) &^ (mem.PageSize - 1)
 }
 
 // stashPop consumes a locally stashed block for size's class when the
@@ -857,34 +849,10 @@ func (a *Allocator) Malloc(t *sim.Thread, size uint64) uint64 {
 	if a.cfg.Resilience.Enabled {
 		return a.resilientMalloc(t, c, size)
 	}
-	// Synchronous request: push and spin on the response word (the
-	// paper's two flag variables collapse into one tagged word).
-	c.seq++
-	c.mreq.Push(t, opMalloc|size<<8, c.seq)
-	return a.awaitSeq(t, c) &^ respTagMask
-}
-
-// answers reports whether response word v carries seq's tag.
-func answers(v, seq uint64) bool { return (v^seq<<respTagShift)&respTagMask == 0 }
-
-// awaitSeq spins on the response word until the server answers c.seq
-// and returns the word it matched. The wait is declared to the
-// scheduler's time warp: a steady round is one response-word load plus
-// the inter-poll pause, so long waits are skipped in bulk with
-// bit-identical counters.
-func (a *Allocator) awaitSeq(t *sim.Thread, c *client) (v uint64) {
-	addrs := [1]uint64{c.page + respWord}
-	t.WarpLoop(sim.WaitSpec{
-		Round: func() bool {
-			if v = t.AtomicLoad64(c.page + respWord); answers(v, c.seq) {
-				return true
-			}
-			t.Pause(4)
-			return false
-		},
-		Addrs: func() []uint64 { return addrs[:] },
-	})
-	return v
+	// Synchronous request: push, then spin on the response word.
+	seq, _ := a.issue(t, c, c.mreq, opMalloc|size<<8)
+	addr, _ := a.spin(t, c, seq, 0, nil)
+	return addr
 }
 
 // Free implements alloc.Allocator.
@@ -916,9 +884,7 @@ func (a *Allocator) Free(t *sim.Thread, addr uint64) {
 	// Synchronous-free mode: chase the free with a sync barrier so the
 	// client observes completion (the ring is FIFO per client).
 	c.freq.Push(t, opFree, addr)
-	c.seq++
-	c.freq.Push(t, opSync, c.seq)
-	a.awaitSeq(t, c)
+	a.barrier(t, c)
 }
 
 // engineFree is the engine's free, with the live-byte accounting (the
@@ -1006,9 +972,7 @@ func (a *Allocator) Flush(t *sim.Thread) {
 		a.resilientFlush(t, c)
 		return
 	}
-	c.seq++
-	c.freq.Push(t, opSync, c.seq)
-	a.awaitSeq(t, c)
+	a.barrier(t, c)
 }
 
 // clientOf lazily registers the calling thread with the server.
@@ -1358,7 +1322,7 @@ func (s *Server) serve(t *sim.Thread, c *client, fromMalloc bool, w0, w1 uint64)
 			return s.nack(t, c, fromMalloc), false
 		}
 		addr := a.engineMalloc(t, size)
-		t.AtomicStore64(c.page+respWord, w1<<respTagShift|addr)
+		respond(t, c, w1, addr)
 		complete = t.Clock()
 		// The client is already unblocked; restock its stash off the
 		// critical path and remember the class for idle top-ups. The
@@ -1379,7 +1343,7 @@ func (s *Server) serve(t *sim.Thread, c *client, fromMalloc bool, w0, w1 uint64)
 		complete = t.Clock()
 		// Asynchronous: no response and no seq.
 	case opSync:
-		t.AtomicStore64(c.page+respWord, w1<<respTagShift)
+		respond(t, c, w1, 0)
 		complete = t.Clock()
 	case opPreheat:
 		// Stock the class's stash and pre-carve its slab so the first

@@ -160,15 +160,6 @@ func (a *Allocator) ResilienceTelemetry() ResilienceStats {
 // ResilienceEnabled reports whether the degradation policy is armed.
 func (a *Allocator) ResilienceEnabled() bool { return a.cfg.Resilience.Enabled }
 
-// NACK words on the client page (same line as the response word, which
-// fills offset 0). Each is a counter the server bumps when it
-// rejects a request from the corresponding ring; the client keeps a host
-// mirror and treats any change as "something of mine was dropped".
-const (
-	respNackM = 16 // malloc-ring rejections
-	respNackF = 24 // free-ring rejections
-)
-
 // --- word sealing -----------------------------------------------------------
 
 // The top byte of slot word 0 is unused by the seed protocol (op in the
@@ -214,6 +205,12 @@ func checkSeal(w0, w1 uint64) bool {
 
 // unseal strips the seal byte, recovering the seed encoding.
 func unseal(w0 uint64) uint64 { return w0 & payloadBits }
+
+// pushSealed seals the pair (w0, w1) and tries to push it on r.
+func (c *client) pushSealed(t *sim.Thread, r *ring.SPSC, w0, w1 uint64) bool {
+	t.Exec(sealCost)
+	return r.TryPush(t, sealWord(w0, w1, c.seq), w1)
+}
 
 // --- per-client degradation state -------------------------------------------
 
@@ -335,49 +332,39 @@ func (a *Allocator) emergencyFree(t *sim.Thread, c *client, addr uint64) bool {
 // resilientMalloc is Malloc's offload tail under the resilience policy:
 // sealed request, bounded wait, local fallback.
 func (a *Allocator) resilientMalloc(t *sim.Thread, c *client, size uint64) uint64 {
-	rs := c.res
 	a.drainDeferred(t, c)
-	if rs.degraded {
-		if !a.tryRejoin(t, c, false) {
-			return a.emergencyMalloc(t, c, size)
+	if !c.res.degraded || a.tryRejoin(t, c, false) {
+		if addr, ok := a.offloadMalloc(t, c, size); ok {
+			return addr
 		}
 	}
-	c.seq++
-	seq := c.seq
-	t.Exec(sealCost)
-	if !c.mreq.TryPush(t, sealWord(opMalloc|size<<8, seq, seq), seq) {
+	return a.emergencyMalloc(t, c, size)
+}
+
+// offloadMalloc is one sealed malloc under the bounded wait. On failure
+// the request is abandoned — its late answer stays catchable by
+// maybeReclaim — and enough consecutive failures flip the client into
+// degraded mode; the caller picks the fallback tier: the local
+// emergency allocator, or, under fleet failover, another shard.
+func (a *Allocator) offloadMalloc(t *sim.Thread, c *client, size uint64) (uint64, bool) {
+	rs := c.res
+	w0 := opMalloc | size<<8
+	seq, ok := a.issue(t, c, c.mreq, w0)
+	if !ok {
 		// The malloc ring is jammed with requests the server never took:
 		// don't wait for a push slot that needs the dead server to free.
 		rs.stats.Timeouts++
-		return a.mallocFailed(t, c, seq, size)
-	}
-	if addr, ok := a.awaitMalloc(t, c, seq, size); ok {
+	} else if addr, ok := a.awaitBounded(t, c, c.mreq, w0, seq); ok {
 		rs.consecFails = 0
-		return addr
+		return addr, true
 	}
-	return a.mallocFailed(t, c, seq, size)
-}
-
-// mallocAbandoned records an offloaded malloc the client gave up on —
-// the late response stays catchable via maybeReclaim — and flips into
-// degraded mode after enough consecutive failures. The caller picks the
-// fallback tier: the local emergency allocator (mallocFailed) or, under
-// fleet failover, another shard.
-func (a *Allocator) mallocAbandoned(t *sim.Thread, c *client, seq, size uint64) {
-	rs := c.res
 	rs.abandoned = append(rs.abandoned, abandonedReq{seq: seq, size: size})
 	rs.stats.AbandonedRequests++
 	rs.consecFails++
 	if !rs.degraded && rs.consecFails >= a.cfg.Resilience.FallbackAfter {
 		a.enterDegraded(t, c)
 	}
-}
-
-// mallocFailed abandons an offloaded malloc and serves it locally,
-// flipping into degraded mode after enough consecutive failures.
-func (a *Allocator) mallocFailed(t *sim.Thread, c *client, seq, size uint64) uint64 {
-	a.mallocAbandoned(t, c, seq, size)
-	return a.emergencyMalloc(t, c, size)
+	return 0, false
 }
 
 // mallocFallible is the fleet failover entry point: one full resilient
@@ -392,11 +379,8 @@ func (a *Allocator) mallocFailed(t *sim.Thread, c *client, seq, size uint64) uin
 // per malloc once marked down.
 func (a *Allocator) mallocFallible(t *sim.Thread, size uint64) (uint64, bool) {
 	c := a.clientOf(t)
-	rs := c.res
-	if rs.degraded {
-		if !a.pollRejoin(t, c) {
-			return 0, false
-		}
+	if c.res.degraded && !a.pollRejoin(t, c) {
+		return 0, false
 	}
 	t.Exec(4)
 	c.freq.Publish(t)
@@ -405,112 +389,11 @@ func (a *Allocator) mallocFallible(t *sim.Thread, size uint64) (uint64, bool) {
 		return addr, true
 	}
 	a.drainDeferred(t, c)
-	c.seq++
-	seq := c.seq
-	t.Exec(sealCost)
-	if !c.mreq.TryPush(t, sealWord(opMalloc|size<<8, seq, seq), seq) {
-		rs.stats.Timeouts++
-		a.mallocAbandoned(t, c, seq, size)
-		return 0, false
-	}
-	if addr, ok := a.awaitMalloc(t, c, seq, size); ok {
-		rs.consecFails = 0
+	addr, ok := a.offloadMalloc(t, c, size)
+	if ok {
 		a.noteMalloc(size)
-		return addr, true
 	}
-	a.mallocAbandoned(t, c, seq, size)
-	return 0, false
-}
-
-// awaitMalloc waits for seq's response: rounds of TimeoutCycles spinning
-// separated by a doorbell re-ring and an exponentially growing pause.
-// Each spinning round is declared to the time warp — a steady round
-// loads the response word and the malloc NACK word (one shared line)
-// and pauses — with the attempt deadline as the warp's Until bound, so
-// timeout expiry lands on the identical clock with warp on and off.
-func (a *Allocator) awaitMalloc(t *sim.Thread, c *client, seq, size uint64) (uint64, bool) {
-	r := &a.cfg.Resilience
-	rs := c.res
-	backoff := r.BackoffCycles
-	repush := false
-	addrs := [2]uint64{c.page + respWord, c.page + respNackM}
-	for attempt := 0; ; attempt++ {
-		var addr uint64
-		got := false
-		t.WarpLoop(sim.WaitSpec{
-			Round: func() bool {
-				if repush {
-					t.Exec(sealCost)
-					if c.mreq.TryPush(t, sealWord(opMalloc|size<<8, seq, seq), seq) {
-						repush = false
-					}
-				}
-				v := t.AtomicLoad64(c.page + respWord)
-				if answers(v, seq) {
-					addr, got = v&^respTagMask, true
-					return true
-				}
-				a.maybeReclaim(c, v)
-				if nk := t.AtomicLoad64(c.page + respNackM); nk != rs.nackSeenM {
-					rs.nackSeenM = nk
-					// Only re-push when our request is provably the NACK's
-					// subject: with abandoned requests still queued on this
-					// ring, the rejection could be one of theirs, and a
-					// speculative duplicate would leak its second response.
-					if len(rs.abandoned) == 0 {
-						rs.stats.Retries++
-						repush = true
-					}
-				}
-				t.Pause(4)
-				return false
-			},
-			Addrs: func() []uint64 { return addrs[:] },
-			Until: t.Clock() + r.TimeoutCycles,
-		})
-		if got {
-			return addr, true
-		}
-		rs.stats.Timeouts++
-		if attempt >= r.MaxRetries {
-			return 0, false
-		}
-		rs.stats.Retries++
-		// Assume the doorbell was lost: re-ring and back off.
-		c.mreq.Republish(t)
-		t.Pause(int(backoff))
-		backoff *= 2
-	}
-}
-
-// maybeReclaim catches the late response of an abandoned malloc in the
-// response word v a wait just loaded: the block is queued for a
-// deferred free and the live-byte ledger is rebalanced (the abandoned
-// request's increment was consumed by its emergency replacement, so the
-// engine's eventual free-side decrement needs an offsetting credit).
-func (a *Allocator) maybeReclaim(c *client, v uint64) {
-	rs := c.res
-	// Entries are in seq order. One 2^17 requests old shares its tag with
-	// a newer request, so its answer can no longer be told apart: drop it
-	// unreclaimed (AbandonedRequests - ReclaimedBlocks counts the leak).
-	for len(rs.abandoned) > 0 && c.seq-rs.abandoned[0].seq >= respTagSpan {
-		rs.abandoned = rs.abandoned[1:]
-	}
-	for i, ab := range rs.abandoned {
-		if !answers(v, ab.seq) {
-			continue
-		}
-		rs.abandoned = append(rs.abandoned[:i], rs.abandoned[i+1:]...)
-		rs.deferred = append(rs.deferred, v&^respTagMask)
-		rs.stats.ReclaimedBlocks++
-		rs.stats.DeferredFrees++
-		if class, ok := a.sc.ClassFor(ab.size); ok {
-			a.stats.LiveBytes += a.sc.Size(class)
-		} else {
-			a.stats.LiveBytes += (ab.size + mem.PageSize - 1) &^ (mem.PageSize - 1)
-		}
-		return
-	}
+	return addr, ok
 }
 
 // resilientFree is Free's offload tail under the resilience policy.
@@ -541,76 +424,17 @@ func (a *Allocator) resilientFree(t *sim.Thread, c *client, addr uint64) {
 	// Synchronous-free mode: bounded barrier instead of the seed's
 	// infinite spin.
 	c.freq.Publish(t)
-	c.seq++
-	bseq := c.seq
-	t.Exec(sealCost)
-	if c.freq.TryPush(t, sealWord(opSync, bseq, bseq), bseq) {
-		a.awaitSync(t, c, bseq)
-	}
+	a.barrier(t, c)
 }
 
 // drainDeferred re-queues parked frees while the ring accepts them.
 func (a *Allocator) drainDeferred(t *sim.Thread, c *client) {
 	rs := c.res
 	for len(rs.deferred) > 0 {
-		addr := rs.deferred[0]
-		t.Exec(sealCost)
-		if !c.freq.TryPush(t, sealWord(opFree, addr, c.seq), addr) {
+		if !c.pushSealed(t, c.freq, opFree, rs.deferred[0]) {
 			return
 		}
 		rs.deferred = rs.deferred[1:]
-	}
-}
-
-// awaitSync waits for a sync barrier's response (same shape as
-// awaitMalloc, on the free ring).
-func (a *Allocator) awaitSync(t *sim.Thread, c *client, seq uint64) bool {
-	r := &a.cfg.Resilience
-	rs := c.res
-	backoff := r.BackoffCycles
-	repush := false
-	addrs := [2]uint64{c.page + respWord, c.page + respNackF}
-	for attempt := 0; ; attempt++ {
-		got := false
-		t.WarpLoop(sim.WaitSpec{
-			Round: func() bool {
-				if repush {
-					t.Exec(sealCost)
-					if c.freq.TryPush(t, sealWord(opSync, seq, seq), seq) {
-						repush = false
-					}
-				}
-				v := t.AtomicLoad64(c.page + respWord)
-				if answers(v, seq) {
-					got = true
-					return true
-				}
-				a.maybeReclaim(c, v)
-				if nk := t.AtomicLoad64(c.page + respNackF); nk != rs.nackSeenF {
-					rs.nackSeenF = nk
-					// A free-ring NACK may be for a free rather than this
-					// barrier, but a duplicate barrier is idempotent — re-push
-					// unconditionally.
-					rs.stats.Retries++
-					repush = true
-				}
-				t.Pause(4)
-				return false
-			},
-			Addrs: func() []uint64 { return addrs[:] },
-			Until: t.Clock() + r.TimeoutCycles,
-		})
-		if got {
-			return true
-		}
-		rs.stats.Timeouts++
-		if attempt >= r.MaxRetries {
-			return false
-		}
-		rs.stats.Retries++
-		c.freq.Republish(t)
-		t.Pause(int(backoff))
-		backoff *= 2
 	}
 }
 
@@ -626,13 +450,8 @@ func (a *Allocator) resilientFlush(t *sim.Thread, c *client) {
 	if !rs.degraded {
 		a.drainDeferred(t, c)
 		c.freq.Publish(t) // staged frees travel ahead of the barrier
-		c.seq++
-		seq := c.seq
-		t.Exec(sealCost)
-		ok := c.freq.TryPush(t, sealWord(opSync, seq, seq), seq)
-		if ok {
-			ok = a.awaitSync(t, c, seq)
-		} else {
+		pushed, ok := a.barrier(t, c)
+		if !pushed {
 			rs.stats.Timeouts++
 		}
 		if ok {
@@ -651,8 +470,7 @@ func (a *Allocator) resilientFlush(t *sim.Thread, c *client) {
 // resilientPreheat queues a preheat request without blocking; a full
 // ring drops it (preheat is advisory).
 func (a *Allocator) resilientPreheat(t *sim.Thread, c *client, class int) {
-	t.Exec(sealCost)
-	c.freq.TryPush(t, sealWord(opPreheat|uint64(class)<<8, 0, c.seq), 0)
+	c.pushSealed(t, c.freq, opPreheat|uint64(class)<<8, 0)
 }
 
 // enterDegraded flips the client to local emergency allocation and
@@ -692,77 +510,53 @@ func (a *Allocator) settleDegraded(t *sim.Thread, c *client) {
 
 // pollRejoin is the fleet failover path's non-blocking rejoin check: a
 // degraded home shard is probed with a fire-and-forget sync barrier
-// every ProbeCycles, and each call merely glances at the response word
+// every ProbeCycles, and each call merely peeks at the response word
 // for the answer. Unlike tryRejoin it never spins out a timeout — a
 // failed-over client has a healthy shard serving it, so probing its dead
 // home must cost a load, not TimeoutCycles of its tenant's latency. (The
 // emergency path keeps the blocking probe: it has no other way back.)
 // True means the shard answered and the client has rejoined.
 func (a *Allocator) pollRejoin(t *sim.Thread, c *client) bool {
-	r := &a.cfg.Resilience
 	rs := c.res
 	if rs.probeSeq != 0 {
-		v := t.AtomicLoad64(c.page + respWord)
-		if answers(v, rs.probeSeq) {
-			rs.probeSeq = 0
+		if _, ok := a.peek(t, c, rs.probeSeq); ok {
 			a.exitDegraded(t, c)
 			return true
 		}
-		a.maybeReclaim(c, v)
 	}
-	if t.Clock()-rs.lastProbe < r.ProbeCycles {
-		return false
-	}
-	rs.lastProbe = t.Clock()
-	c.seq++
-	seq := c.seq
-	t.Exec(sealCost)
-	if c.freq.TryPush(t, sealWord(opSync, seq, seq), seq) {
-		c.freq.Republish(t) // this probe's doorbell must not be the dropped one
+	if seq, ok := a.probe(t, c, false); ok {
 		rs.probeSeq = seq
 	}
 	return false
 }
 
 // tryRejoin probes a degraded client's server with a sync barrier; on an
-// answer within one timeout it exits degraded mode. Probes are spaced
-// ProbeCycles apart unless forced (flush boundaries force one).
+// answer within one timeout it exits degraded mode.
 func (a *Allocator) tryRejoin(t *sim.Thread, c *client, force bool) bool {
-	r := &a.cfg.Resilience
+	if seq, ok := a.probe(t, c, force); ok {
+		if _, ok = a.spin(t, c, seq, t.Clock()+a.cfg.Resilience.TimeoutCycles, nil); ok {
+			a.exitDegraded(t, c)
+			return true
+		}
+		c.res.stats.Timeouts++
+	}
+	return false
+}
+
+// probe sends a rejoin probe — a sync barrier whose doorbell is re-rung,
+// so it cannot be the dropped one — once ProbeCycles have passed since
+// the last probe, or at once when forced (flush boundaries force one).
+// False means no probe left: too soon, or the ring is still jammed.
+func (a *Allocator) probe(t *sim.Thread, c *client, force bool) (seq uint64, ok bool) {
 	rs := c.res
-	if !force && t.Clock()-rs.lastProbe < r.ProbeCycles {
-		return false
+	if !force && t.Clock()-rs.lastProbe < a.cfg.Resilience.ProbeCycles {
+		return 0, false
 	}
 	rs.lastProbe = t.Clock()
-	c.seq++
-	seq := c.seq
-	t.Exec(sealCost)
-	if !c.freq.TryPush(t, sealWord(opSync, seq, seq), seq) {
-		return false // the ring is still jammed: plainly not recovered
+	if seq, ok = a.issue(t, c, c.freq, opSync); ok {
+		c.freq.Republish(t)
 	}
-	c.freq.Republish(t) // this probe's doorbell must not be the dropped one
-	got := false
-	addrs := [1]uint64{c.page + respWord}
-	t.WarpLoop(sim.WaitSpec{
-		Round: func() bool {
-			v := t.AtomicLoad64(c.page + respWord)
-			if answers(v, seq) {
-				got = true
-				return true
-			}
-			a.maybeReclaim(c, v)
-			t.Pause(4)
-			return false
-		},
-		Addrs: func() []uint64 { return addrs[:] },
-		Until: t.Clock() + r.TimeoutCycles,
-	})
-	if got {
-		a.exitDegraded(t, c)
-		return true
-	}
-	rs.stats.Timeouts++
-	return false
+	return seq, ok
 }
 
 // --- server-side validation ---------------------------------------------------

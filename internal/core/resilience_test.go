@@ -416,6 +416,79 @@ func TestCorruptionNacksEndToEnd(t *testing.T) {
 	}
 }
 
+// TestNackRepushPolicy pins what a bounded wait does when the server
+// NACKs a request on the ring it is waiting on. A malloc-ring NACK
+// re-pushes the malloc only when no abandoned request is queued: the
+// rejection could be the abandoned request's, and a duplicate malloc
+// would leak its second answer. A free-ring NACK always re-pushes the
+// barrier, since a duplicate barrier is harmless. Each case queues a
+// word whose seal fails ahead of a first-touch request (a slab carve,
+// so the NACK lands long before the answer) and counts the re-pushes.
+func TestNackRepushPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		free      bool // NACK on the free ring, waited on by a flush barrier
+		abandoned bool // an abandoned malloc is queued during the wait
+		repushes  uint64
+	}{
+		{"malloc", false, false, 1},
+		{"malloc-abandoned", false, true, 0},
+		{"barrier", true, false, 1},
+		{"barrier-abandoned", true, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := sim.New(sim.ScaledConfig())
+			srv := NewServer()
+			m.SpawnDaemon("server", 1, srv.Run)
+			m.Spawn("worker", 0, func(th *sim.Thread) {
+				cfg := DefaultConfig()
+				cfg.Resilience = DefaultResilience()
+				cfg.Resilience.TimeoutCycles = 1 << 24 // the carve must not time out
+				a := New(th, cfg)
+				srv.Attach(a)
+				c := a.clientOf(th)
+				rs := c.res
+				if tc.abandoned {
+					// Numbered but never pushed: its answer never comes.
+					c.seq++
+					rs.abandoned = append(rs.abandoned, abandonedReq{c.seq, 64})
+				}
+				r := c.mreq
+				if tc.free {
+					r = c.freq
+				}
+				if !r.TryPush(th, sealWord(opMalloc|64<<8, 0, 0)^1<<8, 0) {
+					t.Fatal("push into empty ring failed")
+				}
+				if tc.free {
+					// The preheat carves the class's slab between the NACK
+					// and the barrier's answer.
+					if !r.TryPush(th, sealWord(opPreheat|3<<8, 0, 0), 0) {
+						t.Fatal("push into ring failed")
+					}
+				}
+				pushes := r.Stats().Pushes
+				if tc.free {
+					a.Flush(th)
+				} else if p := a.Malloc(th, 64); p == 0 || len(rs.em.blocks) != 0 {
+					t.Errorf("malloc = %#x, %d emergency blocks: the wait failed", p, len(rs.em.blocks))
+				}
+				if rs.stats.MallocNacks+rs.stats.FreeNacks != 1 || rs.stats.Timeouts != 0 {
+					t.Errorf("nacks %d/%d, timeouts %d; want one NACK and no timeout",
+						rs.stats.MallocNacks, rs.stats.FreeNacks, rs.stats.Timeouts)
+				}
+				if rs.stats.Retries != tc.repushes {
+					t.Errorf("retries = %d, want %d", rs.stats.Retries, tc.repushes)
+				}
+				if got := r.Stats().Pushes - pushes; got != 1+tc.repushes {
+					t.Errorf("%d pushes for one request, want %d", got, 1+tc.repushes)
+				}
+			})
+			m.Run()
+		})
+	}
+}
+
 // --- fuzzing ----------------------------------------------------------------
 
 // FuzzServeWord: the server must survive arbitrary word pairs on both

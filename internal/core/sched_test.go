@@ -92,10 +92,9 @@ func TestMallocOvertakesFreeBacklog(t *testing.T) {
 				// between the push and the wait.
 				request := func(th *sim.Thread) {
 					c := a.clientOf(th)
-					c.seq++
-					c.mreq.Push(th, opMalloc|64<<8, c.seq)
+					seq, _ := a.issue(th, c, c.mreq, opMalloc|64<<8)
 					seenAtPush = append(seenAtPush, len(rec.Spans))
-					a.awaitSeq(th, c)
+					a.spin(th, c, seq, 0, nil)
 				}
 				turn, done := 0, 0 // host-side hand-over between the two clients
 				m.Spawn("freer", 0, func(th *sim.Thread) {

@@ -6,6 +6,7 @@ import (
 
 	"nextgenmalloc/internal/core"
 	"nextgenmalloc/internal/harness"
+	"nextgenmalloc/internal/metrics"
 	"nextgenmalloc/internal/report"
 	"nextgenmalloc/internal/workload"
 )
@@ -33,6 +34,10 @@ func TestQuickFleetSweep(t *testing.T) {
 		if len(r.Servers) != cells[i].servers {
 			t.Errorf("%s: %d server telemetry blocks, want %d",
 				r.Allocator, len(r.Servers), cells[i].servers)
+		}
+		if m := metrics.FromResult(r); len(m.Servers) != cells[i].servers {
+			t.Errorf("%s: metrics document carries %d server blocks, want %d",
+				r.Allocator, len(m.Servers), cells[i].servers)
 		}
 		var perClient uint64
 		for _, sv := range r.Servers {

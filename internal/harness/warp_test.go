@@ -13,9 +13,11 @@ import (
 // plain offload, synchronous offload (client response spins), adaptive
 // prealloc (idle top-up gauges in the steady round), an armed fault
 // plan with resilience (stall horizons and deadline waits), an armed
-// timeline sampler (probe cadence must survive warp), and a sharded
-// fleet (four servers each declaring their own clients' ring poll
-// words while eight workers spin on responses).
+// timeline sampler (probe cadence must survive warp), a sharded fleet
+// (four servers each declaring their own clients' ring poll words while
+// eight workers spin on responses), and a fleet whose shard 1 stalls
+// periodically under failover (bounded waits, forwarded mallocs, and
+// rejoin probes polled and answered).
 func warpCases() map[string]Options {
 	return map[string]Options{
 		"offload": {
@@ -44,6 +46,13 @@ func warpCases() map[string]Options {
 			Allocator: "nextgen",
 			Workload:  &workload.Xmalloc{NThreads: 8, OpsPerThread: 400, TouchBytes: 64, Seed: 3},
 			Servers:   4,
+		},
+		"fleet-failover": {
+			Allocator:  "nextgen",
+			Workload:   fleetXalanc(4, 3000),
+			Servers:    4,
+			FaultPlans: []fault.Plan{{Seed: 1, StallStart: 200000, StallCycles: 600000, StallPeriod: 2000000, Shard: 1}},
+			Resilience: patientFailover(),
 		},
 		"timeline-armed": {
 			Allocator:      "nextgen",
@@ -82,6 +91,17 @@ func TestWarpEquivalence(t *testing.T) {
 			}
 			t.Logf("windows=%d rounds=%d cyclesWarped=%d largest=%d",
 				warp.Windows, warp.Rounds, warp.CyclesWarped, warp.LargestSkip)
+			if name == "fleet-failover" {
+				// The case must keep driving failover both ways: down
+				// (forwarded mallocs) and back (a rejoin probe answered).
+				fo := on.Failover
+				if fo == nil || fo.Totals.Downs == 0 || fo.Totals.Rejoins == 0 {
+					t.Fatalf("failover not exercised both ways: %+v", fo)
+				}
+				t.Logf("downs=%d rejoins=%d forwarded=%d abandoned=%d reclaimed=%d",
+					fo.Totals.Downs, fo.Totals.Rejoins, fo.Totals.ForwardedMallocs,
+					on.Resilience.Client.AbandonedRequests, on.Resilience.Client.ReclaimedBlocks)
+			}
 		})
 	}
 }

@@ -633,11 +633,15 @@ func (f File) Encode() ([]byte, error) {
 	return json.MarshalIndent(f, "", "  ")
 }
 
-// WriteFile writes the file to path, reporting close errors (the last
-// chance to see ENOSPC).
+// WriteFile validates the encoded document and writes it to path,
+// reporting close errors (the last chance to see ENOSPC). A document
+// that fails Validate is not written: path is left untouched.
 func (f File) WriteFile(path string) error {
 	data, err := f.Encode()
 	if err != nil {
+		return err
+	}
+	if err := Validate(data); err != nil {
 		return err
 	}
 	out, err := os.Create(path)

@@ -122,6 +122,32 @@ func TestWriteFile(t *testing.T) {
 	}
 }
 
+// TestWriteFileRejectsInvalid: a document that fails Validate is never
+// written — no new file appears, and an existing one keeps its bytes.
+func TestWriteFileRejectsInvalid(t *testing.T) {
+	dir := t.TempDir()
+	for name, f := range map[string]File{
+		"no experiments": NewFile(),
+		"no allocator":   NewFile(Experiment{ID: "a", Results: []Result{{Workload: "w"}}}),
+	} {
+		fresh, kept := filepath.Join(dir, name+".json"), filepath.Join(dir, name+"-kept.json")
+		if err := os.WriteFile(kept, []byte("old\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{fresh, kept} {
+			if err := f.WriteFile(path); err == nil {
+				t.Errorf("%s: WriteFile(%s) accepted an invalid document", name, filepath.Base(path))
+			}
+		}
+		if _, err := os.Stat(fresh); !os.IsNotExist(err) {
+			t.Errorf("%s: invalid document created %s (stat: %v)", name, fresh, err)
+		}
+		if data, err := os.ReadFile(kept); err != nil || string(data) != "old\n" {
+			t.Errorf("%s: existing file now reads %q (%v), want it untouched", name, data, err)
+		}
+	}
+}
+
 func TestResilienceMetricsRoundTrip(t *testing.T) {
 	res := harness.Run(harness.Options{
 		Allocator:  "nextgen",
