@@ -221,17 +221,7 @@ func writeChromeTrace(path string, outcomes []experiments.Outcome) error {
 			if r.Timeline == nil {
 				continue
 			}
-			tr := timeline.TraceRun{
-				Name:       fmt.Sprintf("%s/%s/%s", out.ID, r.Allocator, r.Workload),
-				Series:     r.Timeline,
-				Latency:    r.Latency,
-				ServerCore: r.ServerCore,
-			}
-			if r.SLO != nil {
-				tr.Tenants = r.SLO.TraceSpans()
-			}
-			tr.Failover = r.Failover.TraceEvents()
-			runs = append(runs, tr)
+			runs = append(runs, r.TraceRun(fmt.Sprintf("%s/%s/%s", out.ID, r.Allocator, r.Workload)))
 		}
 	}
 	f, err := os.Create(path)

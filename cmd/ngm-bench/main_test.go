@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"nextgenmalloc/internal/experiments"
+	"nextgenmalloc/internal/metrics"
 )
 
 func runCLI(args ...string) (int, string, string) {
@@ -223,5 +224,82 @@ func TestDefaultSpellingsBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(on, off) {
 		t.Error("-warp=false changed table3's simulated numbers")
+	}
+}
+
+// TestQuickSuiteMetricsValid runs every registry experiment at quick
+// scale through the CLI and checks the run exits cleanly and leaves a
+// metrics document that validates: each experiment must run end to end
+// and emit schema-clean results.
+func TestQuickSuiteMetricsValid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole quick suite, about a minute on 2 CPUs")
+	}
+	path := filepath.Join(t.TempDir(), "all.json")
+	if rc, _, stderr := runCLI("-scale", "quick", "-metrics", path, "all"); rc != 0 {
+		t.Fatalf("exit %d, stderr: %s", rc, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := metrics.Validate(data); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestChromeTraceEvents: a sampled table3 run writes a valid metrics
+// document carrying its timelines, and a Chrome trace holding counter
+// ("C") and span ("X") events, with every event on a pid/tid track and
+// every non-metadata event timestamped.
+func TestChromeTraceEvents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs table3 with the sampler armed")
+	}
+	dir := t.TempDir()
+	metricsPath, tracePath := filepath.Join(dir, "timeline.json"), filepath.Join(dir, "trace.json")
+	if rc, _, stderr := runCLI("-scale", "quick", "-timeline", "50000",
+		"-metrics", metricsPath, "-chrome-trace", tracePath, "table3"); rc != 0 {
+		t.Fatalf("exit %d, stderr: %s", rc, stderr)
+	}
+	data, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := metrics.Validate(data); err != nil {
+		t.Error(err)
+	}
+	if !bytes.Contains(data, []byte(`"timeline"`)) {
+		t.Error("the sampled run's metrics document carries no timeline")
+	}
+	if data, err = os.ReadFile(tracePath); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph           string
+			Pid, Tid, Ts json.RawMessage
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.TraceEvents) == 0 {
+		t.Fatal("traceEvents is empty")
+	}
+	phases := map[string]int{}
+	for i, ev := range doc.TraceEvents {
+		phases[ev.Ph]++
+		if ev.Pid == nil || ev.Tid == nil {
+			t.Fatalf("event %d (ph %q) lacks pid or tid", i, ev.Ph)
+		}
+		if ev.Ph != "M" && ev.Ts == nil {
+			t.Fatalf("event %d (ph %q) lacks ts", i, ev.Ph)
+		}
+	}
+	for _, ph := range []string{"C", "X"} {
+		if phases[ph] == 0 {
+			t.Errorf("no %q events among %d: %v", ph, len(doc.TraceEvents), phases)
+		}
 	}
 }

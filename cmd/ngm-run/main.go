@@ -205,17 +205,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "ngm-run: %v\n", err)
 			return 1
 		}
-		tr := timeline.TraceRun{
-			Name:       fmt.Sprintf("%s/%s", *kind, *wname),
-			Series:     res.Timeline,
-			Latency:    res.Latency,
-			ServerCore: res.ServerCore,
-		}
-		if res.SLO != nil {
-			tr.Tenants = res.SLO.TraceSpans()
-		}
-		tr.Failover = res.Failover.TraceEvents()
-		err = timeline.WriteChromeTrace(f, []timeline.TraceRun{tr})
+		err = timeline.WriteChromeTrace(f, []timeline.TraceRun{res.TraceRun(fmt.Sprintf("%s/%s", *kind, *wname))})
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

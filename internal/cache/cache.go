@@ -383,19 +383,14 @@ func (s *System) fillPrivate(c int, tag uint64, state byte, l2line *line) uint64
 	return extra
 }
 
-// SameLineFast attempts the model update for an access the caller
+// SameLineFastClass attempts the model update for an access the caller
 // believes lands on the line core c touched last. It succeeds only when
 // the line is still L1-resident under the same tag and in a state that
 // requires no coherence action (any state for a read; Modified or
 // Exclusive for a write). On success it applies the exact side effects
 // the full Access path would — demand counter, LRU touch, E->M upgrade —
 // and returns (L1HitCycles, true); otherwise it changes nothing and the
-// caller must take Access.
-func (s *System) SameLineFast(c int, tag uint64, isWrite bool) (uint64, bool) {
-	return s.SameLineFastClass(c, tag, isWrite, region.User)
-}
-
-// SameLineFastClass is SameLineFast with the access attributed to cls.
+// caller must take Access. The access is attributed to cls.
 func (s *System) SameLineFastClass(c int, tag uint64, isWrite bool, cls region.Class) (uint64, bool) {
 	cc := s.cores[c]
 	l := cc.mru
@@ -420,18 +415,13 @@ func (s *System) SameLineFastClass(c int, tag uint64, isWrite bool, cls region.C
 	return s.cfg.L1HitCycles, true
 }
 
-// SameLineBatch retires k back-to-back accesses to one line in a single
-// step: the line must be core c's MRU line, L1-resident, and (for
-// writes) owned. On success the demand counters advance by k, the LRU
+// SameLineBatchClass retires k back-to-back accesses to one line in a
+// single step: the line must be core c's MRU line, L1-resident, and
+// (for writes) owned. On success the demand counters advance by k, the LRU
 // tick advances by k with the line stamped at the final tick, and an
 // Exclusive line upgrades to Modified once — the exact state k
 // successive L1-hit accesses would leave. Returns the per-access hit
-// cycles.
-func (s *System) SameLineBatch(c int, tag uint64, isWrite bool, k uint64) (uint64, bool) {
-	return s.SameLineBatchClass(c, tag, isWrite, k, region.User)
-}
-
-// SameLineBatchClass is SameLineBatch with the accesses attributed to cls.
+// cycles. The accesses are attributed to cls.
 func (s *System) SameLineBatchClass(c int, tag uint64, isWrite bool, k uint64, cls region.Class) (uint64, bool) {
 	cc := s.cores[c]
 	l := cc.mru

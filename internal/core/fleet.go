@@ -7,6 +7,7 @@ import (
 	"nextgenmalloc/internal/fault"
 	"nextgenmalloc/internal/ring"
 	"nextgenmalloc/internal/sim"
+	"nextgenmalloc/internal/timeline"
 )
 
 // Partition selects how a Fleet routes requests to its server shards.
@@ -66,7 +67,7 @@ type Fleet struct {
 	// order, plus a bounded host-side event log for the trace.
 	fclients map[int]*fleetClient
 	forder   []int
-	events   []FailoverEvent
+	events   []timeline.FailoverEvent
 	dropped  uint64 // events past the log cap
 }
 
@@ -93,15 +94,6 @@ type ClientFailover struct {
 	Downs            uint64
 	Rejoins          uint64
 	ForwardedMallocs uint64
-}
-
-// FailoverEvent is one re-home transition (host-side trace record): at
-// Cycle, Thread moved its malloc traffic From one shard To another.
-type FailoverEvent struct {
-	Cycle  uint64
-	Thread int
-	From   int
-	To     int
 }
 
 // failoverEventCap bounds the event log; transitions past it still
@@ -319,7 +311,7 @@ func (f *Fleet) noteEvent(t *sim.Thread, from, to int) {
 		f.dropped++
 		return
 	}
-	f.events = append(f.events, FailoverEvent{
+	f.events = append(f.events, timeline.FailoverEvent{
 		Cycle: t.Clock(), Thread: t.ID(), From: from, To: to,
 	})
 }
@@ -328,7 +320,7 @@ func (f *Fleet) noteEvent(t *sim.Thread, from, to int) {
 // first-touch order), the transition event log, and the fleet-wide
 // totals. armed is false (and everything empty) when failover never
 // engaged a routing decision — the disarmed fleet records nothing.
-func (f *Fleet) FailoverTelemetry() (clients []ClientFailover, events []FailoverEvent, totals FailoverStats, armed bool) {
+func (f *Fleet) FailoverTelemetry() (clients []ClientFailover, events []timeline.FailoverEvent, totals FailoverStats, armed bool) {
 	if !f.FailoverArmed() {
 		return nil, nil, FailoverStats{}, false
 	}
@@ -347,7 +339,7 @@ func (f *Fleet) FailoverTelemetry() (clients []ClientFailover, events []Failover
 		totals.ForwardedMallocs += fc.forwarded
 	}
 	totals.DroppedEvents = f.dropped
-	return clients, append([]FailoverEvent(nil), f.events...), totals, true
+	return clients, append([]timeline.FailoverEvent(nil), f.events...), totals, true
 }
 
 // Free implements alloc.Allocator.

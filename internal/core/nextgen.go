@@ -218,6 +218,19 @@ func compactStride(size uint64) uint64 {
 	return compactHdrBytes + compactGroupUnits*size
 }
 
+// compactUnit decomposes a block's offset rel from its slab base into
+// its group g and unit index i within the group; ok is false when rel
+// falls in a group header or inside a unit. Host arithmetic only: the
+// callers charge its simulated cost.
+func compactUnit(rel, size uint64) (g, i uint64, ok bool) {
+	stride := compactStride(size)
+	off := rel % stride
+	if off < compactHdrBytes || (off-compactHdrBytes)%size != 0 {
+		return 0, 0, false
+	}
+	return rel / stride, (off - compactHdrBytes) / size, true
+}
+
 // compactCapacity is how many units fit in spanBytes under the compact
 // geometry: full groups plus a trailing partial group behind its own
 // header.
@@ -687,19 +700,16 @@ func (a *Allocator) slabPush(t *sim.Thread, rec uint64, class int, addr uint64) 
 		t.Store16(rec+slStack+top*2, idx)
 	case Compact:
 		size := a.sc.Size(class)
-		stride := compactStride(size)
 		t.Exec(4) // group/unit decompose
 		base := t.Load64(rec + slBase)
-		rel := addr - base
-		g, off := rel/stride, rel%stride
-		if off < compactHdrBytes || (off-compactHdrBytes)%size != 0 {
+		g, i, ok := compactUnit(addr-base, size)
+		if !ok {
 			panic(fmt.Sprintf("core: compact free of unaligned address %#x (class %d)", addr, class))
 		}
-		i := (off - compactHdrBytes) / size
 		if a.cfg.Resilience.Enabled {
 			// Hardened mode reads the in-band offset byte: it must carry
 			// tag|index or the address never came from this group.
-			if b := t.Load8(base + g*stride + i); b != compactIdxTag|i {
+			if b := t.Load8(base + g*compactStride(size) + i); b != compactIdxTag|i {
 				panic(fmt.Sprintf("core: compact free %#x: offset byte %#x, want %#x", addr, b, compactIdxTag|i))
 			}
 		}

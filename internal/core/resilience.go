@@ -605,17 +605,11 @@ func (a *Allocator) validSmallFree(t *sim.Thread, rec, classWord, addr uint64) b
 		// in-band offset byte and group ordinal, and reject a free
 		// whose mask bit is already set (per-unit double-free
 		// detection, stronger than the slab-level slTop check).
-		stride := compactStride(size)
-		rel := addr - base
-		g, off := rel/stride, rel%stride
-		if off < compactHdrBytes || (off-compactHdrBytes)%size != 0 {
+		g, i, ok := compactUnit(addr-base, size)
+		if !ok || g*compactGroupUnits+i >= t.Load64(rec+slCapacity) {
 			return false
 		}
-		i := (off - compactHdrBytes) / size
-		if g*compactGroupUnits+i >= t.Load64(rec+slCapacity) {
-			return false
-		}
-		hdr := base + g*stride
+		hdr := base + g*compactStride(size)
 		if t.Load8(hdr+i) != compactIdxTag|i || t.Load64(hdr+compactHdrIdx) != g {
 			return false
 		}

@@ -292,12 +292,20 @@ func TestStallFallbackAndRecovery(t *testing.T) {
 
 // TestServerValidationNacks feeds the server hand-crafted ring words —
 // corrupt, malformed, and hostile — on a single thread (Poll driven
-// directly) and checks each is NACKed, not served, not panicked on.
+// directly) and checks each is NACKed, not served, not panicked on,
+// under every metadata layout.
 func TestServerValidationNacks(t *testing.T) {
+	for _, l := range []Layout{Segregated, Aggregated, Compact} {
+		t.Run(l.String(), func(t *testing.T) { serverValidationNacks(t, l) })
+	}
+}
+
+func serverValidationNacks(t *testing.T, l Layout) {
 	m := sim.New(sim.ScaledConfig())
 	m.Spawn("worker", 0, func(th *sim.Thread) {
 		cfg := DefaultConfig()
 		cfg.Resilience = DefaultResilience()
+		cfg.Layout = l
 		a := New(th, cfg)
 		srv := NewServer()
 		srv.Attach(a)

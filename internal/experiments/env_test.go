@@ -34,6 +34,7 @@ func TestRunFlagsRejects(t *testing.T) {
 		{[]string{"-resilience", "timeout"}, "not key=value"},
 		{[]string{"-resilience", "timeout=abc"}, "bad value"},
 		{[]string{"-resilience", "warp=1"}, "unknown key"},
+		{[]string{"-resilience", "timeout=1,timeout=2"}, "duplicate key"},
 		{[]string{"-failover", "-1"}, "positive threshold"},
 		{[]string{"-failover", "1.5"}, "positive threshold"},
 		{[]string{"-servers", "-2"}, "negative server count"},
@@ -44,6 +45,7 @@ func TestRunFlagsRejects(t *testing.T) {
 		{[]string{"-slo", "window=abc"}, "bad value"},
 		{[]string{"-slo", "window=0"}, "window must be positive"},
 		{[]string{"-slo", "target-ppm=0"}, "target-ppm must be positive"},
+		{[]string{"-slo", "window=1,window=2"}, "duplicate key"},
 		{[]string{"-timeline", "fast"}, "invalid value"},
 		{[]string{"-timeline", "-100"}, "invalid value"},
 		{[]string{"-timeline", "1.5"}, "invalid value"},

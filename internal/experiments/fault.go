@@ -62,16 +62,8 @@ func ParseResilience(spec string) (*core.Resilience, error) {
 		return &r, nil
 	}
 	r := core.DefaultResilience()
-	for _, part := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("resilience: %q is not key=value", part)
-		}
-		n, err := strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("resilience: bad value in %q: %v", part, err)
-		}
-		switch strings.TrimSpace(k) {
+	err := fault.ParseKV("resilience", spec, func(k string, n uint64) error {
+		switch k {
 		case "timeout":
 			r.TimeoutCycles = n
 		case "retries":
@@ -85,8 +77,12 @@ func ParseResilience(spec string) (*core.Resilience, error) {
 		case "max-request":
 			r.MaxRequestBytes = n
 		default:
-			return nil, fmt.Errorf("resilience: unknown key %q (want timeout, retries, backoff, fallback, probe, or max-request)", k)
+			return fmt.Errorf("resilience: unknown key %q (want timeout, retries, backoff, fallback, probe, or max-request)", k)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &r, nil
 }

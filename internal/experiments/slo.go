@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"nextgenmalloc/internal/fault"
@@ -28,19 +27,11 @@ func ParseSLO(spec string) (*slo.Options, error) {
 		return &o, nil
 	}
 	o := slo.DefaultOptions()
-	for _, part := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("slo: %q is not key=value", part)
-		}
-		n, err := strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("slo: bad value in %q: %v", part, err)
-		}
-		switch strings.TrimSpace(k) {
+	err := fault.ParseKV("slo", spec, func(k string, n uint64) error {
+		switch k {
 		case "window":
 			if n == 0 {
-				return nil, fmt.Errorf("slo: window must be positive")
+				return fmt.Errorf("slo: window must be positive")
 			}
 			o.WindowCycles = n
 		case "interactive":
@@ -51,12 +42,16 @@ func ParseSLO(spec string) (*slo.Options, error) {
 			o.SpanCap = int(n)
 		case "target-ppm":
 			if n == 0 {
-				return nil, fmt.Errorf("slo: target-ppm must be positive")
+				return fmt.Errorf("slo: target-ppm must be positive")
 			}
 			o.TargetRate = float64(n) / 1e6
 		default:
-			return nil, fmt.Errorf("slo: unknown key %q (want window, interactive, bulk, spans, or target-ppm)", k)
+			return fmt.Errorf("slo: unknown key %q (want window, interactive, bulk, spans, or target-ppm)", k)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &o, nil
 }

@@ -115,21 +115,7 @@ func ParsePlan(spec string) (*Plan, error) {
 		return nil, nil
 	}
 	p := &Plan{}
-	seen := map[string]bool{}
-	for _, kv := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return nil, fmt.Errorf("fault: %q is not key=value", kv)
-		}
-		k = strings.TrimSpace(k)
-		if seen[k] {
-			return nil, fmt.Errorf("fault: duplicate key %q in %q", k, spec)
-		}
-		seen[k] = true
-		n, err := strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("fault: bad value in %q: %v", kv, err)
-		}
+	err := ParseKV("fault", spec, func(k string, n uint64) error {
 		switch k {
 		case "seed":
 			p.Seed = n
@@ -150,12 +136,16 @@ func ParsePlan(spec string) (*Plan, error) {
 			p.SlowFactor = n
 		case "shard":
 			if n > 1<<20 {
-				return nil, fmt.Errorf("fault: implausible shard index %d", n)
+				return fmt.Errorf("fault: implausible shard index %d", n)
 			}
 			p.Shard = int(n) + 1
 		default:
-			return nil, fmt.Errorf("fault: unknown key %q (want seed, stall-start, stall-len, stall-period, drop, corrupt, slow, shard)", k)
+			return fmt.Errorf("fault: unknown key %q (want seed, stall-start, stall-len, stall-period, drop, corrupt, slow, shard)", k)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if p.StallPeriod > 0 && p.StallPeriod <= p.StallCycles {
 		return nil, fmt.Errorf("fault: stall-period %d must exceed stall-len %d", p.StallPeriod, p.StallCycles)
@@ -205,6 +195,34 @@ func ParsePlans(spec string) ([]Plan, error) {
 		return nil, fmt.Errorf("fault: broadcast plan mixed with shard-targeted plans in %q", spec)
 	}
 	return plans, nil
+}
+
+// ParseKV walks a comma-separated key=value spec of unsigned integers,
+// calling set with each trimmed key and its value in spec order. A pair
+// without "=", a value that is not an unsigned integer and a repeated
+// key are errors prefixed with prefix; an error from set is returned as
+// is. The -fault, -resilience and -slo flags all parse through it.
+func ParseKV(prefix, spec string, set func(key string, n uint64) error) error {
+	seen := map[string]bool{}
+	for _, kv := range strings.Split(spec, ",") {
+		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
+		if !ok {
+			return fmt.Errorf("%s: %q is not key=value", prefix, kv)
+		}
+		k = strings.TrimSpace(k)
+		if seen[k] {
+			return fmt.Errorf("%s: duplicate key %q in %q", prefix, k, spec)
+		}
+		seen[k] = true
+		n, err := strconv.ParseUint(strings.TrimSpace(v), 10, 64)
+		if err != nil {
+			return fmt.Errorf("%s: bad value in %q: %v", prefix, kv, err)
+		}
+		if err := set(k, n); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Stats counts what the injector actually did (host-side telemetry).

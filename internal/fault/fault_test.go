@@ -28,6 +28,7 @@ func TestParsePlan(t *testing.T) {
 		{spec: "stall-len", err: "not key=value"},
 		{spec: "stall-len=abc", err: "bad value"},
 		{spec: "warp=9", err: "unknown key"},
+		{spec: "drop=1,drop=2", err: "duplicate key"},
 		{spec: "stall-len=100,stall-period=100", err: "must exceed"},
 		{spec: "stall-start=5", err: "without stall-len"},
 		{spec: "seed=3", err: "injects nothing"},

@@ -268,22 +268,9 @@ type FailoverTelemetry struct {
 	Clients []core.ClientFailover
 	// Events is the re-home transition log (bounded; overflow is counted
 	// in Totals.DroppedEvents), feeding the Chrome trace.
-	Events []core.FailoverEvent
+	Events []timeline.FailoverEvent
 	// Totals aggregates the per-client ledgers.
 	Totals core.FailoverStats
-}
-
-// TraceEvents converts the transition log to the timeline's trace form
-// (nil-safe: a run without failover telemetry yields no events).
-func (fo *FailoverTelemetry) TraceEvents() []timeline.FailoverEvent {
-	if fo == nil {
-		return nil
-	}
-	out := make([]timeline.FailoverEvent, len(fo.Events))
-	for i, ev := range fo.Events {
-		out[i] = timeline.FailoverEvent{Cycle: ev.Cycle, Thread: ev.Thread, From: ev.From, To: ev.To}
-	}
-	return out
 }
 
 // ServerTelemetry is one server daemon's slice of a (possibly sharded)
@@ -342,6 +329,23 @@ func (tel *OffloadTelemetry) Add(o OffloadTelemetry) {
 	tel.ServerIdleCycles += o.ServerIdleCycles
 	tel.ServerEmptyPolls += o.ServerEmptyPolls
 	tel.ServerEmptyPollCycles += o.ServerEmptyPollCycles
+}
+
+// TraceRun packages the run as one Chrome-trace process named name: its
+// sampled counter series, offload spans, tenant request spans and
+// failover transitions.
+func (r Result) TraceRun(name string) timeline.TraceRun {
+	tr := timeline.TraceRun{
+		Name:       name,
+		Series:     r.Timeline,
+		Latency:    r.Latency,
+		ServerCore: r.ServerCore,
+		Tenants:    r.SLO.TraceSpans(),
+	}
+	if r.Failover != nil {
+		tr.Failover = r.Failover.Events
+	}
+	return tr
 }
 
 // MetaShare returns the metadata class's share of LLC misses and of

@@ -79,8 +79,7 @@ const (
 // first time they are touched and are always zero-filled, mirroring
 // demand-zero allocation.
 type Physical struct {
-	dir    [][]*Frame // two-level page directory: dir[pfn>>dirShift][pfn&dirMask]
-	frames int        // live frame count
+	dir [][]*Frame // two-level page directory: dir[pfn>>dirShift][pfn&dirMask]
 
 	// MRU translation cache: the last frame touched. mruPFN is pfn+1 so
 	// the zero value never matches (pfn 0 is reserved anyway).
@@ -92,9 +91,6 @@ type Physical struct {
 func NewPhysical() *Physical {
 	return &Physical{}
 }
-
-// Frames reports how many physical frames have been touched.
-func (p *Physical) Frames() int { return p.frames }
 
 func (p *Physical) frame(pfn uint64) *Frame {
 	if pfn+1 == p.mruPFN {
@@ -113,7 +109,6 @@ func (p *Physical) frame(pfn uint64) *Frame {
 	if f == nil {
 		f = new(Frame)
 		chunk[pfn&dirMask] = f
-		p.frames++
 	}
 	p.mruPFN, p.mruFrame = pfn+1, f
 	return f
@@ -131,7 +126,6 @@ func (p *Physical) Release(pfn uint64) {
 	c := pfn >> dirShift
 	if c < uint64(len(p.dir)) && p.dir[c] != nil && p.dir[c][pfn&dirMask] != nil {
 		p.dir[c][pfn&dirMask] = nil
-		p.frames--
 	}
 	if pfn+1 == p.mruPFN {
 		p.mruPFN, p.mruFrame = 0, nil
@@ -159,28 +153,4 @@ func (p *Physical) Load(paddr uint64, size int) uint64 {
 func (p *Physical) Store(paddr uint64, size int, val uint64) {
 	checkSpan(paddr, size)
 	p.frame(paddr>>PageShift).Store(paddr&PageMask, size, val)
-}
-
-// ReadBytes copies n bytes starting at paddr into dst; the span must not
-// cross a page boundary.
-func (p *Physical) ReadBytes(paddr uint64, dst []byte) {
-	checkSpan(paddr, len(dst))
-	f := p.frame(paddr >> PageShift)
-	copy(dst, f[paddr&PageMask:])
-}
-
-// WriteBytes copies src into physical memory at paddr; the span must not
-// cross a page boundary.
-func (p *Physical) WriteBytes(paddr uint64, src []byte) {
-	checkSpan(paddr, len(src))
-	f := p.frame(paddr >> PageShift)
-	copy(f[paddr&PageMask:], src)
-}
-
-// Zero clears n bytes at paddr within one page.
-func (p *Physical) Zero(paddr uint64, n int) {
-	checkSpan(paddr, n)
-	f := p.frame(paddr >> PageShift)
-	off := paddr & PageMask
-	clear(f[off : off+uint64(n)])
 }

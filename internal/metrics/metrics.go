@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 
+	"nextgenmalloc/internal/core"
 	"nextgenmalloc/internal/fault"
 	"nextgenmalloc/internal/harness"
 	"nextgenmalloc/internal/region"
@@ -680,11 +681,11 @@ func Validate(data []byte) error {
 			if r.Allocator == "" || r.Workload == "" {
 				return fmt.Errorf("metrics: experiment %q result %d lacks allocator/workload", e.ID, i)
 			}
-			switch r.Layout {
-			case "", "segregated", "aggregated", "compact":
-			default:
-				return fmt.Errorf("metrics: experiment %q result %d (%s/%s) has unknown layout %q",
-					e.ID, i, r.Allocator, r.Workload, r.Layout)
+			if r.Layout != "" {
+				if _, err := core.ParseLayout(r.Layout); err != nil {
+					return fmt.Errorf("metrics: experiment %q result %d (%s/%s): %v",
+						e.ID, i, r.Allocator, r.Workload, err)
+				}
 			}
 			for _, cls := range region.Classes() {
 				if _, ok := r.Classes[cls.String()]; !ok {

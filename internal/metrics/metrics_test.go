@@ -92,13 +92,14 @@ func TestSchemaFieldNamesAreStable(t *testing.T) {
 
 func TestValidateRejectsMalformed(t *testing.T) {
 	for name, doc := range map[string]string{
-		"not json":      `{"schema":`,
-		"wrong schema":  `{"schema":"ngm-metrics/v0","experiments":[{"id":"a","results":[]}]}`,
-		"no exps":       `{"schema":"ngm-metrics/v1","experiments":[]}`,
-		"empty id":      `{"schema":"ngm-metrics/v1","experiments":[{"id":"","results":[]}]}`,
-		"no results":    `{"schema":"ngm-metrics/v1","experiments":[{"id":"a","results":[]}]}`,
-		"no alloc":      `{"schema":"ngm-metrics/v1","experiments":[{"id":"a","results":[{"workload":"w"}]}]}`,
-		"missing class": `{"schema":"ngm-metrics/v1","experiments":[{"id":"a","results":[{"allocator":"x","workload":"w","classes":{"user":{}}}]}]}`,
+		"not json":       `{"schema":`,
+		"wrong schema":   `{"schema":"ngm-metrics/v0","experiments":[{"id":"a","results":[]}]}`,
+		"no exps":        `{"schema":"ngm-metrics/v1","experiments":[]}`,
+		"empty id":       `{"schema":"ngm-metrics/v1","experiments":[{"id":"","results":[]}]}`,
+		"no results":     `{"schema":"ngm-metrics/v1","experiments":[{"id":"a","results":[]}]}`,
+		"no alloc":       `{"schema":"ngm-metrics/v1","experiments":[{"id":"a","results":[{"workload":"w"}]}]}`,
+		"missing class":  `{"schema":"ngm-metrics/v1","experiments":[{"id":"a","results":[{"allocator":"x","workload":"w","classes":{"user":{}}}]}]}`,
+		"unknown layout": `{"schema":"ngm-metrics/v1","experiments":[{"id":"a","results":[{"allocator":"x","workload":"w","layout":"bitmap","classes":{"user":{},"metadata":{},"ring":{},"global":{}}}]}]}`,
 	} {
 		if err := Validate([]byte(doc)); err == nil {
 			t.Errorf("Validate accepted %s document", name)

@@ -59,8 +59,6 @@ type Config struct {
 	// RMW; with the 4-cycle L1 hit this lands on the paper's 67-cycle
 	// Atomic Read-Modify-Write figure [3].
 	AtomicExtraCycles uint64
-	// FenceCycles is the cost of a full memory barrier.
-	FenceCycles uint64
 	// Quantum is the scheduler lease slack in cycles; smaller values
 	// interleave threads more finely at higher simulation cost.
 	Quantum uint64
@@ -82,7 +80,6 @@ func DefaultConfig() Config {
 		Profile:           BigCoreProfile(),
 		Syscall:           mem.DefaultSyscallCosts(),
 		AtomicExtraCycles: 63,
-		FenceCycles:       20,
 		// 64-cycle leases keep cross-core event skew below the LLC
 		// round-trip time, so polling cores observe requests with
 		// realistic latency (coarser leases would inflate every

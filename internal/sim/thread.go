@@ -86,7 +86,7 @@ type Thread struct {
 
 	// lastLine is the line tag of this thread's previous memory access,
 	// +1 so the zero value never matches. Only when the next access lands
-	// on the same line is the O(1) SameLineFast probe worth attempting;
+	// on the same line is the O(1) SameLineFastClass probe worth attempting;
 	// everything else goes straight to the full hierarchy walk.
 	lastLine uint64
 	// lastE memoizes the micro-TLB slot the previous scalar access
@@ -229,15 +229,13 @@ func (t *Thread) Store(vaddr uint64, size int, val uint64) {
 	e.frame.Store(vaddr&mem.PageMask, size, val)
 }
 
-// Load8/16/32/64 and Store8/16/32/64 are sized conveniences.
+// Load8/16/64 and Store8/16/64 are sized conveniences.
 func (t *Thread) Load8(a uint64) uint64  { return t.Load(a, 1) }
 func (t *Thread) Load16(a uint64) uint64 { return t.Load(a, 2) }
-func (t *Thread) Load32(a uint64) uint64 { return t.Load(a, 4) }
 func (t *Thread) Load64(a uint64) uint64 { return t.Load(a, 8) }
 
 func (t *Thread) Store8(a, v uint64)  { t.Store(a, 1, v) }
 func (t *Thread) Store16(a, v uint64) { t.Store(a, 2, v) }
-func (t *Thread) Store32(a, v uint64) { t.Store(a, 4, v) }
 func (t *Thread) Store64(a, v uint64) { t.Store(a, 8, v) }
 
 // atomic performs the locked-RMW access pattern: an exclusive (write)
@@ -289,13 +287,6 @@ func (t *Thread) AtomicLoad64(vaddr uint64) uint64 {
 // AtomicStore64 is a release store.
 func (t *Thread) AtomicStore64(vaddr, v uint64) {
 	t.Store64(vaddr, v)
-}
-
-// Fence retires a full memory barrier.
-func (t *Thread) Fence() {
-	t.step()
-	t.instr++
-	t.clock += t.m.cfg.FenceCycles
 }
 
 // Pause models a spin-wait hint (cheap stall without an instruction

@@ -20,9 +20,6 @@ type SpinLock struct {
 // mapped and zeroed).
 func NewSpinLock(addr uint64) SpinLock { return SpinLock{addr: addr} }
 
-// Addr returns the lock word's address.
-func (l SpinLock) Addr() uint64 { return l.addr }
-
 // Lock acquires the lock, spinning with backoff under contention. The
 // contended wait is declared to the scheduler's time warp: once the
 // backoff caps, a held lock makes every round an identical lock-word

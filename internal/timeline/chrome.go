@@ -24,8 +24,8 @@ type TraceRun struct {
 }
 
 // FailoverEvent is one shard re-home transition: at Cycle, Thread moved
-// its malloc traffic From one shard To another. Mirrors the fleet's
-// event record without importing core (core imports timeline).
+// its malloc traffic From one shard To another. The fleet records these
+// directly (a bounded host-side log).
 type FailoverEvent struct {
 	Cycle  uint64
 	Thread int
