@@ -230,7 +230,10 @@ func TestDefaultSpellingsBitIdentical(t *testing.T) {
 // TestQuickSuiteMetricsValid runs every registry experiment at quick
 // scale through the CLI and checks the run exits cleanly and leaves a
 // metrics document that validates: each experiment must run end to end
-// and emit schema-clean results.
+// and emit schema-clean results. At this scale slo-sweep's cells must
+// all carry an slo block, and the stall plan must worsen the worst
+// window: the most violations in any window over the single-shard stall
+// cells exceeds the same over the single-shard clean cells.
 func TestQuickSuiteMetricsValid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole quick suite, about a minute on 2 CPUs")
@@ -245,6 +248,33 @@ func TestQuickSuiteMetricsValid(t *testing.T) {
 	}
 	if err := metrics.Validate(data); err != nil {
 		t.Error(err)
+	}
+	var doc metrics.File
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	worst := map[string]uint64{} // "ngm clean" / "ngm stall" -> max worst-window violations
+	for _, exp := range doc.Experiments {
+		if exp.ID != "slo-sweep" {
+			continue
+		}
+		for _, r := range exp.Results {
+			if r.SLO == nil {
+				t.Fatalf("slo-sweep cell %q lacks an slo block", r.Allocator)
+			}
+			if strings.HasSuffix(r.Allocator, "4sh") || r.SLO.WorstWindow == nil {
+				continue
+			}
+			for _, plan := range []string{"ngm clean", "ngm stall"} {
+				if strings.HasPrefix(r.Allocator, plan) {
+					worst[plan] = max(worst[plan], r.SLO.WorstWindow.Violations)
+				}
+			}
+		}
+	}
+	if worst["ngm stall"] <= worst["ngm clean"] {
+		t.Errorf("slo-sweep: the stall plan did not worsen the worst window: clean %d, stall %d",
+			worst["ngm clean"], worst["ngm stall"])
 	}
 }
 

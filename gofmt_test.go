@@ -10,25 +10,14 @@ import (
 	"testing"
 )
 
-// TestGofmt fails for every .go file the go tool builds or tests whose
-// bytes differ from gofmt's output. Like the go tool, it ignores names
-// beginning with "." or "_" and testdata directories.
+// TestGofmt fails for every .go file under the module root whose bytes
+// differ from gofmt's output. It checks what "gofmt -l ." checks: every
+// directory is walked, and only file names beginning with "." are
+// ignored.
 func TestGofmt(t *testing.T) {
-	ignored := func(name string) bool {
-		return strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
-	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || d.IsDir() || strings.HasPrefix(d.Name(), ".") || !strings.HasSuffix(d.Name(), ".go") {
 			return err
-		}
-		if d.IsDir() {
-			if path != "." && (ignored(d.Name()) || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if ignored(d.Name()) || !strings.HasSuffix(d.Name(), ".go") {
-			return nil
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
