@@ -79,19 +79,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	sel := experiments.Registry
-	if ids := fs.Args(); len(ids) > 0 && !(len(ids) == 1 && ids[0] == "all") {
-		// Validate every id before running anything: a typo late in the
-		// list must not throw away minutes of completed experiments.
-		sel = nil
-		for _, id := range ids {
-			i := slices.IndexFunc(experiments.Registry, func(x experiments.Experiment) bool { return x.ID == id })
-			if i < 0 {
-				fmt.Fprintf(stderr, "ngm-bench: unknown experiment %q (try -list)\n", id)
-				return 2
-			}
-			sel = append(sel, experiments.Registry[i])
-		}
+	sel, err := selectExperiments(fs.Args())
+	if err != nil {
+		fmt.Fprintf(stderr, "ngm-bench: %v (try -list)\n", err)
+		return 2
 	}
 
 	if *parallel < 1 {
@@ -118,7 +109,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	outcomes := runExperiments(sel, env, *parallel, stdout, stderr)
+	// Print each outcome in selection order as soon as it and every
+	// earlier one have finished; above -parallel 1 the experiments all
+	// run at once and completions are also announced on stderr.
+	rendered := make([]string, len(sel))
+	next := 0
+	outcomes := experiments.RunSuite(sel, env, func(i int, out experiments.Outcome, d time.Duration) {
+		d = d.Round(time.Millisecond)
+		if *parallel > 1 {
+			fmt.Fprintf(stderr, "ngm-bench: %s done (%s)\n", out.ID, d)
+		}
+		rendered[i] = fmt.Sprintf("=== %s (scale=%s) ===\n%s\n[%s elapsed]\n\n", out.ID, env.Scale.Name, out.Text, d)
+		for ; next < len(sel) && rendered[next] != ""; next++ {
+			fmt.Fprint(stdout, rendered[next])
+		}
+	})
 
 	if *jsonPath != "" {
 		if err := writeJSON(*jsonPath, outcomes); err != nil {
@@ -137,14 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *metricsPath != "" {
-		var exps []metrics.Experiment
-		for _, out := range outcomes {
-			if len(out.Results) == 0 {
-				continue // synthetic experiments (model) carry no PMU runs
-			}
-			exps = append(exps, metrics.FromResults(out.ID, out.Results))
-		}
-		if err := metrics.NewFile(exps...).WriteFile(*metricsPath); err != nil {
+		if err := experiments.Metrics(outcomes).WriteFile(*metricsPath); err != nil {
 			fmt.Fprintf(stderr, "ngm-bench: %v\n", err)
 			return 1
 		}
@@ -170,46 +168,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runExperiments executes the selected experiments and prints each
-// outcome in selection order. At -parallel 1 the loop streams: each
-// experiment prints as soon as it finishes. Above 1 all experiments
-// launch at once (their machine fan-out is bounded by the shared
-// semaphore in internal/experiments), completions are announced on
-// stderr, and stdout still renders strictly in order.
-func runExperiments(sel []experiments.Experiment, env experiments.Env, parallel int, stdout, stderr io.Writer) []experiments.Outcome {
-	outcomes := make([]experiments.Outcome, len(sel))
-	elapsed := make([]time.Duration, len(sel))
-	if parallel == 1 {
-		for i, x := range sel {
-			start := time.Now()
-			outcomes[i] = x.Run(env)
-			elapsed[i] = time.Since(start)
-			printOutcome(stdout, outcomes[i], env.Scale, elapsed[i])
+// selectExperiments resolves the command-line experiment ids: none, or
+// the single id "all", selects the whole registry; otherwise each id in
+// order. Every id is validated before anything runs, so a typo late in
+// the list cannot throw away minutes of completed experiments.
+func selectExperiments(ids []string) ([]experiments.Experiment, error) {
+	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
+		return experiments.Registry, nil
+	}
+	sel := make([]experiments.Experiment, 0, len(ids))
+	for _, id := range ids {
+		i := slices.IndexFunc(experiments.Registry, func(x experiments.Experiment) bool { return x.ID == id })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown experiment %q", id)
 		}
-		return outcomes
+		sel = append(sel, experiments.Registry[i])
 	}
-	done := make([]chan struct{}, len(sel))
-	for i := range sel {
-		done[i] = make(chan struct{})
-	}
-	for i, x := range sel {
-		go func(i int, x experiments.Experiment) {
-			defer close(done[i])
-			start := time.Now()
-			outcomes[i] = x.Run(env)
-			elapsed[i] = time.Since(start)
-			fmt.Fprintf(stderr, "ngm-bench: %s done (%s)\n", x.ID, elapsed[i].Round(time.Millisecond))
-		}(i, x)
-	}
-	for i := range sel {
-		<-done[i]
-		printOutcome(stdout, outcomes[i], env.Scale, elapsed[i])
-	}
-	return outcomes
-}
-
-func printOutcome(w io.Writer, out experiments.Outcome, scale experiments.Scale, d time.Duration) {
-	fmt.Fprintf(w, "=== %s (scale=%s) ===\n%s\n[%s elapsed]\n\n", out.ID, scale.Name, out.Text, d.Round(time.Millisecond))
+	return sel, nil
 }
 
 // writeChromeTrace bundles every sampled run of every outcome into one

@@ -101,18 +101,33 @@ func TestModelRunsWithFleetFlags(t *testing.T) {
 }
 
 // TestTable3ShardedTopology: -servers/-sched reshape the standard
-// experiments' offload runs end to end through the CLI.
+// experiments' offload runs end to end through the CLI: the offload
+// kinds report one server block per shard, and the inline allocator
+// none.
 func TestTable3ShardedTopology(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs six simulations")
+		t.Skip("runs three simulations")
 	}
+	path := filepath.Join(t.TempDir(), "table3.json")
 	rc, stdout, stderr := runCLI("-scale", "quick", "-parallel", "2",
-		"-servers", "2", "-sched", "round-robin", "table3")
+		"-servers", "2", "-sched", "round-robin", "-metrics", path, "table3")
 	if rc != 0 {
 		t.Fatalf("exit %d, stderr: %s", rc, stderr)
 	}
 	if !strings.Contains(stdout, "Table 3") {
 		t.Errorf("table3 output missing:\n%s", stdout)
+	}
+	doc := readMetrics(t, path)
+	if len(doc.Experiments) != 1 || len(doc.Experiments[0].Results) != 3 {
+		t.Fatalf("want one experiment of three results, got %+v", doc.Experiments)
+	}
+	for _, r := range doc.Experiments[0].Results {
+		want, ok := map[string]int{"mimalloc": 0, "nextgen": 2, "nextgen-prealloc": 2}[r.Allocator]
+		if !ok {
+			t.Errorf("unexpected table3 result %q", r.Allocator)
+		} else if len(r.Servers) != want {
+			t.Errorf("%s: %d server blocks, want %d", r.Allocator, len(r.Servers), want)
+		}
 	}
 }
 
@@ -227,21 +242,9 @@ func TestDefaultSpellingsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestQuickSuiteMetricsValid runs every registry experiment at quick
-// scale through the CLI and checks the run exits cleanly and leaves a
-// metrics document that validates: each experiment must run end to end
-// and emit schema-clean results. At this scale slo-sweep's cells must
-// all carry an slo block, and the stall plan must worsen the worst
-// window: the most violations in any window over the single-shard stall
-// cells exceeds the same over the single-shard clean cells.
-func TestQuickSuiteMetricsValid(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the whole quick suite, about a minute on 2 CPUs")
-	}
-	path := filepath.Join(t.TempDir(), "all.json")
-	if rc, _, stderr := runCLI("-scale", "quick", "-metrics", path, "all"); rc != 0 {
-		t.Fatalf("exit %d, stderr: %s", rc, stderr)
-	}
+// readMetrics reads and validates a metrics document the CLI wrote.
+func readMetrics(t *testing.T, path string) metrics.File {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -253,28 +256,53 @@ func TestQuickSuiteMetricsValid(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	worst := map[string]uint64{} // "ngm clean" / "ngm stall" -> max worst-window violations
-	for _, exp := range doc.Experiments {
-		if exp.ID != "slo-sweep" {
-			continue
+	return doc
+}
+
+// TestQuickSuiteMetricsValid: -metrics writes one validated document
+// holding every selected experiment that has results, skipping the
+// synthetic model. The whole quick suite's document is checked in
+// process by internal/experiments' TestQuickSuiteDocument.
+func TestQuickSuiteMetricsValid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs table2's four simulations")
+	}
+	path := filepath.Join(t.TempDir(), "doc.json")
+	if rc, _, stderr := runCLI("-scale", "quick", "-metrics", path, "model", "table2"); rc != 0 {
+		t.Fatalf("exit %d, stderr: %s", rc, stderr)
+	}
+	doc := readMetrics(t, path)
+	if len(doc.Experiments) != 1 || doc.Experiments[0].ID != "table2" {
+		t.Errorf("document holds %+v, want exactly table2", doc.Experiments)
+	}
+}
+
+// TestSelectExperiments: no ids and "all" select the whole registry in
+// order, a list keeps its order, and an unknown id anywhere in the list
+// is an error before anything runs.
+func TestSelectExperiments(t *testing.T) {
+	ids := func(sel []experiments.Experiment) []string {
+		var out []string
+		for _, x := range sel {
+			out = append(out, x.ID)
 		}
-		for _, r := range exp.Results {
-			if r.SLO == nil {
-				t.Fatalf("slo-sweep cell %q lacks an slo block", r.Allocator)
-			}
-			if strings.HasSuffix(r.Allocator, "4sh") || r.SLO.WorstWindow == nil {
-				continue
-			}
-			for _, plan := range []string{"ngm clean", "ngm stall"} {
-				if strings.HasPrefix(r.Allocator, plan) {
-					worst[plan] = max(worst[plan], r.SLO.WorstWindow.Violations)
-				}
-			}
+		return out
+	}
+	registry := ids(experiments.Registry)
+	for _, args := range [][]string{nil, {"all"}} {
+		sel, err := selectExperiments(args)
+		if err != nil || !slices.Equal(ids(sel), registry) {
+			t.Errorf("%q selects %v, %v; want the registry %v", args, ids(sel), err, registry)
 		}
 	}
-	if worst["ngm stall"] <= worst["ngm clean"] {
-		t.Errorf("slo-sweep: the stall plan did not worsen the worst window: clean %d, stall %d",
-			worst["ngm clean"], worst["ngm stall"])
+	list := []string{"slo-sweep", "model", "figure1"}
+	if sel, err := selectExperiments(list); err != nil || !slices.Equal(ids(sel), list) {
+		t.Errorf("%q selects %v, %v", list, ids(sel), err)
+	}
+	for _, args := range [][]string{{"nope"}, {"nope", "model"}, {"model", "table2", "nope"}, {"all", "model"}} {
+		if sel, err := selectExperiments(args); err == nil || sel != nil {
+			t.Errorf("%q selects %v, %v; want an error", args, ids(sel), err)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"nextgenmalloc/internal/harness"
+	"nextgenmalloc/internal/metrics"
 	"nextgenmalloc/internal/model"
 	"nextgenmalloc/internal/report"
 	"nextgenmalloc/internal/workload"
@@ -69,6 +70,18 @@ var Registry = []Experiment{
 	{"fleet-sweep", FleetSweep},
 	{"slo-sweep", SLOSweep},
 	{"failover-sweep", FailoverSweep},
+}
+
+// Metrics builds the metrics document of a set of outcomes, skipping the
+// synthetic experiments (model) that carry no PMU runs.
+func Metrics(outcomes []Outcome) metrics.File {
+	var exps []metrics.Experiment
+	for _, out := range outcomes {
+		if len(out.Results) > 0 {
+			exps = append(exps, metrics.FromResults(out.ID, out.Results))
+		}
+	}
+	return metrics.NewFile(exps...)
 }
 
 // Figure1 reproduces the execution-time sensitivity bars: xalanc across

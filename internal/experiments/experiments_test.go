@@ -15,15 +15,9 @@ func TestModelText(t *testing.T) {
 	}
 }
 
-// TestQuickFigure1 runs the smallest figure end to end and sanity-checks
-// the rendering.
+// TestQuickFigure1 sanity-checks the quick suite's Figure 1 rendering.
 func TestQuickFigure1(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs four simulations")
-	}
-	s := Quick
-	s.XalancOps = 20000
-	out := Figure1(Env{Scale: s})
+	out := quickOutcome(t, "figure1")
 	if len(out.Results) != 4 {
 		t.Fatalf("expected 4 results, got %d", len(out.Results))
 	}
@@ -37,12 +31,7 @@ func TestQuickFigure1(t *testing.T) {
 // in every policy block, and the compact cells carrying the dense
 // record stride.
 func TestQuickAblateLayout(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs twelve simulations")
-	}
-	s := Quick
-	s.XalancOps = 8000
-	out := AblateLayout(Env{Scale: s})
+	out := quickOutcome(t, "ablate-layout")
 	if len(out.Results) != 12 {
 		t.Fatalf("got %d results, want 12", len(out.Results))
 	}
@@ -69,39 +58,32 @@ func TestQuickAblateLayout(t *testing.T) {
 	}
 }
 
-// TestQuickExtensions runs the §3.3 extension experiments at small
-// scale and checks their headline directions.
+// TestQuickExtensions checks the §3.3 extension experiments' headline
+// rows at quick scale.
 func TestQuickExtensions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs several simulations")
-	}
 	t.Run("GC", func(t *testing.T) {
-		out := AblateGC(Env{Scale: Quick})
+		out := quickOutcome(t, "ablate-gc")
 		if !strings.Contains(out.Text, "offloaded") {
 			t.Errorf("missing offloaded row:\n%s", out.Text)
 		}
 	})
 	t.Run("FaaS", func(t *testing.T) {
-		out := AblateFaaS(Env{Scale: Quick})
+		out := quickOutcome(t, "ablate-faas")
 		if !strings.Contains(out.Text, "nextgen preheated") {
 			t.Errorf("missing preheated row:\n%s", out.Text)
 		}
 	})
 	t.Run("GPU", func(t *testing.T) {
-		out := AblateGPU(Env{Scale: Quick})
+		out := quickOutcome(t, "ablate-gpu")
 		if !strings.Contains(out.Text, "speedup") {
 			t.Errorf("missing speedup line:\n%s", out.Text)
 		}
 	})
 }
 
-// TestQuickScaling checks the scaling sweep runs and keeps its shape:
-// the offload penalty does not shrink as threads grow.
+// TestQuickScaling checks the scaling sweep keeps its 8-thread row.
 func TestQuickScaling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs eight simulations")
-	}
-	out := AblateScaling(Env{Scale: Quick})
+	out := quickOutcome(t, "ablate-scaling")
 	if !strings.Contains(out.Text, "8") {
 		t.Errorf("missing 8-thread row:\n%s", out.Text)
 	}
@@ -109,10 +91,7 @@ func TestQuickScaling(t *testing.T) {
 
 // TestQuickRoom checks the shared-room experiment runs both placements.
 func TestQuickRoom(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two simulations")
-	}
-	out := AblateRoom(Env{Scale: Quick})
+	out := quickOutcome(t, "ablate-room")
 	if !strings.Contains(out.Text, "shared room") || !strings.Contains(out.Text, "dedicated rooms") {
 		t.Errorf("missing rows:\n%s", out.Text)
 	}

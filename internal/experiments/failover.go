@@ -99,47 +99,6 @@ func failoverCells(s Scale) []failoverCell {
 	return cells
 }
 
-// quickFailoverCells is the condensed CI grid: the 4-shard topology
-// under a permanent single-shard kill, failover vs emergency-only vs
-// clean.
-func quickFailoverCells() []failoverCell {
-	kills := failoverKills(Quick)
-	perm := kills[len(kills)-1]
-	return []failoverCell{
-		{label: "clean 4sh", shards: 4},
-		{label: "fo 4sh killinf", shards: 4, kill: perm, failover: true},
-		{label: "em 4sh killinf", shards: 4, kill: perm},
-	}
-}
-
-// runFailoverCells executes the grid on the multi-tenant service
-// workload with per-tenant SLO tracking armed.
-func runFailoverCells(e Env, cells []failoverCell) []harness.Result {
-	opts := slo.DefaultOptions()
-	if e.Base.SLO != nil {
-		opts = *e.Base.SLO
-	}
-	return runAll(len(cells), func(i int) harness.Result {
-		c := cells[i]
-		o := opts
-		var plans []fault.Plan
-		if c.kill > 0 {
-			plans = []fault.Plan{{Seed: 1, StallStart: failoverKillStart, StallCycles: c.kill, Shard: 1}}
-		}
-		r := harness.Run(harness.Options{
-			Allocator:  "nextgen",
-			Workload:   sloService(e.Scale, 8),
-			Servers:    c.shards,
-			FaultPlans: plans,
-			Resilience: failoverResilience(c.kill > 0 && c.failover),
-			SLO:        &o,
-			Machine:    e.machine(),
-		})
-		r.Allocator = c.label
-		return r
-	})
-}
-
 // worstTenantP99 returns the largest per-tenant end-to-end p99 of a run
 // (0 when untracked) — the sweep's headline fairness metric.
 func worstTenantP99(r harness.Result) uint64 {
@@ -201,7 +160,7 @@ func failoverRecovery(r harness.Result) string {
 // failoverOutcome renders the grid: the per-cell table, the
 // policy-vs-clean comparison per (topology, kill), and a per-client
 // routing drill-down for one re-homed cell.
-func failoverOutcome(id string, s Scale, cells []failoverCell, all []harness.Result) Outcome {
+func failoverOutcome(s Scale, cells []failoverCell, all []harness.Result) Outcome {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Failover sweep: one shard killed on the multi-tenant service workload\n")
 	fmt.Fprintf(&b, "(kill: one-shot stall of shard 0 from cycle %d; fo = malloc failover to\n", failoverKillStart)
@@ -260,7 +219,7 @@ func failoverOutcome(id string, s Scale, cells []failoverCell, all []harness.Res
 			break
 		}
 	}
-	return Outcome{ID: id, Results: all, Text: b.String()}
+	return Outcome{ID: "failover-sweep", Results: all, Text: b.String()}
 }
 
 // FailoverSweep measures shard-level fault tolerance on the service
@@ -274,13 +233,28 @@ func failoverOutcome(id string, s Scale, cells []failoverCell, all []harness.Res
 // the blocking rejoin probe on its tenants' tail every ProbeCycles.
 func FailoverSweep(e Env) Outcome {
 	cells := failoverCells(e.Scale)
-	return failoverOutcome("failover-sweep", e.Scale, cells, runFailoverCells(e, cells))
-}
-
-// QuickFailoverSweep is the condensed CI smoke: the 4-shard topology
-// under a permanent single-shard kill, failover vs emergency-only vs
-// clean, at the quick scale.
-func QuickFailoverSweep() Outcome {
-	cells := quickFailoverCells()
-	return failoverOutcome("failover-sweep-quick", Quick, cells, runFailoverCells(Env{Scale: Quick}, cells))
+	opts := slo.DefaultOptions()
+	if e.Base.SLO != nil {
+		opts = *e.Base.SLO
+	}
+	all := runAll(len(cells), func(i int) harness.Result {
+		c := cells[i]
+		o := opts
+		var plans []fault.Plan
+		if c.kill > 0 {
+			plans = []fault.Plan{{Seed: 1, StallStart: failoverKillStart, StallCycles: c.kill, Shard: 1}}
+		}
+		r := harness.Run(harness.Options{
+			Allocator:  "nextgen",
+			Workload:   sloService(e.Scale, 8),
+			Servers:    c.shards,
+			FaultPlans: plans,
+			Resilience: failoverResilience(c.kill > 0 && c.failover),
+			SLO:        &o,
+			Machine:    e.machine(),
+		})
+		r.Allocator = c.label
+		return r
+	})
+	return failoverOutcome(e.Scale, cells, all)
 }

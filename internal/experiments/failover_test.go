@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nextgenmalloc/internal/harness"
-	"nextgenmalloc/internal/metrics"
 )
 
 func TestParseFailover(t *testing.T) {
@@ -22,33 +21,24 @@ func TestParseFailover(t *testing.T) {
 	}
 }
 
-// TestQuickFailoverSweep runs the condensed grid and checks the PR's
-// acceptance bar: under a permanent single-shard kill, failover keeps
-// every malloc off the emergency tier and holds the worst tenant's p99
-// below the emergency-only policy's, the routing ledger records the
-// re-homes, the rendered text carries its tables, and the emitted
-// metrics document is lint-clean.
+// TestQuickFailoverSweep checks the quick grid's acceptance bar on its
+// 4-shard permanent-kill cells: failover keeps every malloc off the
+// emergency tier and holds the worst tenant's p99 below the
+// emergency-only policy's, the routing ledger records the re-homes, and
+// the rendered text carries its tables (the metrics document is
+// TestQuickSuiteDocument's).
 func TestQuickFailoverSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs three service simulations")
-	}
-	out := QuickFailoverSweep()
-	if len(out.Results) != 3 {
-		t.Fatalf("expected 3 results, got %d", len(out.Results))
-	}
-	var clean, fo, em harness.Result
+	out := quickOutcome(t, "failover-sweep")
+	cells := map[string]harness.Result{}
 	for _, r := range out.Results {
-		switch r.Allocator {
-		case "clean 4sh":
-			clean = r
-		case "fo 4sh killinf":
-			fo = r
-		case "em 4sh killinf":
-			em = r
-		default:
-			t.Fatalf("unexpected cell %q", r.Allocator)
+		cells[r.Allocator] = r
+	}
+	for _, label := range []string{"clean 4sh", "fo 4sh killinf", "em 4sh killinf"} {
+		if _, ok := cells[label]; !ok {
+			t.Fatalf("the grid lost its %q cell", label)
 		}
 	}
+	clean, fo, em := cells["clean 4sh"], cells["fo 4sh killinf"], cells["em 4sh killinf"]
 	if fo.Failover == nil || fo.Failover.Totals.Downs == 0 || fo.Failover.Totals.ForwardedMallocs == 0 {
 		t.Fatal("failover cell never re-homed a client")
 	}
@@ -75,12 +65,5 @@ func TestQuickFailoverSweep(t *testing.T) {
 		if !strings.Contains(out.Text, want) {
 			t.Errorf("sweep text missing %q:\n%s", want, out.Text)
 		}
-	}
-	data, err := metrics.NewFile(metrics.FromResults(out.ID, out.Results)).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := metrics.Validate(data); err != nil {
-		t.Errorf("sweep metrics fail validation: %v", err)
 	}
 }

@@ -11,26 +11,20 @@ import (
 	"nextgenmalloc/internal/workload"
 )
 
-// TestQuickFleetSweep runs the saturation sweep at small scale and
-// checks the acceptance bar: every cell completes and loses no
-// requests, the single-server series exposes a saturation knee, and at
-// 64 workers a sharded (S >= 2) topology beats the single server on
-// both throughput and worst-client p99 malloc latency.
+// TestQuickFleetSweep checks the quick saturation sweep's acceptance
+// bar: every cell carries its topology's server blocks and per-client
+// ledger, the single-server series exposes a saturation knee, and at 64
+// workers a sharded (S >= 2) topology beats the single server on both
+// throughput and worst-client p99 malloc latency (every cell's liveness
+// is TestQuickSuiteLiveness's).
 func TestQuickFleetSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs sixteen simulations")
-	}
-	s := Quick
-	out := FleetSweep(Env{Scale: s})
+	out := quickOutcome(t, "fleet-sweep")
 	cells := fleetCells()
 	if len(out.Results) != len(cells) {
 		t.Fatalf("expected %d results, got %d", len(cells), len(out.Results))
 	}
 	rows := make([]report.FleetRow, len(cells))
 	for i, r := range out.Results {
-		if err := r.CheckLiveness(); err != nil {
-			t.Errorf("%s: %v", r.Allocator, err)
-		}
 		if len(r.Servers) != cells[i].servers {
 			t.Errorf("%s: %d server telemetry blocks, want %d",
 				r.Allocator, len(r.Servers), cells[i].servers)

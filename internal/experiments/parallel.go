@@ -3,6 +3,7 @@ package experiments
 import (
 	"runtime"
 	"sync"
+	"time"
 )
 
 // The fan-out machinery below runs independent simulated machines on
@@ -11,8 +12,8 @@ import (
 // deterministic in isolation, so running N of them concurrently
 // produces exactly the results of running them back to back — only the
 // wall time changes. One global semaphore bounds the number of live
-// machines across all experiments, including when cmd/ngm-bench fans
-// out whole experiments on top of the per-run fan-out here.
+// machines across all experiments, including when RunSuite fans out
+// whole experiments on top of the per-run fan-out here.
 var (
 	parMu       sync.Mutex
 	parallelism = runtime.GOMAXPROCS(0)
@@ -77,4 +78,36 @@ func runAll[T any](n int, job func(i int) T) []T {
 	}
 	wg.Wait()
 	return out
+}
+
+// RunSuite runs the selected experiments under e and returns their
+// outcomes in selection order: back to back at a bound of 1, otherwise
+// each on its own goroutine at once. Not through runAll: an experiment
+// holding a semaphore slot while its own runs wait for one deadlocks at
+// a bound of 2. done, if non-nil, is called on the calling goroutine in
+// completion order with each experiment's index, outcome and wall time.
+func RunSuite(sel []Experiment, e Env, done func(i int, out Outcome, elapsed time.Duration)) []Outcome {
+	outcomes := make([]Outcome, len(sel))
+	elapsed := make([]time.Duration, len(sel))
+	finished := make(chan int, len(sel)) // one send per experiment, so a serial run never blocks
+	run := func(i int) {
+		start := time.Now()
+		outcomes[i] = sel[i].Run(e)
+		elapsed[i] = time.Since(start)
+		finished <- i
+	}
+	if Parallelism() > 1 {
+		for i := range sel {
+			go run(i)
+		}
+	}
+	for i := range sel {
+		if Parallelism() == 1 {
+			run(i)
+		}
+		if j := <-finished; done != nil {
+			done(j, outcomes[j], elapsed[j])
+		}
+	}
+	return outcomes
 }

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 )
 
 // TestParallelMatchesSerial is the counters-unchanged guarantee for the
@@ -53,6 +55,37 @@ func TestRunAllOrderAndCoverage(t *testing.T) {
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("slot %d holds %d, want %d", i, v, i*i)
+		}
+	}
+}
+
+// TestRunSuiteOrder: outcomes come back in selection order at any bound,
+// done sees every experiment exactly once on the calling goroutine, and
+// a bound of 1 runs and reports them strictly in order.
+func TestRunSuiteOrder(t *testing.T) {
+	prev := Parallelism()
+	defer SetParallelism(prev)
+	var sel []Experiment
+	for _, id := range []string{"a", "b", "c", "d", "e"} {
+		sel = append(sel, Experiment{id, func(Env) Outcome { return Outcome{ID: id} }})
+	}
+	for _, bound := range []int{1, 4} {
+		SetParallelism(bound)
+		var reported []int
+		outs := RunSuite(sel, Env{}, func(i int, out Outcome, _ time.Duration) {
+			if out.ID != sel[i].ID {
+				t.Errorf("bound %d: done(%d) got outcome %q", bound, i, out.ID)
+			}
+			reported = append(reported, i)
+		})
+		for i, out := range outs {
+			if out.ID != sel[i].ID {
+				t.Errorf("bound %d: slot %d holds %q, want %q", bound, i, out.ID, sel[i].ID)
+			}
+		}
+		sorted := slices.Sorted(slices.Values(reported))
+		if !slices.Equal(sorted, []int{0, 1, 2, 3, 4}) || (bound == 1 && !slices.Equal(reported, sorted)) {
+			t.Errorf("bound %d: done reported %v", bound, reported)
 		}
 	}
 }

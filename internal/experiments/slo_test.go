@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nextgenmalloc/internal/harness"
-	"nextgenmalloc/internal/metrics"
 	"nextgenmalloc/internal/slo"
 	"nextgenmalloc/internal/workload"
 )
@@ -40,18 +39,13 @@ func TestParseSLO(t *testing.T) {
 	}
 }
 
-// TestQuickSLOSweep runs the sweep at reduced scale and checks the
-// acceptance bar: the armed stall plan strictly increases worst-window
-// violations over the clean run, the per-shard rollup partitions the
-// completed requests, the rendered text carries its tables, and the
-// emitted metrics document is lint-clean.
+// TestQuickSLOSweep checks the quick sweep's acceptance bar: the armed
+// stall plan strictly increases worst-window violations over the clean
+// run, the per-shard rollup partitions the completed requests, and the
+// rendered text carries its tables (the metrics document is
+// TestQuickSuiteDocument's).
 func TestQuickSLOSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs eight simulations")
-	}
-	s := Quick
-	s.ServiceRequests = 300
-	out := SLOSweep(Env{Scale: s})
+	out := quickOutcome(t, "slo-sweep")
 	if len(out.Results) != 8 {
 		t.Fatalf("expected 8 results, got %d", len(out.Results))
 	}
@@ -102,14 +96,6 @@ func TestQuickSLOSweep(t *testing.T) {
 		if !strings.Contains(out.Text, want) {
 			t.Errorf("sweep text missing %q:\n%s", want, out.Text)
 		}
-	}
-	// The sweep's metrics document must pass its own lint.
-	data, err := metrics.NewFile(metrics.FromResults(out.ID, out.Results)).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := metrics.Validate(data); err != nil {
-		t.Errorf("sweep metrics fail validation: %v", err)
 	}
 }
 

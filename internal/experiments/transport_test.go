@@ -35,21 +35,14 @@ func TestParseTransport(t *testing.T) {
 	}
 }
 
-// TestQuickAblateTransport runs the sweep at reduced quick scale and
-// checks the directions the transport exists to produce on xalanc:
+// TestQuickAblateTransport checks the directions the transport exists to produce on xalanc:
 // every asynchronous kind publishes its frees more than two to a line
 // (xalanc frees in bursts; xmalloc alternates free and malloc, so there
 // every free is published by the malloc behind it), preallocation adds
 // no producer stall cycles per op, and the adaptive policy's margin over
 // Mimalloc is no worse than plain offload's.
 func TestQuickAblateTransport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs ten simulations")
-	}
-	s := Quick
-	s.XalancOps = 20000
-	s.XmallocOps = 5000
-	out := AblateTransport(Env{Scale: s})
+	out := quickOutcome(t, "ablate-transport")
 	for _, want := range []string{"nextgen-sync", "free reqs/publication", "cycle margin over Mimalloc"} {
 		if !strings.Contains(out.Text, want) {
 			t.Errorf("sweep text missing %q:\n%s", want, out.Text)
