@@ -174,14 +174,15 @@ func TestSLOSweepThroughCLI(t *testing.T) {
 }
 
 // TestDefaultSpellingsBitIdentical: every config-gated feature's explicit
-// default spelling must leave table3's metrics document byte-identical
-// to the flagless run. -warp=false is the one exception by design: the
-// warp is host-side only, so every simulated number must still match,
-// but the additive warp ledger (what the fast path skipped) is present
-// with warp on and absent with it off, and is dropped before comparing.
+// default spelling, all given together, must leave table3's metrics
+// document byte-identical to the flagless run. -warp=false is the one
+// exception by design: the warp is host-side only, so every simulated
+// number must still match, but the additive warp ledger (what the fast
+// path skipped) is present with warp on and absent with it off, and is
+// dropped before comparing.
 func TestDefaultSpellingsBitIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs table3 seven times")
+		t.Skip("runs table3 three times")
 	}
 	dir := t.TempDir()
 	metricsDoc := func(name string, flags ...string) []byte {
@@ -198,16 +199,15 @@ func TestDefaultSpellingsBitIdentical(t *testing.T) {
 		return doc
 	}
 	flagless := metricsDoc("flagless")
-	for name, flags := range map[string][]string{
-		"layout":     {"-layout", "segregated"},
-		"topology":   {"-servers", "1", "-sched", "fixed-scan", "-partition", "client"},
-		"failover":   {"-failover", "off"},
-		"slo":        {"-slo", "off", "-tenants", "8"},
-		"resilience": {"-resilience", "off"},
-	} {
-		if !bytes.Equal(metricsDoc(name, flags...), flagless) {
-			t.Errorf("%v changed table3's metrics document", flags)
-		}
+	defaults := []string{
+		"-layout", "segregated",
+		"-servers", "1", "-sched", "fixed-scan", "-partition", "client",
+		"-failover", "off",
+		"-slo", "off", "-tenants", "8",
+		"-resilience", "off",
+	}
+	if !bytes.Equal(metricsDoc("defaults", defaults...), flagless) {
+		t.Errorf("%v changed table3's metrics document", defaults)
 	}
 
 	// stripWarp parses a document and removes every result's warp ledger,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"nextgenmalloc/internal/alloc"
@@ -205,6 +207,26 @@ func TestLayoutStringParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNewRejectsInvalidLayout: an undefined layout fails at
+// construction with a panic that names it, instead of carving, popping
+// and pushing with some other layout's slab format.
+func TestNewRejectsInvalidLayout(t *testing.T) {
+	m := sim.New(sim.ScaledConfig())
+	var got any
+	m.Spawn("t", 0, func(th *sim.Thread) {
+		defer func() { got = recover() }()
+		cfg := DefaultConfig()
+		cfg.Offload = false
+		cfg.Layout = Layout(7)
+		a := New(th, cfg)
+		a.Free(th, a.Malloc(th, 64))
+	})
+	m.Run()
+	if msg := fmt.Sprint(got); got == nil || !strings.Contains(msg, "invalid metadata layout layout(7)") {
+		t.Errorf("New with Layout(7) recovered %v, want a panic naming layout(7)", got)
+	}
+}
+
 // BenchmarkSlabMallocFree tracks the host-side cost of each layout's
 // inline malloc/free paths (one simulated thread, churn over a few
 // classes; ns/op is host time per malloc+free pair).
@@ -236,7 +258,7 @@ func BenchmarkSlabMallocFree(b *testing.B) {
 func TestCompactGeometryCoversEveryClass(t *testing.T) {
 	sc := alloc.NewSizeClasses()
 	for class := 0; class < sc.NumClasses(); class++ {
-		pages, capacity := slabGeometry(Compact, sc, class)
+		pages, capacity := compact{}.geometry(sc, class)
 		size := sc.Size(class)
 		if capacity < 1 {
 			t.Fatalf("class %d: capacity %d", class, capacity)

@@ -16,18 +16,19 @@
 //     asynchronous and costs the client only a ring push (§3.1.2: "the
 //     entire free phase is not on the critical path").
 //
-// The metadata engine keeps per-slab free-block *index stacks* of 16-bit
-// indices (the paper's suggested segregated encoding) in a dedicated
-// metadata address range (mem.MetaBase), so in offload mode application
-// cores never touch a metadata line. The aggregated-layout variant
-// (intrusive next-pointers in free blocks, Figure 2 top) and the
-// compact variant (mallocng-style bitmask groups, 1 bit of state per
-// block) are provided for the layout ablation.
+// The slab engine keeps its records in a dedicated metadata address
+// range (mem.MetaBase) and reads each slab's free state through the
+// layout's encoding (layout.go), one file per layout: segregated 16-bit
+// index stacks, the paper's suggested encoding, so in offload mode
+// application cores never touch a metadata line (layout_segregated.go);
+// aggregated intrusive next-pointers in free blocks, Figure 2 top
+// (layout_aggregated.go); and compact mallocng-style bitmask groups, 1
+// bit of state per block (layout_compact.go). The last two exist for
+// the layout ablation.
 package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"nextgenmalloc/internal/alloc"
 	"nextgenmalloc/internal/fault"
@@ -38,88 +39,6 @@ import (
 	"nextgenmalloc/internal/simsync"
 	"nextgenmalloc/internal/timeline"
 )
-
-// Layout selects the metadata encoding (paper Figure 2).
-type Layout int
-
-const (
-	// Segregated keeps 16-bit index stacks in the metadata region; user
-	// pages hold no allocator state at all.
-	Segregated Layout = iota
-	// Aggregated threads an intrusive next-pointer through the free
-	// blocks themselves (the Mimalloc-style layout).
-	Aggregated
-	// Compact carves each slab into groups of up to 32 identical units
-	// (the mallocng layout): allocation state is one out-of-band bitmask
-	// word per group in the slab record — find-first-set to allocate, a
-	// single bit clear to free — plus a 64-byte in-band header line per
-	// group holding one offset byte per unit for free validation.
-	// Metadata drops from 2 B/block of index stack to 1 bit/block of
-	// bitmask plus the fixed headers.
-	Compact
-)
-
-func (l Layout) String() string {
-	switch l {
-	case Segregated:
-		return "segregated"
-	case Aggregated:
-		return "aggregated"
-	case Compact:
-		return "compact"
-	}
-	return fmt.Sprintf("layout(%d)", int(l))
-}
-
-// Valid reports whether l is one of the defined layouts. harness.RunE
-// rejects anything else before a simulated thread runs, so a bad layout
-// is a topology error, never a silent segregated fallback.
-func (l Layout) Valid() bool {
-	switch l {
-	case Segregated, Aggregated, Compact:
-		return true
-	}
-	return false
-}
-
-// ParseLayout maps a CLI spelling to a Layout; "" is the default
-// (Segregated).
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "", "segregated":
-		return Segregated, nil
-	case "aggregated":
-		return Aggregated, nil
-	case "compact":
-		return Compact, nil
-	}
-	return 0, fmt.Errorf("unknown layout %q (want segregated, aggregated, or compact)", s)
-}
-
-// RecordBytes is the metadata-region stride one slab record reserves
-// under this layout. Compact records carry 16 mask words instead of a
-// 1 KiB index stack, so many more of them share a metadata page.
-func (l Layout) RecordBytes() int {
-	if l == Compact {
-		return slCompactRecBytes
-	}
-	return slRecBytes
-}
-
-// SlabStateBytes is the out-of-band allocation-state footprint of one
-// slab of the given capacity, excluding the fixed record fields every
-// layout shares: the 16-bit index stack (segregated), the intrusive
-// head word (aggregated), or one bitmask word per 32-unit group
-// (compact).
-func (l Layout) SlabStateBytes(capacity int) int {
-	switch l {
-	case Aggregated:
-		return 8
-	case Compact:
-		return 8 * ((capacity + compactGroupUnits - 1) / compactGroupUnits)
-	}
-	return 2 * capacity
-}
 
 // Config selects the NextGen-Malloc variant.
 type Config struct {
@@ -173,106 +92,20 @@ func DefaultConfig() Config {
 	return Config{Offload: true, Layout: Segregated, AsyncFree: true, RingSlots: 64}
 }
 
-// Slab metadata record offsets. Records live in the metadata region;
-// the index stack (2 bytes per block) follows the fixed fields.
+// Slab record fields every layout shares. Records live in the metadata
+// region; each layout's own state follows the fixed fields (layout.go).
 const (
 	slNext     = 0
 	slPrev     = 8
 	slBase     = 16
 	slPages    = 24
 	slClass    = 32 // 255 = large, 254 = free span
-	slTop      = 40 // index-stack depth == free blocks (segregated)
+	slTop      = 40 // free units in the slab
 	slCapacity = 48
-	slFreeHead = 56 // intrusive head (aggregated layout only)
-	slStack    = 64
-	slRecBytes = 64 + 2*512 // fixed fields + up to 512 uint16 indices
 
 	classLarge    = 255
 	classFreeSpan = 254
 )
-
-// Compact layout (mallocng-style). A slab is carved into groups of up
-// to compactGroupUnits identical units. The allocation state is fully
-// out-of-band: one bitmask word per group in the slab record, bit set =
-// unit free. Each group additionally opens with one in-band 64-byte
-// header line — an offset byte per unit (compactIdxTag|index, so a
-// stale zeroed line never validates) plus the group's ordinal — used
-// only to validate frees. The header bytes live inside user pages but
-// are allocator state, so freshSlab marks them region.Meta and the
-// attribution telemetry bills their misses to metadata.
-const (
-	slCursor          = 56                           // lowest possibly-nonzero mask word (reuses slFreeHead's slot)
-	slMasks           = 64                           // 16 bitmask words, one per group
-	compactGroupUnits = 32                           // units per bitmask word
-	compactMaxGroups  = 512 / compactGroupUnits      // capacity cap / group size
-	slCompactRecBytes = slMasks + compactMaxGroups*8 // 192 B record vs the 1088 B index-stack record
-
-	compactHdrBytes = 64   // in-band group header: 32 offset bytes + ordinal word
-	compactHdrIdx   = 32   // group ordinal word inside the header line
-	compactIdxTag   = 0xa0 // high bits of every offset byte
-)
-
-// compactStride is the byte span of one full group: the in-band header
-// line followed by 32 units.
-func compactStride(size uint64) uint64 {
-	return compactHdrBytes + compactGroupUnits*size
-}
-
-// compactUnit decomposes a block's offset rel from its slab base into
-// its group g and unit index i within the group; ok is false when rel
-// falls in a group header or inside a unit. Host arithmetic only: the
-// callers charge its simulated cost.
-func compactUnit(rel, size uint64) (g, i uint64, ok bool) {
-	stride := compactStride(size)
-	off := rel % stride
-	if off < compactHdrBytes || (off-compactHdrBytes)%size != 0 {
-		return 0, 0, false
-	}
-	return rel / stride, (off - compactHdrBytes) / size, true
-}
-
-// compactCapacity is how many units fit in spanBytes under the compact
-// geometry: full groups plus a trailing partial group behind its own
-// header.
-func compactCapacity(size, spanBytes uint64) int {
-	stride := compactStride(size)
-	n := int(spanBytes/stride) * compactGroupUnits
-	if rem := spanBytes % stride; rem > compactHdrBytes {
-		n += int((rem - compactHdrBytes) / size)
-	}
-	return n
-}
-
-// slabGeometry is the span size and unit capacity freshSlab carves for
-// class under layout l. Compact needs room for its in-band headers: the
-// largest classes fill their span exactly, so the compact span grows
-// until at least one unit fits behind a header. The other layouts keep
-// the seed geometry bit for bit.
-func slabGeometry(l Layout, sc *alloc.SizeClasses, class int) (pages, capacity int) {
-	pages = sc.SpanPages(class)
-	if l == Compact {
-		size := sc.Size(class)
-		if p := int((compactHdrBytes + size + mem.PageSize - 1) >> mem.PageShift); p > pages {
-			pages = p
-		}
-		capacity = compactCapacity(size, uint64(pages)<<mem.PageShift)
-	} else {
-		capacity = sc.ObjectsPerSpan(class, pages)
-	}
-	if capacity > 512 {
-		capacity = 512
-	}
-	return pages, capacity
-}
-
-// MetaFootprint reports the slab capacity and out-of-band
-// allocation-state bytes layout l uses for one size class — the inputs
-// to report.LayoutTable and the conformance suite's footprint
-// assertion.
-func MetaFootprint(l Layout, sc *alloc.SizeClasses, class int) (capacity, stateBytes int) {
-	_, capacity = slabGeometry(l, sc, class)
-	return capacity, l.SlabStateBytes(capacity)
-}
 
 // Ring operation codes (slot word 0, low byte).
 const (
@@ -355,6 +188,7 @@ func (c *client) noteHot(class int) {
 // Allocator is NextGen-Malloc.
 type Allocator struct {
 	cfg   Config
+	enc   encoding // the layout's slab format, resolved by New
 	sc    *alloc.SizeClasses
 	stats alloc.Stats
 
@@ -390,6 +224,7 @@ func New(t *sim.Thread, cfg Config) *Allocator {
 	}
 	a := &Allocator{
 		cfg:      cfg,
+		enc:      cfg.Layout.encoding(), // panics on an undefined layout
 		sc:       alloc.NewSizeClasses(),
 		byThread: make(map[int]*client),
 	}
@@ -484,7 +319,7 @@ func (a *Allocator) newRec(t *sim.Thread) uint64 {
 		a.freeRecs = a.freeRecs[:n-1]
 		return r
 	}
-	rb := uint64(a.cfg.Layout.RecordBytes())
+	rb := uint64(a.enc.recordBytes())
 	if a.metaOff+rb > a.metaLimit {
 		a.growMeta(t)
 	}
@@ -587,68 +422,15 @@ func (a *Allocator) spanFree(t *sim.Thread, rec uint64) {
 
 // --- slab engine -------------------------------------------------------------
 
-// freshSlab carves a slab for class. With the segregated layout the free
-// state is an index stack in the metadata record and user pages stay
-// untouched; with the aggregated layout an intrusive list is threaded
-// through the blocks; with the compact layout the free state is one
-// bitmask word per 32-unit group in the record plus an in-band header
-// line per group.
+// freshSlab carves a slab for class: the span, the shared fields, then
+// the layout's free state, and last the free count.
 func (a *Allocator) freshSlab(t *sim.Thread, class int) uint64 {
-	pages, n := slabGeometry(a.cfg.Layout, a.sc, class)
+	pages, n := a.enc.geometry(a.sc, class)
 	rec := a.spanAlloc(t, pages)
 	t.Store64(rec+slClass, uint64(class))
 	t.Store64(rec+slCapacity, uint64(n))
-	switch a.cfg.Layout {
-	case Segregated:
-		// Stack of free indices, 4 per word.
-		for i := 0; i < n; i += 4 {
-			var w uint64
-			for j := 0; j < 4 && i+j < n; j++ {
-				w |= uint64(i+j) << (16 * j)
-			}
-			t.Store64(rec+slStack+uint64(i)*2, w)
-		}
-		t.Store64(rec+slTop, uint64(n))
-	case Compact:
-		base := t.Load64(rec + slBase)
-		size := a.sc.Size(class)
-		stride := compactStride(size)
-		for g := 0; g*compactGroupUnits < n; g++ {
-			units := n - g*compactGroupUnits
-			if units > compactGroupUnits {
-				units = compactGroupUnits
-			}
-			// Out-of-band allocation state: low `units` bits set = free.
-			t.Store64(rec+slMasks+uint64(g)*8, uint64(1)<<units-1)
-			// In-band group header: offset bytes packed eight per word,
-			// then the group ordinal. The bytes live in a user page but
-			// belong to the allocator, so the line is attributed Meta.
-			hdr := base + uint64(g)*stride
-			for i := 0; i < units; i += 8 {
-				var w uint64
-				for j := 0; j < 8 && i+j < units; j++ {
-					w |= uint64(compactIdxTag|(i+j)) << (8 * j)
-				}
-				t.Store64(hdr+uint64(i), w)
-			}
-			t.Store64(hdr+compactHdrIdx, uint64(g))
-			t.MarkRegion(hdr, compactHdrBytes, region.Meta)
-		}
-		t.Store64(rec+slCursor, 0) // records are recycled; reset the scan hint
-		t.Store64(rec+slTop, uint64(n))
-	default: // Aggregated
-		base := t.Load64(rec + slBase)
-		size := a.sc.Size(class)
-		var head uint64
-		for i := n - 1; i >= 0; i-- {
-			blk := base + uint64(i)*size
-			t.Store64(blk, head)
-			t.MarkRegion(blk, 16, region.Meta) // intrusive link granule
-			head = blk
-		}
-		t.Store64(rec+slFreeHead, head)
-		t.Store64(rec+slTop, uint64(n))
-	}
+	a.enc.carve(t, rec, a.sc.Size(class), n)
+	t.Store64(rec+slTop, uint64(n))
 	return rec
 }
 
@@ -659,74 +441,13 @@ func (a *Allocator) slabPop(t *sim.Thread, rec uint64, class int) uint64 {
 		return 0
 	}
 	t.Store64(rec+slTop, top-1)
-	switch a.cfg.Layout {
-	case Segregated:
-		t.Exec(2)
-		idx := t.Load16(rec + slStack + (top-1)*2)
-		return t.Load64(rec+slBase) + idx*a.sc.Size(class)
-	case Compact:
-		// Find-first-set over the mask words, scanning from the cursor
-		// (the lowest possibly-nonzero group); top > 0 guarantees a hit.
-		g := t.Load64(rec + slCursor)
-		start := g
-		w := t.Load64(rec + slMasks + g*8)
-		for w == 0 {
-			t.Exec(1)
-			g++
-			w = t.Load64(rec + slMasks + g*8)
-		}
-		t.Exec(2) // tzcnt + single-bit clear
-		i := uint64(bits.TrailingZeros64(w))
-		t.Store64(rec+slMasks+g*8, w&(w-1))
-		if g != start {
-			t.Store64(rec+slCursor, g)
-		}
-		size := a.sc.Size(class)
-		return t.Load64(rec+slBase) + g*compactStride(size) + compactHdrBytes + i*size
-	}
-	head := t.Load64(rec + slFreeHead)
-	t.Store64(rec+slFreeHead, t.Load64(head)) // intrusive: touches the block
-	t.MarkRegion(head, int(a.sc.Size(class)), region.User)
-	return head
+	return a.enc.pop(t, rec, top, a.sc.Size(class))
 }
 
 // slabPush returns a block; reports the slab's new free count.
 func (a *Allocator) slabPush(t *sim.Thread, rec uint64, class int, addr uint64) uint64 {
 	top := t.Load64(rec + slTop)
-	switch a.cfg.Layout {
-	case Segregated:
-		t.Exec(3) // index arithmetic
-		idx := (addr - t.Load64(rec+slBase)) / a.sc.Size(class)
-		t.Store16(rec+slStack+top*2, idx)
-	case Compact:
-		size := a.sc.Size(class)
-		t.Exec(4) // group/unit decompose
-		base := t.Load64(rec + slBase)
-		g, i, ok := compactUnit(addr-base, size)
-		if !ok {
-			panic(fmt.Sprintf("core: compact free of unaligned address %#x (class %d)", addr, class))
-		}
-		if a.cfg.Resilience.Enabled {
-			// Hardened mode reads the in-band offset byte: it must carry
-			// tag|index or the address never came from this group.
-			if b := t.Load8(base + g*compactStride(size) + i); b != compactIdxTag|i {
-				panic(fmt.Sprintf("core: compact free %#x: offset byte %#x, want %#x", addr, b, compactIdxTag|i))
-			}
-		}
-		mslot := rec + slMasks + g*8
-		w := t.Load64(mslot)
-		if w&(uint64(1)<<i) != 0 {
-			panic(fmt.Sprintf("core: compact double free of %#x", addr))
-		}
-		t.Store64(mslot, w|uint64(1)<<i)
-		if g < t.Load64(rec+slCursor) {
-			t.Store64(rec+slCursor, g)
-		}
-	default: // Aggregated
-		t.Store64(addr, t.Load64(rec+slFreeHead))
-		t.MarkRegion(addr, 16, region.Meta) // link word overwrites user data
-		t.Store64(rec+slFreeHead, addr)
-	}
+	a.enc.push(t, rec, top, a.sc.Size(class), addr, a.cfg.Resilience.Enabled)
 	t.Store64(rec+slTop, top+1)
 	return top + 1
 }

@@ -588,9 +588,9 @@ func (s *Server) nack(t *sim.Thread, c *client, fromMalloc bool) uint64 {
 const pagemapRootSlots = 16 << mem.PageShift / 8
 
 // validSmallFree is engineFree's validation stage for a slab block:
-// class sanity, then base, alignment, capacity and double-free checks
-// against the slab record rec. False means addr cannot be a live block
-// of that slab.
+// class sanity and base, then the layout's alignment, capacity and
+// double-free checks against the slab record rec. False means addr
+// cannot be a live block of that slab.
 func (a *Allocator) validSmallFree(t *sim.Thread, rec, classWord, addr uint64) bool {
 	if classWord >= uint64(a.sc.NumClasses()) {
 		return false // free span or garbage class word
@@ -599,25 +599,5 @@ func (a *Allocator) validSmallFree(t *sim.Thread, rec, classWord, addr uint64) b
 	if addr < base {
 		return false
 	}
-	size := a.sc.Size(int(classWord))
-	if a.cfg.Layout == Compact {
-		// Compact validation: decompose into group/unit, check the
-		// in-band offset byte and group ordinal, and reject a free
-		// whose mask bit is already set (per-unit double-free
-		// detection, stronger than the slab-level slTop check).
-		g, i, ok := compactUnit(addr-base, size)
-		if !ok || g*compactGroupUnits+i >= t.Load64(rec+slCapacity) {
-			return false
-		}
-		hdr := base + g*compactStride(size)
-		if t.Load8(hdr+i) != compactIdxTag|i || t.Load64(hdr+compactHdrIdx) != g {
-			return false
-		}
-		return t.Load64(rec+slMasks+g*8)&(uint64(1)<<i) == 0 // set: unit already free
-	}
-	off := addr - base
-	if off%size != 0 || off/size >= t.Load64(rec+slCapacity) {
-		return false
-	}
-	return t.Load64(rec+slTop) < t.Load64(rec+slCapacity) // equal: slab already fully free
+	return a.enc.valid(t, rec, base, a.sc.Size(int(classWord)), addr)
 }

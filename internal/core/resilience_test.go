@@ -503,6 +503,8 @@ func TestNackRepushPolicy(t *testing.T) {
 // rings — no panic, and exactly one outcome (served or NACKed) per
 // popped request. A served malloc's response word carries its request's
 // tag over an address below the tag bits; a NACK leaves the word alone.
+// Every input runs under each layout, so each layout's free validation
+// sees the fuzzed words.
 func FuzzServeWord(f *testing.F) {
 	f.Add(sealWord(opMalloc|64<<8, 1, 1), uint64(1), sealWord(opFree, 0x1234, 2), uint64(0x1234))
 	f.Add(sealWord(opMalloc|4096<<8, 1<<17|9, 9), uint64(1<<17|9), sealWord(opSync, 1<<20|3, 3), uint64(1<<20|3))
@@ -512,48 +514,51 @@ func FuzzServeWord(f *testing.F) {
 		sealWord(opMalloc|64<<8, 5, 5)^1<<40, uint64(5))
 	f.Add(sealWord(0x7f, 6, 6), uint64(6), sealWord(opFree, mem.MmapBase+64, 7), uint64(mem.MmapBase+64))
 	f.Fuzz(func(t *testing.T, w0a, w1a, w0b, w1b uint64) {
-		m := sim.New(sim.ScaledConfig())
-		m.Spawn("worker", 0, func(th *sim.Thread) {
-			cfg := DefaultConfig()
-			cfg.Resilience = DefaultResilience()
-			a := New(th, cfg)
-			srv := NewServer()
-			srv.Attach(a)
-			c := a.clientOf(th)
-			// One request at a time, so each leaves its own mark on the
-			// response word.
-			serve := func(r *ring.SPSC, w0, w1 uint64) {
-				w0 &^= ring.TagBit
-				before, nacked := th.AtomicLoad64(c.page+respWord), a.ResilienceTelemetry()
-				if !r.TryPush(th, w0, w1) {
-					t.Error("push into empty ring failed")
-					return
-				}
-				for srv.Poll(th) {
-				}
-				after, rs := th.AtomicLoad64(c.page+respWord), a.ResilienceTelemetry()
-				switch {
-				case rs.MallocNacks+rs.FreeNacks != nacked.MallocNacks+nacked.FreeNacks:
-					if after != before {
-						t.Errorf("NACK of %#x/%#x rewrote the response word %#x -> %#x", w0, w1, before, after)
+		for _, l := range []Layout{Segregated, Aggregated, Compact} {
+			m := sim.New(sim.ScaledConfig())
+			m.Spawn("worker", 0, func(th *sim.Thread) {
+				cfg := DefaultConfig()
+				cfg.Layout = l
+				cfg.Resilience = DefaultResilience()
+				a := New(th, cfg)
+				srv := NewServer()
+				srv.Attach(a)
+				c := a.clientOf(th)
+				// One request at a time, so each leaves its own mark on the
+				// response word.
+				serve := func(r *ring.SPSC, w0, w1 uint64) {
+					w0 &^= ring.TagBit
+					before, nacked := th.AtomicLoad64(c.page+respWord), a.ResilienceTelemetry()
+					if !r.TryPush(th, w0, w1) {
+						t.Errorf("%s: push into empty ring failed", l)
+						return
 					}
-				case unseal(w0)&0xff == opMalloc:
-					if addr := after &^ respTagMask; !answers(after, w1) || addr < mem.MmapBase {
-						t.Errorf("malloc %#x/%#x answered %#x: want tag %#x over a heap address", w0, w1, after, w1<<respTagShift>>respTagShift)
+					for srv.Poll(th) {
+					}
+					after, rs := th.AtomicLoad64(c.page+respWord), a.ResilienceTelemetry()
+					switch {
+					case rs.MallocNacks+rs.FreeNacks != nacked.MallocNacks+nacked.FreeNacks:
+						if after != before {
+							t.Errorf("%s: NACK of %#x/%#x rewrote the response word %#x -> %#x", l, w0, w1, before, after)
+						}
+					case unseal(w0)&0xff == opMalloc:
+						if addr := after &^ respTagMask; !answers(after, w1) || addr < mem.MmapBase {
+							t.Errorf("%s: malloc %#x/%#x answered %#x: want tag %#x over a heap address", l, w0, w1, after, w1<<respTagShift>>respTagShift)
+						}
 					}
 				}
-			}
-			serve(c.mreq, w0a, w1a)
-			serve(c.freq, w0b, w1b)
-			mr, fr := c.mreq.Stats(), c.freq.Stats()
-			if mr.Pops != 1 || fr.Pops != 1 {
-				t.Fatalf("pops = %d/%d, want 1/1", mr.Pops, fr.Pops)
-			}
-			rs := a.ResilienceTelemetry()
-			if got := a.Served() + rs.MallocNacks + rs.FreeNacks; got != 2 {
-				t.Fatalf("served+nacked = %d for 2 requests (double or lost completion)", got)
-			}
-		})
-		m.Run()
+				serve(c.mreq, w0a, w1a)
+				serve(c.freq, w0b, w1b)
+				mr, fr := c.mreq.Stats(), c.freq.Stats()
+				if mr.Pops != 1 || fr.Pops != 1 {
+					t.Fatalf("%s: pops = %d/%d, want 1/1", l, mr.Pops, fr.Pops)
+				}
+				rs := a.ResilienceTelemetry()
+				if got := a.Served() + rs.MallocNacks + rs.FreeNacks; got != 2 {
+					t.Fatalf("%s: served+nacked = %d for 2 requests (double or lost completion)", l, got)
+				}
+			})
+			m.Run()
+		}
 	})
 }

@@ -246,6 +246,10 @@ func TestRunEErrors(t *testing.T) {
 		{"negative servers", Options{Allocator: "nextgen", Workload: smallChurn(), Servers: -1}, "negative server count"},
 		{"shard inline", Options{Allocator: "mimalloc", Workload: smallChurn(), Servers: 2}, "no offload server"},
 		{"pin with fleet", Options{Allocator: "nextgen", Workload: smallChurn(), Servers: 2, PinServerCore: true}, "cannot pin"},
+		// core.New would panic on this layout, so an error here (not a
+		// panic) also shows RunE rejected it before any thread ran.
+		{"invalid layout", Options{Allocator: "nextgen", Workload: smallChurn(),
+			Tune: func(c *core.Config) { c.Layout = core.Layout(7) }}, "invalid metadata layout"},
 		{"worker collision", Options{
 			Allocator: "nextgen",
 			Workload:  &workload.Xmalloc{NThreads: 2, OpsPerThread: 10, Seed: 1},
