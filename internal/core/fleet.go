@@ -123,9 +123,11 @@ func (s *FailoverStats) Add(o FailoverStats) {
 const routeCost = 2
 
 // NewFleet builds servers independent shard allocators from one config;
-// t performs the initial mmaps. Attach shard i to its own Server daemon
-// (Fleet.Shards) before running. servers must be >= 1.
-func NewFleet(t *sim.Thread, cfg Config, servers int, part Partition) *Fleet {
+// t performs the initial mmaps. Shard i runs under its own fault injector
+// injs[i] when i < len(injs) (nil: clean), else under cfg.Faults. Attach
+// shard i to its own Server daemon (Fleet.Shards) before running.
+// servers must be >= 1.
+func NewFleet(t *sim.Thread, cfg Config, servers int, part Partition, injs []*fault.Injector) *Fleet {
 	if servers < 1 {
 		panic(fmt.Sprintf("core: fleet needs at least one server, got %d", servers))
 	}
@@ -137,21 +139,13 @@ func NewFleet(t *sim.Thread, cfg Config, servers int, part Partition) *Fleet {
 		fclients: make(map[int]*fleetClient),
 	}
 	for i := 0; i < servers; i++ {
-		f.shards = append(f.shards, New(t, cfg))
+		shard := cfg
+		if i < len(injs) {
+			shard.Faults = injs[i]
+		}
+		f.shards = append(f.shards, New(t, shard))
 	}
 	return f
-}
-
-// SetShardFaults arms each shard with its own fault injector (index i →
-// shard i; nil entries and missing tail entries leave the shard clean).
-// Must be called before any client registers — the drop hooks are wired
-// at registration.
-func (f *Fleet) SetShardFaults(injs []*fault.Injector) {
-	for i, inj := range injs {
-		if i < len(f.shards) {
-			f.shards[i].cfg.Faults = inj
-		}
-	}
 }
 
 // Shards exposes the per-server allocators (shard i belongs to server
@@ -220,11 +214,11 @@ func (f *Fleet) Malloc(t *sim.Thread, size uint64) uint64 {
 }
 
 // FailoverArmed reports whether the fleet re-routes mallocs around
-// marked-down shards: resilience on, a failover threshold set, and more
-// than one shard to fail over to.
+// marked-down shards: the bounded waiter, a failover threshold set, and
+// more than one shard to fail over to.
 func (f *Fleet) FailoverArmed() bool {
-	r := &f.shards[0].cfg.Resilience
-	return r.Enabled && r.FailoverAfter > 0 && len(f.shards) > 1
+	a := f.shards[0]
+	return a.ResilienceEnabled() && a.cfg.Resilience.FailoverAfter > 0 && len(f.shards) > 1
 }
 
 // fclient returns t's failover ledger, creating it homed at home.
@@ -244,22 +238,18 @@ func (f *Fleet) fclient(t *sim.Thread, home int) *fleetClient {
 func (f *Fleet) shardDown(t *sim.Thread, sh int) bool {
 	a := f.shards[sh]
 	c, ok := a.byThread[t.ID()]
-	if !ok || c.res == nil {
-		return false
-	}
-	return c.res.degraded || c.res.consecFails >= a.cfg.Resilience.FailoverAfter
+	return ok && (c.res.degraded || c.res.consecFails >= a.cfg.Resilience.FailoverAfter)
 }
 
 // failoverMalloc routes one malloc with shard failover: try the home
 // shard first, then rotate through the rest. Every attempted shard runs
 // the full resilient protocol (mallocFallible), so a marked-down shard
-// fails fast while still being probed at ProbeCycles cadence — the
-// probe-based re-homing path: the moment the home shard answers a
-// probe, the very next malloc lands home again and the transition is
-// recorded as a rejoin. The emergency allocator is the last tier, used
-// only when every shard is down (or the home shard is failing but still
-// below the failover threshold, the PR 5 single-server behaviour).
-// Returns the address and the shard that owns it.
+// fails fast while still probed every ProbeCycles: the moment the home
+// shard answers, the next malloc lands home again, recorded as a
+// rejoin. The emergency allocator is the last tier, used only when
+// every shard is down or the home shard is failing below the failover
+// threshold (the single-server behaviour). Returns the address and the
+// shard that owns it.
 func (f *Fleet) failoverMalloc(t *sim.Thread, size uint64) (uint64, int) {
 	home := f.mallocShard(t, size)
 	fc := f.fclient(t, home)

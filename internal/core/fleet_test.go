@@ -27,7 +27,7 @@ func fleetDaemon(n int, srvs *[]*Server) func(m *sim.Machine) {
 
 func fleetFactory(cfg Config, servers int, part Partition, srvs *[]*Server) alloctest.Factory {
 	return func(th *sim.Thread, m *sim.Machine) alloc.Allocator {
-		f := NewFleet(th, cfg, servers, part)
+		f := NewFleet(th, cfg, servers, part, nil)
 		for i, sh := range f.Shards() {
 			(*srvs)[i].Attach(sh)
 		}
@@ -69,7 +69,7 @@ func TestFleetPartitionsClients(t *testing.T) {
 		part := i
 		m.Spawn(fmt.Sprintf("c%d", part), part, func(th *sim.Thread) {
 			if part == 0 {
-				f = NewFleet(th, DefaultConfig(), 2, ByClient)
+				f = NewFleet(th, DefaultConfig(), 2, ByClient, nil)
 				for j, sh := range f.Shards() {
 					srvs[j].Attach(sh)
 				}
@@ -118,7 +118,7 @@ func TestFleetByClassRoutesSizes(t *testing.T) {
 	fleetDaemon(2, &srvs)(m)
 	var f *Fleet
 	m.Spawn("c0", 0, func(th *sim.Thread) {
-		f = NewFleet(th, DefaultConfig(), 2, ByClass)
+		f = NewFleet(th, DefaultConfig(), 2, ByClass, nil)
 		for j, sh := range f.Shards() {
 			srvs[j].Attach(sh)
 		}
@@ -152,7 +152,7 @@ func TestFleetName(t *testing.T) {
 	var srvs []*Server
 	fleetDaemon(3, &srvs)(m)
 	m.Spawn("c0", 0, func(th *sim.Thread) {
-		f := NewFleet(th, DefaultConfig(), 3, ByClient)
+		f := NewFleet(th, DefaultConfig(), 3, ByClient, nil)
 		for j, sh := range f.Shards() {
 			srvs[j].Attach(sh)
 		}
@@ -174,7 +174,7 @@ func TestNewFleetRejectsZeroServers(t *testing.T) {
 				t.Error("NewFleet accepted zero servers")
 			}
 		}()
-		NewFleet(th, DefaultConfig(), 0, ByClient)
+		NewFleet(th, DefaultConfig(), 0, ByClient, nil)
 	})
 	m.Run()
 }
@@ -222,7 +222,7 @@ func TestFleetForeignFreesWaitForFlush(t *testing.T) {
 	var f *Fleet
 	var handoff []uint64 // blocks of thread 0 (shard 0) for thread 1 (shard 1) to free
 	m.Spawn("c0", 0, func(th *sim.Thread) {
-		f = NewFleet(th, DefaultConfig(), 2, ByClient)
+		f = NewFleet(th, DefaultConfig(), 2, ByClient, nil)
 		for j, sh := range f.Shards() {
 			srvs[j].Attach(sh)
 		}
@@ -354,8 +354,7 @@ func TestFleetFailoverReHomesAndRejoins(t *testing.T) {
 	inj.Attach(m)
 	var f *Fleet
 	m.Spawn("c0", 0, func(th *sim.Thread) {
-		f = NewFleet(th, failoverConfig(), 2, ByClient)
-		f.SetShardFaults([]*fault.Injector{inj})
+		f = NewFleet(th, failoverConfig(), 2, ByClient, []*fault.Injector{inj})
 		for j, sh := range f.Shards() {
 			srvs[j].Attach(sh)
 		}
@@ -440,8 +439,7 @@ func TestFleetFailoverDisarmedRecordsNothing(t *testing.T) {
 	m.Spawn("c0", 0, func(th *sim.Thread) {
 		cfg := failoverConfig()
 		cfg.Resilience.FailoverAfter = 0
-		f = NewFleet(th, cfg, 2, ByClient)
-		f.SetShardFaults([]*fault.Injector{
+		f = NewFleet(th, cfg, 2, ByClient, []*fault.Injector{
 			fault.NewShardInjector(fault.Plan{Seed: 1, StallStart: 20000, StallCycles: 30000, Shard: 1}, 0),
 		})
 		for j, sh := range f.Shards() {
@@ -483,7 +481,7 @@ func FuzzFleetServeWord(f *testing.F) {
 		m.Spawn("worker", 0, func(th *sim.Thread) {
 			cfg := DefaultConfig()
 			cfg.Resilience = DefaultResilience()
-			fl := NewFleet(th, cfg, 2, ByClient)
+			fl := NewFleet(th, cfg, 2, ByClient, nil)
 			var srvs []*Server
 			for _, sh := range fl.Shards() {
 				srv := NewServer()

@@ -73,16 +73,15 @@ type Config struct {
 	// ring stamping but issues zero simulated memory traffic, so
 	// counters are bit-identical with and without it.
 	Latency *timeline.LatencyRecorder
-	// Resilience configures graceful degradation of the offload path
-	// (timeouts, retries, local fallback) and the server's request
-	// validation; see resilience.go. Zero value = disabled = seed
-	// protocol.
+	// Resilience selects the offload path's two policies, the client's
+	// waiter and the server's validator (resilience.go). The zero value
+	// is the seed protocol.
 	Resilience Resilience
 	// Faults, when non-nil, is the armed fault injector the server and
 	// transport consult (see internal/fault). Stall windows and slow-down
-	// apply whenever armed; doorbell drops and word corruption are only
-	// injected when Resilience.Enabled, because the seed blocking
-	// protocol cannot survive them.
+	// apply under every policy; only the bounded waiter drops doorbells
+	// and only the checking validator corrupts words, because the seed
+	// protocol cannot survive either.
 	Faults *fault.Injector
 }
 
@@ -153,7 +152,7 @@ type client struct {
 	mreq     *ring.SPSC         // synchronous malloc/sync requests
 	freq     *ring.SPSC         // asynchronous frees (+ flush barriers)
 	seq      uint64             // the last sequence number issued (only issue writes it)
-	res      *clientResilience  // degradation state (nil when disabled)
+	res      *clientResilience  // the bounded waiter's state (nil when blocking)
 	spinAt   [2]uint64          // spin's warp-declared loads (a field: no allocation per wait)
 	readIdx  [stashSlots]uint64 // client-register mirrors of stash read indices
 	// hot tracks the classes this client allocated recently; the server
@@ -188,7 +187,10 @@ func (c *client) noteHot(class int) {
 // Allocator is NextGen-Malloc.
 type Allocator struct {
 	cfg   Config
-	enc   encoding // the layout's slab format, resolved by New
+	enc   encoding        // the layout's slab format, resolved by New
+	val   validator       // the server's word policy, resolved by New
+	wait  waiter          // the client's wait policy, resolved by New
+	inj   *fault.Injector // the armed fault plan; nil (unarmed) is safe
 	sc    *alloc.SizeClasses
 	stats alloc.Stats
 
@@ -219,14 +221,18 @@ func New(t *sim.Thread, cfg Config) *Allocator {
 	if cfg.RingSlots == 0 {
 		cfg.RingSlots = 64
 	}
-	if cfg.Resilience.Enabled {
-		cfg.Resilience.applyDefaults()
-	}
 	a := &Allocator{
 		cfg:      cfg,
 		enc:      cfg.Layout.encoding(), // panics on an undefined layout
+		val:      trusting{},
+		wait:     blocking{},
+		inj:      cfg.Faults,
 		sc:       alloc.NewSizeClasses(),
 		byThread: make(map[int]*client),
+	}
+	if cfg.Resilience.Enabled {
+		a.cfg.Resilience.applyDefaults()
+		a.val, a.wait = checking{}, bounded{}
 	}
 	if a.sc.NumClasses() > stashSlots {
 		panic("core: stash table smaller than the class count")
@@ -447,7 +453,7 @@ func (a *Allocator) slabPop(t *sim.Thread, rec uint64, class int) uint64 {
 // slabPush returns a block; reports the slab's new free count.
 func (a *Allocator) slabPush(t *sim.Thread, rec uint64, class int, addr uint64) uint64 {
 	top := t.Load64(rec + slTop)
-	a.enc.push(t, rec, top, a.sc.Size(class), addr, a.cfg.Resilience.Enabled)
+	a.enc.push(t, rec, top, a.sc.Size(class), addr, a.val.checked())
 	t.Store64(rec+slTop, top+1)
 	return top + 1
 }
@@ -577,13 +583,7 @@ func (a *Allocator) Malloc(t *sim.Thread, size uint64) uint64 {
 	if addr, ok := a.stashPop(t, c, size); ok {
 		return addr
 	}
-	if a.cfg.Resilience.Enabled {
-		return a.resilientMalloc(t, c, size)
-	}
-	// Synchronous request: push, then spin on the response word.
-	seq, _ := a.issue(t, c, c.mreq, opMalloc|size<<8)
-	addr, _ := a.spin(t, c, seq, 0, nil)
-	return addr
+	return a.wait.malloc(a, t, c, size)
 }
 
 // Free implements alloc.Allocator.
@@ -598,33 +598,15 @@ func (a *Allocator) Free(t *sim.Thread, addr uint64) {
 		a.lock.Unlock(t)
 		return
 	}
-	c := a.clientOf(t)
-	if a.cfg.Resilience.Enabled {
-		a.resilientFree(t, c, addr)
-		return
-	}
-	if a.cfg.AsyncFree {
-		// Stage the request and store the line when it fills;
-		// Malloc/Preheat/Flush publish a partial one.
-		c.freq.Stage(t, opFree, addr)
-		if c.freq.Staged() >= maxBatch {
-			c.freq.Publish(t)
-		}
-		return
-	}
-	// Synchronous-free mode: chase the free with a sync barrier so the
-	// client observes completion (the ring is FIFO per client).
-	c.freq.Push(t, opFree, addr)
-	a.barrier(t, c)
+	a.wait.free(a, t, a.clientOf(t), addr)
 }
 
 // engineFree is the engine's free, with the live-byte accounting (the
-// class is known only after the metadata lookup). validate adds the
-// stage an untrusted ring word needs — heap range, pagemap, class,
-// base/alignment/capacity and double-free checks — and makes engineFree
-// report false, with no state touched, for an address that cannot be a
-// live engine block (the corrupt-request NACK path). Without it the
-// address is trusted and the result is always true.
+// class is known only after the metadata lookup). validate, the checking
+// validator's stage for an untrusted address (heap range, pagemap,
+// class, base/alignment/capacity and double-free checks), makes it
+// report false, with no state touched, for anything but a live engine
+// block. Without it the address is trusted and the result always true.
 func (a *Allocator) engineFree(t *sim.Thread, addr uint64, validate bool) bool {
 	if validate {
 		t.Exec(4) // range/alignment compare chain
@@ -659,9 +641,8 @@ func (a *Allocator) engineFree(t *sim.Thread, addr uint64, validate bool) bool {
 // remedy ("NextGen-Malloc can be extended to monitor inter-process
 // memory heap similarities in FaaS systems"): a new function instance's
 // allocation profile is known from previous instances, so the dedicated
-// core stocks the matching classes ahead of the first request. In
-// offload mode the requests are queued asynchronously and drained with
-// a flush barrier; inline mode pre-carves the slabs directly.
+// core stocks the matching classes ahead of the first request, queued
+// and then flushed. Inline mode pre-carves the slabs directly.
 func (a *Allocator) Preheat(t *sim.Thread, sizes []uint64) {
 	seen := map[int]bool{}
 	for _, size := range sizes {
@@ -677,12 +658,7 @@ func (a *Allocator) Preheat(t *sim.Thread, sizes []uint64) {
 			a.lock.Unlock(t)
 			continue
 		}
-		c := a.clientOf(t)
-		if a.cfg.Resilience.Enabled {
-			a.resilientPreheat(t, c, class)
-			continue
-		}
-		c.freq.Push(t, opPreheat|uint64(class)<<8, 0)
+		a.wait.preheat(t, a.clientOf(t), class)
 	}
 	if a.cfg.Offload {
 		a.Flush(t)
@@ -690,20 +666,12 @@ func (a *Allocator) Preheat(t *sim.Thread, sizes []uint64) {
 }
 
 // Flush implements alloc.Flusher: it drains this thread's queued
-// asynchronous frees (a sync barrier through the ring). Staged frees
-// are published together with the barrier slot — Push
-// publishes the whole staged backlog in slot order, so the barrier
-// keeps its FIFO position behind them.
+// asynchronous frees with a sync barrier through the ring.
 func (a *Allocator) Flush(t *sim.Thread) {
 	if !a.cfg.Offload {
 		return
 	}
-	c := a.clientOf(t)
-	if a.cfg.Resilience.Enabled {
-		a.resilientFlush(t, c)
-		return
-	}
-	a.barrier(t, c)
+	a.wait.flush(a, t, a.clientOf(t))
 }
 
 // clientOf lazily registers the calling thread with the server.
@@ -727,15 +695,7 @@ func (a *Allocator) clientOf(t *sim.Thread) *client {
 		c.mreq.EnableStamps()
 		c.freq.EnableStamps()
 	}
-	if a.cfg.Resilience.Enabled || a.cfg.Faults != nil {
-		c.res = newClientResilience()
-	}
-	if inj := a.cfg.Faults; inj != nil && a.cfg.Resilience.Enabled && inj.Plan().DropEveryN > 0 {
-		// Doorbell loss is only injected when the client can recover
-		// (Republish after a timeout); the seed protocol would hang.
-		c.mreq.SetDropHook(inj.DropDoorbell)
-		c.freq.SetDropHook(inj.DropDoorbell)
-	}
+	a.wait.register(a, c)
 	a.byThread[t.ID()] = c
 	// Publication to the server's poll set: the host slice append is the
 	// registration; determinism holds because only one simulated thread
@@ -828,26 +788,17 @@ func (s *Server) PollStats() (emptyPolls, emptyPollCycles uint64) {
 // Run is the daemon body: poll every client ring round-robin, service
 // requests with the (atomics-free) slab engine, publish responses.
 //
-// The loop is declared to the scheduler's time warp (sim.WaitSpec): a
-// quiescent ring set makes every iteration an identical sequence of
-// empty slot probes, stash gauge reads, and a fixed pause, and
-// those rounds are skipped in bulk instead of being stepped on the
-// host. The declaration covers exactly the steady idle round — the slot
-// words the empty polls reload and the stash index words the idle
-// top-up gauges — and the horizon pins warped rounds strictly below the
-// next fault-stall window, so an armed plan observes the identical
-// stall entry clock. Per-round idle accounting is scaled through
-// Skipped, making busy/idle/empty-poll telemetry bit-identical too.
+// The loop is declared to the scheduler's time warp (sim.WaitSpec), so
+// steady idle rounds (a quiescent ring set: the same empty slot probes,
+// stash gauge reads and pause) are skipped in bulk. Addrs declares
+// exactly those loads; the horizon pins warped rounds below the next
+// fault-stall window, so a plan sees the same stall entry clock; and
+// Skipped scales the idle accounting, keeping telemetry bit-identical.
 func (s *Server) Run(t *sim.Thread) {
 	t.WarpLoop(sim.WaitSpec{
-		Round: func() bool { return s.iterate(t) },
-		Addrs: s.idleLoadAddrs,
-		Horizon: func() uint64 {
-			if inj := s.injector(); inj != nil {
-				return inj.NextStall(t.Clock())
-			}
-			return 0
-		},
+		Round:   func() bool { return s.iterate(t) },
+		Addrs:   s.idleLoadAddrs,
+		Horizon: func() uint64 { return s.injector().NextStall(t.Clock()) },
 		Skipped: func(rounds, cycles uint64) {
 			s.emptyPolls += rounds
 			s.emptyPollCycles += rounds * s.lastEmptyPoll
@@ -860,22 +811,18 @@ func (s *Server) Run(t *sim.Thread) {
 // server is done (shutdown drain complete).
 func (s *Server) iterate(t *sim.Thread) bool {
 	start := t.Clock()
-	if inj := s.injector(); inj != nil {
-		if d := inj.StallPause(t.Clock()); d > 0 {
-			// The room was taken away: lease cycles without serving.
-			// Pauses are chunked so Stopping stays polled; drain (and
-			// with it shutdown) waits for the window to close, exactly
-			// like the applications do.
-			t.Pause(int(d))
-			s.idleCycles += t.Clock() - start
-			return false
-		}
+	if d := s.injector().StallPause(t.Clock()); d > 0 {
+		// The room was taken away: lease cycles without serving, in
+		// chunks so Stopping stays polled (shutdown waits for the window
+		// to close, exactly like the applications do).
+		t.Pause(int(d))
+		s.idleCycles += t.Clock() - start
+		return false
 	}
 	if t.Stopping() {
-		if s.a == nil || s.drain(t) {
-			s.busyCycles += t.Clock() - start
-			return true
-		}
+		s.Drain(t)
+		s.busyCycles += t.Clock() - start
+		return true
 	}
 	if s.a == nil {
 		t.Pause(200)
@@ -943,14 +890,6 @@ func (s *Server) Idle(t *sim.Thread) {
 	}
 }
 
-// Drain services everything still queued (shutdown path for shared-room
-// daemons).
-func (s *Server) Drain(t *sim.Thread) {
-	if s.a != nil {
-		s.drain(t)
-	}
-}
-
 // topUp fills a client's per-class stash ring up to the configured
 // depth. SPSC: only the server writes addresses and writeIdx, only the
 // client writes readIdx, so this is safe to run while the client pops.
@@ -975,54 +914,47 @@ func (s *Server) topUp(t *sim.Thread, c *client, class int) {
 	t.AtomicStore64(slot+stashWrite, w)
 }
 
-// drain services any remaining queued operations; reports completion.
-func (s *Server) drain(t *sim.Thread) bool {
-	faulty := s.a.cfg.Faults != nil
+// Drain services everything still queued: the daemon loop's shutdown
+// path, and shared-room daemons'.
+func (s *Server) Drain(t *sim.Thread) {
+	if s.a == nil {
+		return
+	}
 	for _, c := range s.a.clients {
-		if faulty {
-			// A dropped doorbell must not strand published slots at
-			// shutdown: re-ring both doorbells (the producers have exited,
-			// so the slot lines are quiescent) before the final pops. This
-			// is what keeps the liveness invariant pushes == pops.
-			c.mreq.Republish(t)
-			c.freq.Republish(t)
-		}
+		// A dropped doorbell must not strand published slots at shutdown:
+		// re-ring both doorbells (the producers have exited, so the slot
+		// lines are quiescent) before the final pops, keeping pushes ==
+		// pops. With no slot hidden the re-ring issues nothing.
+		c.mreq.Republish(t)
+		c.freq.Republish(t)
 		for s.popServe(t, c, c.mreq) {
 		}
 		for s.popServe(t, c, c.freq) {
 		}
 	}
-	return true
 }
 
-// injector returns the armed fault injector, if any.
+// injector is the attached allocator's fault injector (nil before Attach).
 func (s *Server) injector() *fault.Injector {
 	if s.a == nil {
 		return nil
 	}
-	return s.a.cfg.Faults
+	return s.a.inj
 }
 
 // popServe pops one request off c's ring r, if one is published, and
-// services it; it reports whether there was one. The pop is the
-// corruption injection point: every word pair the server receives may
-// have a bit flipped by an armed plan (only with resilience on — the
-// seed protocol cannot survive it). When latency recording is armed the
-// request's span is folded: the ring's host-side stamp is the enqueue
-// time, and the pop just happened so the current server clock is the
-// dequeue time.
+// services it; it reports whether there was one. When latency recording
+// is armed the request's span is folded: the ring's host-side stamp is
+// the enqueue time, and the pop just happened so the current server
+// clock is the dequeue time.
 func (s *Server) popServe(t *sim.Thread, c *client, r *ring.SPSC) bool {
-	a := s.a
 	w0, w1, ok := r.TryPop(t)
 	if !ok {
 		return false
 	}
-	if inj := a.cfg.Faults; inj != nil && a.cfg.Resilience.Enabled {
-		w0, w1 = inj.Corrupt(w0, w1)
-	}
 	enq, deq := r.PoppedStamp(), t.Clock()
 	complete, served := s.serve(t, c, r == c.mreq, w0, w1)
-	if lat := a.cfg.Latency; lat != nil && served {
+	if lat := s.a.cfg.Latency; lat != nil && served {
 		if op, ok := spanOp(w0); ok {
 			lat.Record(op, c.threadID, enq, deq, complete)
 		}
@@ -1034,24 +966,18 @@ func (s *Server) popServe(t *sim.Thread, c *client, r *ring.SPSC) bool {
 // the request's effect became visible to the client (for malloc, the
 // response publication — stash restocking afterwards is off the
 // critical path and not part of the span's service time). served is
-// false when the request was rejected (NACKed) instead: failed seal,
+// false when the validator rejected the request instead: failed seal,
 // invalid payload, or an op code the protocol doesn't know.
 func (s *Server) serve(t *sim.Thread, c *client, fromMalloc bool, w0, w1 uint64) (complete uint64, served bool) {
 	a := s.a
 	svcStart := t.Clock()
-	if a.cfg.Resilience.Enabled {
-		t.Exec(sealCost)
-		if !checkSeal(w0, w1) {
-			return s.nack(t, c, fromMalloc), false
-		}
-		w0 = unseal(w0)
+	w0, w1, ok := a.val.admit(a, t, w0, w1)
+	if !ok {
+		return a.val.reject(t, c, fromMalloc, w0), false
 	}
 	switch w0 & 0xff {
 	case opMalloc:
 		size := w0 >> 8
-		if a.cfg.Resilience.Enabled && size > a.cfg.Resilience.MaxRequestBytes {
-			return s.nack(t, c, fromMalloc), false
-		}
 		addr := a.engineMalloc(t, size)
 		respond(t, c, w1, addr)
 		complete = t.Clock()
@@ -1066,10 +992,10 @@ func (s *Server) serve(t *sim.Thread, c *client, fromMalloc bool, w0, w1 uint64)
 			}
 		}
 	case opFree:
-		// Under resilience an unmappable or misaligned address is a
-		// corrupt request, not a crash.
-		if !a.engineFree(t, w1, a.cfg.Resilience.Enabled) {
-			return s.nack(t, c, fromMalloc), false
+		// A checking server rejects an unmappable or misaligned address
+		// as a corrupt request, not a crash.
+		if !a.engineFree(t, w1, a.val.checked()) {
+			return a.val.reject(t, c, fromMalloc, w0), false
 		}
 		complete = t.Clock()
 		// Asynchronous: no response and no seq.
@@ -1081,9 +1007,6 @@ func (s *Server) serve(t *sim.Thread, c *client, fromMalloc bool, w0, w1 uint64)
 		// real allocation after a cold start is a local pop. Heat first:
 		// the adaptive depth for a never-seen class is zero.
 		class := int(w0 >> 8)
-		if a.cfg.Resilience.Enabled && class >= a.sc.NumClasses() {
-			return s.nack(t, c, fromMalloc), false
-		}
 		c.noteHot(class)
 		if a.preallocOn() {
 			s.topUp(t, c, class)
@@ -1093,10 +1016,7 @@ func (s *Server) serve(t *sim.Thread, c *client, fromMalloc bool, w0, w1 uint64)
 		}
 		complete = t.Clock()
 	default:
-		if a.cfg.Resilience.Enabled || a.cfg.Faults != nil {
-			return s.nack(t, c, fromMalloc), false
-		}
-		panic(fmt.Sprintf("core: unknown ring op %#x", w0))
+		return a.val.reject(t, c, fromMalloc, w0), false
 	}
 	a.served++
 	// Host-side service-fairness ledger (observation only — no simulated
@@ -1108,14 +1028,34 @@ func (s *Server) serve(t *sim.Thread, c *client, fromMalloc bool, w0, w1 uint64)
 	}
 	c.servedOps++
 	c.lastServed = complete
-	if inj := a.cfg.Faults; inj != nil {
-		if extra := inj.SlowPause(t.Clock() - svcStart); extra > 0 {
-			// A slow room: the response is already out, so the injected
-			// service-time multiple lands as delay on every later request.
-			t.Pause(int(extra))
-		}
+	if extra := a.inj.SlowPause(t.Clock() - svcStart); extra > 0 {
+		// A slow room: the response is already out, so the injected
+		// service-time multiple lands as delay on every later request.
+		t.Pause(int(extra))
 	}
 	return complete, true
+}
+
+// validator is the server's policy for the pairs it pops, resolved once
+// in New: trusting (the seed protocol) or checking (resilience.go).
+type validator interface {
+	// admit opens a popped pair into the request to serve; false rejects it.
+	admit(a *Allocator, t *sim.Thread, w0, w1 uint64) (uint64, uint64, bool)
+	checked() bool // engineFree's validate argument, the layouts' hardened push
+	// reject answers a request serve refuses; it returns the clock then.
+	reject(t *sim.Thread, c *client, fromMalloc bool, w0 uint64) uint64
+}
+
+// trusting is the seed server's validator: words are served unchecked,
+// so frees always succeed and only an unknown op is refused, by a panic.
+type trusting struct{}
+
+func (trusting) admit(_ *Allocator, _ *sim.Thread, w0, w1 uint64) (uint64, uint64, bool) {
+	return w0, w1, true
+}
+func (trusting) checked() bool { return false }
+func (trusting) reject(_ *sim.Thread, _ *client, _ bool, w0 uint64) uint64 {
+	panic(fmt.Sprintf("core: unknown ring op %#x", w0))
 }
 
 // spanOp maps a ring op code to its latency-span kind; control ops

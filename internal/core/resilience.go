@@ -1,18 +1,16 @@
 // Graceful degradation for the offload path. The paper gives the
 // allocator its own room in the house; this file answers what the
 // application does when the room is locked — the dedicated core is
-// stalled, slow, or the ring misbehaves (see internal/fault). The
-// client gets a per-request timeout with bounded exponential-backoff
-// retries, and after enough consecutive failures falls back to a local
-// emergency allocator until a periodic probe finds the server answering
-// again. The server validates every ring word (sequence tag + parity in
-// the otherwise-unused top byte) and NACKs corrupt requests instead of
-// panicking, so corruption becomes a counted, recoverable event.
-//
-// Everything here is gated on Config.Resilience.Enabled (plus, for the
-// injection sites, Config.Faults): with both off, no simulated
-// instruction differs from the seed protocol, which keeps the golden
-// counter suite bit-identical.
+// stalled, slow, or the ring misbehaves (see internal/fault). New
+// resolves two policies from Config.Resilience. The bounded waiter gives
+// the client a per-request timeout with exponential-backoff retries and,
+// after enough consecutive failures, a local emergency allocator until a
+// periodic probe finds the server answering again. The checking
+// validator checks every ring word (sequence tag + parity in the
+// otherwise-unused top byte) and NACKs corrupt requests, so corruption
+// becomes a counted, recoverable event. Disabled, New resolves the seed's
+// blocking waiter (resp.go) and trusting validator (nextgen.go), which
+// carry no branch of the degraded path.
 package core
 
 import (
@@ -23,9 +21,8 @@ import (
 )
 
 // Resilience configures the offload client's graceful degradation and
-// the server's request validation. The zero value is disabled: the
-// client uses the seed blocking protocol and the server serves words
-// unchecked.
+// the server's request validation. The zero value is disabled: the seed
+// protocol.
 type Resilience struct {
 	// Enabled turns the whole policy on.
 	Enabled bool
@@ -50,10 +47,10 @@ type Resilience struct {
 	// FailoverAfter arms fleet failover: after this many consecutive
 	// timeouts on the home shard, a client re-homes its mallocs to the
 	// next healthy shard instead of the emergency allocator, which
-	// becomes the last tier (every shard down). Zero keeps failover off
-	// — degraded clients fall straight back to emergency allocation, the
-	// PR 5 behaviour — and applyDefaults deliberately leaves it zero.
-	// Frees always route to the owning shard regardless of failover.
+	// becomes the last tier (every shard down). Zero keeps failover off —
+	// degraded clients fall straight back to emergency allocation — and
+	// applyDefaults deliberately leaves it zero. Frees always route to
+	// the owning shard regardless of failover.
 	FailoverAfter int
 }
 
@@ -157,8 +154,8 @@ func (a *Allocator) ResilienceTelemetry() ResilienceStats {
 	return s
 }
 
-// ResilienceEnabled reports whether the degradation policy is armed.
-func (a *Allocator) ResilienceEnabled() bool { return a.cfg.Resilience.Enabled }
+// ResilienceEnabled reports whether New resolved the bounded waiter.
+func (a *Allocator) ResilienceEnabled() bool { return a.wait == bounded{} }
 
 // --- word sealing -----------------------------------------------------------
 
@@ -254,11 +251,10 @@ func newClientResilience() *clientResilience {
 }
 
 // emergency is the local fallback allocator: a bump pointer over
-// privately mmapped spans with per-class free stacks. It is deliberately
-// primitive — it exists so the application makes progress while the
-// server is away, not to win benchmarks — and its blocks never mix with
-// the engine's (the engine's pagemap doesn't know them, and Free routes
-// them here by the blocks map).
+// privately mmapped spans with per-class free stacks, deliberately
+// primitive (it keeps the application going while the server is away).
+// Its blocks never mix with the engine's: the engine's pagemap doesn't
+// know them, and Free routes them here by the blocks map.
 type emergency struct {
 	cur, limit uint64
 	free       map[int][]uint64
@@ -327,11 +323,29 @@ func (a *Allocator) emergencyFree(t *sim.Thread, c *client, addr uint64) bool {
 	return true
 }
 
-// --- resilient client protocol ----------------------------------------------
+// --- the bounded waiter -------------------------------------------------------
 
-// resilientMalloc is Malloc's offload tail under the resilience policy:
-// sealed request, bounded wait, local fallback.
-func (a *Allocator) resilientMalloc(t *sim.Thread, c *client, size uint64) uint64 {
+// bounded is the resilient client's waiter: sealed requests, waits
+// bounded by timeouts and retries, and the local emergency tier.
+type bounded struct{}
+
+// register gives a new client its degradation state and, when the plan
+// drops doorbells, the drop hooks: only a bounded client recovers them.
+func (bounded) register(a *Allocator, c *client) {
+	c.res = newClientResilience()
+	if a.inj.Plan().DropEveryN > 0 {
+		c.mreq.SetDropHook(a.inj.DropDoorbell)
+		c.freq.SetDropHook(a.inj.DropDoorbell)
+	}
+}
+
+func (bounded) push(t *sim.Thread, c *client, r *ring.SPSC, w0 uint64) bool {
+	return c.pushSealed(t, r, w0, c.seq)
+}
+
+// malloc is Malloc's offload tail: sealed request, bounded wait, local
+// fallback.
+func (bounded) malloc(a *Allocator, t *sim.Thread, c *client, size uint64) uint64 {
 	a.drainDeferred(t, c)
 	if !c.res.degraded || a.tryRejoin(t, c, false) {
 		if addr, ok := a.offloadMalloc(t, c, size); ok {
@@ -367,16 +381,13 @@ func (a *Allocator) offloadMalloc(t *sim.Thread, c *client, size uint64) (uint64
 	return 0, false
 }
 
-// mallocFallible is the fleet failover entry point: one full resilient
-// malloc attempt against this shard that reports failure instead of
-// falling back to the emergency allocator, so the fleet can re-route
-// the request to a healthy shard. It mirrors Malloc's offload path —
-// same dispatch charge, batch boundary, stash fast path, sealed push,
-// bounded wait — except the host-side malloc ledger is charged only on
-// success: the shard that serves the request owns its accounting. A
-// degraded shard fails fast (one host check, plus a ProbeCycles-spaced
-// rejoin probe), so a dead home shard costs its clients almost nothing
-// per malloc once marked down.
+// mallocFallible is the fleet failover entry point: one resilient malloc
+// attempt against this shard that reports failure instead of falling
+// back to the emergency allocator, so the fleet can re-route it. It
+// mirrors Malloc's offload path, except that only the shard that serves
+// the request charges the host-side malloc ledger. A degraded shard
+// fails fast (one host check, plus a ProbeCycles-spaced rejoin probe),
+// so a dead home shard costs its clients almost nothing per malloc.
 func (a *Allocator) mallocFallible(t *sim.Thread, size uint64) (uint64, bool) {
 	c := a.clientOf(t)
 	if c.res.degraded && !a.pollRejoin(t, c) {
@@ -396,35 +407,29 @@ func (a *Allocator) mallocFallible(t *sim.Thread, size uint64) (uint64, bool) {
 	return addr, ok
 }
 
-// resilientFree is Free's offload tail under the resilience policy.
-func (a *Allocator) resilientFree(t *sim.Thread, c *client, addr uint64) {
+// free is Free's offload tail: emergency blocks stay local, a free the
+// ring cannot take (server away, ring full) is parked host-side, and
+// synchronous-free mode waits on a bounded barrier.
+func (b bounded) free(a *Allocator, t *sim.Thread, c *client, addr uint64) {
 	rs := c.res
 	if a.emergencyFree(t, c, addr) {
 		return
 	}
-	if rs.degraded {
-		// The server is away; park the free host-side.
+	if !rs.degraded {
+		a.drainDeferred(t, c)
+		t.Exec(sealCost)
+	}
+	if rs.degraded || !c.freq.TryStage(t, sealWord(opFree, addr, c.seq), addr) {
 		rs.deferred = append(rs.deferred, addr)
 		rs.stats.DeferredFrees++
 		return
 	}
-	a.drainDeferred(t, c)
-	t.Exec(sealCost)
-	if !c.freq.TryStage(t, sealWord(opFree, addr, c.seq), addr) {
-		rs.deferred = append(rs.deferred, addr)
-		rs.stats.DeferredFrees++
-		return
+	if !a.cfg.AsyncFree {
+		c.freq.Publish(t)
+		b.barrier(a, t, c)
+	} else if c.freq.Staged() >= maxBatch {
+		c.freq.Publish(t)
 	}
-	if a.cfg.AsyncFree {
-		if c.freq.Staged() >= maxBatch {
-			c.freq.Publish(t)
-		}
-		return
-	}
-	// Synchronous-free mode: bounded barrier instead of the seed's
-	// infinite spin.
-	c.freq.Publish(t)
-	a.barrier(t, c)
 }
 
 // drainDeferred re-queues parked frees while the ring accepts them.
@@ -438,11 +443,10 @@ func (a *Allocator) drainDeferred(t *sim.Thread, c *client) {
 	}
 }
 
-// resilientFlush is Flush under the resilience policy: a bounded barrier
-// that doubles as a degraded-mode rejoin point and settles the
-// degraded-cycles ledger (the harness flushes at thread exit, so an
-// open degraded window is folded in here).
-func (a *Allocator) resilientFlush(t *sim.Thread, c *client) {
+// flush is a bounded barrier that doubles as a degraded-mode rejoin
+// point and settles the degraded-cycles ledger (the harness flushes at
+// thread exit, so an open degraded window is folded in here).
+func (b bounded) flush(a *Allocator, t *sim.Thread, c *client) {
 	rs := c.res
 	if rs.degraded {
 		a.tryRejoin(t, c, true)
@@ -450,7 +454,7 @@ func (a *Allocator) resilientFlush(t *sim.Thread, c *client) {
 	if !rs.degraded {
 		a.drainDeferred(t, c)
 		c.freq.Publish(t) // staged frees travel ahead of the barrier
-		pushed, ok := a.barrier(t, c)
+		pushed, ok := b.barrier(a, t, c)
 		if !pushed {
 			rs.stats.Timeouts++
 		}
@@ -467,9 +471,9 @@ func (a *Allocator) resilientFlush(t *sim.Thread, c *client) {
 	a.settleDegraded(t, c)
 }
 
-// resilientPreheat queues a preheat request without blocking; a full
-// ring drops it (preheat is advisory).
-func (a *Allocator) resilientPreheat(t *sim.Thread, c *client, class int) {
+// preheat queues a preheat request without blocking; a full ring drops
+// it (preheat is advisory).
+func (bounded) preheat(t *sim.Thread, c *client, class int) {
 	c.pushSealed(t, c.freq, opPreheat|uint64(class)<<8, 0)
 }
 
@@ -510,12 +514,10 @@ func (a *Allocator) settleDegraded(t *sim.Thread, c *client) {
 
 // pollRejoin is the fleet failover path's non-blocking rejoin check: a
 // degraded home shard is probed with a fire-and-forget sync barrier
-// every ProbeCycles, and each call merely peeks at the response word
-// for the answer. Unlike tryRejoin it never spins out a timeout — a
-// failed-over client has a healthy shard serving it, so probing its dead
-// home must cost a load, not TimeoutCycles of its tenant's latency. (The
-// emergency path keeps the blocking probe: it has no other way back.)
-// True means the shard answered and the client has rejoined.
+// every ProbeCycles, and each call merely peeks for the answer. Unlike
+// tryRejoin, which the emergency path keeps (it has no other way back),
+// it never spins out a timeout: a failed-over client has a healthy shard
+// serving it. True means the shard answered and the client rejoined.
 func (a *Allocator) pollRejoin(t *sim.Thread, c *client) bool {
 	rs := c.res
 	if rs.probeSeq != 0 {
@@ -559,17 +561,37 @@ func (a *Allocator) probe(t *sim.Thread, c *client, force bool) (seq uint64, ok 
 	return seq, ok
 }
 
-// --- server-side validation ---------------------------------------------------
+// --- the checking validator ---------------------------------------------------
 
-// nack publishes a rejection: a counter bump on the client page's NACK
-// word for the offending ring. The client treats a malloc-ring NACK as
-// "my in-flight request was dropped — re-push it"; free-ring NACKs cover
-// asynchronous requests (a corrupt free is dropped and counted) and sync
-// barriers (re-pushed, idempotent).
-func (s *Server) nack(t *sim.Thread, c *client, fromMalloc bool) uint64 {
-	if c.res == nil {
-		c.res = newClientResilience()
+// checking is the resilient server's validator: every popped pair is
+// untrusted, and a bad one is NACKed instead of served.
+type checking struct{}
+
+// admit runs the injector's bit-flipper (corruption is only injected
+// where it is caught), the seal check, and the size and class caps.
+func (checking) admit(a *Allocator, t *sim.Thread, w0, w1 uint64) (uint64, uint64, bool) {
+	w0, w1 = a.inj.Corrupt(w0, w1)
+	t.Exec(sealCost)
+	if !checkSeal(w0, w1) {
+		return w0, w1, false
 	}
+	w0 = unseal(w0)
+	switch w0 & 0xff {
+	case opMalloc:
+		return w0, w1, w0>>8 <= a.cfg.Resilience.MaxRequestBytes
+	case opPreheat:
+		return w0, w1, w0>>8 < uint64(a.sc.NumClasses())
+	}
+	return w0, w1, true
+}
+
+func (checking) checked() bool { return true }
+
+// reject NACKs: it bumps the client page's NACK word for the ring. A
+// malloc-ring NACK means "my in-flight request was dropped — re-push it";
+// free-ring NACKs cover asynchronous requests (a corrupt free is dropped
+// and counted) and sync barriers (re-pushed, idempotent).
+func (checking) reject(t *sim.Thread, c *client, fromMalloc bool, _ uint64) uint64 {
 	if fromMalloc {
 		c.res.nackM++
 		c.res.stats.MallocNacks++

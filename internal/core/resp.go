@@ -1,7 +1,7 @@
 // The response word: the server's answer to a client's request, the
 // hand-off of the paper's §4.1. Only this file stores or loads the word
-// or numbers a request; every wait (a plain malloc, a barrier, a bounded
-// resilient wait, a rejoin probe) is issue, then spin or peek.
+// or numbers a request; every wait (a blocking malloc, a barrier, a
+// bounded wait, a rejoin probe) is issue, then spin or peek.
 package core
 
 import (
@@ -13,14 +13,14 @@ import (
 // one store: the low 17 bits of the request's seq in bits 47-63 (the
 // tag) over the malloc result (0 for a sync barrier). Every simulated
 // address is below 2^47. Only requests that get an answer take a seq
-// (frees and preheats carry none), and a plain client waits on one at a
-// time, so a wait starts with the previous seq's answer (or the zeroed
-// page's seq 0) in the word and tags are exact. A resilient client's
-// waits stay exact unless its server leaves 2^17 requests in a row
-// unanswered or answers one 2^17 seqs late.
+// (frees and preheats carry none), and a blocking client waits on one at
+// a time, so a wait starts with the previous seq's answer (or the zeroed
+// page's seq 0) in the word and tags are exact. A bounded client's waits
+// stay exact unless its server leaves 2^17 requests in a row unanswered
+// or answers one 2^17 seqs late.
 //
-// The NACK words share the line: counters the server bumps when it
-// rejects a request from the malloc or the free ring (resilience only).
+// The NACK words share the line: counters a checking server bumps when
+// it rejects a request from the malloc or the free ring.
 const (
 	respWord     = 0 // tag(seq)<<respTagShift | addr
 	respTagShift = 47
@@ -38,16 +38,25 @@ func respond(t *sim.Thread, c *client, seq, addr uint64) {
 	t.AtomicStore64(c.page+respWord, seq<<respTagShift|addr)
 }
 
+// waiter is the client's policy for its server, resolved once in New:
+// blocking (the seed protocol) or bounded (resilience.go). Besides
+// register (a new client's set-up) and push (issue's push of request
+// c.seq), it holds the offload tails of Malloc, Free, Preheat and Flush.
+type waiter interface {
+	register(a *Allocator, c *client)
+	push(t *sim.Thread, c *client, r *ring.SPSC, w0 uint64) bool
+	malloc(a *Allocator, t *sim.Thread, c *client, size uint64) uint64
+	free(a *Allocator, t *sim.Thread, c *client, addr uint64)
+	preheat(t *sim.Thread, c *client, class int)
+	flush(a *Allocator, t *sim.Thread, c *client)
+}
+
 // issue numbers a request that gets an answer and pushes it on r with
-// the seq as its payload: a blocking Push on the plain path, a sealed
-// TryPush under resilience (false: the ring is full).
+// the seq as its payload, the waiter's way: a blocking Push, or a bounded
+// client's sealed TryPush (false: the ring is full).
 func (a *Allocator) issue(t *sim.Thread, c *client, r *ring.SPSC, w0 uint64) (seq uint64, ok bool) {
 	c.seq++
-	if !a.cfg.Resilience.Enabled {
-		r.Push(t, w0, c.seq)
-		return c.seq, true
-	}
-	return c.seq, c.pushSealed(t, r, w0, c.seq)
+	return c.seq, a.wait.push(t, c, r, w0)
 }
 
 // peek loads the response word once and reports the answer to seq, if
@@ -116,8 +125,8 @@ func (a *Allocator) spin(t *sim.Thread, c *client, seq, until uint64, w *nackWat
 	return addr, got
 }
 
-// awaitBounded waits for the answer to seq, pushed on r with op word w0,
-// under the resilience policy: rounds of TimeoutCycles spinning, each
+// awaitBounded is the bounded waiter's wait for the answer to seq, pushed
+// on r with op word w0: rounds of TimeoutCycles spinning, each
 // expiry a timeout followed — up to MaxRetries times — by a doorbell
 // re-ring (the doorbell may have been lost) and a doubling pause.
 func (a *Allocator) awaitBounded(t *sim.Thread, c *client, r *ring.SPSC, w0, seq uint64) (uint64, bool) {
@@ -143,18 +152,56 @@ func (a *Allocator) awaitBounded(t *sim.Thread, c *client, r *ring.SPSC, w0, seq
 }
 
 // barrier sends a sync barrier down the free ring, behind everything
-// queued there, and waits for its answer: unbounded on the plain path,
-// bounded under resilience, where the push itself can also fail.
-func (a *Allocator) barrier(t *sim.Thread, c *client) (pushed, answered bool) {
+// queued there, and waits for its answer; the push itself can fail too.
+func (bounded) barrier(a *Allocator, t *sim.Thread, c *client) (pushed, answered bool) {
 	seq, pushed := a.issue(t, c, c.freq, opSync)
-	if !a.cfg.Resilience.Enabled {
-		a.spin(t, c, seq, 0, nil)
-		return true, true
-	}
 	if pushed {
 		_, answered = a.awaitBounded(t, c, c.freq, opSync, seq)
 	}
 	return pushed, answered
+}
+
+// blocking is the seed protocol's waiter: requests travel unsealed and
+// every wait spins until its answer comes.
+type blocking struct{}
+
+func (blocking) register(*Allocator, *client) {}
+func (blocking) push(t *sim.Thread, c *client, r *ring.SPSC, w0 uint64) bool {
+	r.Push(t, w0, c.seq)
+	return true
+}
+
+// malloc is a synchronous request: push, then spin on the response word.
+func (blocking) malloc(a *Allocator, t *sim.Thread, c *client, size uint64) uint64 {
+	seq, _ := a.issue(t, c, c.mreq, opMalloc|size<<8)
+	addr, _ := a.spin(t, c, seq, 0, nil)
+	return addr
+}
+
+// free stages the request and stores the line when it fills; Malloc,
+// Preheat and Flush publish a partial one. Synchronous-free mode
+// publishes at once and chases the free with a sync barrier so the
+// client observes completion (the ring is FIFO per client).
+func (w blocking) free(a *Allocator, t *sim.Thread, c *client, addr uint64) {
+	c.freq.Stage(t, opFree, addr)
+	if !a.cfg.AsyncFree {
+		c.freq.Publish(t)
+		w.flush(a, t, c)
+	} else if c.freq.Staged() >= maxBatch {
+		c.freq.Publish(t)
+	}
+}
+
+func (blocking) preheat(t *sim.Thread, c *client, class int) {
+	c.freq.Push(t, opPreheat|uint64(class)<<8, 0)
+}
+
+// flush sends a sync barrier down the free ring and spins until it is
+// answered. Push publishes the staged backlog ahead of it in slot order,
+// so the barrier keeps its FIFO position behind every queued free.
+func (blocking) flush(a *Allocator, t *sim.Thread, c *client) {
+	seq, _ := a.issue(t, c, c.freq, opSync)
+	a.spin(t, c, seq, 0, nil)
 }
 
 // maybeReclaim catches an abandoned malloc's late answer in v, a word a

@@ -255,7 +255,9 @@ const stallChunk = 2048
 
 // Injector evaluates one Plan over one run. It is consulted from
 // simulated-thread context (one thread runs at a time), so its host
-// state needs no synchronization.
+// state needs no synchronization. A nil *Injector is the unarmed plan:
+// every method is safe on it and injects nothing, so a consumer holds
+// one pointer instead of guarding each decision point.
 type Injector struct {
 	plan Plan
 	rng  uint64
@@ -293,16 +295,29 @@ func NewShardInjector(p Plan, shard int) *Injector {
 	return &Injector{plan: p, rng: seed}
 }
 
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
+// Plan returns the injector's plan (the zero Plan for nil).
+func (in *Injector) Plan() Plan {
+	if in == nil {
+		return Plan{}
+	}
+	return in.plan
+}
 
-// Stats returns what has been injected so far.
-func (in *Injector) Stats() Stats { return in.stats }
+// Stats returns what has been injected so far (zero for nil).
+func (in *Injector) Stats() Stats {
+	if in == nil {
+		return Stats{}
+	}
+	return in.stats
+}
 
 // Attach wires the injector into the machine's scheduler hook so it
-// tracks the wall clock (chained with any other probe via AddProbe).
+// tracks the wall clock (chained with any other probe via AddProbe). A
+// nil injector attaches nothing.
 func (in *Injector) Attach(m *sim.Machine) {
-	m.AddProbe(in.observe)
+	if in != nil {
+		m.AddProbe(in.observe)
+	}
 }
 
 func (in *Injector) observe(wall uint64) {
@@ -334,7 +349,7 @@ func (in *Injector) oneIn(n uint64) bool {
 // caller keeps polling Stopping; call again after pausing to learn
 // whether the window persists.
 func (in *Injector) StallPause(now uint64) uint64 {
-	p := in.plan
+	p := in.Plan()
 	if p.StallCycles == 0 {
 		return 0
 	}
@@ -376,7 +391,7 @@ func (in *Injector) StallPause(now uint64) uint64 {
 // changes. It mirrors StallPause's clamping of now to the wall clock,
 // which is frozen between scheduler probes.
 func (in *Injector) NextStall(now uint64) uint64 {
-	p := in.plan
+	p := in.Plan()
 	if p.StallCycles == 0 {
 		return 0
 	}
@@ -406,7 +421,7 @@ func (in *Injector) NextStall(now uint64) uint64 {
 
 // DropDoorbell decides whether this tail publication is lost.
 func (in *Injector) DropDoorbell() bool {
-	if !in.oneIn(in.plan.DropEveryN) {
+	if !in.oneIn(in.Plan().DropEveryN) {
 		return false
 	}
 	in.stats.DoorbellDrops++
@@ -415,7 +430,7 @@ func (in *Injector) DropDoorbell() bool {
 
 // Corrupt possibly flips one seeded bit across a popped word pair.
 func (in *Injector) Corrupt(w0, w1 uint64) (uint64, uint64) {
-	if !in.oneIn(in.plan.CorruptEveryN) {
+	if !in.oneIn(in.Plan().CorruptEveryN) {
 		return w0, w1
 	}
 	in.stats.CorruptWords++
@@ -429,10 +444,11 @@ func (in *Injector) Corrupt(w0, w1 uint64) (uint64, uint64) {
 // SlowPause converts a request's service time into the extra pause the
 // slow-down factor demands (0 when the factor is off).
 func (in *Injector) SlowPause(serviceCycles uint64) uint64 {
-	if in.plan.SlowFactor <= 1 {
+	f := in.Plan().SlowFactor
+	if f <= 1 {
 		return 0
 	}
-	extra := serviceCycles * (in.plan.SlowFactor - 1)
+	extra := serviceCycles * (f - 1)
 	in.stats.SlowdownCycles += extra
 	return extra
 }

@@ -217,3 +217,32 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 		t.Errorf("Add dropped a field: %+v", sum)
 	}
 }
+
+// TestNilInjectorInjectsNothing: a nil *Injector is the unarmed plan, so
+// the server and transport consult it without a guard.
+func TestNilInjectorInjectsNothing(t *testing.T) {
+	var in *Injector
+	for _, now := range []uint64{0, 1, 1 << 40} {
+		if d := in.StallPause(now); d != 0 {
+			t.Errorf("StallPause(%d) = %d, want 0", now, d)
+		}
+		if h := in.NextStall(now); h != 0 {
+			t.Errorf("NextStall(%d) = %d, want 0", now, h)
+		}
+		if d := in.SlowPause(now); d != 0 {
+			t.Errorf("SlowPause(%d) = %d, want 0", now, d)
+		}
+	}
+	if in.DropDoorbell() {
+		t.Error("DropDoorbell() = true")
+	}
+	if w0, w1 := in.Corrupt(0xdead, 0xbeef); w0 != 0xdead || w1 != 0xbeef {
+		t.Errorf("Corrupt(0xdead, 0xbeef) = %#x, %#x", w0, w1)
+	}
+	if st := in.Stats(); st != (Stats{}) {
+		t.Errorf("Stats() = %+v, want zero", st)
+	}
+	if p := in.Plan(); p.Armed() {
+		t.Errorf("Plan() = %+v is armed", p)
+	}
+}

@@ -841,11 +841,9 @@ func makeAllocator(t *sim.Thread, opt Options, servers int, srvs []*core.Server,
 		cfg.Resilience = core.DefaultResilience()
 	}
 	if servers > 1 {
-		// Each shard gets its own injector after construction; the
-		// shared cfg stays clean so untargeted shards run the seed
-		// server loop.
-		f := core.NewFleet(t, cfg, servers, opt.Partition)
-		f.SetShardFaults(injs)
+		// Each shard is built with its own injector; the shared cfg
+		// stays clean so untargeted shards run the seed server loop.
+		f := core.NewFleet(t, cfg, servers, opt.Partition, injs)
 		for i, sh := range f.Shards() {
 			srvs[i].Attach(sh)
 		}
