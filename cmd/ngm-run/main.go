@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"nextgenmalloc/internal/core"
 	"nextgenmalloc/internal/experiments"
@@ -35,7 +34,7 @@ const sh6benchBatch = 100
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ngm-run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	kind := fs.String("alloc", "nextgen", "allocator: "+strings.Join(harness.Kinds, ", "))
+	kind := fs.String("alloc", "nextgen", "allocator: "+harness.KindHelp)
 	wname := fs.String("workload", "xalanc", "workload: xalanc, xmalloc, cache-scratch, cache-thrash, larson, churn, sh6bench, faas, service")
 	ops := fs.Int("ops", 100000, "operation count (total or per thread, workload-dependent)")
 	threads := fs.Int("threads", 1, "worker thread count (multi-thread workloads)")
@@ -49,8 +48,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Validate everything up front: a bad flag must fail fast with a
 	// usage error, not panic mid-run or silently do no work.
-	if !harness.KnownKind(*kind) {
-		fmt.Fprintf(stderr, "ngm-run: unknown allocator %q (choose from: %s)\n", *kind, strings.Join(harness.Kinds, ", "))
+	if err := harness.CheckKind(*kind); err != nil {
+		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
 		return 2
 	}
 	env, tracePath, err := runFlags()
@@ -121,11 +120,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	res, err := harness.RunE(env.Apply(harness.Options{Allocator: *kind, Workload: w, Tune: env.Tune}))
+	res, err := harness.RunE(env.Apply(harness.Options{Allocator: harness.WithKeys(*kind, env.Keys), Workload: w}))
 	if err != nil {
 		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
 		return 2
 	}
+	res.Allocator = *kind
 	fmt.Fprint(stdout, report.CounterTable(fmt.Sprintf("%s on %s", *wname, *kind), []harness.Result{res}))
 	fmt.Fprintln(stdout)
 	fmt.Fprint(stdout, report.AttributionTable("miss attribution (worker cores)", []harness.Result{res}))

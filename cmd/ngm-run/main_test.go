@@ -22,6 +22,14 @@ func TestRejectsBadFlags(t *testing.T) {
 		want string
 	}{
 		"unknown alloc":      {[]string{"-alloc", "hoard"}, "unknown allocator"},
+		"spec unknown base":  {[]string{"-alloc", "nextgen-turbo:layout=compact"}, "unknown allocator"},
+		"spec unknown key":   {[]string{"-alloc", "nextgen:stash=4"}, `unknown key "stash"`},
+		"spec bad value":     {[]string{"-alloc", "nextgen:layout=bitmap"}, "unknown layout"},
+		"spec duplicate key": {[]string{"-alloc", "nextgen:free=sync,free=async"}, `duplicate key "free"`},
+		"spec slots=3":       {[]string{"-alloc", "nextgen:slots=3"}, "power of two"},
+		"spec classic keys":  {[]string{"-alloc", "mimalloc:layout=compact"}, "takes no keys"},
+		"spec key twice":     {[]string{"-alloc", "nextgen:layout=aggregated", "-layout", "compact"}, `duplicate key "layout"`},
+		"layout two values":  {[]string{"-layout", "compact,free=sync"}, "takes one value"},
 		"zero threads":       {[]string{"-threads", "0"}, "-threads must be >= 1"},
 		"negative threads":   {[]string{"-threads", "-3"}, "-threads must be >= 1"},
 		"zero ops":           {[]string{"-ops", "0"}, "-ops must be >= 1"},
@@ -209,7 +217,9 @@ func TestWarpFlagBitIdenticalOutput(t *testing.T) {
 }
 
 // TestLayoutFlagSelectsCompact: -layout compact rides any NextGen kind
-// and the metrics doc records the layout and its dense record stride.
+// and the metrics doc records the layout and its dense record stride;
+// the nextgen-compact alias and the nextgen:layout=compact spec run the
+// same counters.
 func TestLayoutFlagSelectsCompact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.json")
 	rc, _, stderr := runCLI("-alloc", "nextgen", "-workload", "xalanc", "-ops", "1500",
@@ -227,6 +237,26 @@ func TestLayoutFlagSelectsCompact(t *testing.T) {
 	for _, want := range []string{`"layout": "compact"`, `"meta_record_bytes": 192`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("metrics doc lacks %s", want)
+		}
+	}
+	// The metrics document holds every counter; only its allocator field
+	// names the -alloc spelling.
+	counters := func(alloc string, args ...string) string {
+		path := filepath.Join(t.TempDir(), "m.json")
+		args = append([]string{"-alloc", alloc, "-workload", "xalanc", "-ops", "1500", "-metrics", path}, args...)
+		if rc, _, stderr := runCLI(args...); rc != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, rc, stderr)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Replace(string(data), `"allocator": "`+alloc+`"`, `"allocator": ""`, 1)
+	}
+	flag := counters("nextgen", "-layout", "compact")
+	for _, spelling := range []string{"nextgen-compact", "nextgen:layout=compact"} {
+		if got := counters(spelling); got != flag {
+			t.Errorf("-alloc %s differs from -alloc nextgen -layout compact:\n%s\n---\n%s", spelling, got, flag)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"nextgenmalloc/internal/alloc"
 	"nextgenmalloc/internal/harness"
@@ -130,8 +129,8 @@ func replay(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !harness.KnownKind(*kind) {
-		fmt.Fprintf(stderr, "ngm-trace: unknown allocator %q (choose from: %s)\n", *kind, strings.Join(harness.Kinds, ", "))
+	if err := harness.CheckKind(*kind); err != nil {
+		fmt.Fprintf(stderr, "ngm-trace: %v\n", err)
 		return 2
 	}
 

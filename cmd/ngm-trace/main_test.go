@@ -57,6 +57,10 @@ func TestReplayValidation(t *testing.T) {
 	if rc != 2 || !strings.Contains(stderr, "unknown allocator") {
 		t.Errorf("unknown alloc: exit %d, stderr %q", rc, stderr)
 	}
+	rc, _, stderr = runCLI("replay", "-i", "does-not-exist.ngt", "-alloc", "nextgen:slots=3")
+	if rc != 2 || !strings.Contains(stderr, "power of two") {
+		t.Errorf("malformed spec: exit %d, stderr %q", rc, stderr)
+	}
 	rc, _, stderr = runCLI("replay", "-i", "does-not-exist.ngt")
 	if rc != 1 || stderr == "" {
 		t.Errorf("missing input: exit %d, stderr %q", rc, stderr)

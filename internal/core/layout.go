@@ -49,10 +49,9 @@ type encoding interface {
 	carve(t *sim.Thread, rec, size uint64, n int)
 	// pop takes a unit from a slab whose free count top (> 0) the engine
 	// has just lowered; push returns addr to a slab holding top free
-	// units before the engine raises it. hardened adds a resilient
-	// server's in-band checks.
+	// units before the engine raises it.
 	pop(t *sim.Thread, rec, top, size uint64) uint64
-	push(t *sim.Thread, rec, top, size, addr uint64, hardened bool)
+	push(t *sim.Thread, rec, top, size, addr uint64)
 	// valid is the layout's stage of the server's free validation, after
 	// the engine's class and base checks: false means addr cannot be a
 	// live unit of the slab.
@@ -70,9 +69,9 @@ func (l Layout) String() string {
 	return layouts[l].name
 }
 
-// Valid reports whether l is one of the defined layouts. harness.RunE
-// rejects anything else before a simulated thread runs, and New panics
-// on it, so a bad layout never runs as a silent fallback.
+// Valid reports whether l is one of the defined layouts. A kind spec
+// names only these, and New panics on anything else (a hand-built
+// Config), so a bad layout never runs as a silent fallback.
 func (l Layout) Valid() bool { return l >= 0 && int(l) < len(layouts) }
 
 // ParseLayout maps a CLI spelling to a Layout; "" is the default

@@ -38,7 +38,7 @@ func (aggregated) pop(t *sim.Thread, rec, _, size uint64) uint64 {
 	return head
 }
 
-func (aggregated) push(t *sim.Thread, rec, _, _, addr uint64, _ bool) {
+func (aggregated) push(t *sim.Thread, rec, _, _, addr uint64) {
 	t.Store64(addr, t.Load64(rec+slFreeHead))
 	t.MarkRegion(addr, 16, region.Meta) // link word overwrites user data
 	t.Store64(rec+slFreeHead, addr)

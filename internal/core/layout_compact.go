@@ -112,19 +112,12 @@ func (compact) pop(t *sim.Thread, rec, _, size uint64) uint64 {
 }
 
 // push sets the unit's mask bit; a bit already set is a double free.
-func (compact) push(t *sim.Thread, rec, _, size, addr uint64, hardened bool) {
+func (compact) push(t *sim.Thread, rec, _, size, addr uint64) {
 	t.Exec(4) // group/unit decompose
 	base := t.Load64(rec + slBase)
 	g, i, ok := compactUnit(addr-base, size)
 	if !ok {
 		panic(fmt.Sprintf("core: compact free of unaligned address %#x (size %d)", addr, size))
-	}
-	if hardened {
-		// Hardened mode reads the in-band offset byte: it must carry
-		// tag|index or the address never came from this group.
-		if b := t.Load8(base + g*compactStride(size) + i); b != compactIdxTag|i {
-			panic(fmt.Sprintf("core: compact free %#x: offset byte %#x, want %#x", addr, b, compactIdxTag|i))
-		}
 	}
 	mslot := rec + slMasks + g*8
 	w := t.Load64(mslot)

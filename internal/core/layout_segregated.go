@@ -30,7 +30,7 @@ func (segregated) pop(t *sim.Thread, rec, top, size uint64) uint64 {
 	return t.Load64(rec+slBase) + idx*size
 }
 
-func (segregated) push(t *sim.Thread, rec, top, size, addr uint64, _ bool) {
+func (segregated) push(t *sim.Thread, rec, top, size, addr uint64) {
 	t.Exec(3) // index arithmetic
 	idx := (addr - t.Load64(rec+slBase)) / size
 	t.Store16(rec+slStack+top*2, idx)

@@ -257,25 +257,9 @@ func New(t *sim.Thread, cfg Config) *Allocator {
 	return a
 }
 
-// Name implements alloc.Allocator.
-func (a *Allocator) Name() string {
-	switch {
-	case a.cfg.Offload && a.cfg.AdaptivePrealloc:
-		return "nextgen-adaptive"
-	case a.cfg.Offload && a.cfg.Prealloc > 0:
-		return "nextgen-prealloc"
-	case a.cfg.Offload && a.cfg.Layout == Compact:
-		return "nextgen-compact"
-	case a.cfg.Offload:
-		return "nextgen"
-	case a.cfg.Layout == Aggregated:
-		return "nextgen-inline-agg"
-	case a.cfg.Layout == Compact:
-		return "nextgen-inline-compact"
-	default:
-		return "nextgen-inline"
-	}
-}
+// Name implements alloc.Allocator: the kind spec of a's config, an
+// alias where one matches (kind.go).
+func (a *Allocator) Name() string { return kindOf(a.cfg) }
 
 // preallocOn reports whether any preallocation policy (static depth or
 // adaptive) is stocking the per-class stashes.
@@ -453,7 +437,7 @@ func (a *Allocator) slabPop(t *sim.Thread, rec uint64, class int) uint64 {
 // slabPush returns a block; reports the slab's new free count.
 func (a *Allocator) slabPush(t *sim.Thread, rec uint64, class int, addr uint64) uint64 {
 	top := t.Load64(rec + slTop)
-	a.enc.push(t, rec, top, a.sc.Size(class), addr, a.val.checked())
+	a.enc.push(t, rec, top, a.sc.Size(class), addr)
 	t.Store64(rec+slTop, top+1)
 	return top + 1
 }
@@ -1041,7 +1025,7 @@ func (s *Server) serve(t *sim.Thread, c *client, fromMalloc bool, w0, w1 uint64)
 type validator interface {
 	// admit opens a popped pair into the request to serve; false rejects it.
 	admit(a *Allocator, t *sim.Thread, w0, w1 uint64) (uint64, uint64, bool)
-	checked() bool // engineFree's validate argument, the layouts' hardened push
+	checked() bool // engineFree's validate argument
 	// reject answers a request serve refuses; it returns the clock then.
 	reject(t *sim.Thread, c *client, fromMalloc bool, w0 uint64) uint64
 }

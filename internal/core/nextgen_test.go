@@ -377,6 +377,59 @@ func TestVariantNames(t *testing.T) {
 			t.Errorf("Name() = %q, want %q", got, tc.want)
 		}
 	}
+
+	// Round trip through the kind table: every base and alias names
+	// itself, a keyed config spells its canonical spec, and either way
+	// ParseKind(Name()) is the config again.
+	specs := []string{
+		"nextgen:layout=compact,prealloc=static",
+		"nextgen-inline:free=sync,slots=256",
+		"nextgen-prealloc:prealloc=adaptive", // the static depth under the adaptive policy
+	}
+	for _, k := range kindTable {
+		specs = append(specs, k.name)
+	}
+	for _, spec := range specs {
+		cfg, err := ParseKind(spec)
+		if err != nil {
+			t.Fatalf("ParseKind(%q): %v", spec, err)
+		}
+		name := (&Allocator{cfg: cfg}).Name()
+		if name != spec {
+			t.Errorf("Name() of %q = %q", spec, name)
+		}
+		if back, err := ParseKind(name); err != nil || back != cfg {
+			t.Errorf("ParseKind(%q) = %+v, %v; want %+v", name, back, err, cfg)
+		}
+	}
+}
+
+// FuzzParseKind: any input is an error or a config with a defined
+// layout and a power-of-two ring that Name spells back into itself.
+func FuzzParseKind(f *testing.F) {
+	for _, k := range kindTable {
+		f.Add(k.name)
+	}
+	for _, s := range []string{
+		"nextgen:layout=compact,prealloc=static", "nextgen-inline:free=sync,slots=4096",
+		"nextgen-prealloc:prealloc=adaptive,layout=aggregated", "nextgen-sync:free=async",
+		"nextgen:slots=3", "nextgen:prealloc=static,prealloc=off", "mimalloc:layout=compact", "nextgen:",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseKind(spec)
+		if err != nil {
+			return
+		}
+		if !cfg.Layout.Valid() || cfg.RingSlots <= 0 || cfg.RingSlots&(cfg.RingSlots-1) != 0 {
+			t.Fatalf("ParseKind(%q) = %+v: invalid layout or ring depth", spec, cfg)
+		}
+		name := (&Allocator{cfg: cfg}).Name()
+		if back, err := ParseKind(name); err != nil || back != cfg {
+			t.Fatalf("ParseKind(%q) = %+v, but its Name %q parses to %+v, %v", spec, cfg, name, back, err)
+		}
+	})
 }
 
 // TestStashHitAvoidsRoundTrip: with preallocation, repeated same-class

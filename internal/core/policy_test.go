@@ -14,14 +14,14 @@ import (
 // choose a mechanism. New resolves Config.Layout into the slab encoding,
 // and Config.Resilience.Enabled and Config.Faults into the server's
 // validator, the client's waiter and the injector hook; everything else
-// asks what New resolved. Only Name also reads the layout, to spell the
-// variant. Fields are matched by selector name over the package's
+// asks what New resolved. Only keyValues also reads the layout, to spell
+// the variant's kind spec. Fields are matched by selector name over the package's
 // non-test files, so an alias such as r := &cfg.Resilience; r.Enabled is
 // caught too; a selector assigned to is a write (NewFleet arming a
 // shard's config before New), not a read.
 func TestPoliciesResolvedInNew(t *testing.T) {
 	allowed := map[string][]string{
-		"Layout":  {"New", "Allocator.Name"},
+		"Layout":  {"New", "keyValues"},
 		"Enabled": {"New"},
 		"Faults":  {"New"},
 	}

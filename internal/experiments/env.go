@@ -3,6 +3,7 @@ package experiments
 import (
 	"flag"
 	"fmt"
+	"strings"
 
 	"nextgenmalloc/internal/core"
 	"nextgenmalloc/internal/fault"
@@ -23,9 +24,10 @@ type Env struct {
 	// not own. Base.Machine has Quantum 0 unless -quantum was given, so an
 	// experiment with its own lease length keeps it (see fleetMachine).
 	Base harness.Options
-	// Tune is the NextGen override: -prealloc, then -layout. Only runSet
-	// applies it; AblateTransport and AblateLayout own their variants.
-	Tune func(*core.Config)
+	// Keys are the NextGen kind-spec keys -prealloc and -layout give, in
+	// that order. Only runSet folds them in (harness.WithKeys);
+	// AblateTransport and AblateLayout own their variants.
+	Keys string
 	// Tenants overrides the SLOSweep's tenant-count axis (0 = default).
 	Tenants int
 }
@@ -79,10 +81,13 @@ func (e Env) Apply(opt harness.Options) harness.Options {
 
 func (e Env) run(opt harness.Options) harness.Result { return harness.Run(e.Apply(opt)) }
 
-// runSet runs w under each kind with the Env's NextGen Tune.
+// runSet runs w under each kind with the Env's NextGen keys, reporting
+// each result under its kind's own name.
 func (e Env) runSet(w func() workload.Workload, kinds []string) []harness.Result {
 	return runAll(len(kinds), func(i int) harness.Result {
-		return e.run(harness.Options{Allocator: kinds[i], Workload: w(), Tune: e.Tune})
+		r := e.run(harness.Options{Allocator: harness.WithKeys(kinds[i], e.Keys), Workload: w()})
+		r.Allocator = kinds[i]
+		return r
 	})
 }
 
@@ -126,16 +131,22 @@ func RunFlags(fs *flag.FlagSet) func() (Env, string, error) {
 			e.Base.Machine = &m
 		}
 
-		pre, err := ParseTransport(*prealloc)
-		if err != nil {
+		var keys []string
+		for _, kv := range [][2]string{{"prealloc", *prealloc}, {"layout", *layout}} {
+			if kv[1] == "" {
+				continue
+			}
+			if strings.Contains(kv[1], ",") {
+				return Env{}, "", fmt.Errorf("-%s takes one value, got %q", kv[0], kv[1])
+			}
+			keys = append(keys, kv[0]+"="+kv[1])
+		}
+		e.Keys = strings.Join(keys, ",")
+		if _, err := core.ParseKind(harness.WithKeys("nextgen", e.Keys)); err != nil {
 			return Env{}, "", err
 		}
-		lay, err := ParseLayout(*layout)
-		if err != nil {
-			return Env{}, "", err
-		}
-		e.Tune = tunes(pre, lay)
 
+		var err error
 		if e.Base.FaultPlans, err = fault.ParsePlans(*faultSpec); err != nil {
 			return Env{}, "", err
 		}

@@ -68,7 +68,7 @@ func TestRunFlagsValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trace != "" || e.Base.Machine != nil || e.Tune != nil || e.Base.SampleInterval != 0 || e.Base.Servers != 1 {
+	if trace != "" || e.Base.Machine != nil || e.Keys != "" || e.Base.SampleInterval != 0 || e.Base.Servers != 1 {
 		t.Errorf("flagless Env is not the default: trace %q, %+v", trace, e.Base)
 	}
 	if e, trace, _ = parseRunFlags("-chrome-trace", "t.json"); trace != "t.json" || e.Base.SampleInterval != defaultTimelineInterval {

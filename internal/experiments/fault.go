@@ -93,7 +93,6 @@ type faultCell struct {
 	kind  string
 	plans []fault.Plan
 	res   *core.Resilience
-	slots int // free-ring depth (0 = kind default)
 }
 
 // faultCells builds the sweep grid: stall length × client timeout ×
@@ -126,10 +125,9 @@ func faultCells() []faultCell {
 				}
 				cells = append(cells, faultCell{
 					label: fmt.Sprintf("ngm s%dk t%dk r%d", stall/1000, timeout/1000, slots),
-					kind:  "nextgen",
+					kind:  fmt.Sprintf("nextgen:slots=%d", slots),
 					plans: []fault.Plan{plan},
 					res:   res,
-					slots: slots,
 				})
 			}
 		}
@@ -155,15 +153,9 @@ func FaultSweep(e Env) Outcome {
 	}
 	all := runAll(len(cells), func(i int) harness.Result {
 		c := cells[i]
-		var tune func(*core.Config)
-		if c.slots > 0 {
-			slots := c.slots
-			tune = func(cfg *core.Config) { cfg.RingSlots = slots }
-		}
 		r := harness.Run(harness.Options{
 			Allocator:      c.kind,
 			Workload:       table3Xalanc(e.Scale),
-			Tune:           tune,
 			FaultPlans:     c.plans,
 			Resilience:     c.res,
 			SampleInterval: interval,

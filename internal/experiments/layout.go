@@ -9,42 +9,6 @@ import (
 	"nextgenmalloc/internal/workload"
 )
 
-// ParseLayout converts a -layout flag value into a config tune. ""
-// returns a nil tune (keep per-kind defaults); an unknown spelling is
-// an error the CLIs turn into exit 2.
-func ParseLayout(spec string) (func(*core.Config), error) {
-	if spec == "" {
-		return nil, nil
-	}
-	l, err := core.ParseLayout(spec)
-	if err != nil {
-		return nil, err
-	}
-	return func(c *core.Config) { c.Layout = l }, nil
-}
-
-// tunes composes config tunes left to right, skipping nils; nil when
-// none apply.
-func tunes(ts ...func(*core.Config)) func(*core.Config) {
-	live := ts[:0:0]
-	for _, t := range ts {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return func(c *core.Config) {
-		for _, t := range live {
-			t(c)
-		}
-	}
-}
-
 // AblateLayout quantifies the paper §3's metadata-layout trade-off with
 // the repo's own attribution telemetry: all three layouts (segregated
 // index stacks, aggregated intrusive lists, compact bitmask groups)
@@ -73,9 +37,8 @@ func AblateLayout(e Env) Outcome {
 		l := layouts[i%nl]
 		tr := transports[(i%cells)/nl]
 		r := e.run(harness.Options{
-			Allocator: tr.kind,
+			Allocator: tr.kind + ":layout=" + l.String(),
 			Workload:  workloads[i/cells].make(),
-			Tune:      func(c *core.Config) { c.Layout = l },
 		})
 		r.Allocator = l.String() + "/" + tr.name
 		return r

@@ -4,29 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"nextgenmalloc/internal/core"
 	"nextgenmalloc/internal/harness"
 	"nextgenmalloc/internal/report"
 	"nextgenmalloc/internal/workload"
 )
-
-// ParseTransport converts the CLI's -prealloc value into a config tune.
-// "" means "kind default" and yields a nil tune; otherwise prealloc is
-// one of "off", "static" (the nextgen-prealloc depth of 12), or
-// "adaptive".
-func ParseTransport(prealloc string) (func(*core.Config), error) {
-	switch prealloc {
-	case "":
-		return nil, nil
-	case "off":
-		return func(c *core.Config) { c.Prealloc, c.AdaptivePrealloc = 0, false }, nil
-	case "static":
-		return func(c *core.Config) { c.Prealloc, c.AdaptivePrealloc = 12, false }, nil
-	case "adaptive":
-		return func(c *core.Config) { c.AdaptivePrealloc = true }, nil
-	}
-	return nil, fmt.Errorf("unknown prealloc policy %q (want off, static, or adaptive)", prealloc)
-}
 
 // transportKinds are the columns of the AblateTransport sweep: Mimalloc
 // as the paper's Table 3 reference, then the offload transport with no

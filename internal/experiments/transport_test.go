@@ -8,29 +8,40 @@ import (
 	"nextgenmalloc/internal/harness"
 )
 
+// TestParseTransport: -prealloc is the kind spec's prealloc key. Empty
+// adds no key, an unknown policy is rejected, and each policy sets
+// exactly its fields after the kind's own keys: adaptive keeps
+// nextgen-prealloc's static depth, which the adaptive policy ignores.
 func TestParseTransport(t *testing.T) {
-	if tune, err := ParseTransport(""); err != nil || tune != nil {
-		t.Errorf("the default should yield a nil tune (err %v, tune nil: %v)", err, tune == nil)
+	if e, _, err := parseRunFlags("-prealloc", ""); err != nil || e.Keys != "" {
+		t.Errorf("the default should add no key (err %v, keys %q)", err, e.Keys)
 	}
-	if _, err := ParseTransport("sometimes"); err == nil {
-		t.Error("unknown prealloc policy should be rejected")
+	if _, _, err := parseRunFlags("-prealloc", "sometimes"); err == nil || !strings.Contains(err.Error(), "unknown prealloc policy") {
+		t.Errorf("unknown prealloc policy should be rejected, got %v", err)
 	}
 	for _, tc := range []struct {
-		policy   string
-		depth    int
-		adaptive bool
-	}{{"off", 0, false}, {"static", 12, false}, {"adaptive", 5, true}} {
-		tune, err := ParseTransport(tc.policy)
+		policy, kind string
+		depth        int
+		adaptive     bool
+	}{
+		{"off", "nextgen-prealloc", 0, false},
+		{"off", "nextgen-adaptive", 0, false},
+		{"static", "nextgen", 12, false},
+		{"static", "nextgen-adaptive", 12, false},
+		{"adaptive", "nextgen", 0, true},
+		{"adaptive", "nextgen-prealloc", 12, true},
+	} {
+		e, _, err := parseRunFlags("-prealloc", tc.policy)
 		if err != nil {
-			t.Fatalf("ParseTransport(%s): %v", tc.policy, err)
+			t.Fatalf("-prealloc %s: %v", tc.policy, err)
 		}
-		cfg := core.DefaultConfig()
-		cfg.Prealloc = 5
-		cfg.AdaptivePrealloc = tc.policy != "adaptive"
-		tune(&cfg)
+		cfg, err := core.ParseKind(harness.WithKeys(tc.kind, e.Keys))
+		if err != nil {
+			t.Fatalf("-prealloc %s on %s: %v", tc.policy, tc.kind, err)
+		}
 		if cfg.Prealloc != tc.depth || cfg.AdaptivePrealloc != tc.adaptive {
-			t.Errorf("%s tune produced Prealloc=%d AdaptivePrealloc=%v, want %d %v",
-				tc.policy, cfg.Prealloc, cfg.AdaptivePrealloc, tc.depth, tc.adaptive)
+			t.Errorf("-prealloc %s on %s produced Prealloc=%d AdaptivePrealloc=%v, want %d %v",
+				tc.policy, tc.kind, cfg.Prealloc, cfg.AdaptivePrealloc, tc.depth, tc.adaptive)
 		}
 	}
 }

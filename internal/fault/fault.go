@@ -197,12 +197,12 @@ func ParsePlans(spec string) ([]Plan, error) {
 	return plans, nil
 }
 
-// ParseKV walks a comma-separated key=value spec of unsigned integers,
-// calling set with each trimmed key and its value in spec order. A pair
-// without "=", a value that is not an unsigned integer and a repeated
-// key are errors prefixed with prefix; an error from set is returned as
-// is. The -fault, -resilience and -slo flags all parse through it.
-func ParseKV(prefix, spec string, set func(key string, n uint64) error) error {
+// WalkKV walks a comma-separated key=value spec, calling set with each
+// trimmed key and value in order. A pair without "=" and a repeated key
+// are errors prefixed with prefix; an error from set is returned as is.
+// It is the one key=value parser: ParseKV and allocator kind specs
+// (core.ParseKind) read through it.
+func WalkKV(prefix, spec string, set func(key, value string) error) error {
 	seen := map[string]bool{}
 	for _, kv := range strings.Split(spec, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
@@ -214,15 +214,23 @@ func ParseKV(prefix, spec string, set func(key string, n uint64) error) error {
 			return fmt.Errorf("%s: duplicate key %q in %q", prefix, k, spec)
 		}
 		seen[k] = true
-		n, err := strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		if err != nil {
-			return fmt.Errorf("%s: bad value in %q: %v", prefix, kv, err)
-		}
-		if err := set(k, n); err != nil {
+		if err := set(k, strings.TrimSpace(v)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// ParseKV is WalkKV over unsigned integers, as the -fault, -resilience
+// and -slo flags spell them.
+func ParseKV(prefix, spec string, set func(key string, n uint64) error) error {
+	return WalkKV(prefix, spec, func(k, v string) error {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			return fmt.Errorf("%s: bad value in %q: %v", prefix, k+"="+v, err)
+		}
+		return set(k, n)
+	})
 }
 
 // Stats counts what the injector actually did (host-side telemetry).

@@ -246,10 +246,15 @@ func TestRunEErrors(t *testing.T) {
 		{"negative servers", Options{Allocator: "nextgen", Workload: smallChurn(), Servers: -1}, "negative server count"},
 		{"shard inline", Options{Allocator: "mimalloc", Workload: smallChurn(), Servers: 2}, "no offload server"},
 		{"pin with fleet", Options{Allocator: "nextgen", Workload: smallChurn(), Servers: 2, PinServerCore: true}, "cannot pin"},
-		// core.New would panic on this layout, so an error here (not a
-		// panic) also shows RunE rejected it before any thread ran.
-		{"invalid layout", Options{Allocator: "nextgen", Workload: smallChurn(),
-			Tune: func(c *core.Config) { c.Layout = core.Layout(7) }}, "invalid metadata layout"},
+		// A malformed kind spec is an error before any thread runs, never
+		// a panic inside one.
+		{"invalid layout", Options{Allocator: "nextgen:layout=bitmap", Workload: smallChurn()}, "unknown layout"},
+		{"spec unknown base", Options{Allocator: "nextgen-turbo:layout=compact", Workload: smallChurn()}, "unknown allocator"},
+		{"spec unknown key", Options{Allocator: "nextgen:stash=4", Workload: smallChurn()}, `unknown key "stash"`},
+		{"spec bad value", Options{Allocator: "nextgen-inline:free=lazy", Workload: smallChurn()}, "unknown free policy"},
+		{"spec duplicate key", Options{Allocator: "nextgen:prealloc=static,prealloc=off", Workload: smallChurn()}, `duplicate key "prealloc"`},
+		{"spec slots not a power of two", Options{Allocator: "nextgen:slots=3", Workload: smallChurn()}, "power of two"},
+		{"spec keys on a classic kind", Options{Allocator: "mimalloc:layout=compact", Workload: smallChurn()}, "takes no keys"},
 		{"worker collision", Options{
 			Allocator: "nextgen",
 			Workload:  &workload.Xmalloc{NThreads: 2, OpsPerThread: 10, Seed: 1},

@@ -11,6 +11,8 @@ package harness
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"nextgenmalloc/internal/alloc"
 	"nextgenmalloc/internal/allocators/bump"
@@ -29,67 +31,88 @@ import (
 	"nextgenmalloc/internal/workload"
 )
 
-// kindRow describes one allocator kind. A classic row carries its
-// constructor; a NextGen row (classic == nil) is core.DefaultConfig with
-// Offload set from the row and tune applied on top.
+// kindRow is an allocator the harness resolves itself, ahead of core's
+// kind specs (core.ParseKind): a classic constructor, or the NextGen
+// spec nearMem run with the near-memory profile on its server cores.
 type kindRow struct {
 	name    string
 	classic func(*sim.Thread) alloc.Allocator
-	offload bool
-	tune    func(*core.Config)
+	nearMem string
 }
 
-// kindTable is the one list of allocators the harness can instantiate,
-// in golden-file order.
+// kindTable is the one list of those allocators, in golden-file order.
 var kindTable = []kindRow{
 	{name: "ptmalloc2", classic: func(t *sim.Thread) alloc.Allocator { return ptmalloc.New(t) }},
 	{name: "jemalloc", classic: func(t *sim.Thread) alloc.Allocator { return jemalloc.New(t, 0) }},
 	{name: "tcmalloc", classic: func(t *sim.Thread) alloc.Allocator { return tcmalloc.New(t) }},
 	{name: "mimalloc", classic: func(t *sim.Thread) alloc.Allocator { return mimalloc.New(t) }},
 	{name: "bump", classic: func(t *sim.Thread) alloc.Allocator { return bump.New(t) }},
-	{name: "nextgen", offload: true},
-	{name: "nextgen-prealloc", offload: true, tune: func(c *core.Config) { c.Prealloc = 12 }},
-	{name: "nextgen-sync", offload: true, tune: func(c *core.Config) { c.AsyncFree = false }},
-	{name: "nextgen-inline"},
-	{name: "nextgen-inline-agg", tune: func(c *core.Config) { c.Layout = core.Aggregated }},
-	// nextgen-nearmem is plain nextgen; RunE gives its server cores the
-	// near-memory profile.
-	{name: "nextgen-nearmem", offload: true},
-	{name: "nextgen-adaptive", offload: true, tune: func(c *core.Config) { c.AdaptivePrealloc = true }},
-	{name: "nextgen-compact", offload: true, tune: func(c *core.Config) { c.Layout = core.Compact }},
-	{name: "nextgen-inline-compact", tune: func(c *core.Config) { c.Layout = core.Compact }},
+	{name: "nextgen-nearmem", nearMem: "nextgen"},
 }
 
-// Kinds lists every allocator the harness can instantiate.
-var Kinds = func() []string {
-	names := make([]string, len(kindTable))
-	for i, k := range kindTable {
-		names[i] = k.name
-	}
-	return names
-}()
+// Kinds lists every allocator name, in golden-file order: kindTable's
+// and core's.
+var Kinds = []string{
+	"ptmalloc2", "jemalloc", "tcmalloc", "mimalloc", "bump",
+	"nextgen", "nextgen-prealloc", "nextgen-sync", "nextgen-inline", "nextgen-inline-agg",
+	"nextgen-nearmem", "nextgen-adaptive", "nextgen-compact", "nextgen-inline-compact",
+}
 
-// findKind returns kind's row in kindTable, or nil.
-func findKind(kind string) *kindRow {
-	for i := range kindTable {
-		if kindTable[i].name == kind {
-			return &kindTable[i]
-		}
+// KindHelp spells what Run accepts as an allocator, for CLI help and
+// errors.
+var KindHelp = strings.Join(Kinds, ", ") + ", or a kind spec " + core.KindSyntax
+
+// parseKind resolves spec, a name in Kinds with optional keys, to its
+// kindTable row (zero for a core kind spec) and NextGen config (zero for
+// a classic row, so cfg.Offload tells whether it runs the server).
+func parseKind(spec string) (row kindRow, cfg core.Config, err error) {
+	name, _, keyed := strings.Cut(spec, ":")
+	if !slices.Contains(Kinds, name) {
+		return row, cfg, fmt.Errorf("harness: unknown allocator %q (want %s)", name, KindHelp)
 	}
-	return nil
+	if i := slices.IndexFunc(kindTable, func(r kindRow) bool { return r.name == name }); i >= 0 {
+		if row = kindTable[i]; row.classic != nil {
+			if keyed {
+				err = fmt.Errorf("harness: allocator %q takes no keys", name)
+			}
+			return row, cfg, err
+		}
+		spec = row.nearMem + spec[len(name):]
+	}
+	if cfg, err = core.ParseKind(spec); err != nil {
+		err = fmt.Errorf("harness: %v", err)
+	}
+	return row, cfg, err
 }
 
 // ClassicKinds are the four allocators of Figure 1 / Table 1, in the
 // paper's column order.
 var ClassicKinds = []string{"ptmalloc2", "jemalloc", "tcmalloc", "mimalloc"}
 
-// KnownKind reports whether kind is an allocator Run can instantiate
+// CheckKind reports why spec is not an allocator Run can instantiate
 // (CLI flag validation shares the harness's own check).
-func KnownKind(kind string) bool { return findKind(kind) != nil }
+func CheckKind(spec string) error {
+	_, _, err := parseKind(spec)
+	return err
+}
+
+// WithKeys adds kind-spec keys (the -prealloc and -layout flags) to a
+// NextGen kind, after its own; any other kind comes back as is.
+func WithKeys(kind, keys string) string {
+	row, _, err := parseKind(kind)
+	switch {
+	case keys == "" || err != nil || row.classic != nil:
+		return kind
+	case strings.Contains(kind, ":"):
+		return kind + "," + keys
+	}
+	return kind + ":" + keys
+}
 
 // Options configures one experiment.
 type Options struct {
-	// Allocator is one of Kinds.
+	// Allocator is one of Kinds, or a NextGen kind followed by spec
+	// keys (KindHelp, core.ParseKind).
 	Allocator string
 	// Workload drives the run.
 	Workload workload.Workload
@@ -117,10 +140,6 @@ type Options struct {
 	// The zero value (fixed-scan) is the seed behaviour. Ignored for
 	// non-NextGen allocators.
 	Sched core.SchedPolicy
-	// Tune, when non-nil, adjusts the NextGen config derived from the
-	// kind before construction (e.g. a sweep overriding the layout or
-	// the prealloc policy). Ignored for non-NextGen allocators.
-	Tune func(*core.Config)
 	// Wrap, when non-nil, decorates the allocator before use (e.g. a
 	// trace recorder).
 	Wrap func(alloc.Allocator) alloc.Allocator
@@ -155,10 +174,10 @@ type Options struct {
 	// the degradation machinery on. Pass an explicit Resilience (possibly
 	// zero-valued) to override.
 	FaultPlans []fault.Plan
-	// Resilience overrides NextGen's graceful-degradation policy (applied
-	// after Tune). nil keeps the kind's default: disabled, unless an
-	// armed FaultPlans entry forces the default policy on (see above). Ignored for
-	// non-NextGen allocators.
+	// Resilience overrides NextGen's graceful-degradation policy. nil
+	// keeps the kind's default: disabled, unless an armed FaultPlans entry
+	// forces the default policy on (see above). Ignored for non-NextGen
+	// allocators.
 	Resilience *core.Resilience
 	// SLO, when non-nil, arms a per-tenant SLO tracker handed to the
 	// workload (via slo.Observable) before Setup. Host-side observation
@@ -379,15 +398,12 @@ func (r Result) MPKI() (llcLoad, llcStore, dtlbLoad, dtlbStore float64) {
 		sim.MPKI(r.Total.DTLBStoreMisses, ins)
 }
 
-// needsServer reports whether kind runs the offload daemon.
-func needsServer(kind string) bool {
-	k := findKind(kind)
-	return k != nil && k.offload
-}
-
-// OffloadKind reports whether kind runs the offload transport — the
+// OffloadKind reports whether spec runs the offload transport — the
 // kinds a fault plan can target (CLI validation shares this check).
-func OffloadKind(kind string) bool { return needsServer(kind) }
+func OffloadKind(spec string) bool {
+	_, cfg, err := parseKind(spec)
+	return err == nil && cfg.Offload
+}
 
 // CheckLiveness verifies the offload accounting invariant on a finished
 // run: every pushed request was popped (nothing stranded in a ring at
@@ -429,28 +445,6 @@ func (r Result) CheckLiveness() error {
 	return nil
 }
 
-// nextgenOptions resolves the core.Config a NextGen run will use — the
-// kind's kindTable row, the topology's scheduling policy, then
-// Options.Tune — or ok=false for a non-NextGen allocator. RunE validates
-// the result before any simulated thread runs; makeAllocator builds
-// from it.
-func nextgenOptions(opt Options) (cfg core.Config, ok bool) {
-	k := findKind(opt.Allocator)
-	if k == nil || k.classic != nil {
-		return core.Config{}, false
-	}
-	cfg = core.DefaultConfig()
-	cfg.Offload = k.offload
-	if k.tune != nil {
-		k.tune(&cfg)
-	}
-	cfg.Sched = opt.Sched
-	if opt.Tune != nil {
-		opt.Tune(&cfg)
-	}
-	return cfg, true
-}
-
 // Run executes the experiment, panicking on an invalid topology (the
 // seed behaviour; RunE reports the same conditions as errors).
 func Run(opt Options) Result {
@@ -462,18 +456,16 @@ func Run(opt Options) Result {
 }
 
 // RunE executes the experiment, returning an error for an invalid
-// topology (unknown allocator, zero-thread workload, server core out
-// of range, worker/server collision, bad shard count) instead of
-// panicking — CLIs print the message and exit instead of dumping a
-// goroutine trace.
+// topology (unknown allocator or malformed kind spec, zero-thread
+// workload, server core out of range, worker/server collision, bad
+// shard count) instead of panicking — CLIs print the message and exit
+// instead of dumping a goroutine trace.
 func RunE(opt Options) (Result, error) {
-	if !KnownKind(opt.Allocator) {
-		return Result{}, fmt.Errorf("harness: unknown allocator %q", opt.Allocator)
+	row, cfg, err := parseKind(opt.Allocator)
+	if err != nil {
+		return Result{}, err
 	}
-	ngCfg, isNG := nextgenOptions(opt)
-	if isNG && !ngCfg.Layout.Valid() {
-		return Result{}, fmt.Errorf("harness: allocator %q tuned to invalid metadata layout %s", opt.Allocator, ngCfg.Layout)
-	}
+	cfg.Sched = opt.Sched
 	w := opt.Workload
 	n := w.Threads()
 	if n <= 0 {
@@ -486,7 +478,7 @@ func RunE(opt Options) (Result, error) {
 	if servers < 0 {
 		return Result{}, fmt.Errorf("harness: negative server count %d", opt.Servers)
 	}
-	if servers > 1 && !needsServer(opt.Allocator) {
+	if servers > 1 && !cfg.Offload {
 		return Result{}, fmt.Errorf("harness: allocator %q has no offload server to shard across %d cores", opt.Allocator, servers)
 	}
 	if servers > 1 && opt.PinServerCore {
@@ -507,14 +499,14 @@ func RunE(opt Options) (Result, error) {
 	// nsrv is how many cores the fleet reserves; workers are placed
 	// around them.
 	nsrv := 0
-	if needsServer(opt.Allocator) {
+	if cfg.Offload {
 		nsrv = servers
 	}
 	avail := mcfg.Cores - nsrv
 	if n > avail {
 		return Result{}, fmt.Errorf("harness: %d workers collide with server core %d (%d cores)", n, serverCore, mcfg.Cores)
 	}
-	if opt.Allocator == "nextgen-nearmem" {
+	if row.nearMem != "" {
 		if mcfg.CoreOverrides == nil {
 			mcfg.CoreOverrides = map[int]sim.CoreProfile{}
 		}
@@ -598,9 +590,9 @@ func RunE(opt Options) (Result, error) {
 		PerThread:  make([]sim.Counters, n),
 		ServerCore: -1,
 	}
-	if isNG {
-		res.Layout = ngCfg.Layout.String()
-		res.MetaRecordBytes = ngCfg.Layout.RecordBytes()
+	if row.classic == nil {
+		res.Layout = cfg.Layout.String()
+		res.MetaRecordBytes = cfg.Layout.RecordBytes()
 	}
 	if len(srvs) > 0 {
 		res.ServerCore = serverCore
@@ -656,7 +648,7 @@ func RunE(opt Options) (Result, error) {
 			readyAddrs := [1]uint64{ctrl}
 			barrierAddrs := [1]uint64{ctrl + 64}
 			if part == 0 {
-				a = makeAllocator(t, opt, servers, srvs, latRec, injs)
+				a = makeAllocator(t, opt, row, cfg, servers, srvs, latRec, injs)
 				if opt.Wrap != nil {
 					a = opt.Wrap(a)
 				}
@@ -825,14 +817,13 @@ func offloadShards(a alloc.Allocator) []*core.Allocator {
 	return nil
 }
 
-// makeAllocator instantiates the requested allocator on thread t,
-// attaching offload shards to the already-spawned server daemons.
-// injs holds one fault injector per daemon (nil entries = clean shard),
-// or nil when no plan is armed.
-func makeAllocator(t *sim.Thread, opt Options, servers int, srvs []*core.Server, latRec *timeline.LatencyRecorder, injs []*fault.Injector) alloc.Allocator {
-	cfg, isNG := nextgenOptions(opt)
-	if !isNG {
-		return findKind(opt.Allocator).classic(t)
+// makeAllocator instantiates the resolved kind (row, cfg; see
+// parseKind) on thread t, attaching offload shards to the
+// already-spawned server daemons. injs holds one fault injector per
+// daemon (nil entries = clean shard), or nil when no plan is armed.
+func makeAllocator(t *sim.Thread, opt Options, row kindRow, cfg core.Config, servers int, srvs []*core.Server, latRec *timeline.LatencyRecorder, injs []*fault.Injector) alloc.Allocator {
+	if row.classic != nil {
+		return row.classic(t)
 	}
 	cfg.Latency = latRec
 	if opt.Resilience != nil {
