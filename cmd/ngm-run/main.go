@@ -62,6 +62,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ngm-run: -tenants must be >= 1 (got %d)\n", *tenants)
 		return 2
 	}
+	if env.Keys != "" && harness.WithKeys(*kind, env.Keys) == *kind {
+		// WithKeys leaves a classic kind as it is: the keys would do nothing.
+		fmt.Fprintf(stderr, "ngm-run: -prealloc/-layout are NextGen kind-spec keys; %q takes no keys\n", *kind)
+		return 2
+	}
 	if len(base.FaultPlans) > 0 && !harness.OffloadKind(*kind) {
 		fmt.Fprintf(stderr, "ngm-run: -fault targets the offload path; %q runs no offload server\n", *kind)
 		return 2

@@ -45,6 +45,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		"zero quantum":       {[]string{"-quantum", "0"}, "-quantum must be > 0"},
 		"negative quantum":   {[]string{"-quantum", "-8"}, "-quantum must be > 0"},
 		"fault off offload":  {[]string{"-alloc", "mimalloc", "-fault", "slow=2"}, "no offload server"},
+		"keys on classic":    {[]string{"-alloc", "mimalloc", "-layout", "compact", "-prealloc", "static", "-ops", "1000"}, "takes no keys"},
 		"bad sched":          {[]string{"-sched", "fifo"}, "unknown scheduling policy"},
 		"bad partition":      {[]string{"-partition", "thread"}, "unknown partition"},
 		"negative servers":   {[]string{"-servers", "-2"}, "negative server count"},

@@ -208,6 +208,7 @@ type Allocator struct {
 	byThread  map[int]*client
 	served    uint64 // ops processed by the server
 	registerL simsync.SpinLock
+	emBlocks  map[uint64]emBlock // live emergency blocks (bounded waiter)
 }
 
 // maxBatch is the free-coalescing window: one cache line of ring slots
@@ -233,6 +234,7 @@ func New(t *sim.Thread, cfg Config) *Allocator {
 	if cfg.Resilience.Enabled {
 		a.cfg.Resilience.applyDefaults()
 		a.val, a.wait = checking{}, bounded{}
+		a.emBlocks = map[uint64]emBlock{}
 	}
 	if a.sc.NumClasses() > stashSlots {
 		panic("core: stash table smaller than the class count")

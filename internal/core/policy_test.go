@@ -18,7 +18,10 @@ import (
 // the variant's kind spec. Fields are matched by selector name over the package's
 // non-test files, so an alias such as r := &cfg.Resilience; r.Enabled is
 // caught too; a selector assigned to is a write (NewFleet arming a
-// shard's config before New), not a read.
+// shard's config before New), not a read. The same pass pins resp.go's
+// ownership of the response word: no other file names respWord (so none
+// loads or stores the word) or assigns a .seq field (so none numbers a
+// request).
 func TestPoliciesResolvedInNew(t *testing.T) {
 	allowed := map[string][]string{
 		"Layout":  {"New", "keyValues"},
@@ -31,6 +34,12 @@ func TestPoliciesResolvedInNew(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	seen := map[string]int{}
+	owned := func(file string, n ast.Node, what string) {
+		if file != "resp.go" {
+			t.Errorf("%s: %s outside resp.go", fset.Position(n.Pos()), what)
+		}
+		seen[what]++
+	}
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -53,6 +62,17 @@ func TestPoliciesResolvedInNew(t *testing.T) {
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
 						written[lhs] = true
+						if isSeq(lhs) {
+							owned(name, n, "assignment of .seq")
+						}
+					}
+				case *ast.IncDecStmt:
+					if isSeq(n.X) {
+						owned(name, n, "assignment of .seq")
+					}
+				case *ast.Ident:
+					if n.Name == "respWord" {
+						owned(name, n, "respWord")
 					}
 				case *ast.SelectorExpr:
 					fns, ok := allowed[n.Sel.Name]
@@ -73,6 +93,17 @@ func TestPoliciesResolvedInNew(t *testing.T) {
 			t.Errorf("no read of .%s found at all: the scan is not looking at the package", field)
 		}
 	}
+	for _, what := range []string{"assignment of .seq", "respWord"} {
+		if seen[what] == 0 {
+			t.Errorf("no %s found at all, not even in resp.go", what)
+		}
+	}
+}
+
+// isSeq reports whether e is a .seq selector.
+func isSeq(e ast.Expr) bool {
+	s, ok := e.(*ast.SelectorExpr)
+	return ok && s.Sel.Name == "seq"
 }
 
 // recvName is a method receiver's type name, without the pointer.

@@ -271,9 +271,9 @@ func TestOneLineTransferPerResponse(t *testing.T) {
 // TestResponseTagWrap drives the three response waits across the wrap
 // of the 17-bit tag (seq 2^17 carries tag 0, the tag of the zeroed word
 // a fresh page starts with): a plain sync malloc, a nextgen-sync free
-// barrier, and a resilient malloc with abandoned requests queued. Every
-// answer must resolve to its own request — each malloc's block is of
-// the class it asked for, each barrier returns only after its free —
+// barrier, and resilient mallocs behind an abandoned one still pending.
+// Every answer must resolve to its own request — each malloc's block is
+// of the class it asked for, each barrier returns only after its free —
 // and a late answer is reclaimed only for the request it belongs to.
 func TestResponseTagWrap(t *testing.T) {
 	const start = respTagSpan - 3
@@ -336,21 +336,17 @@ func TestResponseTagWrap(t *testing.T) {
 	})
 	run("resilient-abandoned", func(cfg *Config) { cfg.Resilience = DefaultResilience() }, func(t *testing.T, th *sim.Thread, a *Allocator, c *client) {
 		rs := c.res
-		// late is on the ring and its answer arrives while the next
-		// malloc waits; lost never reached the ring, so no answer may
-		// ever be taken for it.
-		c.seq++
-		late := c.seq
-		if !c.mreq.TryPush(th, sealWord(opMalloc|512<<8, late, late), late) {
+		// late is a malloc whose wait gave up: it is on the ring and
+		// pending, and its answer is in the word before the next malloc
+		// settles it.
+		late, ok := a.issue(th, c, c.mreq, opMalloc|512<<8)
+		if !ok {
 			t.Error("push into empty ring failed")
 			return
 		}
 		for !answers(th.AtomicLoad64(c.page+respWord), late) {
 			th.Pause(16)
 		}
-		c.seq++
-		lost := c.seq
-		rs.abandoned = append(rs.abandoned, abandonedReq{late, 512}, abandonedReq{lost, 2048})
 		for i, size := range sizes {
 			if !mallocOK(t, th, a, size, a.Malloc(th, size)) {
 				return
@@ -360,27 +356,25 @@ func TestResponseTagWrap(t *testing.T) {
 				return
 			}
 		}
-		if rs.stats.ReclaimedBlocks != 1 || len(rs.abandoned) != 1 || rs.abandoned[0].seq != lost {
-			t.Errorf("reclaimed %d, still abandoned %+v; want 1 and only seq %#x", rs.stats.ReclaimedBlocks, rs.abandoned, lost)
+		if rs.stats.ReclaimedBlocks != 1 || rs.pending.seq != 0 {
+			t.Errorf("reclaimed %d, still pending %+v; want 1 and none", rs.stats.ReclaimedBlocks, rs.pending)
 		}
-		// Run seq 2^17 past lost: the malloc numbered lost+2^17 carries
-		// lost's tag, and the flush's first spin round still sees its
-		// answer. lost must be dropped as leaked, not matched, or the
-		// block the caller holds would be freed under it.
-		c.seq = lost + respTagSpan - 1
+		// The reclaimed block's free and a flush: nothing may be taken
+		// for a request twice, or the block the caller holds would be
+		// freed under it.
 		p := a.Malloc(th, 4096)
 		if !mallocOK(t, th, a, 4096, p) {
 			return
 		}
 		a.Flush(th)
-		if rs.stats.ReclaimedBlocks != 1 || len(rs.abandoned) != 0 {
-			t.Errorf("after the wrap: reclaimed %d, still abandoned %+v; want 1 and none", rs.stats.ReclaimedBlocks, rs.abandoned)
+		if rs.stats.ReclaimedBlocks != 1 || rs.pending.seq != 0 {
+			t.Errorf("after the flush: reclaimed %d, still pending %+v; want 1 and none", rs.stats.ReclaimedBlocks, rs.pending)
 		}
 		if q := a.Malloc(th, 4096); q == p {
 			t.Errorf("live block %#x was reclaimed and handed out again", p)
 		}
-		if len(rs.em.blocks) != 0 {
-			t.Errorf("%d mallocs fell back to the emergency allocator", len(rs.em.blocks))
+		if len(a.emBlocks) != 0 {
+			t.Errorf("%d mallocs fell back to the emergency allocator", len(a.emBlocks))
 		}
 	})
 }

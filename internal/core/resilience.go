@@ -5,7 +5,10 @@
 // resolves two policies from Config.Resilience. The bounded waiter gives
 // the client a per-request timeout with exponential-backoff retries and,
 // after enough consecutive failures, a local emergency allocator until a
-// periodic probe finds the server answering again. The checking
+// periodic probe finds the server answering again. It keeps the blocking
+// waiter's invariant of one answer-bearing request in flight: a request
+// whose wait gave up stays pending, is the probe, and is settled (a
+// malloc's block taken back) before the next one is numbered. The checking
 // validator checks every ring word (sequence tag + parity in the
 // otherwise-unused top byte) and NACKs corrupt requests, so corruption
 // becomes a counted, recoverable event. Disabled, New resolves the seed's
@@ -37,8 +40,9 @@ type Resilience struct {
 	// FallbackAfter is how many consecutive abandoned requests flip the
 	// client into degraded mode (local emergency allocation).
 	FallbackAfter int
-	// ProbeCycles is the minimum spacing of degraded-mode rejoin probes
-	// (a sync barrier sent to test whether the server answers again).
+	// ProbeCycles is the minimum spacing of degraded-mode rejoin probes:
+	// the pending request's ring re-rung, or, with none pending, a sync
+	// barrier sent, to test whether the server answers again.
 	ProbeCycles uint64
 	// MaxRequestBytes is the largest malloc the server will honour; a
 	// corrupt size word past it is NACKed instead of grabbing the span
@@ -120,9 +124,10 @@ type ResilienceStats struct {
 	// DeferredFrees counts frees queued host-side because the ring was
 	// full or the client degraded; they drain on recovery.
 	DeferredFrees uint64
-	// AbandonedRequests counts mallocs the client stopped waiting for;
-	// ReclaimedBlocks counts those whose late response was still caught
-	// and recycled (abandoned - reclaimed bounds the leak).
+	// AbandonedRequests counts mallocs whose wait gave up; each stays
+	// pending until its late answer comes, and ReclaimedBlocks counts
+	// those whose block was taken back and freed (abandoned - reclaimed
+	// is at most the one still pending).
 	AbandonedRequests uint64
 	ReclaimedBlocks   uint64
 }
@@ -211,13 +216,13 @@ func (c *client) pushSealed(t *sim.Thread, r *ring.SPSC, w0, w1 uint64) bool {
 
 // --- per-client degradation state -------------------------------------------
 
-// abandonedReq remembers a malloc the client stopped waiting for: the
-// sequence number (to catch the late response) and the requested size
-// (to rebalance live-byte accounting when the block is reclaimed and
-// re-freed through the engine).
-type abandonedReq struct {
-	seq  uint64
-	size uint64
+// pendingReq is a bounded client's one numbered request the server has
+// not answered yet (seq 0: none): its ring and op word, to re-push or
+// re-ring it, and for a malloc the size its late block is reclaimed at.
+type pendingReq struct {
+	seq uint64
+	r   *ring.SPSC
+	w0  uint64
 }
 
 // clientResilience is the host-side degradation state of one client.
@@ -232,10 +237,8 @@ type clientResilience struct {
 	nackSeenF uint64
 	nackM     uint64
 	nackF     uint64
-	abandoned []abandonedReq
-	// probeSeq is the outstanding asynchronous rejoin probe's sequence
-	// number (0 = none); only the fleet failover path uses it.
-	probeSeq uint64
+	pending   pendingReq
+	repush    bool // a NACK on the pending request's ring awaits its re-push
 	// deferred holds engine-owned block addresses whose free could not be
 	// queued (ring full or degraded); drained opportunistically.
 	deferred []uint64
@@ -243,24 +246,22 @@ type clientResilience struct {
 	stats    ResilienceStats
 }
 
-func newClientResilience() *clientResilience {
-	return &clientResilience{em: emergency{
-		free:   map[int][]uint64{},
-		blocks: map[uint64]int64{},
-	}}
-}
-
-// emergency is the local fallback allocator: a bump pointer over
+// emergency is a client's local fallback allocator: a bump pointer over
 // privately mmapped spans with per-class free stacks, deliberately
 // primitive (it keeps the application going while the server is away).
 // Its blocks never mix with the engine's: the engine's pagemap doesn't
-// know them, and Free routes them here by the blocks map.
+// know them, and Free routes them here by the allocator's emBlocks map,
+// whichever thread frees them.
 type emergency struct {
 	cur, limit uint64
 	free       map[int][]uint64
-	// blocks maps a live emergency address to its class, or to -pages for
-	// large blocks.
-	blocks map[uint64]int64
+}
+
+// emBlock is a live emergency block: the client whose tier carved it,
+// and its class, or -pages for a large block.
+type emBlock struct {
+	owner *client
+	enc   int64
 }
 
 const emergencySpanPages = 16 // 64 KiB spans; every size class fits (max 32 KiB)
@@ -276,13 +277,13 @@ func (a *Allocator) emergencyMalloc(t *sim.Thread, c *client, size uint64) uint6
 		addr := t.Mmap(pages)
 		t.MarkRegion(addr, pages<<mem.PageShift, region.User)
 		a.stats.HeapBytes += uint64(pages) << mem.PageShift
-		rs.em.blocks[addr] = -int64(pages)
+		a.emBlocks[addr] = emBlock{c, -int64(pages)}
 		return addr
 	}
 	if fl := rs.em.free[class]; len(fl) > 0 {
 		addr := fl[len(fl)-1]
 		rs.em.free[class] = fl[:len(fl)-1]
-		rs.em.blocks[addr] = int64(class)
+		a.emBlocks[addr] = emBlock{c, int64(class)}
 		return addr
 	}
 	bsize := a.sc.Size(class)
@@ -294,32 +295,32 @@ func (a *Allocator) emergencyMalloc(t *sim.Thread, c *client, size uint64) uint6
 	}
 	addr := rs.em.cur
 	rs.em.cur += bsize
-	rs.em.blocks[addr] = int64(class)
+	a.emBlocks[addr] = emBlock{c, int64(class)}
 	return addr
 }
 
-// emergencyFree releases an emergency block; false means the address is
-// engine-owned and must travel the ring. The live-byte decrement happens
-// here because the server-side path (engineFree) never sees these
-// blocks.
+// emergencyFree releases an emergency block to its owner's free stacks,
+// whichever client c frees it; false means the address is engine-owned
+// and must travel the ring. The live-byte decrement happens here because
+// the server-side path (engineFree) never sees these blocks.
 func (a *Allocator) emergencyFree(t *sim.Thread, c *client, addr uint64) bool {
-	rs := c.res
-	enc, ok := rs.em.blocks[addr]
+	b, ok := a.emBlocks[addr]
 	if !ok {
 		return false
 	}
 	t.Exec(4)
-	delete(rs.em.blocks, addr)
-	rs.stats.EmergencyFrees++
-	if enc < 0 {
+	delete(a.emBlocks, addr)
+	c.res.stats.EmergencyFrees++
+	if b.enc < 0 {
 		// Large emergency blocks are not recycled: they are rare and
 		// bounded by the degraded window, and the pages stay mapped.
-		a.stats.LiveBytes -= uint64(-enc) << mem.PageShift
+		a.stats.LiveBytes -= uint64(-b.enc) << mem.PageShift
 		return true
 	}
-	class := int(enc)
+	class := int(b.enc)
 	a.stats.LiveBytes -= a.sc.Size(class)
-	rs.em.free[class] = append(rs.em.free[class], addr)
+	em := &b.owner.res.em
+	em.free[class] = append(em.free[class], addr)
 	return true
 }
 
@@ -332,7 +333,7 @@ type bounded struct{}
 // register gives a new client its degradation state and, when the plan
 // drops doorbells, the drop hooks: only a bounded client recovers them.
 func (bounded) register(a *Allocator, c *client) {
-	c.res = newClientResilience()
+	c.res = &clientResilience{em: emergency{free: map[int][]uint64{}}}
 	if a.inj.Plan().DropEveryN > 0 {
 		c.mreq.SetDropHook(a.inj.DropDoorbell)
 		c.freq.SetDropHook(a.inj.DropDoorbell)
@@ -355,30 +356,40 @@ func (bounded) malloc(a *Allocator, t *sim.Thread, c *client, size uint64) uint6
 	return a.emergencyMalloc(t, c, size)
 }
 
-// offloadMalloc is one sealed malloc under the bounded wait. On failure
-// the request is abandoned — its late answer stays catchable by
-// maybeReclaim — and enough consecutive failures flip the client into
-// degraded mode; the caller picks the fallback tier: the local
-// emergency allocator, or, under fleet failover, another shard.
+// offloadMalloc is one sealed malloc under the bounded wait. It fails
+// when issue refuses it (the pending request stays unanswered) or its
+// own wait gives up; then the malloc is abandoned but stays pending,
+// and settling it takes its block back. The caller picks the fallback
+// tier: the local emergency allocator, or, under fleet failover,
+// another shard.
 func (a *Allocator) offloadMalloc(t *sim.Thread, c *client, size uint64) (uint64, bool) {
 	rs := c.res
-	w0 := opMalloc | size<<8
-	seq, ok := a.issue(t, c, c.mreq, w0)
-	if !ok {
-		// The malloc ring is jammed with requests the server never took:
-		// don't wait for a push slot that needs the dead server to free.
-		rs.stats.Timeouts++
-	} else if addr, ok := a.awaitBounded(t, c, c.mreq, w0, seq); ok {
-		rs.consecFails = 0
-		return addr, true
+	if _, ok := a.issue(t, c, c.mreq, opMalloc|size<<8); ok {
+		if addr, ok := a.awaitBounded(t, c); ok {
+			rs.consecFails = 0
+			return addr, true
+		}
+		rs.stats.AbandonedRequests++
 	}
-	rs.abandoned = append(rs.abandoned, abandonedReq{seq: seq, size: size})
-	rs.stats.AbandonedRequests++
-	rs.consecFails++
-	if !rs.degraded && rs.consecFails >= a.cfg.Resilience.FallbackAfter {
-		a.enterDegraded(t, c)
-	}
+	a.failed(t, c)
 	return 0, false
+}
+
+// failed counts a round trip that got no answer. FallbackAfter in a row
+// flip the client to local emergency allocation, and re-ring both
+// doorbells so everything already queued surfaces the moment the server
+// recovers.
+func (a *Allocator) failed(t *sim.Thread, c *client) {
+	rs := c.res
+	if rs.consecFails++; rs.degraded || rs.consecFails < a.cfg.Resilience.FallbackAfter {
+		return
+	}
+	rs.degraded = true
+	rs.degradedSince = t.Clock()
+	rs.lastProbe = t.Clock() // the server just proved unresponsive; wait a full interval
+	rs.stats.FallbackEntries++
+	c.mreq.Republish(t)
+	c.freq.Republish(t)
 }
 
 // mallocFallible is the fleet failover entry point: one resilient malloc
@@ -454,21 +465,17 @@ func (b bounded) flush(a *Allocator, t *sim.Thread, c *client) {
 	if !rs.degraded {
 		a.drainDeferred(t, c)
 		c.freq.Publish(t) // staged frees travel ahead of the barrier
-		pushed, ok := b.barrier(a, t, c)
-		if !pushed {
-			rs.stats.Timeouts++
-		}
-		if ok {
+		if b.barrier(a, t, c) {
 			rs.consecFails = 0
 			a.drainDeferred(t, c)
 		} else {
-			rs.consecFails++
-			if rs.consecFails >= a.cfg.Resilience.FallbackAfter {
-				a.enterDegraded(t, c)
-			}
+			a.failed(t, c)
 		}
 	}
-	a.settleDegraded(t, c)
+	if rs.degraded {
+		rs.stats.DegradedCycles += t.Clock() - rs.degradedSince
+		rs.degradedSince = t.Clock()
+	}
 }
 
 // preheat queues a preheat request without blocking; a full ring drops
@@ -477,88 +484,67 @@ func (bounded) preheat(t *sim.Thread, c *client, class int) {
 	c.pushSealed(t, c.freq, opPreheat|uint64(class)<<8, 0)
 }
 
-// enterDegraded flips the client to local emergency allocation and
-// re-rings both doorbells so everything already queued surfaces the
-// moment the server recovers.
-func (a *Allocator) enterDegraded(t *sim.Thread, c *client) {
-	rs := c.res
-	rs.degraded = true
-	rs.degradedSince = t.Clock()
-	rs.lastProbe = t.Clock() // the server just proved unresponsive; wait a full interval
-	rs.probeSeq = 0          // a stale async probe's answer must not fake a rejoin
-	rs.stats.FallbackEntries++
-	c.mreq.Republish(t)
-	c.freq.Republish(t)
+// pollRejoin is the fleet failover path's non-blocking rejoin check on
+// a degraded home shard: each call peeks for the pending request's
+// answer, and probe re-rings it every ProbeCycles. Unlike tryRejoin,
+// the emergency path's blocking probe, it never spins out a timeout: a
+// failed-over client has a healthy shard serving it. True means the
+// shard answered and the client rejoined.
+func (a *Allocator) pollRejoin(t *sim.Thread, c *client) bool {
+	if seq := c.res.pending.seq; seq != 0 {
+		if addr, ok := peek(t, c, seq); ok {
+			return a.rejoin(t, c, addr)
+		}
+	}
+	a.probe(t, c, false)
+	return false
 }
 
-// exitDegraded returns the client to the offload protocol.
-func (a *Allocator) exitDegraded(t *sim.Thread, c *client) {
+// tryRejoin probes a degraded client's server and waits one timeout for
+// the pending request's answer; on it the client rejoins.
+func (a *Allocator) tryRejoin(t *sim.Thread, c *client, force bool) bool {
+	if !a.probe(t, c, force) {
+		return false
+	}
+	if addr, ok := a.spin(t, c, c.res.pending.seq, t.Clock()+a.cfg.Resilience.TimeoutCycles, true); ok {
+		return a.rejoin(t, c, addr)
+	}
+	c.res.stats.Timeouts++
+	return false
+}
+
+// probe re-rings the pending request's ring, so its doorbell cannot be
+// the dropped one, once ProbeCycles have passed since the last probe, or
+// at once when forced (flush boundaries force one). With nothing
+// pending, a sync barrier is issued to be the probe. False means no
+// probe left: too soon, or the barrier could not be pushed.
+func (a *Allocator) probe(t *sim.Thread, c *client, force bool) bool {
 	rs := c.res
+	if !force && t.Clock()-rs.lastProbe < a.cfg.Resilience.ProbeCycles {
+		return false
+	}
+	rs.lastProbe = t.Clock()
+	if rs.pending.seq == 0 {
+		if _, ok := a.issue(t, c, c.freq, opSync); !ok {
+			return false
+		}
+	}
+	rs.pending.r.Republish(t)
+	return true
+}
+
+// rejoin takes the pending request's answer addr and returns the client
+// to the offload protocol.
+func (a *Allocator) rejoin(t *sim.Thread, c *client, addr uint64) bool {
+	rs := c.res
+	a.late(c, rs.pending, addr)
+	rs.pending = pendingReq{}
 	rs.degraded = false
 	rs.consecFails = 0
-	rs.probeSeq = 0
 	rs.stats.FallbackExits++
 	rs.stats.DegradedCycles += t.Clock() - rs.degradedSince
 	a.drainDeferred(t, c)
-}
-
-// settleDegraded folds an open degraded window into DegradedCycles (the
-// telemetry boundary; the window itself stays open).
-func (a *Allocator) settleDegraded(t *sim.Thread, c *client) {
-	rs := c.res
-	if rs.degraded {
-		rs.stats.DegradedCycles += t.Clock() - rs.degradedSince
-		rs.degradedSince = t.Clock()
-	}
-}
-
-// pollRejoin is the fleet failover path's non-blocking rejoin check: a
-// degraded home shard is probed with a fire-and-forget sync barrier
-// every ProbeCycles, and each call merely peeks for the answer. Unlike
-// tryRejoin, which the emergency path keeps (it has no other way back),
-// it never spins out a timeout: a failed-over client has a healthy shard
-// serving it. True means the shard answered and the client rejoined.
-func (a *Allocator) pollRejoin(t *sim.Thread, c *client) bool {
-	rs := c.res
-	if rs.probeSeq != 0 {
-		if _, ok := a.peek(t, c, rs.probeSeq); ok {
-			a.exitDegraded(t, c)
-			return true
-		}
-	}
-	if seq, ok := a.probe(t, c, false); ok {
-		rs.probeSeq = seq
-	}
-	return false
-}
-
-// tryRejoin probes a degraded client's server with a sync barrier; on an
-// answer within one timeout it exits degraded mode.
-func (a *Allocator) tryRejoin(t *sim.Thread, c *client, force bool) bool {
-	if seq, ok := a.probe(t, c, force); ok {
-		if _, ok = a.spin(t, c, seq, t.Clock()+a.cfg.Resilience.TimeoutCycles, nil); ok {
-			a.exitDegraded(t, c)
-			return true
-		}
-		c.res.stats.Timeouts++
-	}
-	return false
-}
-
-// probe sends a rejoin probe — a sync barrier whose doorbell is re-rung,
-// so it cannot be the dropped one — once ProbeCycles have passed since
-// the last probe, or at once when forced (flush boundaries force one).
-// False means no probe left: too soon, or the ring is still jammed.
-func (a *Allocator) probe(t *sim.Thread, c *client, force bool) (seq uint64, ok bool) {
-	rs := c.res
-	if !force && t.Clock()-rs.lastProbe < a.cfg.Resilience.ProbeCycles {
-		return 0, false
-	}
-	rs.lastProbe = t.Clock()
-	if seq, ok = a.issue(t, c, c.freq, opSync); ok {
-		c.freq.Republish(t)
-	}
-	return seq, ok
+	return true
 }
 
 // --- the checking validator ---------------------------------------------------

@@ -288,6 +288,85 @@ func TestStallFallbackAndRecovery(t *testing.T) {
 	}
 }
 
+// TestIssueSettlesPendingFirst: a bounded client keeps one numbered
+// request in flight. While the pending one stays unanswered, issue
+// refuses to number another (after waiting it out with the full retry
+// ladder); once its answer is there, issue takes it, reclaims the
+// abandoned malloc's block, and numbers the next request.
+func TestIssueSettlesPendingFirst(t *testing.T) {
+	m := sim.New(sim.ScaledConfig())
+	m.Spawn("worker", 0, func(th *sim.Thread) {
+		cfg := DefaultConfig()
+		cfg.Resilience = DefaultResilience()
+		a := New(th, cfg)
+		srv := NewServer() // polled by hand: nothing answers until then
+		srv.Attach(a)
+		c := a.clientOf(th)
+		rs := c.res
+		first, ok := a.issue(th, c, c.mreq, opMalloc|64<<8)
+		if !ok || first != 1 || rs.pending.seq != first {
+			t.Fatalf("first issue = %d, %v, pending %+v; want seq 1 pending", first, ok, rs.pending)
+		}
+		if seq, ok := a.issue(th, c, c.freq, opSync); ok || c.seq != first || rs.pending.seq != first {
+			t.Errorf("issue with seq %d unanswered = %d, %v (c.seq %d, pending %d); want a refusal", first, seq, ok, c.seq, rs.pending.seq)
+		}
+		if want := uint64(cfg.Resilience.MaxRetries + 1); rs.stats.Timeouts != want {
+			t.Errorf("timeouts = %d, want the full ladder's %d", rs.stats.Timeouts, want)
+		}
+		if mr, fr := c.mreq.Stats(), c.freq.Stats(); mr.Pushes != 1 || fr.Pushes != 0 {
+			t.Errorf("pushes = %d/%d, want only the pending malloc", mr.Pushes, fr.Pushes)
+		}
+		for srv.Poll(th) {
+		}
+		seq, ok := a.issue(th, c, c.freq, opSync)
+		if !ok || seq != first+1 || rs.pending.seq != seq {
+			t.Errorf("issue after the answer = %d, %v, pending %+v; want seq %d pending", seq, ok, rs.pending, first+1)
+		}
+		if rs.stats.ReclaimedBlocks != 1 || len(rs.deferred) != 1 || rs.deferred[0] == 0 {
+			t.Errorf("reclaimed %d, deferred %#x; want the settled malloc's block", rs.stats.ReclaimedBlocks, rs.deferred)
+		}
+	})
+	m.Run()
+}
+
+// TestEmergencyFreeFromAnotherThread: an emergency block belongs to the
+// allocator, not to the thread that got it. Freed by another thread, it
+// goes back to its owner's free stacks instead of down the ring, where
+// a checking server would NACK it as an address it never handed out.
+func TestEmergencyFreeFromAnotherThread(t *testing.T) {
+	m := sim.New(sim.ScaledConfig())
+	srv := NewServer()
+	m.SpawnDaemon("server", m.Cores()-1, srv.Run)
+	var a *Allocator
+	var blk uint64 // handed from a to b host-side: one simulated thread runs at a time
+	m.Spawn("a", 0, func(th *sim.Thread) {
+		cfg := DefaultConfig()
+		cfg.Resilience = Resilience{Enabled: true, TimeoutCycles: 2000, MaxRetries: 1, FallbackAfter: 1, ProbeCycles: 1 << 40}
+		a = New(th, cfg)
+		blk = a.Malloc(th, 64) // no server attached yet: the emergency tier serves it
+		srv.Attach(a)
+		a.Flush(th)
+	})
+	m.Spawn("b", 1, func(th *sim.Thread) {
+		for blk == 0 {
+			th.Pause(1000)
+		}
+		a.Free(th, blk)
+		a.Flush(th)
+	})
+	m.Run()
+	rs := a.ResilienceTelemetry()
+	if rs.EmergencyMallocs != 1 || rs.EmergencyFrees != 1 || rs.FreeNacks != 0 {
+		t.Errorf("emergency mallocs %d, frees %d, free NACKs %d; want 1, 1, 0", rs.EmergencyMallocs, rs.EmergencyFrees, rs.FreeNacks)
+	}
+	if lb := a.Stats().LiveBytes; lb != 0 {
+		t.Errorf("LiveBytes = %d after the free, want 0", lb)
+	}
+	if len(a.emBlocks) != 0 {
+		t.Errorf("%d emergency blocks still live", len(a.emBlocks))
+	}
+}
+
 // --- server-side validation -------------------------------------------------
 
 // TestServerValidationNacks feeds the server hand-crafted ring words —
@@ -425,22 +504,25 @@ func TestCorruptionNacksEndToEnd(t *testing.T) {
 }
 
 // TestNackRepushPolicy pins what a bounded wait does when the server
-// NACKs a request on the ring it is waiting on. A malloc-ring NACK
-// re-pushes the malloc only when no abandoned request is queued: the
-// rejection could be the abandoned request's, and a duplicate malloc
-// would leak its second answer. A free-ring NACK always re-pushes the
-// barrier, since a duplicate barrier is harmless. Each case queues a
-// word whose seal fails ahead of a first-touch request (a slab carve,
-// so the NACK lands long before the answer) and counts the re-pushes.
+// NACKs a request on the ring it is waiting on. A malloc-ring NACK can
+// only be the pending malloc's, since one malloc is in flight at a time,
+// and always re-pushes it: in the abandoned case the pending malloc is
+// an abandoned one whose only copy is the corrupt word, settled (and its
+// block reclaimed) before the new malloc is numbered. A free-ring NACK
+// always re-pushes the barrier, under the next seq; in the abandoned
+// case an abandoned barrier is pending, queued ahead of the corrupt
+// word, and is settled first. Each case queues a word whose seal fails
+// ahead of a first-touch request (a slab carve, so the NACK lands long
+// before the answer) and counts the re-pushes.
 func TestNackRepushPolicy(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		free      bool // NACK on the free ring, waited on by a flush barrier
-		abandoned bool // an abandoned malloc is queued during the wait
+		abandoned bool // an abandoned request is pending when the wait starts
 		repushes  uint64
 	}{
 		{"malloc", false, false, 1},
-		{"malloc-abandoned", false, true, 0},
+		{"malloc-abandoned", false, true, 1},
 		{"barrier", true, false, 1},
 		{"barrier-abandoned", true, true, 1},
 	} {
@@ -456,16 +538,21 @@ func TestNackRepushPolicy(t *testing.T) {
 				srv.Attach(a)
 				c := a.clientOf(th)
 				rs := c.res
-				if tc.abandoned {
-					// Numbered but never pushed: its answer never comes.
-					c.seq++
-					rs.abandoned = append(rs.abandoned, abandonedReq{c.seq, 64})
-				}
 				r := c.mreq
 				if tc.free {
 					r = c.freq
 				}
-				if !r.TryPush(th, sealWord(opMalloc|64<<8, 0, 0)^1<<8, 0) {
+				switch {
+				case tc.abandoned && tc.free:
+					if _, ok := a.issue(th, c, r, opSync); !ok {
+						t.Fatal("push into empty ring failed")
+					}
+				case tc.abandoned:
+					// Its one copy is the corrupt word pushed below.
+					c.seq++
+					rs.pending = pendingReq{seq: c.seq, r: r, w0: opMalloc | 64<<8}
+				}
+				if !r.TryPush(th, sealWord(opMalloc|64<<8, c.seq, c.seq)^1<<8, c.seq) {
 					t.Fatal("push into empty ring failed")
 				}
 				if tc.free {
@@ -478,8 +565,8 @@ func TestNackRepushPolicy(t *testing.T) {
 				pushes := r.Stats().Pushes
 				if tc.free {
 					a.Flush(th)
-				} else if p := a.Malloc(th, 64); p == 0 || len(rs.em.blocks) != 0 {
-					t.Errorf("malloc = %#x, %d emergency blocks: the wait failed", p, len(rs.em.blocks))
+				} else if p := a.Malloc(th, 64); p == 0 || len(a.emBlocks) != 0 {
+					t.Errorf("malloc = %#x, %d emergency blocks: the wait failed", p, len(a.emBlocks))
 				}
 				if rs.stats.MallocNacks+rs.stats.FreeNacks != 1 || rs.stats.Timeouts != 0 {
 					t.Errorf("nacks %d/%d, timeouts %d; want one NACK and no timeout",
@@ -490,6 +577,9 @@ func TestNackRepushPolicy(t *testing.T) {
 				}
 				if got := r.Stats().Pushes - pushes; got != 1+tc.repushes {
 					t.Errorf("%d pushes for one request, want %d", got, 1+tc.repushes)
+				}
+				if tc.abandoned && !tc.free && rs.stats.ReclaimedBlocks != 1 {
+					t.Errorf("reclaimed %d blocks, want the abandoned malloc's", rs.stats.ReclaimedBlocks)
 				}
 			})
 			m.Run()

@@ -13,11 +13,11 @@ import (
 // one store: the low 17 bits of the request's seq in bits 47-63 (the
 // tag) over the malloc result (0 for a sync barrier). Every simulated
 // address is below 2^47. Only requests that get an answer take a seq
-// (frees and preheats carry none), and a blocking client waits on one at
-// a time, so a wait starts with the previous seq's answer (or the zeroed
-// page's seq 0) in the word and tags are exact. A bounded client's waits
-// stay exact unless its server leaves 2^17 requests in a row unanswered
-// or answers one 2^17 seqs late.
+// (frees and preheats carry none), and a client has at most one of them
+// in flight: a blocking client waits each out, and a bounded client's
+// unanswered one stays pending until issue settles it. So a wait starts
+// with the previous seq's answer (or the zeroed page's seq 0) in the
+// word, no other answer can land on it, and tags are exact.
 //
 // The NACK words share the line: counters a checking server bumps when
 // it rejects a request from the malloc or the free ring.
@@ -40,7 +40,7 @@ func respond(t *sim.Thread, c *client, seq, addr uint64) {
 
 // waiter is the client's policy for its server, resolved once in New:
 // blocking (the seed protocol) or bounded (resilience.go). Besides
-// register (a new client's set-up) and push (issue's push of request
+// register (a new client's set-up) and push (number's push of request
 // c.seq), it holds the offload tails of Malloc, Free, Preheat and Flush.
 type waiter interface {
 	register(a *Allocator, c *client)
@@ -52,68 +52,86 @@ type waiter interface {
 }
 
 // issue numbers a request that gets an answer and pushes it on r with
-// the seq as its payload, the waiter's way: a blocking Push, or a bounded
-// client's sealed TryPush (false: the ring is full).
+// the seq as its payload. A bounded client's request then stays pending
+// until its answer is taken, and issue is where at most one stays
+// pending: it first settles the pending one (the same ladder its own
+// wait gave up on, then its late answer is taken), and refuses (false)
+// while that stays unanswered.
 func (a *Allocator) issue(t *sim.Thread, c *client, r *ring.SPSC, w0 uint64) (seq uint64, ok bool) {
+	if rs := c.res; rs != nil && rs.pending.seq != 0 {
+		p := rs.pending
+		addr, ok := a.awaitBounded(t, c)
+		if !ok {
+			return 0, false
+		}
+		a.late(c, p, addr)
+	}
+	return a.number(t, c, r, w0)
+}
+
+// number pushes request c.seq+1 the waiter's way (a blocking Push, or a
+// bounded client's sealed TryPush) and numbers it only once it is
+// pushed; false means the ring is full. A bounded client's numbered
+// request is its pending one.
+func (a *Allocator) number(t *sim.Thread, c *client, r *ring.SPSC, w0 uint64) (uint64, bool) {
 	c.seq++
-	return c.seq, a.wait.push(t, c, r, w0)
+	if !a.wait.push(t, c, r, w0) {
+		c.seq--
+		return 0, false
+	}
+	if c.res != nil {
+		c.res.pending = pendingReq{seq: c.seq, r: r, w0: w0}
+	}
+	return c.seq, true
 }
 
 // peek loads the response word once and reports the answer to seq, if
-// it is there. Any other word may be the late answer to a malloc a
-// resilient client abandoned, and is offered to maybeReclaim.
-func (a *Allocator) peek(t *sim.Thread, c *client, seq uint64) (addr uint64, ok bool) {
-	v := t.AtomicLoad64(c.page + respWord)
-	if answers(v, seq) {
+// it is there.
+func peek(t *sim.Thread, c *client, seq uint64) (addr uint64, ok bool) {
+	if v := t.AtomicLoad64(c.page + respWord); answers(v, seq) {
 		return v &^ respTagMask, true
-	}
-	if c.res != nil {
-		a.maybeReclaim(c, v)
 	}
 	return 0, false
 }
 
-// nackWatch arms spin's NACK handling: a change of the counter at off
-// means a request on ring r was rejected, and the awaited one (op word
-// w0) is re-pushed: always if a duplicate is harmless (dupSafe, a
-// barrier), else only while no abandoned malloc, whose duplicate would
-// leak, could be the one rejected. A pending re-push outlives its
-// attempt.
-type nackWatch struct {
-	r       *ring.SPSC
-	w0, off uint64
-	seen    *uint64 // the client's mirror of the counter
-	dupSafe bool
-	repush  bool
-}
-
 // spin polls the response word until seq is answered or, with a nonzero
-// until, the clock reaches until; w, if non-nil, also watches a NACK
-// counter. It is the client's only wait loop, declared to the time warp:
-// a steady round loads the response line (once, or twice with w) and
-// pauses, and until caps a bulk skip, so a timeout lands on the same
-// clock with warp on and off.
-func (a *Allocator) spin(t *sim.Thread, c *client, seq, until uint64, w *nackWatch) (addr uint64, got bool) {
-	n := 1
+// until, the clock reaches until. It is the client's only wait loop,
+// declared to the time warp: a steady round loads the response line
+// (once, or twice with nacks) and pauses, and until caps a bulk skip,
+// so a timeout lands on the same clock with warp on and off.
+//
+// With nacks, seq is the pending request's and the round also watches
+// its ring's NACK counter: a change means a request on that ring was
+// rejected, and the pending one is re-pushed under the next seq, the
+// one then awaited. The NACK may be another request's (on the free ring,
+// a free's), so a copy may still be queued, but the ring is FIFO: that
+// copy is answered first and the word ends on the new tag.
+func (a *Allocator) spin(t *sim.Thread, c *client, seq, until uint64, nacks bool) (addr uint64, got bool) {
+	n, rs := 1, c.res
 	c.spinAt[0] = c.page + respWord
-	if w != nil {
-		c.spinAt[1], n = c.page+w.off, 2
+	var seen *uint64 // the client's mirror of the watched counter
+	if nacks {
+		off := uint64(respNackF)
+		if seen = &rs.nackSeenF; rs.pending.r == c.mreq {
+			off, seen = respNackM, &rs.nackSeenM
+		}
+		c.spinAt[1], n = c.page+off, 2
 	}
 	t.WarpLoop(sim.WaitSpec{
 		Round: func() bool {
-			if w != nil && w.repush && c.pushSealed(t, w.r, w.w0, seq) {
-				w.repush = false
+			if nacks && rs.repush {
+				if next, ok := a.number(t, c, rs.pending.r, rs.pending.w0); ok {
+					rs.repush, seq = false, next
+				}
 			}
-			if addr, got = a.peek(t, c, seq); got {
+			if addr, got = peek(t, c, seq); got {
 				return true
 			}
-			if w != nil {
-				if nk := t.AtomicLoad64(c.page + w.off); nk != *w.seen {
-					*w.seen = nk
-					if w.dupSafe || len(c.res.abandoned) == 0 {
-						c.res.stats.Retries++
-						w.repush = true
-					}
+			if nacks {
+				if nk := t.AtomicLoad64(c.spinAt[1]); nk != *seen {
+					*seen = nk
+					rs.stats.Retries++
+					rs.repush = true
 				}
 			}
 			t.Pause(4)
@@ -125,19 +143,17 @@ func (a *Allocator) spin(t *sim.Thread, c *client, seq, until uint64, w *nackWat
 	return addr, got
 }
 
-// awaitBounded is the bounded waiter's wait for the answer to seq, pushed
-// on r with op word w0: rounds of TimeoutCycles spinning, each
-// expiry a timeout followed — up to MaxRetries times — by a doorbell
-// re-ring (the doorbell may have been lost) and a doubling pause.
-func (a *Allocator) awaitBounded(t *sim.Thread, c *client, r *ring.SPSC, w0, seq uint64) (uint64, bool) {
+// awaitBounded is the bounded waiter's wait for the pending request's
+// answer: rounds of TimeoutCycles spinning, each expiry a timeout
+// followed — up to MaxRetries times — by a doorbell re-ring (the
+// doorbell may have been lost) and a doubling pause. On an answer the
+// request is no longer pending; on none it stays pending.
+func (a *Allocator) awaitBounded(t *sim.Thread, c *client) (uint64, bool) {
 	p, rs := &a.cfg.Resilience, c.res
-	w := &nackWatch{r: r, w0: w0, off: respNackF, seen: &rs.nackSeenF, dupSafe: true}
-	if r == c.mreq {
-		w.off, w.seen, w.dupSafe = respNackM, &rs.nackSeenM, false
-	}
 	backoff := p.BackoffCycles
 	for attempt := 0; ; attempt++ {
-		if addr, ok := a.spin(t, c, seq, t.Clock()+p.TimeoutCycles, w); ok {
+		if addr, ok := a.spin(t, c, rs.pending.seq, t.Clock()+p.TimeoutCycles, true); ok {
+			rs.pending = pendingReq{}
 			return addr, true
 		}
 		rs.stats.Timeouts++
@@ -145,20 +161,36 @@ func (a *Allocator) awaitBounded(t *sim.Thread, c *client, r *ring.SPSC, w0, seq
 			return 0, false
 		}
 		rs.stats.Retries++
-		r.Republish(t)
+		rs.pending.r.Republish(t)
 		t.Pause(int(backoff))
 		backoff *= 2
 	}
 }
 
-// barrier sends a sync barrier down the free ring, behind everything
-// queued there, and waits for its answer; the push itself can fail too.
-func (bounded) barrier(a *Allocator, t *sim.Thread, c *client) (pushed, answered bool) {
-	seq, pushed := a.issue(t, c, c.freq, opSync)
-	if pushed {
-		_, answered = a.awaitBounded(t, c, c.freq, opSync, seq)
+// late takes the answer addr to p, a request whose own wait gave up on
+// it. A malloc's caller was served by another tier, so the block is
+// queued for a deferred free, and the live-byte ledger gets back the
+// increment the other tier's block consumed, which the engine's free of
+// this block takes off.
+func (a *Allocator) late(c *client, p pendingReq, addr uint64) {
+	if p.w0&0xff != opMalloc {
+		return
 	}
-	return pushed, answered
+	rs := c.res
+	rs.deferred = append(rs.deferred, addr)
+	rs.stats.ReclaimedBlocks++
+	rs.stats.DeferredFrees++
+	a.stats.LiveBytes += a.blockBytes(p.w0 >> 8)
+}
+
+// barrier sends a sync barrier down the free ring, behind everything
+// queued there, and waits for its answer; issue can refuse it too.
+func (bounded) barrier(a *Allocator, t *sim.Thread, c *client) bool {
+	if _, ok := a.issue(t, c, c.freq, opSync); !ok {
+		return false
+	}
+	_, ok := a.awaitBounded(t, c)
+	return ok
 }
 
 // blocking is the seed protocol's waiter: requests travel unsealed and
@@ -174,7 +206,7 @@ func (blocking) push(t *sim.Thread, c *client, r *ring.SPSC, w0 uint64) bool {
 // malloc is a synchronous request: push, then spin on the response word.
 func (blocking) malloc(a *Allocator, t *sim.Thread, c *client, size uint64) uint64 {
 	seq, _ := a.issue(t, c, c.mreq, opMalloc|size<<8)
-	addr, _ := a.spin(t, c, seq, 0, nil)
+	addr, _ := a.spin(t, c, seq, 0, false)
 	return addr
 }
 
@@ -201,30 +233,5 @@ func (blocking) preheat(t *sim.Thread, c *client, class int) {
 // so the barrier keeps its FIFO position behind every queued free.
 func (blocking) flush(a *Allocator, t *sim.Thread, c *client) {
 	seq, _ := a.issue(t, c, c.freq, opSync)
-	a.spin(t, c, seq, 0, nil)
-}
-
-// maybeReclaim catches an abandoned malloc's late answer in v, a word a
-// wait just loaded: the block is queued for a deferred free, and the
-// live-byte ledger gets back the increment the emergency replacement
-// consumed, which the engine's eventual free of the block takes off.
-func (a *Allocator) maybeReclaim(c *client, v uint64) {
-	rs := c.res
-	// Entries are in seq order. One 2^17 requests old shares its tag with
-	// a newer request, so its answer can no longer be told apart: drop it
-	// unreclaimed (AbandonedRequests - ReclaimedBlocks counts the leak).
-	for len(rs.abandoned) > 0 && c.seq-rs.abandoned[0].seq >= respTagSpan {
-		rs.abandoned = rs.abandoned[1:]
-	}
-	for i, ab := range rs.abandoned {
-		if !answers(v, ab.seq) {
-			continue
-		}
-		rs.abandoned = append(rs.abandoned[:i], rs.abandoned[i+1:]...)
-		rs.deferred = append(rs.deferred, v&^respTagMask)
-		rs.stats.ReclaimedBlocks++
-		rs.stats.DeferredFrees++
-		a.stats.LiveBytes += a.blockBytes(ab.size)
-		return
-	}
+	a.spin(t, c, seq, 0, false)
 }

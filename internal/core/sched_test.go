@@ -94,7 +94,7 @@ func TestMallocOvertakesFreeBacklog(t *testing.T) {
 					c := a.clientOf(th)
 					seq, _ := a.issue(th, c, c.mreq, opMalloc|64<<8)
 					seenAtPush = append(seenAtPush, len(rec.Spans))
-					a.spin(th, c, seq, 0, nil)
+					a.spin(th, c, seq, 0, false)
 				}
 				turn, done := 0, 0 // host-side hand-over between the two clients
 				m.Spawn("freer", 0, func(th *sim.Thread) {

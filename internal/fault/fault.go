@@ -277,19 +277,13 @@ type Injector struct {
 	stats   Stats
 }
 
-// NewInjector builds an injector for plan.
-func NewInjector(p Plan) *Injector {
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return &Injector{plan: p, rng: seed}
-}
+// NewInjector builds an injector for plan: shard 0's, the plan's own
+// stream.
+func NewInjector(p Plan) *Injector { return NewShardInjector(p, 0) }
 
 // NewShardInjector builds fleet shard i's injector: the plan evaluated
-// under a shard-decorrelated seed (effective seed ⊕ shard<<32). Shard 0
-// keeps the plan's own stream, so a single-server run is bit-identical
-// to NewInjector. Stall windows consume no randomness — they are pure
+// under a shard-decorrelated seed (effective seed ⊕ shard<<32); shard 0
+// keeps the plan's own stream, so a single server draws it. Stall windows consume no randomness — they are pure
 // functions of the wall clock — so a targeted stall covers the same
 // cycles on the same shard under any topology or interleaving; drops
 // and corruption draw from the shard's own stream, independent of

@@ -535,10 +535,10 @@ func RunE(opt Options) (Result, error) {
 
 	// Deterministic fault injection (offload runs only; a plan against an
 	// inline allocator has no transport to break). Each targeted shard
-	// gets its own injector: independently seeded on a fleet so shard
-	// i's fault sequence never depends on what the other shards are
-	// doing, the seed injector stream on a single server so pre-fleet
-	// fault runs stay byte-identical.
+	// gets its own injector, seeded from the plan and the shard index
+	// (fault.NewShardInjector), so shard i's fault sequence never depends
+	// on what the other shards are doing; shard 0 keeps the plan's own
+	// stream, so single-server fault runs stay byte-identical.
 	var injs []*fault.Injector // per server daemon; nil entry = clean shard
 	if len(srvs) > 0 {
 		for _, p := range opt.FaultPlans {
@@ -558,11 +558,7 @@ func RunE(opt Options) (Result, error) {
 				if injs[i] != nil {
 					return Result{}, fmt.Errorf("harness: two fault plans target shard %d", i)
 				}
-				if len(srvs) == 1 {
-					injs[i] = fault.NewInjector(p)
-				} else {
-					injs[i] = fault.NewShardInjector(p, i)
-				}
+				injs[i] = fault.NewShardInjector(p, i)
 			}
 		}
 		for _, in := range injs {

@@ -85,6 +85,28 @@ func TestStallPlanDegrades(t *testing.T) {
 	}
 }
 
+// TestStallReclaimsEveryAbandonedMalloc: a stalled server that comes
+// back costs the client no memory. Every malloc whose wait gave up
+// stays pending until its late answer comes, and its block is taken
+// back and freed.
+func TestStallReclaimsEveryAbandonedMalloc(t *testing.T) {
+	r := core.DefaultResilience()
+	res := Run(Options{
+		Allocator:  "nextgen",
+		Workload:   workload.DefaultXalanc(20000),
+		FaultPlans: []fault.Plan{{StallStart: 400000, StallCycles: 600000, StallPeriod: 3000000}},
+		Resilience: &r,
+	})
+	rz := res.Resilience.Client
+	t.Logf("client %+v", rz)
+	if rz.AbandonedRequests == 0 || rz.ReclaimedBlocks != rz.AbandonedRequests {
+		t.Fatalf("reclaimed %d of %d abandoned mallocs", rz.ReclaimedBlocks, rz.AbandonedRequests)
+	}
+	if err := res.CheckLiveness(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFaultRunDeterminism: fault injection is seeded, so a faulty run
 // is as reproducible as a clean one.
 func TestFaultRunDeterminism(t *testing.T) {

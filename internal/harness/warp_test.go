@@ -98,9 +98,15 @@ func TestWarpEquivalence(t *testing.T) {
 				if fo == nil || fo.Totals.Downs == 0 || fo.Totals.Rejoins == 0 {
 					t.Fatalf("failover not exercised both ways: %+v", fo)
 				}
+				rz := on.Resilience.Client
 				t.Logf("downs=%d rejoins=%d forwarded=%d abandoned=%d reclaimed=%d",
 					fo.Totals.Downs, fo.Totals.Rejoins, fo.Totals.ForwardedMallocs,
-					on.Resilience.Client.AbandonedRequests, on.Resilience.Client.ReclaimedBlocks)
+					rz.AbandonedRequests, rz.ReclaimedBlocks)
+				// The rejoin probe is the abandoned malloc itself, so its
+				// block comes back when the shard does.
+				if rz.AbandonedRequests == 0 || rz.ReclaimedBlocks != rz.AbandonedRequests {
+					t.Fatalf("reclaimed %d of %d abandoned mallocs", rz.ReclaimedBlocks, rz.AbandonedRequests)
+				}
 			}
 		})
 	}
