@@ -140,8 +140,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "kernel:         %d mmap, %d brk, %d pages, %s cycles\n",
 		res.Kernel.Mmap, res.Kernel.Brk, res.Kernel.Pages, report.Sci(float64(res.Kernel.Cycles)))
 	if res.Warp.Windows > 0 {
-		fmt.Fprintf(stdout, "time warp:      %d windows, %d rounds skipped, %s cycles (largest skip %d)\n",
-			res.Warp.Windows, res.Warp.Rounds, report.Sci(float64(res.Warp.CyclesWarped)), res.Warp.LargestSkip)
+		fmt.Fprintf(stdout, "time warp:      %d windows, %d rounds skipped, %s cycles (largest skip %d), %d parks, %d parked leases\n",
+			res.Warp.Windows, res.Warp.Rounds, report.Sci(float64(res.Warp.CyclesWarped)), res.Warp.LargestSkip,
+			res.Warp.Parks, res.Warp.ParkedLeases)
 	}
 	if res.Served > 0 {
 		fmt.Fprintf(stdout, "offload server: %s cycles, %d ops served\n", report.Sci(float64(res.Server.Cycles)), res.Served)

@@ -764,6 +764,13 @@ func (s *System) ProbeL1(c int, tag uint64) int {
 	return -1
 }
 
+// L1Holds reports whether core c's L1 still holds tag at the dense way
+// index idx that ProbeL1 returned for it. Pure lookup, O(1): a parked
+// wait round re-checks its watched lines this way before every lease.
+func (s *System) L1Holds(c, idx int, tag uint64) bool {
+	return s.cores[c].l1.tags[idx] == tag+1
+}
+
 // ReplayL1Loads applies the exact model-state delta of k repetitions of
 // a load-only round that hit core c's L1 at the dense way indexes idxs
 // (in issue order; duplicates allowed), access i attributed to cls[i].

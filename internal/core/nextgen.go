@@ -153,7 +153,6 @@ type client struct {
 	freq     *ring.SPSC         // asynchronous frees (+ flush barriers)
 	seq      uint64             // the last sequence number issued (only issue writes it)
 	res      *clientResilience  // the bounded waiter's state (nil when blocking)
-	spinAt   [2]uint64          // spin's warp-declared loads (a field: no allocation per wait)
 	readIdx  [stashSlots]uint64 // client-register mirrors of stash read indices
 	// hot tracks the classes this client allocated recently; the server
 	// tops up their stashes from its idle cycles.
@@ -685,8 +684,10 @@ func (a *Allocator) clientOf(t *sim.Thread) *client {
 	a.byThread[t.ID()] = c
 	// Publication to the server's poll set: the host slice append is the
 	// registration; determinism holds because only one simulated thread
-	// runs at a time.
+	// runs at a time. A parked server's rounds read a.clients, so settle
+	// them first.
 	a.registerL.Lock(t)
+	t.Settle()
 	a.clients = append(a.clients, c)
 	a.registerL.Unlock(t)
 	return c
@@ -744,9 +745,6 @@ type Server struct {
 	// used to scale emptyPollCycles exactly when the scheduler's time
 	// warp skips steady idle rounds (identical rounds scan identically).
 	lastEmptyPoll uint64
-	// addrScratch backs idleLoadAddrs so steady idle windows allocate
-	// nothing per bulk skip.
-	addrScratch []uint64
 	// rr is the rotating client start index of the round-robin policy
 	// (host-side scheduling state, like a real server's cursor register).
 	rr int
@@ -775,20 +773,25 @@ func (s *Server) PollStats() (emptyPolls, emptyPollCycles uint64) {
 // requests with the (atomics-free) slab engine, publish responses.
 //
 // The loop is declared to the scheduler's time warp (sim.WaitSpec), so
-// steady idle rounds (a quiescent ring set: the same empty slot probes,
-// stash gauge reads and pause) are skipped in bulk. Addrs declares
-// exactly those loads; the horizon pins warped rounds below the next
-// fault-stall window, so a plan sees the same stall entry clock; and
-// Skipped scales the idle accounting, keeping telemetry bit-identical.
+// once idle rounds repeat (a quiescent ring set: the same empty slot
+// probes, stash gauge reads and pause) the server parks and its leases
+// are advanced arithmetically. The horizon pins arithmetic rounds below
+// the next fault-stall window, so a plan sees the same stall entry
+// clock; Skipped scales the idle accounting and the round-robin cursor,
+// keeping telemetry and scan order bit-identical. The round's other
+// host reads are the server's own state, Stopping, and a.clients, which
+// clientOf settles parked threads before growing.
 func (s *Server) Run(t *sim.Thread) {
 	t.WarpLoop(sim.WaitSpec{
 		Round:   func() bool { return s.iterate(t) },
-		Addrs:   s.idleLoadAddrs,
 		Horizon: func() uint64 { return s.injector().NextStall(t.Clock()) },
 		Skipped: func(rounds, cycles uint64) {
 			s.emptyPolls += rounds
 			s.emptyPollCycles += rounds * s.lastEmptyPoll
 			s.idleCycles += cycles
+			if schedTable[s.a.cfg.Sched].rotate {
+				s.rr += int(rounds)
+			}
 		},
 	})
 }
@@ -826,38 +829,6 @@ func (s *Server) iterate(t *sim.Thread) bool {
 		s.idleCycles += t.Clock() - start
 	}
 	return false
-}
-
-// idleLoadAddrs declares the load sequence of one steady idle round to
-// the time-warp detector: the malloc-ring poll word probed by the priority
-// pass, the malloc- and free-ring poll words probed by the first background
-// iteration, per client, then the stash write/read index words the idle
-// top-up reads for every hot class whose stash is already full. Host
-// side only — building the list issues no simulated operations.
-func (s *Server) idleLoadAddrs() []uint64 {
-	a := s.a
-	if a == nil {
-		return nil
-	}
-	addrs := s.addrScratch[:0]
-	for _, c := range a.clients {
-		addrs = append(addrs, c.mreq.PollAddr())
-	}
-	for _, c := range a.clients {
-		addrs = append(addrs, c.mreq.PollAddr(), c.freq.PollAddr())
-	}
-	if a.preallocOn() {
-		for _, c := range a.clients {
-			for _, h := range c.hot {
-				if h > 0 && a.stashDepth(c, h-1) > 0 {
-					slot := stashSlot(c.page, h-1)
-					addrs = append(addrs, slot+stashWrite, slot+stashRead)
-				}
-			}
-		}
-	}
-	s.addrScratch = addrs
-	return addrs
 }
 
 // Idle spends spare core cycles topping up the stashes of recently

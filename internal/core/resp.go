@@ -97,8 +97,8 @@ func peek(t *sim.Thread, c *client, seq uint64) (addr uint64, ok bool) {
 // spin polls the response word until seq is answered or, with a nonzero
 // until, the clock reaches until. It is the client's only wait loop,
 // declared to the time warp: a steady round loads the response line
-// (once, or twice with nacks) and pauses, and until caps a bulk skip,
-// so a timeout lands on the same clock with warp on and off.
+// (once, or twice with nacks) and pauses, and until caps an arithmetic
+// advance, so a timeout lands on the same clock with warp on and off.
 //
 // With nacks, seq is the pending request's and the round also watches
 // its ring's NACK counter: a change means a request on that ring was
@@ -107,15 +107,14 @@ func peek(t *sim.Thread, c *client, seq uint64) (addr uint64, ok bool) {
 // a free's), so a copy may still be queued, but the ring is FIFO: that
 // copy is answered first and the word ends on the new tag.
 func (a *Allocator) spin(t *sim.Thread, c *client, seq, until uint64, nacks bool) (addr uint64, got bool) {
-	n, rs := 1, c.res
-	c.spinAt[0] = c.page + respWord
+	rs := c.res
+	var nackAt uint64
 	var seen *uint64 // the client's mirror of the watched counter
 	if nacks {
-		off := uint64(respNackF)
-		if seen = &rs.nackSeenF; rs.pending.r == c.mreq {
-			off, seen = respNackM, &rs.nackSeenM
+		nackAt, seen = c.page+respNackF, &rs.nackSeenF
+		if rs.pending.r == c.mreq {
+			nackAt, seen = c.page+respNackM, &rs.nackSeenM
 		}
-		c.spinAt[1], n = c.page+off, 2
 	}
 	t.WarpLoop(sim.WaitSpec{
 		Round: func() bool {
@@ -128,7 +127,7 @@ func (a *Allocator) spin(t *sim.Thread, c *client, seq, until uint64, nacks bool
 				return true
 			}
 			if nacks {
-				if nk := t.AtomicLoad64(c.spinAt[1]); nk != *seen {
+				if nk := t.AtomicLoad64(nackAt); nk != *seen {
 					*seen = nk
 					rs.stats.Retries++
 					rs.repush = true
@@ -137,7 +136,6 @@ func (a *Allocator) spin(t *sim.Thread, c *client, seq, until uint64, nacks bool
 			t.Pause(4)
 			return false
 		},
-		Addrs: func() []uint64 { return c.spinAt[:n] },
 		Until: until,
 	})
 	return addr, got

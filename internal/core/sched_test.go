@@ -215,3 +215,50 @@ func TestSchedBatchedConformance(t *testing.T) {
 		})
 	}
 }
+
+// TestIdleServerParks pins which policies let an idle server with two
+// registered clients park its poll loop: the registration-order scans
+// repeat the same round, while round-robin's rotating start makes
+// consecutive rounds load the rings in a different order, so no two
+// consecutive scripts match. The clients register without a request and
+// then compute, so every park on the machine is the server's; only the
+// parks after the second registration count.
+func TestIdleServerParks(t *testing.T) {
+	for _, c := range []struct {
+		p     SchedPolicy
+		parks bool
+	}{{FixedScan, true}, {DoorbellPriority, true}, {RoundRobin, false}} {
+		m := sim.New(sim.ScaledConfig())
+		srv := NewServer()
+		m.SpawnDaemon("server", m.Cores()-1, srv.Run)
+		var a *Allocator
+		var before uint64 // parks when the second client registered
+		registered := 0
+		client := func(th *sim.Thread) {
+			a.clientOf(th)
+			if registered++; registered == 2 {
+				before = m.WarpStats().Parks
+			}
+			for i := 0; i < 400; i++ {
+				th.Exec(500)
+			}
+		}
+		m.Spawn("c0", 0, func(th *sim.Thread) {
+			cfg := DefaultConfig()
+			cfg.Sched = c.p
+			a = New(th, cfg)
+			srv.Attach(a)
+			client(th)
+		})
+		m.Spawn("c1", 1, func(th *sim.Thread) {
+			for a == nil {
+				th.Pause(100)
+			}
+			client(th)
+		})
+		m.Run()
+		if w := m.WarpStats(); (w.Parks > before) != c.parks {
+			t.Errorf("%v: server parks %d times with two clients (%+v), want parking %v", c.p, w.Parks-before, w, c.parks)
+		}
+	}
+}

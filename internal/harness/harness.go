@@ -614,6 +614,9 @@ func RunE(opt Options) (Result, error) {
 		})
 		if len(srvs) > 0 {
 			sampler.ProbeServer(func() timeline.ServerState {
+				// An idle round updates these counters mid-round:
+				// settle parked servers to their stepped positions.
+				m.Settle()
 				var st timeline.ServerState
 				for _, srv := range srvs {
 					busy, idle := srv.Telemetry()
@@ -641,8 +644,6 @@ func RunE(opt Options) (Result, error) {
 	for i := 0; i < n; i++ {
 		part := i
 		m.Spawn(fmt.Sprintf("%s-worker-%d", w.Name(), part), workerCore(part), func(t *sim.Thread) {
-			readyAddrs := [1]uint64{ctrl}
-			barrierAddrs := [1]uint64{ctrl + 64}
 			if part == 0 {
 				a = makeAllocator(t, opt, row, cfg, servers, srvs, latRec, injs)
 				if opt.Wrap != nil {
@@ -664,7 +665,6 @@ func RunE(opt Options) (Result, error) {
 						t.Pause(100)
 						return false
 					},
-					Addrs: func() []uint64 { return readyAddrs[:] },
 				})
 			}
 			// Barrier: everyone measures from a common point.
@@ -677,7 +677,6 @@ func RunE(opt Options) (Result, error) {
 					t.Pause(50)
 					return false
 				},
-				Addrs: func() []uint64 { return barrierAddrs[:] },
 			})
 			if part == 0 {
 				for i := range srvs {

@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"nextgenmalloc/internal/core"
 	"nextgenmalloc/internal/fault"
 	"nextgenmalloc/internal/sim"
+	"nextgenmalloc/internal/slo"
 	"nextgenmalloc/internal/workload"
 )
 
@@ -14,11 +16,17 @@ import (
 // prealloc (idle top-up gauges in the steady round), an armed fault
 // plan with resilience (stall horizons and deadline waits), an armed
 // timeline sampler (probe cadence must survive warp), a sharded fleet
-// (four servers each declaring their own clients' ring poll words while
-// eight workers spin on responses), and a fleet whose shard 1 stalls
-// periodically under failover (bounded waits, forwarded mallocs, and
-// rejoin probes polled and answered).
+// (four servers each polling their own clients' rings while eight
+// workers spin on responses), a fleet whose shard 0 stalls periodically
+// under failover (bounded waits, forwarded mallocs, and rejoin probes
+// polled and answered), two-client servers under the policies that
+// re-check every malloc ring between frees (doorbell-priority parks;
+// round-robin's rotating start never repeats a round), and the
+// benchmark's service_failover configuration (an open-loop service on a
+// four-shard fleet with periodic outages, SLO tracking and failover).
 func warpCases() map[string]Options {
+	o := slo.DefaultOptions()
+	o.SpanCap = 8 * 200
 	return map[string]Options{
 		"offload": {
 			Allocator: "nextgen",
@@ -59,6 +67,26 @@ func warpCases() map[string]Options {
 			Workload:       &workload.Xmalloc{NThreads: 4, OpsPerThread: 600, TouchBytes: 64, Seed: 3},
 			SampleInterval: 5000,
 		},
+		"sched-doorbell-2": {
+			Allocator: "nextgen",
+			Workload:  &workload.Xmalloc{NThreads: 2, OpsPerThread: 600, TouchBytes: 64, Seed: 3},
+			Sched:     core.DoorbellPriority,
+		},
+		"sched-round-robin-2": {
+			Allocator: "nextgen",
+			Workload:  &workload.Xmalloc{NThreads: 2, OpsPerThread: 600, TouchBytes: 64, Seed: 3},
+			Sched:     core.RoundRobin,
+		},
+		"service-failover": {
+			Allocator: "nextgen",
+			Servers:   4,
+			Workload: &workload.Service{NWorkers: 8, RequestsPerWorker: 200, Tenants: 2,
+				MeanGapCycles: 60000, BurstLen: 1, Seed: 1000},
+			SLO:        &o,
+			FaultPlans: []fault.Plan{{Seed: 1, StallStart: 200000, StallCycles: 500000, StallPeriod: 2000000, Shard: 1}},
+			Resilience: &core.Resilience{Enabled: true, TimeoutCycles: 100000, MaxRetries: 2, BackoffCycles: 8000,
+				FallbackAfter: 1, ProbeCycles: 100000, MaxRequestBytes: 1 << 24, FailoverAfter: 1},
+		},
 	}
 }
 
@@ -91,6 +119,11 @@ func TestWarpEquivalence(t *testing.T) {
 			}
 			t.Logf("windows=%d rounds=%d cyclesWarped=%d largest=%d",
 				warp.Windows, warp.Rounds, warp.CyclesWarped, warp.LargestSkip)
+			if name == "service-failover" {
+				if fo := on.Failover; fo == nil || fo.Totals.Downs == 0 {
+					t.Fatalf("no shard failed over: %+v", fo)
+				}
+			}
 			if name == "fleet-failover" {
 				// The case must keep driving failover both ways: down
 				// (forwarded mallocs) and back (a rejoin probe answered).
@@ -112,24 +145,36 @@ func TestWarpEquivalence(t *testing.T) {
 	}
 }
 
-// TestWarpEngages pins that the fast path actually fires on an
-// idle-heavy offload run — the empty-poll windows the tentpole exists
-// to skip — and that the ledger is consistent with the run.
+// TestWarpEngages pins that the fast path actually fires on idle-heavy
+// offload runs — the empty-poll windows it exists to skip — that the
+// ledger is consistent with the run, and that on a fleet the servers
+// themselves park (not only the clients' response spins).
 func TestWarpEngages(t *testing.T) {
-	res := runWithWarp(Options{
-		Allocator: "nextgen",
-		Workload:  &workload.Xmalloc{NThreads: 2, OpsPerThread: 800, TouchBytes: 256, Seed: 3},
-	}, true)
-	w := res.Warp
-	if w.Windows == 0 || w.Rounds == 0 || w.CyclesWarped == 0 {
-		t.Fatalf("warp never engaged on an idle-heavy run: %+v", w)
+	cases := map[string]Options{
+		"offload": {
+			Allocator: "nextgen",
+			Workload:  &workload.Xmalloc{NThreads: 2, OpsPerThread: 800, TouchBytes: 256, Seed: 3},
+		},
+		"fleet": warpCases()["fleet"],
 	}
-	if w.LargestSkip > w.CyclesWarped {
-		t.Fatalf("largest skip %d exceeds total warped cycles %d", w.LargestSkip, w.CyclesWarped)
+	for name, opt := range cases {
+		res := runWithWarp(opt, true)
+		w := res.Warp
+		if w.Windows == 0 || w.Rounds == 0 || w.CyclesWarped == 0 || w.Parks == 0 {
+			t.Fatalf("%s: warp never engaged on an idle-heavy run: %+v", name, w)
+		}
+		if w.LargestSkip > w.CyclesWarped {
+			t.Fatalf("%s: largest skip %d exceeds total warped cycles %d", name, w.LargestSkip, w.CyclesWarped)
+		}
+		if w.Rounds < w.Windows {
+			t.Fatalf("%s: %d windows but only %d rounds", name, w.Windows, w.Rounds)
+		}
+		if w.ParkedLeases < w.Parks || w.DaemonParks > w.Parks {
+			t.Fatalf("%s: %d parks (%d by daemons) but %d parked leases", name, w.Parks, w.DaemonParks, w.ParkedLeases)
+		}
+		if name == "fleet" && w.DaemonParks == 0 {
+			t.Fatalf("fleet: no server ever parked: %+v", w)
+		}
+		t.Logf("%s: %+v (wall=%d)", name, w, res.WallCycles)
 	}
-	if w.Rounds < w.Windows {
-		t.Fatalf("%d windows but only %d rounds", w.Windows, w.Rounds)
-	}
-	t.Logf("windows=%d rounds=%d cyclesWarped=%d largest=%d (wall=%d)",
-		w.Windows, w.Rounds, w.CyclesWarped, w.LargestSkip, res.WallCycles)
 }

@@ -227,15 +227,20 @@ type ClientServiceMetrics struct {
 }
 
 // Warp is the time-warp ledger: how much host work the cycle-skipping
-// scheduler avoided. Windows counts bulk skips, Rounds the wait-loop
-// iterations those skips replayed arithmetically, CyclesWarped the
-// simulated cycles covered (summed across threads, so it can exceed
-// the wall clock), LargestSkip the biggest single window in cycles.
+// scheduler avoided. Windows counts parked-lease advances that completed
+// a round, Rounds the wait-loop iterations completed arithmetically,
+// CyclesWarped the simulated cycles advanced without stepping (summed
+// across threads, so it can exceed the wall clock), LargestSkip the
+// biggest single advance in cycles, Parks the times a thread parked in a
+// proven-steady wait loop, and ParkedLeases the leases served to parked
+// threads without resuming them.
 type Warp struct {
 	Windows      uint64 `json:"windows"`
 	Rounds       uint64 `json:"rounds"`
 	CyclesWarped uint64 `json:"cycles_warped"`
 	LargestSkip  uint64 `json:"largest_skip"`
+	Parks        uint64 `json:"parks"`
+	ParkedLeases uint64 `json:"parked_leases"`
 }
 
 // ClassCounters mirrors sim.ClassCounters in snake_case.
@@ -610,6 +615,8 @@ func FromResult(r harness.Result) Result {
 			Rounds:       r.Warp.Rounds,
 			CyclesWarped: r.Warp.CyclesWarped,
 			LargestSkip:  r.Warp.LargestSkip,
+			Parks:        r.Warp.Parks,
+			ParkedLeases: r.Warp.ParkedLeases,
 		}
 	}
 	return out
@@ -914,8 +921,9 @@ func validateResilience(exp string, i int, rz *Resilience) error {
 
 // validateWarp checks the time-warp ledger's internal arithmetic:
 // every window skips at least one round, every skipped round advances
-// a thread clock by at least one cycle (so rounds ≤ cycles), and no
-// single skip exceeds the total skipped. The ledger is deliberately
+// a thread clock by at least one cycle (so rounds ≤ cycles), no single
+// skip exceeds the total skipped, and every park serves at least the
+// rest of the lease it parked in. The ledger is deliberately
 // not compared against the PMU cycle totals: those cover the measured
 // region of the worker cores, while warp also fires on the server core
 // and outside the measured region (startup barriers, teardown drains).
@@ -937,6 +945,10 @@ func validateWarp(exp string, i int, w *Warp) error {
 	if w.LargestSkip > w.CyclesWarped {
 		return fmt.Errorf("metrics: experiment %q result %d warp largest skip %d exceeds total %d warped",
 			exp, i, w.LargestSkip, w.CyclesWarped)
+	}
+	if w.ParkedLeases < w.Parks {
+		return fmt.Errorf("metrics: experiment %q result %d warp has %d parks but only %d parked leases",
+			exp, i, w.Parks, w.ParkedLeases)
 	}
 	return nil
 }

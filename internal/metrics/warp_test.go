@@ -26,7 +26,7 @@ func TestWarpMetricsRoundTrip(t *testing.T) {
 		t.Fatalf("emitted file fails own validation: %v", err)
 	}
 	s := string(data)
-	for _, key := range []string{`"warp"`, `"windows"`, `"rounds"`, `"cycles_warped"`, `"largest_skip"`} {
+	for _, key := range []string{`"warp"`, `"windows"`, `"rounds"`, `"cycles_warped"`, `"largest_skip"`, `"parks"`, `"parked_leases"`} {
 		if !strings.Contains(s, key) {
 			t.Errorf("schema key %s missing from output", key)
 		}
@@ -54,7 +54,7 @@ func TestValidateRejectsBadWarp(t *testing.T) {
 			 "classes":{"user":{},"metadata":{},"ring":{},"global":{}},
 			 "warp":%s}]}]}`, warp)
 	}
-	if err := Validate([]byte(doc(`{"windows":3,"rounds":30,"cycles_warped":300,"largest_skip":40}`))); err != nil {
+	if err := Validate([]byte(doc(`{"windows":3,"rounds":30,"cycles_warped":300,"largest_skip":40,"parks":2,"parked_leases":9}`))); err != nil {
 		t.Fatalf("valid warp block rejected: %v", err)
 	}
 	for name, warp := range map[string]string{
@@ -62,6 +62,7 @@ func TestValidateRejectsBadWarp(t *testing.T) {
 		"rounds < windows": `{"windows":5,"rounds":3,"cycles_warped":300,"largest_skip":40}`,
 		"cycles < rounds":  `{"windows":3,"rounds":30,"cycles_warped":20,"largest_skip":4}`,
 		"largest > warped": `{"windows":3,"rounds":30,"cycles_warped":300,"largest_skip":400}`,
+		"leases < parks":   `{"windows":3,"rounds":30,"cycles_warped":300,"largest_skip":40,"parks":9,"parked_leases":2}`,
 	} {
 		if err := Validate([]byte(doc(warp))); err == nil {
 			t.Errorf("Validate accepted warp block with %s", name)

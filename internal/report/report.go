@@ -287,6 +287,8 @@ func WarpRows(results []harness.Result) [][]string {
 		row("rounds skipped", func(r harness.Result) string { return fmt.Sprintf("%d", r.Warp.Rounds) }),
 		row("cycles warped", func(r harness.Result) string { return Sci(float64(r.Warp.CyclesWarped)) }),
 		row("largest skip", func(r harness.Result) string { return fmt.Sprintf("%d", r.Warp.LargestSkip) }),
+		row("parks", func(r harness.Result) string { return fmt.Sprintf("%d", r.Warp.Parks) }),
+		row("parked leases", func(r harness.Result) string { return fmt.Sprintf("%d", r.Warp.ParkedLeases) }),
 	}
 }
 

@@ -194,7 +194,7 @@ func TestResilienceTable(t *testing.T) {
 
 func TestWarpTable(t *testing.T) {
 	warped := harness.Result{Allocator: "nextgen"}
-	warped.Warp = sim.WarpStats{Windows: 12, Rounds: 340, CyclesWarped: 5100, LargestSkip: 900}
+	warped.Warp = sim.WarpStats{Windows: 12, Rounds: 340, CyclesWarped: 5100, LargestSkip: 900, Parks: 7, ParkedLeases: 31}
 	inline := harness.Result{Allocator: "mimalloc"} // never warped: renders "-"
 	out := WarpTable("time warp", []harness.Result{warped, inline})
 	for _, want := range []string{
@@ -202,6 +202,8 @@ func TestWarpTable(t *testing.T) {
 		"rounds skipped", "340",
 		"cycles warped", "5.100E+03",
 		"largest skip", "900",
+		"parks", "7",
+		"parked leases", "31",
 		"-", // inline column has no warp activity
 	} {
 		if !strings.Contains(out, want) {

@@ -174,12 +174,6 @@ func (r *SPSC) slotAddr(i uint64) uint64 { return r.base + headerSize + (i&r.mas
 // lapTag is the TagBit value that marks slot index i published.
 func (r *SPSC) lapTag(i uint64) uint64 { return (^i >> r.shift & 1) * TagBit }
 
-// PollAddr exposes the address of the word an empty TryPop
-// reloads — the first word of the next slot to pop — so the consumer
-// can declare its idle-poll load sequence to the scheduler's time-warp
-// detector (sim.WaitSpec.Addrs).
-func (r *SPSC) PollAddr() uint64 { return r.slotAddr(r.consHead) }
-
 // TryStage claims the next free slot for (w0, w1) — w0 with TagBit
 // clear — and holds the words for Publish; it returns false when the
 // ring (counting earlier staged slots) is full. Staging stores nothing,

@@ -40,17 +40,25 @@ type Machine struct {
 	// simulated operations, so an armed probe cannot perturb the clock,
 	// the scheduling order, or any PMU counter.
 	//
-	// Time warp (Config.Warp) never changes the probe cadence: warped
-	// wait rounds are always interior to one lease, so probes fire at
-	// every lease end — every warp landing — and never inside a skipped
-	// window. An armed probe observes the exact same wall-clock sequence
-	// with warp on and off.
+	// Time warp (Config.Warp) never changes the probe cadence: a parked
+	// thread's leases are still granted one by one, each advanced
+	// arithmetically to the state the stepped lease would leave, so
+	// probes fire after the same leases and see the same wall clocks and
+	// counters with warp on and off.
 	probe func(wall uint64)
 
 	// heap is the run queue: an indexed min-heap of live threads ordered
 	// by (clock, id), so the scheduler picks the next thread and its
 	// lease base in O(log n) instead of scanning every thread per lease.
 	heap []*Thread
+
+	// parked holds the threads parked in a proven-steady wait loop
+	// (warp.go), and horizon the lowest of their horizons (^0 = none).
+	parked  []*Thread
+	horizon uint64
+	// settles counts settle calls: host state a wait round reads may
+	// change only at one.
+	settles uint64
 
 	warp WarpStats
 }
@@ -59,30 +67,29 @@ type Machine struct {
 // the warp fast path avoided. Purely host-side observation — warped
 // cycles are simulated cycles that were accounted without being stepped.
 type WarpStats struct {
-	// Windows counts bulk skips applied.
+	// Windows counts parked-lease advances that completed at least one
+	// whole round.
 	Windows uint64
-	// Rounds counts wait-loop rounds skipped across all windows.
+	// Rounds counts wait-loop rounds completed arithmetically.
 	Rounds uint64
-	// CyclesWarped is the total simulated cycles covered by skipped
-	// rounds (each also appears in the owning core's Cycles, exactly as
-	// if stepped).
+	// CyclesWarped is the total simulated cycles advanced without
+	// stepping (each also appears in the owning core's Cycles, exactly
+	// as if stepped).
 	CyclesWarped uint64
-	// LargestSkip is the largest single window, in cycles.
+	// LargestSkip is the largest single advance, in cycles.
 	LargestSkip uint64
+	// Parks counts threads parking in a proven-steady wait loop, and
+	// DaemonParks the parks of daemon threads (offload servers) among
+	// them.
+	Parks, DaemonParks uint64
+	// ParkedLeases counts leases served to parked threads without
+	// resuming them (including the rest of the lease they parked in).
+	ParkedLeases uint64
 }
 
 // WarpStats returns the time-warp ledger (zero when Config.Warp is off
 // or no wait loop reached a steady state).
 func (m *Machine) WarpStats() WarpStats { return m.warp }
-
-func (m *Machine) noteWarp(rounds, cycles uint64) {
-	m.warp.Windows++
-	m.warp.Rounds += rounds
-	m.warp.CyclesWarped += cycles
-	if cycles > m.warp.LargestSkip {
-		m.warp.LargestSkip = cycles
-	}
-}
 
 // New builds a machine from cfg.
 func New(cfg Config) *Machine {
@@ -250,9 +257,12 @@ func (m *Machine) Run() uint64 {
 		}
 	}
 
+	m.horizon = ^uint64(0)
 	var wall uint64
 	for len(m.heap) > 0 {
-		if userCount == 0 {
+		if userCount == 0 && !m.stopping {
+			// Parked daemons read Stopping: settle them before it flips.
+			m.settle()
 			m.stopping = true
 		}
 		t := m.heap[0]
@@ -268,7 +278,11 @@ func (m *Machine) Run() uint64 {
 			lease += m.cfg.Quantum
 		}
 		t.lease = lease
-		if _, more := t.next(); !more {
+		if (t.parked && m.advance(t)) || m.resume(t) {
+			// The lease only ever moves the root's clock forward, so a
+			// single sift-down restores the heap.
+			m.siftDown(0)
+		} else {
 			t.done = true
 			m.retire(t)
 			last := len(m.heap) - 1
@@ -281,19 +295,32 @@ func (m *Machine) Run() uint64 {
 			if !t.daemon {
 				userCount--
 			}
-		} else {
-			// The lease only ever moves the root's clock forward, so a
-			// single sift-down restores the heap.
-			m.siftDown(0)
 		}
 		if t.clock > wall {
 			wall = t.clock
+		}
+		if wall >= m.horizon {
+			m.settleWall(wall)
 		}
 		if m.probe != nil {
 			m.probe(wall)
 		}
 	}
 	return wall
+}
+
+// resume runs t's coroutine through its lease, serving the rest of the
+// lease arithmetically whenever t parks; it reports false once t's body
+// has returned.
+func (m *Machine) resume(t *Thread) bool {
+	for {
+		if _, more := t.next(); !more {
+			return false
+		}
+		if !t.parked || m.advance(t) {
+			return true
+		}
+	}
 }
 
 // heapLess orders the run heap by (clock, id) — the scheduler's total

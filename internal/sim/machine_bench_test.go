@@ -63,7 +63,6 @@ func benchRun(topo string, warp bool) uint64 {
 					t.Pause(8)
 					return false
 				},
-				Addrs: func() []uint64 { return []uint64{flag} },
 			})
 		})
 	default:

@@ -61,49 +61,55 @@ func TestProbeInstallAfterRunPanics(t *testing.T) {
 }
 
 // TestProbeCadenceSurvivesWarp pins the documented warp interaction:
-// probes fire at every warp landing (lease end) and never inside a
-// skipped window, so the observed wall sequence is bit-identical with
-// the time warp on and off — even when a thread spends most of the run
-// in a warpable wait.
+// a parked thread's leases are still granted one by one, so probes fire
+// after the same leases and the observed wall sequence is bit-identical
+// with the time warp on and off — even when a thread spends most of the
+// run parked in a wait.
 func TestProbeCadenceSurvivesWarp(t *testing.T) {
-	walls := func(warp bool) []uint64 {
-		cfg := testCfg()
-		cfg.Warp = warp
-		m := New(cfg)
-		flag, _ := m.Kernel().Mmap(1)
-		m.Spawn("producer", 0, func(th *Thread) {
-			th.Exec(20000)
-			th.AtomicStore64(flag, 1)
-		})
-		m.Spawn("waiter", 1, func(th *Thread) {
-			th.WarpLoop(WaitSpec{
-				Round: func() bool {
-					if th.AtomicLoad64(flag) == 1 {
-						return true
-					}
-					th.Pause(8)
-					return false
-				},
-				Addrs: func() []uint64 { return []uint64{flag} },
+	// The producer computes 20000 cycles in one op (the waiter parks
+	// inside one long lease) or in 400 short ones (the waiter holds
+	// hundreds of leases parked).
+	for _, chunks := range []int{1, 400} {
+		walls := func(warp bool) []uint64 {
+			cfg := testCfg()
+			cfg.Warp = warp
+			m := New(cfg)
+			flag, _ := m.Kernel().Mmap(1)
+			m.Spawn("producer", 0, func(th *Thread) {
+				for i := 0; i < chunks; i++ {
+					th.Exec(20000 / chunks)
+				}
+				th.AtomicStore64(flag, 1)
 			})
-		})
-		var seq []uint64
-		m.AddProbe(func(wall uint64) { seq = append(seq, wall) })
-		m.Run()
-		if warp && m.WarpStats().Windows == 0 {
-			t.Fatal("warp never engaged on the waiter's spin")
+			m.Spawn("waiter", 1, func(th *Thread) {
+				th.WarpLoop(WaitSpec{
+					Round: func() bool {
+						if th.AtomicLoad64(flag) == 1 {
+							return true
+						}
+						th.Pause(8)
+						return false
+					},
+				})
+			})
+			var seq []uint64
+			m.AddProbe(func(wall uint64) { seq = append(seq, wall) })
+			m.Run()
+			if w := m.WarpStats(); warp && (w.Windows == 0 || w.Parks == 0 || w.ParkedLeases < uint64(chunks)/4) {
+				t.Fatalf("%d chunks: the waiter's spin did not spend the run parked: %+v", chunks, w)
+			}
+			return seq
 		}
-		return seq
-	}
 
-	off := walls(false)
-	on := walls(true)
-	if len(off) != len(on) {
-		t.Fatalf("probe firing count differs: off=%d on=%d", len(off), len(on))
-	}
-	for i := range off {
-		if off[i] != on[i] {
-			t.Fatalf("probe firing %d saw wall %d with warp, %d without", i, on[i], off[i])
+		off := walls(false)
+		on := walls(true)
+		if len(off) != len(on) {
+			t.Fatalf("%d chunks: probe firing count differs: off=%d on=%d", chunks, len(off), len(on))
+		}
+		for i := range off {
+			if off[i] != on[i] {
+				t.Fatalf("%d chunks: probe firing %d saw wall %d with warp, %d without", chunks, i, on[i], off[i])
+			}
 		}
 	}
 }

@@ -53,6 +53,10 @@ type Thread struct {
 	core   int
 	fn     func(*Thread)
 	daemon bool
+	// mode says whether a wait round is being recorded or replayed
+	// (warp.go); the script-capable ops (Load, Exec, Pause) check it, so
+	// it sits in the struct's first line with the other per-op fields.
+	mode   opMode
 	tlb    *tlb.TLB      // this core's TLB (== m.tlbs[core])
 	caches *cache.System // the shared hierarchy (== m.caches)
 
@@ -68,18 +72,18 @@ type Thread struct {
 	next  func() (struct{}, bool)
 	lease uint64
 	done  bool
-	// yields counts lease expirations (scheduler suspensions). WarpLoop
-	// compares it across wait rounds: a round during which the thread
-	// yielded may have observed memory written by another thread, so it
-	// can never serve as a bulk-replay template.
-	yields uint64
 	// heapIdx is this thread's position in the scheduler's run heap.
 	heapIdx int
-	// Scratch buffers for warpApply's probe results, reused across bulk
-	// skips so a steady wait allocates nothing per window.
-	warpIdxs []int
-	warpWays []int
-	warpCls  []region.Class
+
+	// Wait-loop scripts and parking (warp.go).
+	script []scriptOp // the round being recorded
+	prev   []scriptOp // the round recorded before it
+	// Replay of a woken round's prefix: ops [replayAt, replayEnd) of
+	// pk.ops, then the lease goes back to replayLease.
+	replayAt, replayEnd int
+	replayLease         uint64
+	parked              bool
+	pk                  parking
 
 	mtlb      [mtlbSize]mtlbEntry
 	mtlbEpoch uint64
@@ -135,7 +139,16 @@ func (t *Thread) step() {
 	if t.clock <= t.lease {
 		return
 	}
-	t.yields++
+	t.suspend()
+}
+
+// suspend yields to the scheduler. A replaying thread holds a zero
+// lease, so an op that is not in its script lands here instead of
+// running concretely.
+func (t *Thread) suspend() {
+	if t.mode == modeReplay {
+		panic(fmt.Sprintf("sim: %s left its recorded wait round during replay", t.name))
+	}
 	t.yield(struct{}{})
 }
 
@@ -145,7 +158,10 @@ func (t *Thread) Exec(n int) {
 	if n <= 0 {
 		return
 	}
-	t.step()
+	if t.mode != modePlain || t.clock > t.lease {
+		t.tickSlow(opExec, n)
+		return
+	}
 	t.instr += uint64(n)
 	t.clock += uint64(n)
 }
@@ -219,6 +235,9 @@ func (t *Thread) access(vaddr uint64, size int, isStore bool) *mtlbEntry {
 
 // Load reads size bytes (1/2/4/8) at vaddr, little-endian.
 func (t *Thread) Load(vaddr uint64, size int) uint64 {
+	if t.mode != modePlain {
+		return t.scriptLoad(vaddr, size)
+	}
 	e := t.access(vaddr, size, false)
 	return e.frame.Load(vaddr&mem.PageMask, size)
 }
@@ -292,7 +311,10 @@ func (t *Thread) AtomicStore64(vaddr, v uint64) {
 // Pause models a spin-wait hint (cheap stall without an instruction
 // fetch storm).
 func (t *Thread) Pause(cycles int) {
-	t.step()
+	if t.mode != modePlain || t.clock > t.lease {
+		t.tickSlow(opPause, cycles)
+		return
+	}
 	t.clock += uint64(cycles)
 }
 

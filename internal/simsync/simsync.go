@@ -27,7 +27,6 @@ func NewSpinLock(addr uint64) SpinLock { return SpinLock{addr: addr} }
 // cost is charged exactly; only host stepping is saved).
 func (l SpinLock) Lock(t *sim.Thread) {
 	backoff := 4
-	addrs := [1]uint64{l.addr}
 	t.WarpLoop(sim.WaitSpec{
 		Round: func() bool {
 			// Test-and-test-and-set: spin on a plain load first so the line
@@ -41,7 +40,6 @@ func (l SpinLock) Lock(t *sim.Thread) {
 			}
 			return false
 		},
-		Addrs: func() []uint64 { return addrs[:] },
 	})
 }
 
@@ -68,7 +66,6 @@ func NewTicketLock(addr uint64) TicketLock { return TicketLock{addr: addr} }
 // the time warp (one now-serving load per round).
 func (l TicketLock) Lock(t *sim.Thread) {
 	ticket := t.FetchAdd64(l.addr, 1)
-	addrs := [1]uint64{l.addr + 8}
 	t.WarpLoop(sim.WaitSpec{
 		Round: func() bool {
 			if t.Load64(l.addr+8) == ticket {
@@ -77,7 +74,6 @@ func (l TicketLock) Lock(t *sim.Thread) {
 			t.Pause(16)
 			return false
 		},
-		Addrs: func() []uint64 { return addrs[:] },
 	})
 }
 

@@ -283,6 +283,13 @@ func (t *TLB) ProbeL1Way(vaddr uint64, pageShift uint) int {
 	return -1
 }
 
+// L1Holds reports whether the L1 entry at the dense way index way (as
+// ProbeL1Way returned it) still translates vaddr's page. Pure lookup,
+// O(1).
+func (t *TLB) L1Holds(way int, vaddr uint64, pageShift uint) bool {
+	return t.l1.vpns[way] == vaddr>>pageShift<<1|uint64(pageShift>>4&1)+1
+}
+
 // ReplayL1LoadHits applies the exact model-state delta of k repetitions
 // of a load-only round whose translations all hit the L1 at the dense
 // way indexes ways (in issue order; duplicates allowed).
