@@ -62,6 +62,9 @@ type cacheArray struct {
 	lines   []line
 	mru     []uint16 // per-set index of the last way that hit
 	tick    uint64
+	// changes counts fills and drops: a way's identity changes only
+	// with it.
+	changes uint64
 }
 
 func newArray(sizeBytes, ways int) *cacheArray {
@@ -161,6 +164,7 @@ func (c *cacheArray) victim(tag uint64) int {
 func (c *cacheArray) fill(i int, tag uint64, state byte) *line {
 	c.tags[i] = tag + 1
 	c.used[i] = 0
+	c.changes++
 	l := &c.lines[i]
 	*l = line{tag: tag, state: state, valid: true, idx: int32(i)}
 	return l
@@ -170,6 +174,7 @@ func (c *cacheArray) fill(i int, tag uint64, state byte) *line {
 func (c *cacheArray) drop(i int) {
 	c.tags[i] = 0
 	c.lines[i].valid = false
+	c.changes++
 }
 
 // invalidate drops tag if present, returning whether it was Modified.
@@ -771,14 +776,22 @@ func (s *System) L1Holds(c, idx int, tag uint64) bool {
 	return s.cores[c].l1.tags[idx] == tag+1
 }
 
+// L1Drops returns how many times a way of core c's L1 has been dropped
+// or refilled. While it stands still every L1Holds answer stands still
+// too, so a parked wait round re-checks its watched lines only when it
+// moved.
+func (s *System) L1Drops(c int) uint64 { return s.cores[c].l1.changes }
+
 // ReplayL1Loads applies the exact model-state delta of k repetitions of
 // a load-only round that hit core c's L1 at the dense way indexes idxs
 // (in issue order; duplicates allowed), access i attributed to cls[i].
 //
 // The caller must have established — by running the round concretely —
-// that every access is an L1 load hit and that no other core touches the
-// hierarchy in between (the scheduler's lease guarantees this). Under
-// those conditions each concrete access performs exactly one demand
+// that every access is an L1 load hit, and core c must have made no
+// other access since. Other cores may have dropped some of the ways in
+// the meantime: a dropped way's stamp is never read before a refill
+// resets it, so the time warp can charge a parked thread's rounds late.
+// Under those conditions each concrete access performs exactly one demand
 // count and one LRU touch (tick advance + way stamp), so k rounds leave:
 // the demand counters advanced by k per access, the LRU tick advanced by
 // k*len(idxs), and each way stamped where its last occurrence in the

@@ -147,15 +147,17 @@ func TestWarpEquivalence(t *testing.T) {
 
 // TestWarpEngages pins that the fast path actually fires on idle-heavy
 // offload runs — the empty-poll windows it exists to skip — that the
-// ledger is consistent with the run, and that on a fleet the servers
-// themselves park (not only the clients' response spins).
+// ledger is consistent with the run, that on a fleet the servers
+// themselves park (not only the clients' response spins), and that on
+// the service fleet most parked leases take the cheap check alone.
 func TestWarpEngages(t *testing.T) {
 	cases := map[string]Options{
 		"offload": {
 			Allocator: "nextgen",
 			Workload:  &workload.Xmalloc{NThreads: 2, OpsPerThread: 800, TouchBytes: 256, Seed: 3},
 		},
-		"fleet": warpCases()["fleet"],
+		"fleet":            warpCases()["fleet"],
+		"service-failover": warpCases()["service-failover"],
 	}
 	for name, opt := range cases {
 		res := runWithWarp(opt, true)
@@ -174,6 +176,12 @@ func TestWarpEngages(t *testing.T) {
 		}
 		if name == "fleet" && w.DaemonParks == 0 {
 			t.Fatalf("fleet: no server ever parked: %+v", w)
+		}
+		if w.FullChecks < w.Parks || w.FullChecks > w.ParkedLeases {
+			t.Fatalf("%s: %d full checks for %d parks and %d parked leases", name, w.FullChecks, w.Parks, w.ParkedLeases)
+		}
+		if name == "service-failover" && w.FullChecks >= w.ParkedLeases/5 {
+			t.Fatalf("service-failover: %d of %d parked leases ran the full check", w.FullChecks, w.ParkedLeases)
 		}
 		t.Logf("%s: %+v (wall=%d)", name, w, res.WallCycles)
 	}

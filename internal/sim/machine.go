@@ -41,10 +41,13 @@ type Machine struct {
 	// the scheduling order, or any PMU counter.
 	//
 	// Time warp (Config.Warp) never changes the probe cadence: a parked
-	// thread's leases are still granted one by one, each advanced
-	// arithmetically to the state the stepped lease would leave, so
-	// probes fire after the same leases and see the same wall clocks and
-	// counters with warp on and off.
+	// thread's leases are still granted one by one, each advancing its
+	// clock arithmetically to where the stepped lease would leave it, so
+	// probes fire after the same leases and see the same wall clocks
+	// with warp on and off. A parked thread's loads are charged to its
+	// core's cache and TLB only when they are read (CoreCounters,
+	// CoreClassCounters) or the thread wakes, so the counters a probe
+	// reads are exact when read, not after every lease.
 	probe func(wall uint64)
 
 	// heap is the run queue: an indexed min-heap of live threads ordered
@@ -85,6 +88,11 @@ type WarpStats struct {
 	// ParkedLeases counts leases served to parked threads without
 	// resuming them (including the rest of the lease they parked in).
 	ParkedLeases uint64
+	// FullChecks counts the parked leases that re-checked every watched
+	// word's L1 way, L1 TLB way and class, not only its value: the first
+	// after each park, and those after the core's L1, the region marks
+	// or the address space changed.
+	FullChecks uint64
 }
 
 // WarpStats returns the time-warp ledger (zero when Config.Warp is off
@@ -374,6 +382,7 @@ func (m *Machine) Stopping() bool { return m.stopping }
 // after Run, or mid-run by the owning thread (live threads' in-flight
 // counts are included).
 func (m *Machine) CoreCounters(core int) Counters {
+	m.chargeCore(core)
 	cs := m.caches.Stats(core)
 	ts := m.tlbs[core].Stats()
 	c := Counters{

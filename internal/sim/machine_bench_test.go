@@ -16,23 +16,32 @@ import (
 //     on a flag via WarpLoop. Nearly all of the waiter's simulated time
 //     is an idle window bounded by the producer's lease — the shape the
 //     cycle-skipping engine exists for; warp=true vs warp=false is the
-//     before/after of the pr6 tentpole.
+//     before/after of the time warp.
+//   - fleet: four pollers on their own cores, each spinning on its own
+//     flag via WarpLoop, beside a producer that computes in short chunks
+//     and then sets every flag — an idle allocator fleet in miniature.
+//     Nearly every lease goes to a parked poller, so with warp on the
+//     ns-per-parked-lease metric is the cost of serving one.
 func BenchmarkMachineRun(b *testing.B) {
-	for _, topo := range []string{"busy", "idle"} {
+	for _, topo := range []string{"busy", "idle", "fleet"} {
 		for _, warp := range []bool{false, true} {
 			b.Run(fmt.Sprintf("%s/warp=%v", topo, warp), func(b *testing.B) {
 				b.ReportAllocs()
+				var leases uint64
 				for i := 0; i < b.N; i++ {
-					benchRun(topo, warp)
+					leases += benchRun(topo, warp).ParkedLeases
+				}
+				if leases > 0 {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(leases), "ns/parked-lease")
 				}
 			})
 		}
 	}
 }
 
-func benchRun(topo string, warp bool) uint64 {
+func benchRun(topo string, warp bool) WarpStats {
 	cfg := DefaultConfig()
-	cfg.Cores = 4
+	cfg.Cores = 5
 	cfg.Warp = warp
 	m := New(cfg)
 	switch topo {
@@ -65,8 +74,33 @@ func benchRun(topo string, warp bool) uint64 {
 				},
 			})
 		})
+	case "fleet":
+		flags, _ := m.Kernel().Mmap(1)
+		m.Spawn("producer", 0, func(t *Thread) {
+			for i := 0; i < 20000; i++ {
+				t.Exec(200)
+			}
+			for p := uint64(0); p < 4; p++ {
+				t.Store64(flags+p*LineSize, 1)
+			}
+		})
+		for p := 0; p < 4; p++ {
+			flag := flags + uint64(p)*LineSize
+			m.Spawn(fmt.Sprintf("poller%d", p), p+1, func(t *Thread) {
+				t.WarpLoop(WaitSpec{
+					Round: func() bool {
+						if t.Load64(flag) == 1 {
+							return true
+						}
+						t.Pause(8)
+						return false
+					},
+				})
+			})
+		}
 	default:
 		panic("unknown topology " + topo)
 	}
-	return m.Run()
+	m.Run()
+	return m.WarpStats()
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"nextgenmalloc/internal/region"
 )
 
 // Lockstep tests for parking: every case runs a poller (a WarpLoop round
@@ -21,6 +23,11 @@ type pollRun struct {
 	Seen [][]uint64
 	// Walls is the probe-observed wall sequence.
 	Walls []uint64
+	// Leases and LeaseClasses, when snapshots are on, hold every core's
+	// counters as the probe read them after every lease: a parked
+	// thread's counters must be exact whenever they are read.
+	Leases       [][]Counters
+	LeaseClasses [][]ClassBreakdown
 }
 
 // poller is the waiting thread's loop.
@@ -67,9 +74,13 @@ func (p *poller) run(th *Thread, seen *[][]uint64) {
 // seen is the poller's log.
 type parkCase func(m *Machine, words [4]uint64, seen *[][]uint64)
 
-// runPark runs c under cfg with warp on or off. watch, when non-nil, is
-// called after every lease with the poller thread (thread 0).
-func runPark(cfg Config, warp bool, c parkCase, watch func(p *Thread)) (pollRun, WarpStats) {
+// runPark runs c under cfg with warp on or off. When snap is set the
+// probe snapshots every core's counters after every lease, taking the
+// class counters first on even leases and last on odd ones, so a reader
+// that forgot to charge a parked thread's loads shows up whichever it
+// is. watch, when non-nil, is called after every lease with the poller
+// thread (thread 0).
+func runPark(cfg Config, warp, snap bool, c parkCase, watch func(p *Thread)) (pollRun, WarpStats) {
 	cfg.Warp = warp
 	m := New(cfg)
 	base, _ := m.Kernel().Mmap(1)
@@ -77,6 +88,21 @@ func runPark(cfg Config, warp bool, c parkCase, watch func(p *Thread)) (pollRun,
 	var r pollRun
 	c(m, words, &r.Seen)
 	m.AddProbe(func(wall uint64) {
+		if snap {
+			cores := make([]Counters, m.Cores())
+			classes := make([]ClassBreakdown, m.Cores())
+			for core := range cores {
+				if len(r.Walls)%2 == 0 {
+					classes[core] = m.CoreClassCounters(core)
+					cores[core] = m.CoreCounters(core)
+				} else {
+					cores[core] = m.CoreCounters(core)
+					classes[core] = m.CoreClassCounters(core)
+				}
+			}
+			r.Leases = append(r.Leases, cores)
+			r.LeaseClasses = append(r.LeaseClasses, classes)
+		}
 		r.Walls = append(r.Walls, wall)
 		if watch != nil {
 			watch(m.threads[0])
@@ -90,17 +116,24 @@ func runPark(cfg Config, warp bool, c parkCase, watch func(p *Thread)) (pollRun,
 	return r, m.WarpStats()
 }
 
-// lockstep runs c both ways and fails unless the runs agree; it returns
-// the warp-on ledger.
+// lockstep runs c both ways and fails unless the runs agree, lease by
+// lease; a warp-on run that reads no counters until the end (so its
+// charges span many leases) must agree too. It returns the warp-on
+// ledger.
 func lockstep(t testing.TB, cfg Config, c parkCase) WarpStats {
 	t.Helper()
-	off, offW := runPark(cfg, false, c, nil)
-	on, onW := runPark(cfg, true, c, nil)
+	off, offW := runPark(cfg, false, true, c, nil)
+	on, onW := runPark(cfg, true, true, c, nil)
 	if offW != (WarpStats{}) {
 		t.Fatalf("warp-off run reported warp activity: %+v", offW)
 	}
 	if !reflect.DeepEqual(off, on) {
 		t.Fatalf("parking changed the run:\noff: %+v\non:  %+v", off, on)
+	}
+	lazy, _ := runPark(cfg, true, false, c, nil)
+	off.Leases, off.LeaseClasses = nil, nil
+	if !reflect.DeepEqual(off, lazy) {
+		t.Fatalf("charging parked loads only at the end changed the run:\noff: %+v\non:  %+v", off, lazy)
 	}
 	return onW
 }
@@ -154,7 +187,7 @@ func TestParkWakeOnWrite(t *testing.T) {
 			// Which op index did the wake land on? The last parked
 			// position before the poller shows up unparked.
 			wasParked, j := false, 0
-			runPark(cfg, true, c, func(p *Thread) {
+			runPark(cfg, true, false, c, func(p *Thread) {
 				if wasParked && !p.parked {
 					woke[j] = true
 				}
@@ -165,6 +198,33 @@ func TestParkWakeOnWrite(t *testing.T) {
 	for j := 0; j < 4; j++ { // three loads and the pause
 		if !woke[j] {
 			t.Errorf("no wake landed at op %d (saw %v)", j, woke)
+		}
+	}
+}
+
+// TestParkWakeOnMark has a second thread re-mark a watched word's
+// granule while the poller is parked, with no store: only the region
+// table changed, and the poller's loads of that word must be attributed
+// to the new class from the same load on as in the stepped run.
+func TestParkWakeOnMark(t *testing.T) {
+	for d := uint64(3000); d < 3000+3*17; d++ {
+		c := func(m *Machine, words [4]uint64, seen *[][]uint64) {
+			p := threeWords(words)
+			m.Spawn("poller", 0, func(th *Thread) { p.run(th, seen) })
+			m.Spawn("marker", 1, func(th *Thread) {
+				execUntil(th, d, 1+int(d%41))
+				th.MarkRegion(words[d%3], 8, region.Ring)
+				th.Exec(700)
+				th.Store64(words[3], 1)
+			})
+		}
+		w := lockstep(t, testCfg(), c)
+		if w.Parks < 2 {
+			t.Fatalf("delay %d: the poller parked %d times, want before and after the mark", d, w.Parks)
+		}
+		off, _ := runPark(testCfg(), false, false, c, nil)
+		if off.Classes[0][region.Ring].Loads == 0 {
+			t.Fatalf("delay %d: no poller load was attributed to the new class", d)
 		}
 	}
 }
@@ -189,7 +249,7 @@ func TestParkWakeOnEviction(t *testing.T) {
 		})
 	}
 	w := lockstep(t, cfg, c)
-	off, _ := runPark(cfg, false, c, nil)
+	off, _ := runPark(cfg, false, false, c, nil)
 	if w.Parks < 2 {
 		t.Fatalf("the poller parked %d times, want a park per quiet stretch: %+v", w.Parks, w)
 	}
@@ -313,7 +373,7 @@ func TestParkWallHorizon(t *testing.T) {
 		}
 		// The wall, not the poller, must be what crossed the horizon.
 		settled, wasParked := false, false
-		runPark(testCfg(), true, c, func(p *Thread) {
+		runPark(testCfg(), true, false, c, func(p *Thread) {
 			if wasParked && !p.parked && p.clock < h {
 				settled = true
 			}
@@ -343,13 +403,15 @@ func TestParkUntil(t *testing.T) {
 	}
 }
 
-// FuzzPark draws round shapes, a writer's timing and the scheduler
-// quantum, and requires warp on and off to agree.
+// FuzzPark draws round shapes, a writer's timing, whether the writer
+// stores to a watched word or only re-marks its class, and the
+// scheduler quantum, and requires warp on and off to agree.
 func FuzzPark(f *testing.F) {
-	f.Add(uint8(3), uint8(5), uint8(0), uint16(64), uint16(3000), uint8(1), uint16(700))
-	f.Add(uint8(1), uint8(0), uint8(9), uint16(1), uint16(123), uint8(0), uint16(1))
-	f.Add(uint8(2), uint8(40), uint8(3), uint16(4096), uint16(9000), uint8(2), uint16(5000))
-	f.Fuzz(func(t *testing.T, loads, pause, exec uint8, quantum, delay uint16, word uint8, gap uint16) {
+	f.Add(uint8(3), uint8(5), uint8(0), uint16(64), uint16(3000), uint8(1), uint16(700), false)
+	f.Add(uint8(1), uint8(0), uint8(9), uint16(1), uint16(123), uint8(0), uint16(1), false)
+	f.Add(uint8(2), uint8(40), uint8(3), uint16(4096), uint16(9000), uint8(2), uint16(5000), false)
+	f.Add(uint8(3), uint8(5), uint8(0), uint16(64), uint16(3000), uint8(1), uint16(700), true)
+	f.Fuzz(func(t *testing.T, loads, pause, exec uint8, quantum, delay uint16, word uint8, gap uint16, mark bool) {
 		cfg := testCfg()
 		cfg.Quantum = uint64(quantum)%4096 + 1
 		n := int(loads)%3 + 1
@@ -363,7 +425,11 @@ func FuzzPark(f *testing.F) {
 			m.Spawn("poller", 0, func(th *Thread) { p.run(th, seen) })
 			m.Spawn("writer", 1, func(th *Thread) {
 				th.Exec(int(delay) + 1)
-				th.Store64(words[int(word)%n], 1)
+				if mark {
+					th.MarkRegion(words[int(word)%n], 8, region.Meta)
+				} else {
+					th.Store64(words[int(word)%n], 1)
+				}
 				th.Exec(int(gap) + 1)
 				th.Store64(words[3], 1)
 			})

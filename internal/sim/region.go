@@ -28,6 +28,8 @@ type pageClasses [pageGranules]region.Class
 // RegionTable is the per-machine address-class map.
 type RegionTable struct {
 	pages map[uint64]*pageClasses // vpn -> granule classes
+	// marks counts Mark calls: a granule's class changes only with one.
+	marks uint64
 }
 
 func newRegionTable() *RegionTable {
@@ -68,6 +70,7 @@ func (rt *RegionTable) Mark(vaddr uint64, n int, cls region.Class) {
 	if n <= 0 {
 		return
 	}
+	rt.marks++
 	end := vaddr + uint64(n)
 	g := vaddr &^ (1<<granuleShift - 1)
 	for g < end {
@@ -148,6 +151,7 @@ func (b ClassBreakdown) Sub(o ClassBreakdown) ClassBreakdown {
 // mid-run; unlike it there is no live-thread component (all per-class
 // state lives in the shared models).
 func (m *Machine) CoreClassCounters(core int) ClassBreakdown {
+	m.chargeCore(core)
 	cs := m.caches.ClassStats(core)
 	ts := m.tlbs[core].ClassStats()
 	var b ClassBreakdown

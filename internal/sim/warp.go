@@ -26,22 +26,36 @@ import (
 // Parking. A proven thread yields to Machine.Run as parked. Whenever it
 // is the run heap's root, Run serves the lease it would have held by
 // arithmetic alone: whole rounds, then the partial round up to the op at
-// which the stepped thread would yield, charging clock, instructions,
-// PMU counters and L1/TLB LRU stamps as concrete L1-hit loads would (see
-// cache.ReplayL1Loads and tlb.ReplayL1LoadHits, applied to sub-sequences
-// of the round for the partial ends). Probes still fire at every lease
-// end, with the same wall and the same counters the stepped run shows
-// there. When the thread resumes, WaitSpec.Skipped accounts every round
-// completed this way.
+// which the stepped thread would yield, advancing its clock and
+// instruction count. The L1-hit loads walked are not charged lease by
+// lease: the thread keeps the stretch walked since its last charge
+// (start op, round ends crossed, end op) and charges it as one sequence
+// (cache.ReplayL1Loads, tlb.ReplayL1LoadHits) when it wakes or is
+// settled, and whenever Machine.CoreCounters or CoreClassCounters reads
+// its core — the only readers of a core's cache and TLB counters. The
+// LRU stamps a charge leaves depend only on the order of the loads, so
+// one charge leaves exactly what charging every lease would, and
+// counters are exact whenever they are read. Probes still fire at every
+// lease end, with the same wall the stepped run shows there. When the
+// thread resumes, WaitSpec.Skipped accounts every round completed this
+// way.
 //
 // Soundness. Within one lease no other thread runs, so the state a
 // round sees is fixed from the lease's start. A round is a function of
 //
-//   - the words it loads: Run checks, before each parked lease, that
-//     every watched word still holds its recorded value, that its line
-//     is still in this core's L1 at the recorded way and its page in the
-//     L1 TLB, and that no munmap moved the address space (another core's
-//     store invalidates the line; an LLC eviction back-invalidates it);
+//   - the words it loads: each must hold its recorded value, its line
+//     must be in this core's L1 at the recorded way and its page in the
+//     L1 TLB, its address class must be unchanged, and no munmap may
+//     have moved the address space (another core's store invalidates
+//     the line; an LLC eviction back-invalidates it). Only the thread
+//     itself fills its core's L1 and TLB, and it is parked, so these can
+//     change only with the address-space epoch, the core's L1 drop count
+//     (cache.System.L1Drops: every way dropped or refilled) or the
+//     region table's mark count. Before each parked lease Run compares
+//     those three counters with their values at the last full check; if
+//     none moved, it compares only the watched values. The full per-word
+//     check runs on the first lease after a park and whenever a counter
+//     moved (WarpStats.FullChecks counts it);
 //   - its own clock: a round never starts arithmetically at or past
 //     WaitSpec.Until or the Horizon value read at park time;
 //   - host state, under the parked-round contract below.
@@ -427,6 +441,17 @@ type parking struct {
 	horizon uint64
 	rounds  uint64 // rounds completed arithmetically since parking
 	epoch   uint64 // address-space epoch the translations were made in
+
+	// The cheap check's counters as of the last full check: this core's
+	// L1 drop count and the region table's mark count. checked is false
+	// until the first full check after a park.
+	drops, marks uint64
+	checked      bool
+
+	// The loads walked but not yet charged: from op from of a round,
+	// across ends round ends, up to op j.
+	from int
+	ends uint64
 }
 
 // watchWord is one distinct word a parked round loads, with everything
@@ -463,6 +488,7 @@ func (t *Thread) park(s *WaitSpec) bool {
 		return false
 	}
 	pk.j, pk.c0, pk.i0, pk.rounds = 0, t.clock, t.instr, 0
+	pk.from, pk.ends, pk.checked = 0, 0, false
 	pk.until, pk.horizon = s.Until, h
 	t.m.park(t)
 	t.yield(struct{}{})
@@ -524,10 +550,23 @@ func (pk *parking) resolve(t *Thread) bool {
 	return true
 }
 
-// valid reports whether every watched word still holds its recorded
-// value and class, in the same L1 and L1 TLB ways, under the same
-// address space: the round would run exactly as recorded.
-func (pk *parking) valid(t *Thread) bool {
+// check reports whether the round would still run exactly as recorded:
+// every watched word holds its recorded value and class, in the same L1
+// and L1 TLB ways, under the same address space. While none of the
+// three counters moved since the last full check, comparing the values
+// is the whole check (see Soundness at the top of this file); a full
+// check increments *full.
+func (pk *parking) check(t *Thread, full *uint64) bool {
+	drops, marks := t.caches.L1Drops(t.core), t.m.regions.marks
+	if pk.checked && t.m.as.Epoch() == pk.epoch && drops == pk.drops && marks == pk.marks {
+		for i := range pk.watch {
+			if w := &pk.watch[i]; w.frame.Load(w.addr&mem.PageMask, w.size) != w.val {
+				return false
+			}
+		}
+		return true
+	}
+	*full++
 	if t.m.as.Epoch() != pk.epoch {
 		return false
 	}
@@ -538,28 +577,62 @@ func (pk *parking) valid(t *Thread) bool {
 			return false
 		}
 	}
+	pk.drops, pk.marks, pk.checked = drops, marks, true
 	return true
 }
 
-// applyOps charges ops [a, b) of the parked round once.
+// applyOps advances the clock through ops [a, b) of the parked round;
+// their loads are charged later, by charge.
 func (t *Thread) applyOps(a, b int) {
 	pk := &t.pk
-	la, lb := pk.lpre[a], pk.lpre[b]
-	t.caches.ReplayL1Loads(t.core, pk.idxs[la:lb], pk.cls[la:lb], 1)
-	t.tlb.ReplayL1LoadHits(pk.ways[la:lb], 1)
 	t.clock += pk.pre[b] - pk.pre[a]
 	t.instr += pk.ipre[b] - pk.ipre[a]
 }
 
-// applyRounds charges k whole parked rounds from a round boundary.
+// applyRounds advances the clock through k whole parked rounds from a
+// round boundary; their loads are charged later, by charge.
 func (t *Thread) applyRounds(k uint64) {
 	pk := &t.pk
 	n := len(pk.ops)
-	t.caches.ReplayL1Loads(t.core, pk.idxs, pk.cls, k)
-	t.tlb.ReplayL1LoadHits(pk.ways, k)
 	t.clock += k * pk.pre[n]
 	t.instr += k * pk.ipre[n]
 	pk.c0, pk.i0 = t.clock, t.instr
+	pk.ends += k
+}
+
+// charge applies the loads walked since the last charge to the core's
+// L1 and L1 TLB as one sequence: the rest of the round from op pk.from,
+// pk.ends-1 whole rounds, and the next round up to op pk.j (see Parking
+// at the top of this file).
+func (t *Thread) charge() {
+	pk := &t.pk
+	la, lb := pk.lpre[pk.from], pk.lpre[pk.j]
+	if pk.ends == 0 {
+		t.replayLoads(la, lb, 1)
+	} else {
+		n := len(pk.idxs)
+		t.replayLoads(la, n, 1)
+		t.replayLoads(0, n, pk.ends-1)
+		t.replayLoads(0, lb, 1)
+	}
+	pk.from, pk.ends = pk.j, 0
+}
+
+// replayLoads charges k repetitions of the round's loads [a, b).
+func (t *Thread) replayLoads(a, b int, k uint64) {
+	pk := &t.pk
+	t.caches.ReplayL1Loads(t.core, pk.idxs[a:b], pk.cls[a:b], k)
+	t.tlb.ReplayL1LoadHits(pk.ways[a:b], k)
+}
+
+// chargeCore charges every parked thread on core, so its cache and TLB
+// counters read exactly what the stepped run shows.
+func (m *Machine) chargeCore(core int) {
+	for _, p := range m.parked {
+		if p.core == core {
+			p.charge()
+		}
+	}
 }
 
 // wholeRounds returns how many whole rounds fit from the round boundary
@@ -587,7 +660,7 @@ func (pk *parking) wholeRounds(lease uint64) uint64 {
 func (m *Machine) advance(t *Thread) bool {
 	m.warp.ParkedLeases++
 	pk := &t.pk
-	if !pk.valid(t) {
+	if !pk.check(t, &m.warp.FullChecks) {
 		m.unpark(t, t.lease)
 		return false
 	}
@@ -621,6 +694,7 @@ func (m *Machine) advance(t *Thread) bool {
 			break
 		}
 		pk.j, pk.c0, pk.i0 = 0, t.clock, t.instr
+		pk.ends++
 		rounds++
 	}
 	if cy := t.clock - from; cy > 0 {
@@ -661,6 +735,7 @@ func (m *Machine) unpark(t *Thread, lease uint64) {
 	m.parked[last] = nil
 	m.parked = m.parked[:last]
 	m.noteHorizons()
+	t.charge()
 	pk := &t.pk
 	if pk.j == 0 {
 		t.lease = lease
