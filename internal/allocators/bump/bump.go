@@ -5,7 +5,6 @@ package bump
 
 import (
 	"nextgenmalloc/internal/alloc"
-	"nextgenmalloc/internal/region"
 	"nextgenmalloc/internal/sim"
 )
 
@@ -22,8 +21,7 @@ type Allocator struct {
 
 // New builds the allocator; t performs the initial state mmap.
 func New(t *sim.Thread) *Allocator {
-	state := t.Mmap(1)
-	t.MarkRegion(state, 1<<12, region.Meta)
+	state := alloc.MapMeta(t, 1, false)
 	a := &Allocator{state: state, sizes: make(map[uint64]uint64)}
 	t.Store64(state, 0)   // cursor
 	t.Store64(state+8, 0) // limit

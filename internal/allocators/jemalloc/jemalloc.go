@@ -17,7 +17,6 @@ package jemalloc
 import (
 	"nextgenmalloc/internal/alloc"
 	"nextgenmalloc/internal/mem"
-	"nextgenmalloc/internal/region"
 	"nextgenmalloc/internal/sim"
 	"nextgenmalloc/internal/simsync"
 )
@@ -28,13 +27,10 @@ import (
 // carry intrusive links. Marking therefore touches only structure pages;
 // heap spans keep the default user-data class for their whole life.
 
-// Run record field offsets (128-byte records; the bitmap tail supports
-// up to 512 regions per run — one page of 8-byte regions).
+// Run record field offsets after the shared alloc.Rec* header
+// (128-byte records; the bitmap tail supports up to 512 regions per
+// run — one page of 8-byte regions).
 const (
-	runNext   = 0
-	runPrev   = 8
-	runBase   = 16
-	runPages  = 24
 	runClass  = 32 // 255 = large allocation, 254 = free span
 	runNFree  = 40
 	runTotal  = 48
@@ -73,12 +69,9 @@ type Allocator struct {
 	narena int
 	arenas []*arena
 
-	pagemapRoot uint64
-	rtreeLock   simsync.SpinLock // guards leaf creation in the rtree
-	metaBase    uint64
-	metaOff     uint64
-	metaLimit   uint64
-	freeRecs    []uint64
+	pages     alloc.PageMap    // the rtree
+	rtreeLock simsync.SpinLock // guards leaf creation in the rtree
+	recs      alloc.Records
 
 	tcaches  map[int]uint64 // thread id -> tcache base
 	byThread map[int]*arena
@@ -96,17 +89,13 @@ func New(t *sim.Thread, narenas int) *Allocator {
 		tcaches:  make(map[int]uint64),
 		byThread: make(map[int]*arena),
 	}
-	a.pagemapRoot = t.Mmap(16)
-	t.MarkRegion(a.pagemapRoot, 16<<mem.PageShift, region.Meta)
-	lockPage := t.Mmap(1)
-	t.MarkRegion(lockPage, 1<<mem.PageShift, region.Meta)
-	a.rtreeLock = simsync.NewSpinLock(lockPage)
-	a.growMeta(t)
+	a.pages = alloc.NewPageMap(t, false)
+	a.rtreeLock = simsync.NewSpinLock(alloc.MapMeta(t, 1, false))
+	a.recs = alloc.NewRecords(t, runBytes, 16, false)
 	for i := 0; i < narenas; i++ {
 		binBytes := uint64(sc.NumClasses())*binStride + 128
 		statePages := int((binBytes + mem.PageSize - 1) >> mem.PageShift)
-		state := t.Mmap(statePages)
-		t.MarkRegion(state, statePages<<mem.PageShift, region.Meta)
+		state := alloc.MapMeta(t, statePages, false)
 		ar := &arena{id: i, state: state}
 		for c := 0; c < sc.NumClasses(); c++ {
 			s := a.binSentinel(ar, c)
@@ -138,99 +127,38 @@ func (a *Allocator) binSentinel(ar *arena, class int) uint64 {
 	return a.binBase(ar, class) + 16
 }
 
-func (a *Allocator) growMeta(t *sim.Thread) {
-	a.metaBase = t.Mmap(16)
-	t.MarkRegion(a.metaBase, 16<<mem.PageShift, region.Meta)
-	a.metaOff = 0
-	a.metaLimit = 16 << mem.PageShift
-}
-
-func (a *Allocator) newRec(t *sim.Thread) uint64 {
-	if n := len(a.freeRecs); n > 0 {
-		r := a.freeRecs[n-1]
-		a.freeRecs = a.freeRecs[:n-1]
-		return r
-	}
-	if a.metaOff+runBytes > a.metaLimit {
-		a.growMeta(t)
-	}
-	r := a.metaBase + a.metaOff
-	a.metaOff += runBytes
-	return r
-}
-
-// --- rtree (radix page map) ----------------------------------------------
-
-func (a *Allocator) pagemapSet(t *sim.Thread, vaddr, rec uint64) {
-	rel := (vaddr - mem.MmapBase) >> mem.PageShift
-	leafSlot := a.pagemapRoot + (rel>>9)*8
-	leaf := t.Load64(leafSlot)
-	if leaf == 0 {
-		leaf = t.Mmap(1)
-		t.MarkRegion(leaf, 1<<mem.PageShift, region.Meta)
-		t.Store64(leafSlot, leaf)
-	}
-	t.Store64(leaf+(rel&511)*8, rec)
-}
-
-func (a *Allocator) pagemapGet(t *sim.Thread, vaddr uint64) uint64 {
-	rel := (vaddr - mem.MmapBase) >> mem.PageShift
-	leaf := t.Load64(a.pagemapRoot + (rel>>9)*8)
-	if leaf == 0 {
-		return 0
-	}
-	return t.Load64(leaf + (rel&511)*8)
-}
+// --- rtree registration ----------------------------------------------------
 
 func (a *Allocator) registerRun(t *sim.Thread, rec uint64) {
-	base := t.Load64(rec + runBase)
-	pages := t.Load64(rec + runPages)
+	base := t.Load64(rec + alloc.RecBase)
+	pages := t.Load64(rec + alloc.RecPages)
 	// Writers from different arenas share the rtree; leaf creation must
 	// not race (jemalloc guards its rtree the same way).
 	a.rtreeLock.Lock(t)
-	for i := uint64(0); i < pages; i++ {
-		a.pagemapSet(t, base+i<<mem.PageShift, rec)
-	}
+	a.pages.SetSpan(t, base, pages, rec)
 	a.rtreeLock.Unlock(t)
-}
-
-// --- list helpers (next/prev at offsets 0/8) ------------------------------
-
-func listInsert(t *sim.Thread, sentinel, rec uint64) {
-	next := t.Load64(sentinel)
-	t.Store64(rec+runNext, next)
-	t.Store64(rec+runPrev, sentinel)
-	t.Store64(sentinel, rec)
-	t.Store64(next+runPrev, rec)
-}
-
-func listRemove(t *sim.Thread, rec uint64) {
-	next := t.Load64(rec + runNext)
-	prev := t.Load64(rec + runPrev)
-	t.Store64(prev+runNext, next)
-	t.Store64(next+runPrev, prev)
 }
 
 // --- arena page allocation (first-fit free-span list) ----------------------
 
 // pageAlloc returns a run record with npages pages. Caller holds pageLock.
 func (a *Allocator) pageAlloc(t *sim.Thread, ar *arena, npages int) uint64 {
-	for rec := t.Load64(ar.freeSent); rec != ar.freeSent; rec = t.Load64(rec + runNext) {
+	for rec := t.Load64(ar.freeSent); rec != ar.freeSent; rec = t.Load64(rec + alloc.RecNext) {
 		t.Exec(2)
-		have := int(t.Load64(rec + runPages))
+		have := int(t.Load64(rec + alloc.RecPages))
 		if have < npages {
 			continue
 		}
-		listRemove(t, rec)
+		alloc.ListRemove(t, rec)
 		if have > npages {
-			rem := a.newRec(t)
-			base := t.Load64(rec + runBase)
-			t.Store64(rem+runBase, base+uint64(npages)<<mem.PageShift)
-			t.Store64(rem+runPages, uint64(have-npages))
+			rem := a.recs.Alloc(t)
+			base := t.Load64(rec + alloc.RecBase)
+			t.Store64(rem+alloc.RecBase, base+uint64(npages)<<mem.PageShift)
+			t.Store64(rem+alloc.RecPages, uint64(have-npages))
 			t.Store64(rem+runClass, classFreeSpan)
 			t.Store64(rem+runArena, uint64(ar.id))
-			listInsert(t, ar.freeSent, rem)
-			t.Store64(rec+runPages, uint64(npages))
+			alloc.ListInsert(t, ar.freeSent, rem)
+			t.Store64(rec+alloc.RecPages, uint64(npages))
 		}
 		a.registerRun(t, rec)
 		return rec
@@ -242,19 +170,19 @@ func (a *Allocator) pageAlloc(t *sim.Thread, ar *arena, npages int) uint64 {
 	}
 	base := t.MmapHuge(g)
 	a.stats.HeapBytes += uint64(g) << mem.PageShift
-	rec := a.newRec(t)
-	t.Store64(rec+runBase, base)
-	t.Store64(rec+runPages, uint64(g))
+	rec := a.recs.Alloc(t)
+	t.Store64(rec+alloc.RecBase, base)
+	t.Store64(rec+alloc.RecPages, uint64(g))
 	t.Store64(rec+runClass, classFreeSpan)
 	t.Store64(rec+runArena, uint64(ar.id))
-	listInsert(t, ar.freeSent, rec)
+	alloc.ListInsert(t, ar.freeSent, rec)
 	return a.pageAlloc(t, ar, npages)
 }
 
 // pageFree returns a run's pages to the arena. Caller holds pageLock.
 func (a *Allocator) pageFree(t *sim.Thread, ar *arena, rec uint64) {
 	t.Store64(rec+runClass, classFreeSpan)
-	listInsert(t, ar.freeSent, rec)
+	alloc.ListInsert(t, ar.freeSent, rec)
 }
 
 // --- runs ------------------------------------------------------------------
@@ -303,7 +231,7 @@ func (a *Allocator) runPop(t *sim.Thread, rec uint64, class int) uint64 {
 		}
 		t.Store64(rec+runBitmap+w*8, bits&^bit)
 		t.Store64(rec+runNFree, t.Load64(rec+runNFree)-1)
-		return t.Load64(rec+runBase) + idx*a.sc.Size(class)
+		return t.Load64(rec+alloc.RecBase) + idx*a.sc.Size(class)
 	}
 	panic("jemalloc: runPop on a full run")
 }
@@ -312,7 +240,7 @@ func (a *Allocator) runPop(t *sim.Thread, rec uint64, class int) uint64 {
 // free count and total.
 func (a *Allocator) runPush(t *sim.Thread, rec uint64, class int, addr uint64) (nfree, total uint64) {
 	t.Exec(3) // region index arithmetic (magic-multiply division)
-	idx := (addr - t.Load64(rec+runBase)) / a.sc.Size(class)
+	idx := (addr - t.Load64(rec+alloc.RecBase)) / a.sc.Size(class)
 	w := idx / 64
 	bits := t.Load64(rec + runBitmap + w*8)
 	t.Store64(rec+runBitmap+w*8, bits|uint64(1)<<(idx%64))
@@ -328,8 +256,7 @@ func (a *Allocator) tcache(t *sim.Thread) uint64 {
 		return tc
 	}
 	pages := int((uint64(a.sc.NumClasses())*tcacheSlotSize + mem.PageSize - 1) >> mem.PageShift)
-	tc := t.Mmap(pages)
-	t.MarkRegion(tc, pages<<mem.PageShift, region.Meta)
+	tc := alloc.MapMeta(t, pages, false)
 	a.tcaches[t.ID()] = tc
 	return tc
 }
@@ -382,7 +309,7 @@ func (a *Allocator) fill(t *sim.Thread, ar *arena, class int, slot uint64) {
 			s := a.binSentinel(ar, class)
 			rec = t.Load64(s)
 			if rec != s {
-				listRemove(t, rec)
+				alloc.ListRemove(t, rec)
 			} else {
 				rec = a.newRun(t, ar, class)
 			}
@@ -402,7 +329,7 @@ func (a *Allocator) fill(t *sim.Thread, ar *arena, class int, slot uint64) {
 func (a *Allocator) Free(t *sim.Thread, addr uint64) {
 	a.stats.FreeCalls++
 	t.Exec(3)
-	rec := a.pagemapGet(t, addr)
+	rec := a.pages.Get(t, addr)
 	classWord := t.Load64(rec + runClass)
 	if classWord == classLarge {
 		a.largeFree(t, rec)
@@ -427,7 +354,7 @@ func (a *Allocator) flush(t *sim.Thread, class int, slot uint64, n int) {
 	count := t.Load64(slot)
 	for i := 0; i < n; i++ {
 		addr := t.Load64(slot + 8 + (count-uint64(i+1))*8)
-		rec := a.pagemapGet(t, addr)
+		rec := a.pages.Get(t, addr)
 		ar := a.arenas[t.Load64(rec+runArena)]
 		bin := a.binBase(ar, class)
 		lock := simsync.NewSpinLock(bin)
@@ -439,14 +366,14 @@ func (a *Allocator) flush(t *sim.Thread, class int, slot uint64, n int) {
 			switch {
 			case nfree == total:
 				if nfree > 1 {
-					listRemove(t, rec) // was on the nonfull list
+					alloc.ListRemove(t, rec) // was on the nonfull list
 				}
 				ar.pageLock.Lock(t)
 				a.pageFree(t, ar, rec)
 				ar.pageLock.Unlock(t)
 			case nfree == 1:
 				// Was full and unlisted; now nonfull.
-				listInsert(t, a.binSentinel(ar, class), rec)
+				alloc.ListInsert(t, a.binSentinel(ar, class), rec)
 			}
 		}
 		lock.Unlock(t)
@@ -464,11 +391,11 @@ func (a *Allocator) largeAlloc(t *sim.Thread, size uint64) uint64 {
 	ar.pageLock.Unlock(t)
 	t.Store64(rec+runClass, classLarge)
 	a.stats.LiveBytes += uint64(pages) << mem.PageShift
-	return t.Load64(rec + runBase)
+	return t.Load64(rec + alloc.RecBase)
 }
 
 func (a *Allocator) largeFree(t *sim.Thread, rec uint64) {
-	a.stats.LiveBytes -= t.Load64(rec+runPages) << mem.PageShift
+	a.stats.LiveBytes -= t.Load64(rec+alloc.RecPages) << mem.PageShift
 	ar := a.arenas[t.Load64(rec+runArena)]
 	ar.pageLock.Lock(t)
 	a.pageFree(t, ar, rec)

@@ -32,13 +32,9 @@ import (
 // metadata on free and back to user data when the block is handed out —
 // the line sharing Figure 2 attributes to mimalloc.
 
-// Page metadata record offsets (128-byte records). Lists next/prev keep
-// offsets 0/8 so the shared list helpers apply.
+// Page metadata record offsets after the shared alloc.Rec* header
+// (128-byte records).
 const (
-	pgNext       = 0
-	pgPrev       = 8
-	pgBase       = 16
-	pgPages      = 24
 	pgClass      = 32 // 255 = large allocation, 254 = free span
 	pgFree       = 40 // intrusive list: allocation pops here
 	pgLocalFree  = 48 // intrusive list: owner frees push here
@@ -65,11 +61,8 @@ type Allocator struct {
 	sc    *alloc.SizeClasses
 	stats alloc.Stats
 
-	pagemapRoot uint64
-	metaBase    uint64
-	metaOff     uint64
-	metaLimit   uint64
-	freeRecs    []uint64
+	pages alloc.PageMap
+	recs  alloc.Records
 
 	segState uint64 // segment allocator: lock + free-span sentinel
 	segLock  simsync.SpinLock
@@ -83,15 +76,13 @@ func New(t *sim.Thread) *Allocator {
 		sc:    alloc.NewSizeClasses(),
 		heaps: make(map[int]uint64),
 	}
-	a.pagemapRoot = t.Mmap(16)
-	t.MarkRegion(a.pagemapRoot, 16<<mem.PageShift, region.Meta)
-	a.segState = t.Mmap(1)
-	t.MarkRegion(a.segState, 1<<mem.PageShift, region.Meta)
+	a.pages = alloc.NewPageMap(t, false)
+	a.segState = alloc.MapMeta(t, 1, false)
 	a.segLock = simsync.NewSpinLock(a.segState)
 	sent := a.segSentinel()
 	t.Store64(sent, sent)
 	t.Store64(sent+8, sent)
-	a.growMeta(t)
+	a.recs = alloc.NewRecords(t, pgRecBytes, 16, false)
 	return a
 }
 
@@ -103,76 +94,6 @@ func (a *Allocator) Name() string { return "mimalloc" }
 // Stats implements alloc.Allocator.
 func (a *Allocator) Stats() alloc.Stats { return a.stats }
 
-func (a *Allocator) growMeta(t *sim.Thread) {
-	a.metaBase = t.Mmap(16)
-	t.MarkRegion(a.metaBase, 16<<mem.PageShift, region.Meta)
-	a.metaOff = 0
-	a.metaLimit = 16 << mem.PageShift
-}
-
-func (a *Allocator) newRec(t *sim.Thread) uint64 {
-	if n := len(a.freeRecs); n > 0 {
-		r := a.freeRecs[n-1]
-		a.freeRecs = a.freeRecs[:n-1]
-		return r
-	}
-	if a.metaOff+pgRecBytes > a.metaLimit {
-		a.growMeta(t)
-	}
-	r := a.metaBase + a.metaOff
-	a.metaOff += pgRecBytes
-	return r
-}
-
-// --- pagemap (stands in for mimalloc's aligned-segment pointer trick;
-// same two dependent loads a segment-header lookup performs) -----------
-
-func (a *Allocator) pagemapSet(t *sim.Thread, vaddr, rec uint64) {
-	rel := (vaddr - mem.MmapBase) >> mem.PageShift
-	leafSlot := a.pagemapRoot + (rel>>9)*8
-	leaf := t.Load64(leafSlot)
-	if leaf == 0 {
-		leaf = t.Mmap(1)
-		t.MarkRegion(leaf, 1<<mem.PageShift, region.Meta)
-		t.Store64(leafSlot, leaf)
-	}
-	t.Store64(leaf+(rel&511)*8, rec)
-}
-
-func (a *Allocator) pagemapGet(t *sim.Thread, vaddr uint64) uint64 {
-	rel := (vaddr - mem.MmapBase) >> mem.PageShift
-	leaf := t.Load64(a.pagemapRoot + (rel>>9)*8)
-	if leaf == 0 {
-		return 0
-	}
-	return t.Load64(leaf + (rel&511)*8)
-}
-
-func (a *Allocator) registerRec(t *sim.Thread, rec uint64) {
-	base := t.Load64(rec + pgBase)
-	pages := t.Load64(rec + pgPages)
-	for i := uint64(0); i < pages; i++ {
-		a.pagemapSet(t, base+i<<mem.PageShift, rec)
-	}
-}
-
-// --- list helpers (next/prev at 0/8) --------------------------------------
-
-func listInsert(t *sim.Thread, sentinel, rec uint64) {
-	next := t.Load64(sentinel)
-	t.Store64(rec+pgNext, next)
-	t.Store64(rec+pgPrev, sentinel)
-	t.Store64(sentinel, rec)
-	t.Store64(next+pgPrev, rec)
-}
-
-func listRemove(t *sim.Thread, rec uint64) {
-	next := t.Load64(rec + pgNext)
-	prev := t.Load64(rec + pgPrev)
-	t.Store64(prev+pgNext, next)
-	t.Store64(next+pgPrev, prev)
-}
-
 // --- segment (page span) allocator ----------------------------------------
 
 // segAlloc returns a rec with npages pages, locked internally.
@@ -181,23 +102,23 @@ func (a *Allocator) segAlloc(t *sim.Thread, npages int) uint64 {
 	defer a.segLock.Unlock(t)
 	sent := a.segSentinel()
 	for {
-		for rec := t.Load64(sent); rec != sent; rec = t.Load64(rec + pgNext) {
+		for rec := t.Load64(sent); rec != sent; rec = t.Load64(rec + alloc.RecNext) {
 			t.Exec(2)
-			have := int(t.Load64(rec + pgPages))
+			have := int(t.Load64(rec + alloc.RecPages))
 			if have < npages {
 				continue
 			}
-			listRemove(t, rec)
+			alloc.ListRemove(t, rec)
 			if have > npages {
-				rem := a.newRec(t)
-				base := t.Load64(rec + pgBase)
-				t.Store64(rem+pgBase, base+uint64(npages)<<mem.PageShift)
-				t.Store64(rem+pgPages, uint64(have-npages))
+				rem := a.recs.Alloc(t)
+				base := t.Load64(rec + alloc.RecBase)
+				t.Store64(rem+alloc.RecBase, base+uint64(npages)<<mem.PageShift)
+				t.Store64(rem+alloc.RecPages, uint64(have-npages))
 				t.Store64(rem+pgClass, classFreeSpan)
-				listInsert(t, sent, rem)
-				t.Store64(rec+pgPages, uint64(npages))
+				alloc.ListInsert(t, sent, rem)
+				t.Store64(rec+alloc.RecPages, uint64(npages))
 			}
-			a.registerRec(t, rec)
+			a.pages.Register(t, rec)
 			return rec
 		}
 		g := segmentPages
@@ -206,11 +127,11 @@ func (a *Allocator) segAlloc(t *sim.Thread, npages int) uint64 {
 		}
 		base := t.MmapHuge(g)
 		a.stats.HeapBytes += uint64(g) << mem.PageShift
-		rec := a.newRec(t)
-		t.Store64(rec+pgBase, base)
-		t.Store64(rec+pgPages, uint64(g))
+		rec := a.recs.Alloc(t)
+		t.Store64(rec+alloc.RecBase, base)
+		t.Store64(rec+alloc.RecPages, uint64(g))
 		t.Store64(rec+pgClass, classFreeSpan)
-		listInsert(t, sent, rec)
+		alloc.ListInsert(t, sent, rec)
 	}
 }
 
@@ -218,7 +139,7 @@ func (a *Allocator) segFree(t *sim.Thread, rec uint64) {
 	a.segLock.Lock(t)
 	t.Store64(rec+pgClass, classFreeSpan)
 	t.Store64(rec+pgOwner, 0)
-	listInsert(t, a.segSentinel(), rec)
+	alloc.ListInsert(t, a.segSentinel(), rec)
 	a.segLock.Unlock(t)
 }
 
@@ -229,8 +150,7 @@ func (a *Allocator) heap(t *sim.Thread) uint64 {
 		return h
 	}
 	pages := int((uint64(a.sc.NumClasses())*heapSlotBytes + mem.PageSize - 1) >> mem.PageShift)
-	h := t.Mmap(pages)
-	t.MarkRegion(h, pages<<mem.PageShift, region.Meta)
+	h := alloc.MapMeta(t, pages, false)
 	for c := 0; c < a.sc.NumClasses(); c++ {
 		slot := h + uint64(c)*heapSlotBytes
 		t.Store64(slot+8, slot+8) // avail sentinel
@@ -314,35 +234,35 @@ func (a *Allocator) mallocGeneric(t *sim.Thread, slot uint64, class int) uint64 
 		}
 		// Current page is genuinely full: park it on the full queue.
 		t.Store64(cur+pgInFull, 1)
-		listInsert(t, slot+24, cur)
+		alloc.ListInsert(t, slot+24, cur)
 		t.Store64(slot, 0)
 	}
 	// Try the avail queue.
 	availSent := slot + 8
 	for rec := t.Load64(availSent); rec != availSent; {
-		next := t.Load64(rec + pgNext)
+		next := t.Load64(rec + alloc.RecNext)
 		if free := a.collect(t, rec); free != 0 {
-			listRemove(t, rec)
+			alloc.ListRemove(t, rec)
 			t.Store64(slot, rec)
 			return a.popBlock(t, rec, free, class)
 		}
 		if a.extendPage(t, rec, class) {
-			listRemove(t, rec)
+			alloc.ListRemove(t, rec)
 			t.Store64(slot, rec)
 			return a.popBlock(t, rec, t.Load64(rec+pgFree), class)
 		}
-		listRemove(t, rec)
+		alloc.ListRemove(t, rec)
 		t.Store64(rec+pgInFull, 1)
-		listInsert(t, slot+24, rec)
+		alloc.ListInsert(t, slot+24, rec)
 		rec = next
 	}
 	// Probe the head of the full queue for pages revived by remote frees.
 	fullSent := slot + 24
 	probe := t.Load64(fullSent)
 	for i := 0; i < 2 && probe != fullSent; i++ {
-		next := t.Load64(probe + pgNext)
+		next := t.Load64(probe + alloc.RecNext)
 		if free := a.collect(t, probe); free != 0 {
-			listRemove(t, probe)
+			alloc.ListRemove(t, probe)
 			t.Store64(probe+pgInFull, 0)
 			t.Store64(slot, probe)
 			return a.popBlock(t, probe, free, class)
@@ -408,7 +328,7 @@ func (a *Allocator) extendPage(t *sim.Thread, rec uint64, class int) bool {
 		n = extendChunk
 	}
 	size := a.sc.Size(class)
-	base := t.Load64(rec + pgBase)
+	base := t.Load64(rec + alloc.RecBase)
 	head := t.Load64(rec + pgFree)
 	for i := int64(carved+n) - 1; i >= int64(carved); i-- {
 		blk := base + uint64(i)*size
@@ -425,7 +345,7 @@ func (a *Allocator) extendPage(t *sim.Thread, rec uint64, class int) bool {
 func (a *Allocator) Free(t *sim.Thread, addr uint64) {
 	a.stats.FreeCalls++
 	t.Exec(3)
-	rec := a.pagemapGet(t, addr)
+	rec := a.pages.Get(t, addr)
 	classWord := t.Load64(rec + pgClass)
 	if classWord == classLarge {
 		a.largeFree(t, rec)
@@ -446,9 +366,9 @@ func (a *Allocator) Free(t *sim.Thread, addr uint64) {
 			// Revive a full page immediately (owner-side unfull).
 			h := a.heap(t)
 			slot := heapSlot(h, class)
-			listRemove(t, rec)
+			alloc.ListRemove(t, rec)
 			t.Store64(rec+pgInFull, 0)
-			listInsert(t, slot+8, rec)
+			alloc.ListInsert(t, slot+8, rec)
 		} else if used == 0 {
 			a.maybeRetire(t, rec, class)
 		}
@@ -475,7 +395,7 @@ func (a *Allocator) maybeRetire(t *sim.Thread, rec uint64, class int) {
 		return
 	}
 	// The page sits on the avail queue; pull it out and release it.
-	listRemove(t, rec)
+	alloc.ListRemove(t, rec)
 	t.Store64(rec+pgFree, 0)
 	t.Store64(rec+pgLocalFree, 0)
 	a.segFree(t, rec)
@@ -488,12 +408,12 @@ func (a *Allocator) largeAlloc(t *sim.Thread, size uint64) uint64 {
 	rec := a.segAlloc(t, pages)
 	t.Store64(rec+pgClass, classLarge)
 	a.stats.LiveBytes += uint64(pages) << mem.PageShift
-	base := t.Load64(rec + pgBase)
+	base := t.Load64(rec + alloc.RecBase)
 	t.MarkRegion(base, pages<<mem.PageShift, region.User)
 	return base
 }
 
 func (a *Allocator) largeFree(t *sim.Thread, rec uint64) {
-	a.stats.LiveBytes -= t.Load64(rec+pgPages) << mem.PageShift
+	a.stats.LiveBytes -= t.Load64(rec+alloc.RecPages) << mem.PageShift
 	a.segFree(t, rec)
 }

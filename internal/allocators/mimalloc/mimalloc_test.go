@@ -23,7 +23,7 @@ func TestLocalFreeSharding(t *testing.T) {
 	m.Spawn("t", 0, func(th *sim.Thread) {
 		a := New(th)
 		p := a.Malloc(th, 32)
-		rec := a.pagemapGet(th, p)
+		rec := a.pages.Get(th, p)
 		a.Free(th, p)
 		if got := th.Load64(rec + pgLocalFree); got != p {
 			t.Errorf("local free did not land on local_free: %#x", got)
@@ -48,7 +48,7 @@ func TestThreadFreeMPSC(t *testing.T) {
 		th.Store64(shared, p)
 		th.AtomicStore64(ready, 1)
 		// Wait until the remote free arrives, then drain it.
-		rec := a.pagemapGet(th, p)
+		rec := a.pages.Get(th, p)
 		for th.AtomicLoad64(rec+pgThreadFree) == 0 {
 			th.Pause(100)
 		}
@@ -75,7 +75,7 @@ func TestLazyExtend(t *testing.T) {
 	m.Spawn("t", 0, func(th *sim.Thread) {
 		a := New(th)
 		p := a.Malloc(th, 16)
-		rec := a.pagemapGet(th, p)
+		rec := a.pages.Get(th, p)
 		carved := th.Load64(rec + pgCarved)
 		capacity := th.Load64(rec + pgCapacity)
 		if carved > extendChunk {

@@ -105,8 +105,7 @@ func (ar *arena) binSentinel(i int) uint64 {
 }
 
 func (a *Allocator) newArena(t *sim.Thread, main bool) *arena {
-	state := t.Mmap(1)
-	t.MarkRegion(state, 1<<12, region.Meta)
+	state := alloc.MapMeta(t, 1, false)
 	ar := &arena{state: state, lock: simsync.NewSpinLock(state + offLock), main: main}
 	// Empty bins: each sentinel points at itself.
 	for i := 0; i < numBins; i++ {

@@ -33,12 +33,9 @@ import (
 // object's first word carries the link, so that granule is metadata
 // until the object is handed back to the application.
 
-// Span record field offsets (64-byte records in the metadata region).
+// Span record field offsets after the shared alloc.Rec* header (64-byte
+// records in the metadata region).
 const (
-	spanNext      = 0
-	spanPrev      = 8
-	spanStart     = 16 // base virtual address of the span
-	spanPages     = 24
 	spanClass     = 32 // 0 = free span, 255 = large alloc, else class+1
 	spanFreeHead  = 40 // intrusive list of returned objects
 	spanFreeCount = 48
@@ -70,11 +67,8 @@ type Allocator struct {
 	sc    *alloc.SizeClasses
 	stats alloc.Stats
 
-	pagemapRoot uint64 // sim address of the radix root
-	metaBase    uint64 // span-record bump region
-	metaOff     uint64
-	metaLimit   uint64
-	spanFreeRec []uint64 // recycled span record addresses (host-side)
+	pages alloc.PageMap // the radix page map
+	recs  alloc.Records // span records
 
 	central  uint64 // per-class central blocks (64B stride)
 	ph       uint64 // page-heap state base
@@ -102,13 +96,10 @@ func New(t *sim.Thread) *Allocator {
 		caches:   make(map[int]uint64),
 		maxCount: make(map[int]int),
 	}
-	// Radix root: 16 pages = 8192 leaf slots covering 32 GiB of heap.
-	a.pagemapRoot = t.Mmap(16)
-	t.MarkRegion(a.pagemapRoot, 16<<mem.PageShift, region.Meta)
+	a.pages = alloc.NewPageMap(t, false)
 	// Central blocks.
 	centralPages := int((uint64(sc.NumClasses())*64 + mem.PageSize - 1) >> mem.PageShift)
-	a.central = t.Mmap(centralPages)
-	t.MarkRegion(a.central, centralPages<<mem.PageShift, region.Meta)
+	a.central = alloc.MapMeta(t, centralPages, false)
 	for c := 0; c < sc.NumClasses(); c++ {
 		s := a.centralBlock(c) + 8
 		t.Store64(s, s)
@@ -116,8 +107,7 @@ func New(t *sim.Thread) *Allocator {
 		a.maxCount[c] = 2 * sc.BatchSize(c)
 	}
 	// Page heap: lock + large sentinel + 128 length sentinels.
-	a.ph = t.Mmap(1)
-	t.MarkRegion(a.ph, 1<<mem.PageShift, region.Meta)
+	a.ph = alloc.MapMeta(t, 1, false)
 	a.phLock = simsync.NewSpinLock(a.ph)
 	for i := 0; i <= maxFreePages; i++ {
 		var s uint64
@@ -129,7 +119,7 @@ func New(t *sim.Thread) *Allocator {
 		t.Store64(s, s)
 		t.Store64(s+8, s)
 	}
-	a.growMeta(t)
+	a.recs = alloc.NewRecords(t, spanRecBytes, 16, false)
 	return a
 }
 
@@ -138,80 +128,6 @@ func (a *Allocator) Name() string { return "tcmalloc" }
 
 // Stats implements alloc.Allocator.
 func (a *Allocator) Stats() alloc.Stats { return a.stats }
-
-func (a *Allocator) growMeta(t *sim.Thread) {
-	a.metaBase = t.Mmap(16)
-	t.MarkRegion(a.metaBase, 16<<mem.PageShift, region.Meta)
-	a.metaOff = 0
-	a.metaLimit = 16 << mem.PageShift
-}
-
-// newSpanRec carves a fresh span record (or reuses a retired one).
-func (a *Allocator) newSpanRec(t *sim.Thread) uint64 {
-	if n := len(a.spanFreeRec); n > 0 {
-		rec := a.spanFreeRec[n-1]
-		a.spanFreeRec = a.spanFreeRec[:n-1]
-		return rec
-	}
-	if a.metaOff+spanRecBytes > a.metaLimit {
-		a.growMeta(t)
-	}
-	rec := a.metaBase + a.metaOff
-	a.metaOff += spanRecBytes
-	return rec
-}
-
-// --- radix page map ----------------------------------------------------
-
-// pagemapSet records that the page containing vaddr belongs to span rec.
-func (a *Allocator) pagemapSet(t *sim.Thread, vaddr, rec uint64) {
-	rel := (vaddr - mem.MmapBase) >> mem.PageShift
-	leafSlot := a.pagemapRoot + (rel>>9)*8
-	leaf := t.Load64(leafSlot)
-	if leaf == 0 {
-		leaf = t.Mmap(1)
-		t.MarkRegion(leaf, 1<<mem.PageShift, region.Meta)
-		t.Store64(leafSlot, leaf)
-	}
-	t.Store64(leaf+(rel&511)*8, rec)
-}
-
-// pagemapGet returns the span record for the page containing vaddr
-// (two dependent loads, as in TCMalloc's 2-level radix on 48-bit VA).
-func (a *Allocator) pagemapGet(t *sim.Thread, vaddr uint64) uint64 {
-	rel := (vaddr - mem.MmapBase) >> mem.PageShift
-	leaf := t.Load64(a.pagemapRoot + (rel>>9)*8)
-	if leaf == 0 {
-		return 0
-	}
-	return t.Load64(leaf + (rel&511)*8)
-}
-
-// registerSpan points every page of the span at its record.
-func (a *Allocator) registerSpan(t *sim.Thread, rec uint64) {
-	start := t.Load64(rec + spanStart)
-	pages := t.Load64(rec + spanPages)
-	for i := uint64(0); i < pages; i++ {
-		a.pagemapSet(t, start+i<<mem.PageShift, rec)
-	}
-}
-
-// --- span list helpers (next/prev at offsets 0/8) -----------------------
-
-func listInsert(t *sim.Thread, sentinel, rec uint64) {
-	next := t.Load64(sentinel)
-	t.Store64(rec+spanNext, next)
-	t.Store64(rec+spanPrev, sentinel)
-	t.Store64(sentinel, rec)
-	t.Store64(next+spanPrev, rec)
-}
-
-func listRemove(t *sim.Thread, rec uint64) {
-	next := t.Load64(rec + spanNext)
-	prev := t.Load64(rec + spanPrev)
-	t.Store64(prev+spanNext, next)
-	t.Store64(next+spanPrev, prev)
-}
 
 // --- page heap -----------------------------------------------------------
 
@@ -227,15 +143,15 @@ func (a *Allocator) phAlloc(t *sim.Thread, npages int) uint64 {
 			if rec == s {
 				continue
 			}
-			listRemove(t, rec)
+			alloc.ListRemove(t, rec)
 			return a.phCarve(t, rec, npages)
 		}
 		// Large list: first fit.
 		s := a.phListSentinel(maxFreePages + 1)
-		for rec := t.Load64(s); rec != s; rec = t.Load64(rec + spanNext) {
+		for rec := t.Load64(s); rec != s; rec = t.Load64(rec + alloc.RecNext) {
 			t.Exec(2)
-			if int(t.Load64(rec+spanPages)) >= npages {
-				listRemove(t, rec)
+			if int(t.Load64(rec+alloc.RecPages)) >= npages {
+				alloc.ListRemove(t, rec)
 				return a.phCarve(t, rec, npages)
 			}
 		}
@@ -246,9 +162,9 @@ func (a *Allocator) phAlloc(t *sim.Thread, npages int) uint64 {
 		}
 		base := t.MmapHuge(g)
 		a.stats.HeapBytes += uint64(g) << mem.PageShift
-		rec := a.newSpanRec(t)
-		t.Store64(rec+spanStart, base)
-		t.Store64(rec+spanPages, uint64(g))
+		rec := a.recs.Alloc(t)
+		t.Store64(rec+alloc.RecBase, base)
+		t.Store64(rec+alloc.RecPages, uint64(g))
 		t.Store64(rec+spanClass, classFreeSpan)
 		a.phInsertFree(t, rec) // registers the boundary pages
 
@@ -257,65 +173,65 @@ func (a *Allocator) phAlloc(t *sim.Thread, npages int) uint64 {
 
 // phCarve trims rec to npages, returning the remainder to the free lists.
 func (a *Allocator) phCarve(t *sim.Thread, rec uint64, npages int) uint64 {
-	have := int(t.Load64(rec + spanPages))
+	have := int(t.Load64(rec + alloc.RecPages))
 	// Mark the span allocated *before* filing any remainder: the
 	// remainder's insertion runs the boundary-merge check against its
 	// previous neighbour — which is this very span — and must not
 	// swallow it back.
 	t.Store64(rec+spanClass, classLarge)
 	if have > npages {
-		remRec := a.newSpanRec(t)
-		start := t.Load64(rec + spanStart)
-		t.Store64(rec+spanPages, uint64(npages))
-		t.Store64(remRec+spanStart, start+uint64(npages)<<mem.PageShift)
-		t.Store64(remRec+spanPages, uint64(have-npages))
+		remRec := a.recs.Alloc(t)
+		start := t.Load64(rec + alloc.RecBase)
+		t.Store64(rec+alloc.RecPages, uint64(npages))
+		t.Store64(remRec+alloc.RecBase, start+uint64(npages)<<mem.PageShift)
+		t.Store64(remRec+alloc.RecPages, uint64(have-npages))
 		t.Store64(remRec+spanClass, classFreeSpan)
 		a.phInsertFree(t, remRec) // registers the remainder's boundaries
 	}
 	// Every page of the allocated span must resolve to its record for
 	// Free's pagemap lookup.
-	a.registerSpan(t, rec)
+	a.pages.Register(t, rec)
 	return rec
 }
 
 // phInsertFree files a free span, coalescing with free neighbours.
 func (a *Allocator) phInsertFree(t *sim.Thread, rec uint64) {
-	start := t.Load64(rec + spanStart)
-	pages := t.Load64(rec + spanPages)
+	start := t.Load64(rec + alloc.RecBase)
+	pages := t.Load64(rec + alloc.RecPages)
 	// Merge with the span ending at start. Absorbed records have their
 	// class invalidated before recycling so stale page-map entries that
 	// still point at them can never satisfy this check again.
 	if start > mem.MmapBase {
-		if prev := a.pagemapGet(t, start-1); prev != 0 &&
+		if prev := a.pages.Get(t, start-1); prev != 0 &&
 			t.Load64(prev+spanClass) == classFreeSpan &&
-			t.Load64(prev+spanStart)+t.Load64(prev+spanPages)<<mem.PageShift == start {
-			listRemove(t, prev)
-			start = t.Load64(prev + spanStart)
-			pages += t.Load64(prev + spanPages)
+			t.Load64(prev+alloc.RecBase)+t.Load64(prev+alloc.RecPages)<<mem.PageShift == start {
+			alloc.ListRemove(t, prev)
+			start = t.Load64(prev + alloc.RecBase)
+			pages += t.Load64(prev + alloc.RecPages)
 			t.Store64(prev+spanClass, classLarge) // invalidate
-			a.spanFreeRec = append(a.spanFreeRec, prev)
+			a.recs.Release(prev)
 		}
 	}
 	// Merge with the span starting just after.
-	if next := a.pagemapGet(t, start+pages<<mem.PageShift); next != 0 &&
+	if next := a.pages.Get(t, start+pages<<mem.PageShift); next != 0 &&
 		t.Load64(next+spanClass) == classFreeSpan &&
-		t.Load64(next+spanStart) == start+pages<<mem.PageShift {
-		listRemove(t, next)
-		pages += t.Load64(next + spanPages)
+		t.Load64(next+alloc.RecBase) == start+pages<<mem.PageShift {
+		alloc.ListRemove(t, next)
+		pages += t.Load64(next + alloc.RecPages)
 		t.Store64(next+spanClass, classLarge) // invalidate
-		a.spanFreeRec = append(a.spanFreeRec, next)
+		a.recs.Release(next)
 	}
-	t.Store64(rec+spanStart, start)
-	t.Store64(rec+spanPages, pages)
+	t.Store64(rec+alloc.RecBase, start)
+	t.Store64(rec+alloc.RecPages, pages)
 	t.Store64(rec+spanClass, classFreeSpan)
 	// Only the boundary pages need to stay registered for merging.
-	a.pagemapSet(t, start, rec)
-	a.pagemapSet(t, start+(pages-1)<<mem.PageShift, rec)
+	a.pages.Set(t, start, rec)
+	a.pages.Set(t, start+(pages-1)<<mem.PageShift, rec)
 	ln := int(pages)
 	if ln > maxFreePages {
 		ln = maxFreePages + 1
 	}
-	listInsert(t, a.phListSentinel(ln), rec)
+	alloc.ListInsert(t, a.phListSentinel(ln), rec)
 }
 
 // --- central free lists ---------------------------------------------------
@@ -337,7 +253,7 @@ func (a *Allocator) centralFetch(t *sim.Thread, class, want int) (uint64, int) {
 			rec = a.phAlloc(t, a.sc.SpanPages(class))
 			a.phLock.Unlock(t)
 			a.carveSpan(t, rec, class)
-			listInsert(t, sentinel, rec)
+			alloc.ListInsert(t, sentinel, rec)
 		}
 		// Pop from the span's intrusive free list.
 		objHead := t.Load64(rec + spanFreeHead)
@@ -353,7 +269,7 @@ func (a *Allocator) centralFetch(t *sim.Thread, class, want int) (uint64, int) {
 		t.Store64(rec+spanFreeHead, objHead)
 		t.Store64(rec+spanFreeCount, cnt)
 		if objHead == 0 {
-			listRemove(t, rec) // exhausted span leaves the nonempty list
+			alloc.ListRemove(t, rec) // exhausted span leaves the nonempty list
 		}
 	}
 	lock.Unlock(t)
@@ -362,8 +278,8 @@ func (a *Allocator) centralFetch(t *sim.Thread, class, want int) (uint64, int) {
 
 // carveSpan links every object of a fresh span into its free list.
 func (a *Allocator) carveSpan(t *sim.Thread, rec uint64, class int) {
-	start := t.Load64(rec + spanStart)
-	pages := int(t.Load64(rec + spanPages))
+	start := t.Load64(rec + alloc.RecBase)
+	pages := int(t.Load64(rec + alloc.RecPages))
 	size := a.sc.Size(class)
 	n := a.sc.ObjectsPerSpan(class, pages)
 	var head uint64
@@ -388,18 +304,18 @@ func (a *Allocator) centralRelease(t *sim.Thread, class int, head uint64, n int)
 	for i := 0; i < n && head != 0; i++ {
 		obj := head
 		head = t.Load64(obj)
-		rec := a.pagemapGet(t, obj)
+		rec := a.pages.Get(t, obj)
 		oldHead := t.Load64(rec + spanFreeHead)
 		t.Store64(obj, oldHead)
 		t.Store64(rec+spanFreeHead, obj)
 		cnt := t.Load64(rec+spanFreeCount) + 1
 		t.Store64(rec+spanFreeCount, cnt)
 		if oldHead == 0 {
-			listInsert(t, sentinel, rec) // back on the nonempty list
+			alloc.ListInsert(t, sentinel, rec) // back on the nonempty list
 		}
 		if cnt == t.Load64(rec+spanCapacity) {
 			// Fully free span returns to the page heap.
-			listRemove(t, rec)
+			alloc.ListRemove(t, rec)
 			a.phLock.Lock(t)
 			a.phInsertFree(t, rec)
 			a.phLock.Unlock(t)
@@ -414,8 +330,7 @@ func (a *Allocator) threadCache(t *sim.Thread) uint64 {
 	if tc, ok := a.caches[t.ID()]; ok {
 		return tc
 	}
-	tc := t.Mmap(1)
-	t.MarkRegion(tc, 1<<mem.PageShift, region.Meta)
+	tc := alloc.MapMeta(t, 1, false)
 	a.caches[t.ID()] = tc
 	return tc
 }
@@ -453,7 +368,7 @@ func (a *Allocator) Malloc(t *sim.Thread, size uint64) uint64 {
 func (a *Allocator) Free(t *sim.Thread, addr uint64) {
 	a.stats.FreeCalls++
 	t.Exec(3)
-	rec := a.pagemapGet(t, addr)
+	rec := a.pages.Get(t, addr)
 	classWord := t.Load64(rec + spanClass)
 	if classWord == classLarge {
 		a.largeFree(t, rec)
@@ -500,13 +415,13 @@ func (a *Allocator) largeAlloc(t *sim.Thread, size uint64) uint64 {
 	a.phLock.Unlock(t)
 	t.Store64(rec+spanClass, classLarge)
 	a.stats.LiveBytes += uint64(pages) << mem.PageShift
-	start := t.Load64(rec + spanStart)
+	start := t.Load64(rec + alloc.RecBase)
 	t.MarkRegion(start, pages<<mem.PageShift, region.User)
 	return start
 }
 
 func (a *Allocator) largeFree(t *sim.Thread, rec uint64) {
-	a.stats.LiveBytes -= t.Load64(rec+spanPages) << mem.PageShift
+	a.stats.LiveBytes -= t.Load64(rec+alloc.RecPages) << mem.PageShift
 	a.phLock.Lock(t)
 	a.phInsertFree(t, rec)
 	a.phLock.Unlock(t)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"nextgenmalloc/internal/alloc"
 	"nextgenmalloc/internal/region"
 	"nextgenmalloc/internal/sim"
 )
@@ -20,7 +21,7 @@ func (aggregated) stateBytes(int) int { return 8 }
 // carve threads the list through the blocks back to front, so it pops
 // in address order.
 func (aggregated) carve(t *sim.Thread, rec, size uint64, n int) {
-	base := t.Load64(rec + slBase)
+	base := t.Load64(rec + alloc.RecBase)
 	var head uint64
 	for i := n - 1; i >= 0; i-- {
 		blk := base + uint64(i)*size

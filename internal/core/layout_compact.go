@@ -68,7 +68,7 @@ func (compact) geometry(sc *alloc.SizeClasses, class int) (pages, capacity int) 
 
 // carve sets each group's mask word and writes its header line.
 func (compact) carve(t *sim.Thread, rec, size uint64, n int) {
-	base := t.Load64(rec + slBase)
+	base := t.Load64(rec + alloc.RecBase)
 	stride := compactStride(size)
 	for g := 0; g*compactGroupUnits < n; g++ {
 		units := min(n-g*compactGroupUnits, compactGroupUnits)
@@ -108,13 +108,13 @@ func (compact) pop(t *sim.Thread, rec, _, size uint64) uint64 {
 	if g != start {
 		t.Store64(rec+slCursor, g)
 	}
-	return t.Load64(rec+slBase) + g*compactStride(size) + compactHdrBytes + i*size
+	return t.Load64(rec+alloc.RecBase) + g*compactStride(size) + compactHdrBytes + i*size
 }
 
 // push sets the unit's mask bit; a bit already set is a double free.
 func (compact) push(t *sim.Thread, rec, _, size, addr uint64) {
 	t.Exec(4) // group/unit decompose
-	base := t.Load64(rec + slBase)
+	base := t.Load64(rec + alloc.RecBase)
 	g, i, ok := compactUnit(addr-base, size)
 	if !ok {
 		panic(fmt.Sprintf("core: compact free of unaligned address %#x (size %d)", addr, size))

@@ -91,13 +91,10 @@ func DefaultConfig() Config {
 	return Config{Offload: true, Layout: Segregated, AsyncFree: true, RingSlots: 64}
 }
 
-// Slab record fields every layout shares. Records live in the metadata
-// region; each layout's own state follows the fixed fields (layout.go).
+// Slab record fields every layout shares, after the alloc.Rec* header.
+// Records live in the metadata region; each layout's own state follows
+// the fixed fields (layout.go).
 const (
-	slNext     = 0
-	slPrev     = 8
-	slBase     = 16
-	slPages    = 24
 	slClass    = 32 // 255 = large, 254 = free span
 	slTop      = 40 // free units in the slab
 	slCapacity = 48
@@ -194,14 +191,11 @@ type Allocator struct {
 	stats alloc.Stats
 
 	// Metadata engine state (all in the mem.MetaBase region).
-	pagemapRoot uint64
-	metaBase    uint64
-	metaOff     uint64
-	metaLimit   uint64
-	freeRecs    []uint64
-	classState  uint64           // per-class {cur, avail sentinel} slots
-	spanSent    uint64           // free page-span list sentinel
-	lock        simsync.SpinLock // inline mode only
+	pages      alloc.PageMap
+	recs       alloc.Records    // slab records, one layout stride apart
+	classState uint64           // per-class {cur, avail sentinel} slots
+	spanSent   uint64           // free page-span list sentinel
+	lock       simsync.SpinLock // inline mode only
 
 	clients   []*client
 	byThread  map[int]*client
@@ -239,7 +233,7 @@ func New(t *sim.Thread, cfg Config) *Allocator {
 		panic("core: stash table smaller than the class count")
 	}
 	// All metadata lives in the dedicated metadata address range.
-	a.pagemapRoot = t.MmapMeta(16)
+	a.pages = alloc.NewPageMap(t, true)
 	state := t.MmapMeta(1)
 	a.lock = simsync.NewSpinLock(state)
 	a.registerL = simsync.NewSpinLock(state + 8)
@@ -254,7 +248,7 @@ func New(t *sim.Thread, cfg Config) *Allocator {
 		t.Store64(s+8, s+8) // avail sentinel next
 		t.Store64(s+16, s+8)
 	}
-	a.growMeta(t)
+	a.recs = alloc.NewRecords(t, uint64(a.enc.recordBytes()), 32, true)
 	return a
 }
 
@@ -298,74 +292,6 @@ func (a *Allocator) Stats() alloc.Stats { return a.stats }
 
 func (a *Allocator) classSlot(class int) uint64 { return a.classState + uint64(class)*32 }
 
-func (a *Allocator) growMeta(t *sim.Thread) {
-	a.metaBase = t.MmapMeta(32)
-	a.metaOff = 0
-	a.metaLimit = 32 << mem.PageShift
-}
-
-func (a *Allocator) newRec(t *sim.Thread) uint64 {
-	if n := len(a.freeRecs); n > 0 {
-		r := a.freeRecs[n-1]
-		a.freeRecs = a.freeRecs[:n-1]
-		return r
-	}
-	rb := uint64(a.enc.recordBytes())
-	if a.metaOff+rb > a.metaLimit {
-		a.growMeta(t)
-	}
-	r := a.metaBase + a.metaOff
-	a.metaOff += rb
-	return r
-}
-
-// --- pagemap (metadata region) ---------------------------------------------
-
-func (a *Allocator) pagemapSet(t *sim.Thread, vaddr, rec uint64) {
-	rel := (vaddr - mem.MmapBase) >> mem.PageShift
-	leafSlot := a.pagemapRoot + (rel>>9)*8
-	leaf := t.Load64(leafSlot)
-	if leaf == 0 {
-		leaf = t.MmapMeta(1)
-		t.Store64(leafSlot, leaf)
-	}
-	t.Store64(leaf+(rel&511)*8, rec)
-}
-
-func (a *Allocator) pagemapGet(t *sim.Thread, vaddr uint64) uint64 {
-	rel := (vaddr - mem.MmapBase) >> mem.PageShift
-	leaf := t.Load64(a.pagemapRoot + (rel>>9)*8)
-	if leaf == 0 {
-		return 0
-	}
-	return t.Load64(leaf + (rel&511)*8)
-}
-
-func (a *Allocator) registerRec(t *sim.Thread, rec uint64) {
-	base := t.Load64(rec + slBase)
-	pages := t.Load64(rec + slPages)
-	for i := uint64(0); i < pages; i++ {
-		a.pagemapSet(t, base+i<<mem.PageShift, rec)
-	}
-}
-
-// --- list helpers (next/prev at 0/8) ----------------------------------------
-
-func listInsert(t *sim.Thread, sentinel, rec uint64) {
-	next := t.Load64(sentinel)
-	t.Store64(rec+slNext, next)
-	t.Store64(rec+slPrev, sentinel)
-	t.Store64(sentinel, rec)
-	t.Store64(next+slPrev, rec)
-}
-
-func listRemove(t *sim.Thread, rec uint64) {
-	next := t.Load64(rec + slNext)
-	prev := t.Load64(rec + slPrev)
-	t.Store64(prev+slNext, next)
-	t.Store64(next+slPrev, prev)
-}
-
 // --- page-span allocator (plain loads/stores; the engine is single-
 // threaded in offload mode, locked in inline mode) ---------------------------
 
@@ -373,23 +299,23 @@ const spanGrowPages = 512 // 2 MiB hugepage-backed span pool
 
 func (a *Allocator) spanAlloc(t *sim.Thread, npages int) uint64 {
 	for {
-		for rec := t.Load64(a.spanSent); rec != a.spanSent; rec = t.Load64(rec + slNext) {
+		for rec := t.Load64(a.spanSent); rec != a.spanSent; rec = t.Load64(rec + alloc.RecNext) {
 			t.Exec(2)
-			have := int(t.Load64(rec + slPages))
+			have := int(t.Load64(rec + alloc.RecPages))
 			if have < npages {
 				continue
 			}
-			listRemove(t, rec)
+			alloc.ListRemove(t, rec)
 			if have > npages {
-				rem := a.newRec(t)
-				base := t.Load64(rec + slBase)
-				t.Store64(rem+slBase, base+uint64(npages)<<mem.PageShift)
-				t.Store64(rem+slPages, uint64(have-npages))
+				rem := a.recs.Alloc(t)
+				base := t.Load64(rec + alloc.RecBase)
+				t.Store64(rem+alloc.RecBase, base+uint64(npages)<<mem.PageShift)
+				t.Store64(rem+alloc.RecPages, uint64(have-npages))
 				t.Store64(rem+slClass, classFreeSpan)
-				listInsert(t, a.spanSent, rem)
-				t.Store64(rec+slPages, uint64(npages))
+				alloc.ListInsert(t, a.spanSent, rem)
+				t.Store64(rec+alloc.RecPages, uint64(npages))
 			}
-			a.registerRec(t, rec)
+			a.pages.Register(t, rec)
 			return rec
 		}
 		g := spanGrowPages
@@ -398,17 +324,17 @@ func (a *Allocator) spanAlloc(t *sim.Thread, npages int) uint64 {
 		}
 		base := t.MmapHuge(g)
 		a.stats.HeapBytes += uint64(g) << mem.PageShift
-		rec := a.newRec(t)
-		t.Store64(rec+slBase, base)
-		t.Store64(rec+slPages, uint64(g))
+		rec := a.recs.Alloc(t)
+		t.Store64(rec+alloc.RecBase, base)
+		t.Store64(rec+alloc.RecPages, uint64(g))
 		t.Store64(rec+slClass, classFreeSpan)
-		listInsert(t, a.spanSent, rec)
+		alloc.ListInsert(t, a.spanSent, rec)
 	}
 }
 
 func (a *Allocator) spanFree(t *sim.Thread, rec uint64) {
 	t.Store64(rec+slClass, classFreeSpan)
-	listInsert(t, a.spanSent, rec)
+	alloc.ListInsert(t, a.spanSent, rec)
 }
 
 // --- slab engine -------------------------------------------------------------
@@ -459,7 +385,7 @@ func (a *Allocator) allocClass(t *sim.Thread, class int) uint64 {
 	avail := slot + 8
 	rec = t.Load64(avail)
 	if rec != avail {
-		listRemove(t, rec)
+		alloc.ListRemove(t, rec)
 	} else {
 		rec = a.freshSlab(t, class)
 	}
@@ -479,10 +405,10 @@ func (a *Allocator) freeClass(t *sim.Thread, rec uint64, class int, addr uint64)
 	switch nfree {
 	case 1:
 		// Was full and unlisted: give it back to the avail list.
-		listInsert(t, slot+8, rec)
+		alloc.ListInsert(t, slot+8, rec)
 	case capacity:
 		// Fully free and not current: retire the pages.
-		listRemove(t, rec)
+		alloc.ListRemove(t, rec)
 		a.spanFree(t, rec)
 	}
 }
@@ -495,7 +421,7 @@ func (a *Allocator) engineMalloc(t *sim.Thread, size uint64) uint64 {
 		pages := int((size + mem.PageSize - 1) >> mem.PageShift)
 		rec := a.spanAlloc(t, pages)
 		t.Store64(rec+slClass, classLarge)
-		return t.Load64(rec + slBase)
+		return t.Load64(rec + alloc.RecBase)
 	}
 	return a.allocClass(t, class)
 }
@@ -595,20 +521,20 @@ func (a *Allocator) Free(t *sim.Thread, addr uint64) {
 func (a *Allocator) engineFree(t *sim.Thread, addr uint64, validate bool) bool {
 	if validate {
 		t.Exec(4) // range/alignment compare chain
-		if addr < mem.MmapBase || (addr-mem.MmapBase)>>mem.PageShift>>9 >= pagemapRootSlots {
+		if !a.pages.Covers(addr) {
 			return false
 		}
 	}
-	rec := a.pagemapGet(t, addr)
+	rec := a.pages.Get(t, addr)
 	if validate && rec == 0 {
 		return false
 	}
 	classWord := t.Load64(rec + slClass)
 	if classWord == classLarge {
-		if validate && addr != t.Load64(rec+slBase) {
+		if validate && addr != t.Load64(rec+alloc.RecBase) {
 			return false // interior pointer into a large block
 		}
-		a.stats.LiveBytes -= t.Load64(rec+slPages) << mem.PageShift
+		a.stats.LiveBytes -= t.Load64(rec+alloc.RecPages) << mem.PageShift
 		a.spanFree(t, rec)
 		return true
 	}
@@ -639,7 +565,7 @@ func (a *Allocator) Preheat(t *sim.Thread, sizes []uint64) {
 		if !a.cfg.Offload {
 			a.lock.Lock(t)
 			blk := a.allocClass(t, class)
-			a.freeClass(t, a.pagemapGet(t, blk), class, blk)
+			a.freeClass(t, a.pages.Get(t, blk), class, blk)
 			a.lock.Unlock(t)
 			continue
 		}
@@ -969,7 +895,7 @@ func (s *Server) serve(t *sim.Thread, c *client, fromMalloc bool, w0, w1 uint64)
 			s.topUp(t, c, class)
 		} else {
 			blk := a.allocClass(t, class)
-			a.freeClass(t, a.pagemapGet(t, blk), class, blk)
+			a.freeClass(t, a.pages.Get(t, blk), class, blk)
 		}
 		complete = t.Clock()
 	default:

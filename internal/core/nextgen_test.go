@@ -99,22 +99,20 @@ func TestConformanceSyncFree(t *testing.T) {
 
 // TestMetadataRegionIsolated: with the segregated layout, no allocator
 // metadata lives in user-visible pages — every metadata mmap lands in
-// the dedicated MetaBase range.
+// the dedicated MetaBase range (the page map's own pages are pinned
+// there by alloc.TestMetaKitOps).
 func TestMetadataRegionIsolated(t *testing.T) {
 	m := sim.New(sim.ScaledConfig())
 	m.Spawn("t", 0, func(th *sim.Thread) {
 		cfg := DefaultConfig()
 		cfg.Offload = false
 		a := New(th, cfg)
-		if a.pagemapRoot < mem.MetaBase || a.pagemapRoot >= mem.MmapBase {
-			t.Errorf("pagemap root %#x outside the metadata region", a.pagemapRoot)
-		}
-		if a.metaBase < mem.MetaBase || a.metaBase >= mem.MmapBase {
-			t.Errorf("slab records %#x outside the metadata region", a.metaBase)
-		}
 		p := a.Malloc(th, 64)
 		if p < mem.MmapBase {
 			t.Errorf("user block %#x not in the user mmap region", p)
+		}
+		if rec := a.pages.Get(th, p); rec < mem.MetaBase || rec >= mem.MmapBase {
+			t.Errorf("slab record %#x outside the metadata region", rec)
 		}
 		// Segregated: the allocator must not have written the block.
 		q := a.Malloc(th, 64)

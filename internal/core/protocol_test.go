@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nextgenmalloc/internal/alloc"
 	"nextgenmalloc/internal/mem"
 	"nextgenmalloc/internal/sim"
 )
@@ -306,7 +307,7 @@ func TestResponseTagWrap(t *testing.T) {
 			t.Errorf("Malloc(%d) = 0", size)
 			return false
 		}
-		if got := th.Load64(a.pagemapGet(th, p) + slClass); got != uint64(want) {
+		if got := th.Load64(a.pages.Get(th, p) + slClass); got != uint64(want) {
 			t.Errorf("Malloc(%d) = %#x, a block of class %d, want class %d", size, p, got, want)
 			return false
 		}
@@ -423,7 +424,7 @@ func TestResponseWordNeverStale(t *testing.T) {
 					}
 				case "malloc":
 					want, _ := a.sc.ClassFor(8192)
-					if p := a.Malloc(th, 8192); p == prev || p == 0 || th.Load64(a.pagemapGet(th, p)+slClass) != uint64(want) {
+					if p := a.Malloc(th, 8192); p == prev || p == 0 || th.Load64(a.pages.Get(th, p)+slClass) != uint64(want) {
 						t.Errorf("Malloc(8192) = %#x, want a fresh block of its class (the previous answer was %#x)", p, prev)
 					}
 				}
@@ -439,7 +440,7 @@ func TestResponseWordNeverStale(t *testing.T) {
 // have no pagemap slot); that ceiling and every lower region must sit
 // below the tag bits, or an address would bleed into its tag.
 func TestResponseTagClearsEveryAddress(t *testing.T) {
-	reach := uint64(mem.MmapBase) + pagemapRootSlots<<9<<mem.PageShift
+	reach := uint64(mem.MmapBase) + alloc.PageMapReach
 	for _, r := range []struct {
 		name string
 		top  uint64 // one past the highest address
@@ -460,7 +461,7 @@ func TestResponseTagClearsEveryAddress(t *testing.T) {
 		a := New(th, DefaultConfig())
 		srv.Attach(a)
 		size := DefaultResilience().MaxRequestBytes
-		if p := a.Malloc(th, size); p < mem.MmapBase || p+size > reach {
+		if p := a.Malloc(th, size); !a.pages.Covers(p) || !a.pages.Covers(p+size-1) {
 			t.Errorf("Malloc(%d) = %#x, outside [%#x, %#x)", size, p, uint64(mem.MmapBase), reach)
 		}
 	})

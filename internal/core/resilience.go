@@ -17,6 +17,7 @@
 package core
 
 import (
+	"nextgenmalloc/internal/alloc"
 	"nextgenmalloc/internal/mem"
 	"nextgenmalloc/internal/region"
 	"nextgenmalloc/internal/ring"
@@ -590,11 +591,6 @@ func (checking) reject(t *sim.Thread, c *client, fromMalloc bool, _ uint64) uint
 	return t.Clock()
 }
 
-// pagemapRootSlots is the root directory's capacity (16 pages of
-// 8-byte slots, see New); used to range-check untrusted addresses before
-// the pagemap walk.
-const pagemapRootSlots = 16 << mem.PageShift / 8
-
 // validSmallFree is engineFree's validation stage for a slab block:
 // class sanity and base, then the layout's alignment, capacity and
 // double-free checks against the slab record rec. False means addr
@@ -603,7 +599,7 @@ func (a *Allocator) validSmallFree(t *sim.Thread, rec, classWord, addr uint64) b
 	if classWord >= uint64(a.sc.NumClasses()) {
 		return false // free span or garbage class word
 	}
-	base := t.Load64(rec + slBase)
+	base := t.Load64(rec + alloc.RecBase)
 	if addr < base {
 		return false
 	}

@@ -23,18 +23,16 @@ package gcheap
 import (
 	"fmt"
 
+	"nextgenmalloc/internal/alloc"
 	"nextgenmalloc/internal/mem"
 	"nextgenmalloc/internal/sim"
 )
 
-// Slab metadata record offsets (metadata region). Each slab holds
+// Slab metadata record offsets after the shared alloc.Rec* header
+// (metadata region; no list links are used). Each slab holds
 // objects of one shape (slot count); the free stack and mark bitmap sit
 // behind the fixed fields.
 const (
-	slNext     = 0
-	slPrev     = 8
-	slBase     = 16
-	slPages    = 24
 	slObjBytes = 32
 	slNumRefs  = 40
 	slTop      = 48 // free-stack depth
@@ -65,10 +63,8 @@ type Heap struct {
 	// host-side; slabs and stacks live in simulated metadata memory.
 	shapes map[shape]*shapeState
 
-	pagemapRoot uint64
-	metaBase    uint64
-	metaOff     uint64
-	metaLimit   uint64
+	pages alloc.PageMap // object page -> slab record
+	recs  alloc.Records
 
 	roots    uint64 // sim array of root slots
 	numRoots int
@@ -106,52 +102,15 @@ func New(t *sim.Thread, numRoots int) *Heap {
 		wlCap:        1 << 16,
 		TriggerEvery: 8192,
 	}
-	h.pagemapRoot = t.MmapMeta(16)
+	h.pages = alloc.NewPageMap(t, true)
 	h.roots = t.Mmap((numRoots*8 + 4095) >> 12)
 	h.worklist = t.MmapMeta((h.wlCap*8 + 4095) >> 12)
-	h.growMeta(t)
+	h.recs = alloc.NewRecords(t, recStride, 64, true)
 	return h
 }
 
 // Stats returns collector statistics.
 func (h *Heap) Stats() Stats { return h.stats }
-
-func (h *Heap) growMeta(t *sim.Thread) {
-	h.metaBase = t.MmapMeta(64)
-	h.metaOff = 0
-	h.metaLimit = 64 << mem.PageShift
-}
-
-func (h *Heap) newRec(t *sim.Thread) uint64 {
-	if h.metaOff+recStride > h.metaLimit {
-		h.growMeta(t)
-	}
-	r := h.metaBase + h.metaOff
-	h.metaOff += recStride
-	return r
-}
-
-// --- pagemap (object address -> slab record) ---------------------------
-
-func (h *Heap) pagemapSet(t *sim.Thread, vaddr, rec uint64) {
-	rel := (vaddr - mem.MmapBase) >> mem.PageShift
-	leafSlot := h.pagemapRoot + (rel>>9)*8
-	leaf := t.Load64(leafSlot)
-	if leaf == 0 {
-		leaf = t.MmapMeta(1)
-		t.Store64(leafSlot, leaf)
-	}
-	t.Store64(leaf+(rel&511)*8, rec)
-}
-
-func (h *Heap) pagemapGet(t *sim.Thread, vaddr uint64) uint64 {
-	rel := (vaddr - mem.MmapBase) >> mem.PageShift
-	leaf := t.Load64(h.pagemapRoot + (rel>>9)*8)
-	if leaf == 0 {
-		return 0
-	}
-	return t.Load64(leaf + (rel&511)*8)
-}
 
 // --- allocation ----------------------------------------------------------
 
@@ -185,27 +144,19 @@ func (h *Heap) newSlab(t *sim.Thread, sh shape) uint64 {
 		n = maxObjsPerSlab
 	}
 	base := t.MmapHuge(pages)
-	rec := h.newRec(t)
-	t.Store64(rec+slBase, base)
-	t.Store64(rec+slPages, uint64(pages))
+	rec := h.recs.Alloc(t)
+	t.Store64(rec+alloc.RecBase, base)
+	t.Store64(rec+alloc.RecPages, uint64(pages))
 	t.Store64(rec+slObjBytes, objBytes)
 	t.Store64(rec+slNumRefs, uint64(sh.numRefs))
 	t.Store64(rec+slCapacity, uint64(n))
-	for i := 0; i < n; i += 4 {
-		var w uint64
-		for j := 0; j < 4 && i+j < n; j++ {
-			w |= uint64(i+j) << (16 * j)
-		}
-		t.Store64(rec+slStack+uint64(i)*2, w)
-	}
+	alloc.CarveIndexStack(t, rec+slStack, n)
 	t.Store64(rec+slTop, uint64(n))
 	for wd := uint64(0); wd < 4; wd++ {
 		t.Store64(rec+slMarks+wd*8, 0)
 		t.Store64(rec+slAlloc+wd*8, 0)
 	}
-	for i := uint64(0); i < uint64(pages); i++ {
-		h.pagemapSet(t, base+i<<mem.PageShift, rec)
-	}
+	h.pages.SetSpan(t, base, uint64(pages), rec)
 	h.slabs = append(h.slabs, rec)
 	h.shapes[sh].all = append(h.shapes[sh].all, rec)
 	return rec
@@ -235,7 +186,7 @@ func (h *Heap) Alloc(t *sim.Thread, numRefs int, payload uint64) uint64 {
 				w := idx / 64
 				bits := t.Load64(st.cur + slAlloc + w*8)
 				t.Store64(st.cur+slAlloc+w*8, bits|uint64(1)<<(idx%64))
-				base := t.Load64(st.cur + slBase)
+				base := t.Load64(st.cur + alloc.RecBase)
 				obj := base + idx*sh.objBytes
 				// Clear the reference slots (the runtime's contract).
 				for r := 0; r < numRefs; r++ {
@@ -276,11 +227,11 @@ func (h *Heap) NeedsCollect() bool { return h.allocsSinceGC >= h.TriggerEvery }
 
 // markObject sets the object's mark bit; reports whether it was new.
 func (h *Heap) markObject(t *sim.Thread, obj uint64) (rec uint64, idx uint64, fresh bool) {
-	rec = h.pagemapGet(t, obj)
+	rec = h.pages.Get(t, obj)
 	if rec == 0 {
 		panic(fmt.Sprintf("gcheap: reference %#x outside the heap", obj))
 	}
-	base := t.Load64(rec + slBase)
+	base := t.Load64(rec + alloc.RecBase)
 	t.Exec(3)
 	idx = (obj - base) / t.Load64(rec+slObjBytes)
 	w := idx / 64
@@ -319,7 +270,7 @@ func (h *Heap) Collect(t *sim.Thread) uint64 {
 	for wl > 0 {
 		wl--
 		obj := t.Load64(h.worklist + uint64(wl)*8)
-		rec := h.pagemapGet(t, obj)
+		rec := h.pages.Get(t, obj)
 		numRefs := int(t.Load64(rec + slNumRefs))
 		for r := 0; r < numRefs; r++ {
 			if ref := t.Load64(obj + uint64(r)*8); ref != 0 {

@@ -367,13 +367,7 @@ func (e *Engine) freshSlab(t *sim.Thread, class int) uint64 {
 	t.Store64(rec+dBase, base)
 	t.Store64(rec+dClass, uint64(class))
 	t.Store64(rec+dCap, uint64(n))
-	for i := 0; i < n; i += 4 {
-		var w uint64
-		for j := 0; j < 4 && i+j < n; j++ {
-			w |= uint64(i+j) << (16 * j)
-		}
-		t.Store64(rec+dStack+uint64(i)*2, w)
-	}
+	alloc.CarveIndexStack(t, rec+dStack, n)
 	t.Store64(rec+dTop, uint64(n))
 	for p := uint64(0); p < uint64(pages); p++ {
 		e.pagemap[base>>mem.PageShift+p] = rec

@@ -63,9 +63,11 @@ type Config struct {
 	// interleave threads more finely at higher simulation cost.
 	Quantum uint64
 	// Warp enables the time-warp fast path for declared wait loops
-	// (Thread.WarpLoop): once a wait round is observed to be steady, the
-	// remaining rounds that fit inside the current lease are applied
-	// arithmetically instead of being executed on the host. Every
+	// (Thread.WarpLoop): once a wait round is proven steady, the thread
+	// parks, and the scheduler serves each of its leases arithmetically,
+	// across as many leases as the watched words, caches and horizons
+	// allow, instead of resuming it on the host (the header of warp.go
+	// states the parked-round contract and its soundness argument). Every
 	// counter, clock, and scheduling decision is bit-identical either
 	// way — warp only removes host work, never simulated work — so the
 	// golden suite runs with it on. The zero value (off) preserves the
