@@ -119,9 +119,9 @@ func (m *PageMap) Register(t *sim.Thread, rec uint64) {
 	m.SetSpan(t, base, pages, rec)
 }
 
-// Covers reports, host-side, whether addr has a page-map slot; a caller
-// range-checking an untrusted address charges its own compares.
-func (m *PageMap) Covers(addr uint64) bool {
+// PageMapCovers reports, host-side, whether addr has a page-map slot; a
+// caller range-checking an untrusted address charges its own compares.
+func PageMapCovers(addr uint64) bool {
 	return addr >= mem.MmapBase && addr-mem.MmapBase < PageMapReach
 }
 

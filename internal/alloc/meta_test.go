@@ -142,7 +142,6 @@ func TestMetaKitOps(t *testing.T) {
 
 // TestPageMapCovers pins the reach at its edges.
 func TestPageMapCovers(t *testing.T) {
-	var pm PageMap
 	for _, c := range []struct {
 		addr uint64
 		want bool
@@ -153,8 +152,8 @@ func TestPageMapCovers(t *testing.T) {
 		{mem.MmapBase + PageMapReach, false},
 		{mem.MetaBase, false},
 	} {
-		if got := pm.Covers(c.addr); got != c.want {
-			t.Errorf("Covers(%#x) = %v, want %v", c.addr, got, c.want)
+		if got := PageMapCovers(c.addr); got != c.want {
+			t.Errorf("PageMapCovers(%#x) = %v, want %v", c.addr, got, c.want)
 		}
 	}
 	if PageMapReach != 1<<34 {
@@ -163,7 +162,7 @@ func TestPageMapCovers(t *testing.T) {
 }
 
 // FuzzPageMap drives Set, Register and Get over pages that cross leaf
-// boundaries and reach the edge of Covers, against a Go map oracle.
+// boundaries and reach the edge of PageMapCovers, against a Go map oracle.
 // Each op is three bytes: kind and neighbourhood, then a 16-bit offset.
 func FuzzPageMap(f *testing.F) {
 	f.Add(false, []byte{0, 1, 0, 2, 1, 0, 1, 5, 3, 4, 0x80, 0x10, 6, 0xff, 0xff})
@@ -193,13 +192,13 @@ func FuzzPageMap(f *testing.F) {
 				}
 				addr := uint64(mem.MmapBase) + page<<mem.PageShift + off%mem.PageSize
 				if page >= totalPages {
-					if pm.Covers(addr) {
-						t.Fatalf("Covers(%#x) past the reach (page %d of %d)", addr, page, totalPages)
+					if PageMapCovers(addr) {
+						t.Fatalf("PageMapCovers(%#x) past the reach (page %d of %d)", addr, page, totalPages)
 					}
 					continue
 				}
-				if !pm.Covers(addr) {
-					t.Fatalf("Covers(%#x) false for page %d of %d", addr, page, totalPages)
+				if !PageMapCovers(addr) {
+					t.Fatalf("PageMapCovers(%#x) false for page %d of %d", addr, page, totalPages)
 				}
 				switch kind {
 				case 0:

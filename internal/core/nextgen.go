@@ -521,7 +521,7 @@ func (a *Allocator) Free(t *sim.Thread, addr uint64) {
 func (a *Allocator) engineFree(t *sim.Thread, addr uint64, validate bool) bool {
 	if validate {
 		t.Exec(4) // range/alignment compare chain
-		if !a.pages.Covers(addr) {
+		if !alloc.PageMapCovers(addr) {
 			return false
 		}
 	}

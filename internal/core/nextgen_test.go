@@ -6,6 +6,7 @@ import (
 	"nextgenmalloc/internal/alloc"
 	"nextgenmalloc/internal/alloctest"
 	"nextgenmalloc/internal/mem"
+	"nextgenmalloc/internal/region"
 	"nextgenmalloc/internal/sim"
 )
 
@@ -99,8 +100,10 @@ func TestConformanceSyncFree(t *testing.T) {
 
 // TestMetadataRegionIsolated: with the segregated layout, no allocator
 // metadata lives in user-visible pages — every metadata mmap lands in
-// the dedicated MetaBase range (the page map's own pages are pinned
-// there by alloc.TestMetaKitOps).
+// the dedicated MetaBase range. A metadata page mapped among user pages
+// would be classified region.Meta there, so every page the allocator
+// mapped below its first block (the page map's root and leaf among
+// them) must classify otherwise.
 func TestMetadataRegionIsolated(t *testing.T) {
 	m := sim.New(sim.ScaledConfig())
 	m.Spawn("t", 0, func(th *sim.Thread) {
@@ -110,6 +113,11 @@ func TestMetadataRegionIsolated(t *testing.T) {
 		p := a.Malloc(th, 64)
 		if p < mem.MmapBase {
 			t.Errorf("user block %#x not in the user mmap region", p)
+		}
+		for pg := uint64(mem.MmapBase); pg < p; pg += mem.PageSize {
+			if m.Regions().Classify(pg) == region.Meta {
+				t.Fatalf("metadata page %#x among user pages (below block %#x)", pg, p)
+			}
 		}
 		if rec := a.pages.Get(th, p); rec < mem.MetaBase || rec >= mem.MmapBase {
 			t.Errorf("slab record %#x outside the metadata region", rec)

@@ -461,7 +461,7 @@ func TestResponseTagClearsEveryAddress(t *testing.T) {
 		a := New(th, DefaultConfig())
 		srv.Attach(a)
 		size := DefaultResilience().MaxRequestBytes
-		if p := a.Malloc(th, size); !a.pages.Covers(p) || !a.pages.Covers(p+size-1) {
+		if p := a.Malloc(th, size); !alloc.PageMapCovers(p) || !alloc.PageMapCovers(p+size-1) {
 			t.Errorf("Malloc(%d) = %#x, outside [%#x, %#x)", size, p, uint64(mem.MmapBase), reach)
 		}
 	})
