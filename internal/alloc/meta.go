@@ -30,12 +30,17 @@ func MapMeta(t *sim.Thread, npages int, segregated bool) uint64 {
 
 // Record header: every model's span, run, page and slab records begin
 // with these words. Next/prev are the intrusive list links ListInsert
-// and ListRemove walk; base/pages are the span Register maps.
+// and ListRemove walk; base/pages are the span Register maps. The word
+// after the header is the span's class: a model's size class, or
+// SpanFree while the span sits on a Spans free list.
 const (
 	RecNext  = 0
 	RecPrev  = 8
 	RecBase  = 16 // first address of the span
 	RecPages = 24 // span length in pages
+	RecClass = 32
+
+	SpanFree = 254
 )
 
 // ListInsert links rec in after sentinel (a circular list whose empty
@@ -166,6 +171,83 @@ func (r *Records) Alloc(t *sim.Thread) uint64 {
 
 // Release hands rec back for reuse.
 func (r *Records) Release(rec uint64) { r.free = append(r.free, rec) }
+
+// spanGrowPages is one 2 MiB hugepage of heap pages.
+const spanGrowPages = 512
+
+// Spans is a first-fit page-span heap: a list of free span records
+// behind a sentinel, searched from the most recently freed. A fit is
+// split, its remainder linked back as a fresh free record; when nothing
+// fits the heap maps a hugepage-backed chunk of 512 pages, or of the
+// request rounded up to 512. Freed spans are not coalesced. Callers
+// register the spans they get and serialize the calls as their model
+// does.
+type Spans struct {
+	sent      uint64
+	recs      *Records
+	heapBytes *uint64 // the model's heap-byte count, raised per chunk
+	// Every record the heap creates carries stamp at stampOff (0 = no
+	// stamp): jemalloc's owning arena.
+	stampOff, stamp uint64
+}
+
+// NewSpans makes an empty heap whose list sentinel is the two words at
+// sentinel, taking its free records from recs.
+func NewSpans(t *sim.Thread, sentinel uint64, recs *Records, heapBytes *uint64) Spans {
+	t.Store64(sentinel+RecNext, sentinel)
+	t.Store64(sentinel+RecPrev, sentinel)
+	return Spans{sent: sentinel, recs: recs, heapBytes: heapBytes}
+}
+
+// Stamp has every record the heap creates carry val at offset off.
+func (s *Spans) Stamp(off, val uint64) { s.stampOff, s.stamp = off, val }
+
+// Alloc returns the record of a span of npages pages; its class word is
+// still SpanFree.
+func (s *Spans) Alloc(t *sim.Thread, npages int) uint64 {
+	for {
+		for rec := t.Load64(s.sent); rec != s.sent; rec = t.Load64(rec + RecNext) {
+			t.Exec(2)
+			have := int(t.Load64(rec + RecPages))
+			if have < npages {
+				continue
+			}
+			ListRemove(t, rec)
+			if have > npages {
+				rem := s.recs.Alloc(t)
+				base := t.Load64(rec + RecBase)
+				s.insert(t, rem, base+uint64(npages)<<mem.PageShift, uint64(have-npages))
+				t.Store64(rec+RecPages, uint64(npages))
+			}
+			return rec
+		}
+		g := max(spanGrowPages, (npages+spanGrowPages-1)&^(spanGrowPages-1))
+		base := t.MmapHuge(g)
+		*s.heapBytes += uint64(g) << mem.PageShift
+		s.insert(t, s.recs.Alloc(t), base, uint64(g))
+	}
+}
+
+// insert fills a new free record and links it.
+func (s *Spans) insert(t *sim.Thread, rec, base, pages uint64) {
+	t.Store64(rec+RecBase, base)
+	t.Store64(rec+RecPages, pages)
+	t.Store64(rec+RecClass, SpanFree)
+	if s.stampOff != 0 {
+		t.Store64(rec+s.stampOff, s.stamp)
+	}
+	ListInsert(t, s.sent, rec)
+}
+
+// Free marks rec's span free and links it.
+func (s *Spans) Free(t *sim.Thread, rec uint64) {
+	t.Store64(rec+RecClass, SpanFree)
+	s.Link(t, rec)
+}
+
+// Link links rec, already marked SpanFree, for a model that clears its
+// own words between marking and linking.
+func (s *Spans) Link(t *sim.Thread, rec uint64) { ListInsert(t, s.sent, rec) }
 
 // CarveIndexStack fills a fresh slab's free stack at stack with the
 // 16-bit unit indices 0..n-1, four to a word.

@@ -1,10 +1,12 @@
 package alloc
 
 import (
+	"cmp"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -136,6 +138,51 @@ func TestMetaKitOps(t *testing.T) {
 			if th.Load64(s+RecNext) != s || th.Load64(s+RecPrev) != s {
 				t.Error("ListRemove of the only record did not restore the sentinel")
 			}
+
+			// Spans: a growth, a split and an exact fit, each at a fixed
+			// cost, with and without a stamp on every record the heap
+			// creates (one more store each).
+			for _, stamp := range []uint64{0, 1} {
+				var heap uint64
+				srecs := NewRecords(th, 128, 4, segregated)
+				sent := MapMeta(th, 1, segregated)
+				sp := NewSpans(th, sent, &srecs, &heap)
+				if stamp != 0 {
+					sp.Stamp(56, 7)
+				}
+				stamped := func(rec uint64) bool { return th.Load64(rec+56) == stamp*7 }
+				var whole, head, fit uint64
+				// Growth: an empty walk, a chunk and its free record, then
+				// the walk that takes it whole.
+				if k := cost(m, th, func() { whole = sp.Alloc(th, spanGrowPages) }); k != (opCost{6, 9 + stamp, 1}) || heap != spanGrowPages<<mem.PageShift {
+					t.Errorf("Alloc growth cost %+v with %d heap bytes; want 6 loads, %d stores, 1 mmap and one chunk", k, heap, 9+stamp)
+				}
+				base := th.Load64(whole + RecBase)
+				if th.Load64(whole+RecPages) != spanGrowPages || th.Load64(whole+RecClass) != SpanFree || !stamped(whole) {
+					t.Errorf("grown span: %d pages, class %d, stamp %d; want %d, SpanFree, %d",
+						th.Load64(whole+RecPages), th.Load64(whole+RecClass), th.Load64(whole+56), spanGrowPages, stamp*7)
+				}
+				th.Store64(whole+RecClass, 3)
+				if k := cost(m, th, func() { sp.Free(th, whole) }); k != (opCost{1, 5, 0}) || th.Load64(whole+RecClass) != SpanFree {
+					t.Errorf("Free cost %+v, class %d; want 1 load, 5 stores, SpanFree", k, th.Load64(whole+RecClass))
+				}
+				// Split: the fit keeps its record; the remainder is a fresh
+				// free record at the list's head.
+				if k := cost(m, th, func() { head = sp.Alloc(th, 3) }); k != (opCost{6, 10 + stamp, 0}) || head != whole {
+					t.Errorf("Alloc split: %#x, cost %+v; want %#x for 6 loads, %d stores", head, k, whole, 10+stamp)
+				}
+				rest := th.Load64(sent + RecNext)
+				if th.Load64(head+RecPages) != 3 || th.Load64(rest+RecBase) != base+3<<mem.PageShift ||
+					th.Load64(rest+RecPages) != spanGrowPages-3 || th.Load64(rest+RecClass) != SpanFree || !stamped(rest) {
+					t.Errorf("split: %d pages taken; remainder at %#x, %d pages, class %d, stamp %d",
+						th.Load64(head+RecPages), th.Load64(rest+RecBase), th.Load64(rest+RecPages), th.Load64(rest+RecClass), th.Load64(rest+56))
+				}
+				// Exact fit: the most recently freed span, unlinked whole.
+				sp.Free(th, head)
+				if k := cost(m, th, func() { fit = sp.Alloc(th, 3) }); k != (opCost{4, 2, 0}) || fit != head || heap != spanGrowPages<<mem.PageShift {
+					t.Errorf("Alloc exact fit: %#x, cost %+v, %d heap bytes; want %#x for 4 loads, 2 stores and no growth", fit, k, heap, head)
+				}
+			}
 		})
 	}
 }
@@ -232,15 +279,100 @@ func FuzzPageMap(f *testing.F) {
 	})
 }
 
-// TestOneMetadataKit pins the kit as the only page map, record arena
-// and record list of the models that walk them: no non-test file of
-// NextGen, the jemalloc, tcmalloc and mimalloc models or the managed
-// heap declares its own pagemapSet, pagemapGet, growMeta, listInsert or
-// listRemove, or indexes a radix root with >>9. ptmalloc's bin list
-// (whose links hold chunk bases) and gpu's host-map engine stay outside.
+// FuzzSpans drives Alloc and Free against a host interval-set oracle:
+// live spans are disjoint and each lies inside a grown chunk, the free
+// list and the live spans cover the chunks exactly, and the heap-byte
+// count is the chunks' size. Each op is three bytes: Alloc (even kind
+// byte) of 1-1100 pages or Free (odd) of a live span, then a 16-bit
+// argument.
+func FuzzSpans(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 0, 0xff, 1, 1, 0, 0, 0, 3, 0, 0, 0x4b, 4, 0, 0, 2})
+	f.Add([]byte{0, 0xff, 1, 0, 0, 2, 0, 0x4b, 4, 1, 1, 0, 1, 0, 0, 0, 0xfe, 1, 0, 0x4b, 4})
+	f.Add([]byte{0, 0x4b, 4, 0, 0x4b, 4, 1, 0, 0, 1, 0, 0, 0, 0x96, 8, 0, 1, 0})
+	type span struct{ base, pages uint64 }
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 3*64 {
+			ops = ops[:3*64]
+		}
+		onThread(t, func(m *sim.Machine, th *sim.Thread) {
+			var heap, grown uint64
+			recs := NewRecords(th, 64, 1, true)
+			sent := MapMeta(th, 1, true)
+			sp := NewSpans(th, sent, &recs, &heap)
+			var chunks []span
+			var live []uint64 // live span records
+			for i := 0; i+3 <= len(ops); i += 3 {
+				arg := uint64(ops[i+1]) | uint64(ops[i+2])<<8
+				if ops[i]%2 == 1 && len(live) > 0 {
+					j := arg % uint64(len(live))
+					sp.Free(th, live[j])
+					live = append(live[:j], live[j+1:]...)
+				} else {
+					n := arg%1100 + 1
+					before := heap
+					rec := sp.Alloc(th, int(n))
+					base, pages := th.Load64(rec+RecBase), th.Load64(rec+RecPages)
+					if pages != n {
+						t.Fatalf("op %d: Alloc(%d) returned a span of %d pages", i/3, n, pages)
+					}
+					if heap != before {
+						// A fresh chunk is linked at the head of the list,
+						// so the walk takes it first.
+						g := (heap - before) >> mem.PageShift
+						chunks = append(chunks, span{base, g})
+						grown += g
+					}
+					th.Store64(rec+RecClass, 1)
+					live = append(live, rec)
+				}
+				if heap != grown<<mem.PageShift {
+					t.Fatalf("op %d: %d heap bytes for %d grown pages", i/3, heap, grown)
+				}
+				var spans []span
+				var covered uint64
+				for _, rec := range live {
+					spans = append(spans, span{th.Load64(rec + RecBase), th.Load64(rec + RecPages)})
+				}
+				for rec := th.Load64(sent + RecNext); rec != sent; rec = th.Load64(rec + RecNext) {
+					if th.Load64(rec+RecClass) != SpanFree {
+						t.Fatalf("op %d: free record %#x has class %d", i/3, rec, th.Load64(rec+RecClass))
+					}
+					if len(spans) > len(live)+len(chunks)+len(ops) {
+						t.Fatalf("op %d: the free list does not return to its sentinel", i/3)
+					}
+					spans = append(spans, span{th.Load64(rec + RecBase), th.Load64(rec + RecPages)})
+				}
+				slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.base, b.base) })
+				for k, s := range spans {
+					covered += s.pages
+					if k > 0 && spans[k-1].base+spans[k-1].pages<<mem.PageShift > s.base {
+						t.Fatalf("op %d: spans %+v and %+v overlap", i/3, spans[k-1], s)
+					}
+					if !slices.ContainsFunc(chunks, func(c span) bool {
+						return s.base >= c.base && s.base+s.pages<<mem.PageShift <= c.base+c.pages<<mem.PageShift
+					}) {
+						t.Fatalf("op %d: span %+v lies outside every grown chunk", i/3, s)
+					}
+				}
+				if covered != grown {
+					t.Fatalf("op %d: live and free spans hold %d pages of %d grown", i/3, covered, grown)
+				}
+			}
+		})
+	})
+}
+
+// TestOneMetadataKit pins the kit as the only page map, record arena,
+// record list and page-span heap of the models that walk them: no
+// non-test file of NextGen, the jemalloc, tcmalloc and mimalloc models,
+// the managed heap or the GPU engine declares its own pagemapSet,
+// pagemapGet, growMeta, listInsert, listRemove, spanAlloc, segAlloc,
+// pageAlloc, rtCharge or newRec, or indexes a radix root with >>9.
+// ptmalloc's bin list (whose links hold chunk bases) stays outside.
 func TestOneMetadataKit(t *testing.T) {
-	banned := map[string]bool{"pagemapSet": true, "pagemapGet": true, "growMeta": true, "listInsert": true, "listRemove": true}
-	for _, dir := range []string{"../core", "../allocators/jemalloc", "../allocators/tcmalloc", "../allocators/mimalloc", "../gcheap"} {
+	banned := map[string]bool{"pagemapSet": true, "pagemapGet": true, "growMeta": true, "listInsert": true, "listRemove": true,
+		"spanAlloc": true, "segAlloc": true, "pageAlloc": true, "rtCharge": true, "newRec": true}
+	for _, dir := range []string{"../core", "../allocators/jemalloc", "../allocators/tcmalloc", "../allocators/mimalloc", "../gcheap", "../gpu"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)

@@ -31,15 +31,14 @@ import (
 // (128-byte records; the bitmap tail supports up to 512 regions per
 // run — one page of 8-byte regions).
 const (
-	runClass  = 32 // 255 = large allocation, 254 = free span
+	runClass  = alloc.RecClass // 255 = large allocation, alloc.SpanFree = free span
 	runNFree  = 40
 	runTotal  = 48
 	runArena  = 56
 	runBitmap = 64 // 8 words = 512 bits
 	runBytes  = 128
 
-	classLarge    = 255
-	classFreeSpan = 254
+	classLarge = 255
 )
 
 // Per-class tcache slot: count word then capacity pointer slots.
@@ -48,8 +47,6 @@ const (
 	tcacheSlotSize = 8 * (1 + tcacheCap)
 )
 
-const chunkPages = 512 // 2 MiB chunks (THP-backed, as jemalloc aligns them)
-
 // bin layout inside an arena's state region (64-byte stride):
 // lock(0), runcur(8), nonfull sentinel next/prev (16,24).
 const binStride = 64
@@ -57,8 +54,10 @@ const binStride = 64
 type arena struct {
 	id    int
 	state uint64 // bins region
-	// free page spans: a single first-fit list sentinel in state region.
-	freeSent uint64
+	// The arena's pages: a first-fit span heap in 2 MiB chunks
+	// (THP-backed, as jemalloc aligns them), its sentinel and lock at
+	// the state region's tail.
+	spans    alloc.Spans
 	pageLock simsync.SpinLock
 }
 
@@ -102,11 +101,10 @@ func New(t *sim.Thread, narenas int) *Allocator {
 			t.Store64(s, s)
 			t.Store64(s+8, s)
 		}
-		// Free-span list sentinel and page lock at the region tail.
-		ar.freeSent = state + uint64(sc.NumClasses())*binStride
-		t.Store64(ar.freeSent, ar.freeSent)
-		t.Store64(ar.freeSent+8, ar.freeSent)
-		ar.pageLock = simsync.NewSpinLock(ar.freeSent + 16)
+		tail := state + uint64(sc.NumClasses())*binStride
+		ar.spans = alloc.NewSpans(t, tail, &a.recs, &a.stats.HeapBytes)
+		ar.spans.Stamp(runArena, uint64(ar.id))
+		ar.pageLock = simsync.NewSpinLock(tail + 16)
 		a.arenas = append(a.arenas, ar)
 	}
 	return a
@@ -127,9 +125,13 @@ func (a *Allocator) binSentinel(ar *arena, class int) uint64 {
 	return a.binBase(ar, class) + 16
 }
 
-// --- rtree registration ----------------------------------------------------
+// --- arena pages -------------------------------------------------------------
 
-func (a *Allocator) registerRun(t *sim.Thread, rec uint64) {
+// runSpan returns a run record with npages pages from ar, registered in
+// the rtree.
+func (a *Allocator) runSpan(t *sim.Thread, ar *arena, npages int) uint64 {
+	ar.pageLock.Lock(t)
+	rec := ar.spans.Alloc(t, npages)
 	base := t.Load64(rec + alloc.RecBase)
 	pages := t.Load64(rec + alloc.RecPages)
 	// Writers from different arenas share the rtree; leaf creation must
@@ -137,52 +139,15 @@ func (a *Allocator) registerRun(t *sim.Thread, rec uint64) {
 	a.rtreeLock.Lock(t)
 	a.pages.SetSpan(t, base, pages, rec)
 	a.rtreeLock.Unlock(t)
+	ar.pageLock.Unlock(t)
+	return rec
 }
 
-// --- arena page allocation (first-fit free-span list) ----------------------
-
-// pageAlloc returns a run record with npages pages. Caller holds pageLock.
-func (a *Allocator) pageAlloc(t *sim.Thread, ar *arena, npages int) uint64 {
-	for rec := t.Load64(ar.freeSent); rec != ar.freeSent; rec = t.Load64(rec + alloc.RecNext) {
-		t.Exec(2)
-		have := int(t.Load64(rec + alloc.RecPages))
-		if have < npages {
-			continue
-		}
-		alloc.ListRemove(t, rec)
-		if have > npages {
-			rem := a.recs.Alloc(t)
-			base := t.Load64(rec + alloc.RecBase)
-			t.Store64(rem+alloc.RecBase, base+uint64(npages)<<mem.PageShift)
-			t.Store64(rem+alloc.RecPages, uint64(have-npages))
-			t.Store64(rem+runClass, classFreeSpan)
-			t.Store64(rem+runArena, uint64(ar.id))
-			alloc.ListInsert(t, ar.freeSent, rem)
-			t.Store64(rec+alloc.RecPages, uint64(npages))
-		}
-		a.registerRun(t, rec)
-		return rec
-	}
-	// Grow the arena by a chunk.
-	g := chunkPages
-	if npages > g {
-		g = (npages + chunkPages - 1) &^ (chunkPages - 1)
-	}
-	base := t.MmapHuge(g)
-	a.stats.HeapBytes += uint64(g) << mem.PageShift
-	rec := a.recs.Alloc(t)
-	t.Store64(rec+alloc.RecBase, base)
-	t.Store64(rec+alloc.RecPages, uint64(g))
-	t.Store64(rec+runClass, classFreeSpan)
-	t.Store64(rec+runArena, uint64(ar.id))
-	alloc.ListInsert(t, ar.freeSent, rec)
-	return a.pageAlloc(t, ar, npages)
-}
-
-// pageFree returns a run's pages to the arena. Caller holds pageLock.
-func (a *Allocator) pageFree(t *sim.Thread, ar *arena, rec uint64) {
-	t.Store64(rec+runClass, classFreeSpan)
-	alloc.ListInsert(t, ar.freeSent, rec)
+// freeSpan returns a run's pages to ar.
+func (a *Allocator) freeSpan(t *sim.Thread, ar *arena, rec uint64) {
+	ar.pageLock.Lock(t)
+	ar.spans.Free(t, rec)
+	ar.pageLock.Unlock(t)
 }
 
 // --- runs ------------------------------------------------------------------
@@ -190,9 +155,7 @@ func (a *Allocator) pageFree(t *sim.Thread, ar *arena, rec uint64) {
 // newRun carves a fresh slab run for class. Caller holds the bin lock.
 func (a *Allocator) newRun(t *sim.Thread, ar *arena, class int) uint64 {
 	pages := a.sc.SpanPages(class)
-	ar.pageLock.Lock(t)
-	rec := a.pageAlloc(t, ar, pages)
-	ar.pageLock.Unlock(t)
+	rec := a.runSpan(t, ar, pages)
 	total := a.sc.ObjectsPerSpan(class, pages)
 	if total > 512 {
 		total = 512
@@ -368,9 +331,7 @@ func (a *Allocator) flush(t *sim.Thread, class int, slot uint64, n int) {
 				if nfree > 1 {
 					alloc.ListRemove(t, rec) // was on the nonfull list
 				}
-				ar.pageLock.Lock(t)
-				a.pageFree(t, ar, rec)
-				ar.pageLock.Unlock(t)
+				a.freeSpan(t, ar, rec)
 			case nfree == 1:
 				// Was full and unlisted; now nonfull.
 				alloc.ListInsert(t, a.binSentinel(ar, class), rec)
@@ -386,9 +347,7 @@ func (a *Allocator) flush(t *sim.Thread, class int, slot uint64, n int) {
 func (a *Allocator) largeAlloc(t *sim.Thread, size uint64) uint64 {
 	pages := int((size + mem.PageSize - 1) >> mem.PageShift)
 	ar := a.arenaOf(t)
-	ar.pageLock.Lock(t)
-	rec := a.pageAlloc(t, ar, pages)
-	ar.pageLock.Unlock(t)
+	rec := a.runSpan(t, ar, pages)
 	t.Store64(rec+runClass, classLarge)
 	a.stats.LiveBytes += uint64(pages) << mem.PageShift
 	return t.Load64(rec + alloc.RecBase)
@@ -397,7 +356,5 @@ func (a *Allocator) largeAlloc(t *sim.Thread, size uint64) uint64 {
 func (a *Allocator) largeFree(t *sim.Thread, rec uint64) {
 	a.stats.LiveBytes -= t.Load64(rec+alloc.RecPages) << mem.PageShift
 	ar := a.arenas[t.Load64(rec+runArena)]
-	ar.pageLock.Lock(t)
-	a.pageFree(t, ar, rec)
-	ar.pageLock.Unlock(t)
+	a.freeSpan(t, ar, rec)
 }

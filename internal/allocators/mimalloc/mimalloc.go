@@ -35,7 +35,8 @@ import (
 // Page metadata record offsets after the shared alloc.Rec* header
 // (128-byte records).
 const (
-	pgClass      = 32 // 255 = large allocation, 254 = free span
+	// pgClass is 255 for a large allocation, alloc.SpanFree for a free span.
+	pgClass      = alloc.RecClass
 	pgFree       = 40 // intrusive list: allocation pops here
 	pgLocalFree  = 48 // intrusive list: owner frees push here
 	pgThreadFree = 56 // intrusive MPSC list: cross-thread frees CAS here
@@ -47,14 +48,11 @@ const (
 	pgCarved     = 104 // blocks linked into the free list so far (lazy extend)
 	pgRecBytes   = 128
 
-	classLarge    = 255
-	classFreeSpan = 254
+	classLarge = 255
 )
 
 // Per-class heap slot: cur(0), avail sentinel(8,16), full sentinel(24,32).
 const heapSlotBytes = 64
-
-const segmentPages = 512 // 2 MiB segments (hugepage-aligned, as mimalloc reserves them)
 
 // Allocator is the Mimalloc model.
 type Allocator struct {
@@ -64,8 +62,10 @@ type Allocator struct {
 	pages alloc.PageMap
 	recs  alloc.Records
 
-	segState uint64 // segment allocator: lock + free-span sentinel
-	segLock  simsync.SpinLock
+	// The segment allocator: a span heap in 2 MiB segments
+	// (hugepage-aligned, as mimalloc reserves them) behind one lock.
+	segs    alloc.Spans
+	segLock simsync.SpinLock
 
 	heaps map[int]uint64 // thread id -> heap base
 }
@@ -77,16 +77,12 @@ func New(t *sim.Thread) *Allocator {
 		heaps: make(map[int]uint64),
 	}
 	a.pages = alloc.NewPageMap(t, false)
-	a.segState = alloc.MapMeta(t, 1, false)
-	a.segLock = simsync.NewSpinLock(a.segState)
-	sent := a.segSentinel()
-	t.Store64(sent, sent)
-	t.Store64(sent+8, sent)
+	segState := alloc.MapMeta(t, 1, false)
+	a.segLock = simsync.NewSpinLock(segState)
+	a.segs = alloc.NewSpans(t, segState+16, &a.recs, &a.stats.HeapBytes)
 	a.recs = alloc.NewRecords(t, pgRecBytes, 16, false)
 	return a
 }
-
-func (a *Allocator) segSentinel() uint64 { return a.segState + 16 }
 
 // Name implements alloc.Allocator.
 func (a *Allocator) Name() string { return "mimalloc" }
@@ -96,50 +92,20 @@ func (a *Allocator) Stats() alloc.Stats { return a.stats }
 
 // --- segment (page span) allocator ----------------------------------------
 
-// segAlloc returns a rec with npages pages, locked internally.
-func (a *Allocator) segAlloc(t *sim.Thread, npages int) uint64 {
+// segSpan returns a registered page record with npages pages.
+func (a *Allocator) segSpan(t *sim.Thread, npages int) uint64 {
 	a.segLock.Lock(t)
 	defer a.segLock.Unlock(t)
-	sent := a.segSentinel()
-	for {
-		for rec := t.Load64(sent); rec != sent; rec = t.Load64(rec + alloc.RecNext) {
-			t.Exec(2)
-			have := int(t.Load64(rec + alloc.RecPages))
-			if have < npages {
-				continue
-			}
-			alloc.ListRemove(t, rec)
-			if have > npages {
-				rem := a.recs.Alloc(t)
-				base := t.Load64(rec + alloc.RecBase)
-				t.Store64(rem+alloc.RecBase, base+uint64(npages)<<mem.PageShift)
-				t.Store64(rem+alloc.RecPages, uint64(have-npages))
-				t.Store64(rem+pgClass, classFreeSpan)
-				alloc.ListInsert(t, sent, rem)
-				t.Store64(rec+alloc.RecPages, uint64(npages))
-			}
-			a.pages.Register(t, rec)
-			return rec
-		}
-		g := segmentPages
-		if npages > g {
-			g = (npages + segmentPages - 1) &^ (segmentPages - 1)
-		}
-		base := t.MmapHuge(g)
-		a.stats.HeapBytes += uint64(g) << mem.PageShift
-		rec := a.recs.Alloc(t)
-		t.Store64(rec+alloc.RecBase, base)
-		t.Store64(rec+alloc.RecPages, uint64(g))
-		t.Store64(rec+pgClass, classFreeSpan)
-		alloc.ListInsert(t, sent, rec)
-	}
+	rec := a.segs.Alloc(t, npages)
+	a.pages.Register(t, rec)
+	return rec
 }
 
 func (a *Allocator) segFree(t *sim.Thread, rec uint64) {
 	a.segLock.Lock(t)
-	t.Store64(rec+pgClass, classFreeSpan)
+	t.Store64(rec+pgClass, alloc.SpanFree)
 	t.Store64(rec+pgOwner, 0)
-	alloc.ListInsert(t, a.segSentinel(), rec)
+	a.segs.Link(t, rec)
 	a.segLock.Unlock(t)
 }
 
@@ -296,7 +262,7 @@ func (a *Allocator) freshPage(t *sim.Thread, class int) uint64 {
 	if large := a.sc.SpanPages(class); large > pages {
 		pages = large
 	}
-	rec := a.segAlloc(t, pages)
+	rec := a.segSpan(t, pages)
 	n := a.sc.ObjectsPerSpan(class, pages)
 	t.Store64(rec+pgClass, uint64(class))
 	t.Store64(rec+pgFree, 0)
@@ -405,7 +371,7 @@ func (a *Allocator) maybeRetire(t *sim.Thread, rec uint64, class int) {
 
 func (a *Allocator) largeAlloc(t *sim.Thread, size uint64) uint64 {
 	pages := int((size + mem.PageSize - 1) >> mem.PageShift)
-	rec := a.segAlloc(t, pages)
+	rec := a.segSpan(t, pages)
 	t.Store64(rec+pgClass, classLarge)
 	a.stats.LiveBytes += uint64(pages) << mem.PageShift
 	base := t.Load64(rec + alloc.RecBase)

@@ -95,12 +95,11 @@ func DefaultConfig() Config {
 // Records live in the metadata region; each layout's own state follows
 // the fixed fields (layout.go).
 const (
-	slClass    = 32 // 255 = large, 254 = free span
-	slTop      = 40 // free units in the slab
+	slClass    = alloc.RecClass // 255 = large, alloc.SpanFree = free span
+	slTop      = 40             // free units in the slab
 	slCapacity = 48
 
-	classLarge    = 255
-	classFreeSpan = 254
+	classLarge = 255
 )
 
 // Ring operation codes (slot word 0, low byte).
@@ -194,7 +193,7 @@ type Allocator struct {
 	pages      alloc.PageMap
 	recs       alloc.Records    // slab records, one layout stride apart
 	classState uint64           // per-class {cur, avail sentinel} slots
-	spanSent   uint64           // free page-span list sentinel
+	spans      alloc.Spans      // the page-span heap
 	lock       simsync.SpinLock // inline mode only
 
 	clients   []*client
@@ -237,9 +236,7 @@ func New(t *sim.Thread, cfg Config) *Allocator {
 	state := t.MmapMeta(1)
 	a.lock = simsync.NewSpinLock(state)
 	a.registerL = simsync.NewSpinLock(state + 8)
-	a.spanSent = state + 64
-	t.Store64(a.spanSent, a.spanSent)
-	t.Store64(a.spanSent+8, a.spanSent)
+	a.spans = alloc.NewSpans(t, state+64, &a.recs, &a.stats.HeapBytes)
 	classBytes := uint64(a.sc.NumClasses()) * 32
 	a.classState = t.MmapMeta(int((classBytes + mem.PageSize - 1) >> mem.PageShift))
 	for c := 0; c < a.sc.NumClasses(); c++ {
@@ -292,58 +289,14 @@ func (a *Allocator) Stats() alloc.Stats { return a.stats }
 
 func (a *Allocator) classSlot(class int) uint64 { return a.classState + uint64(class)*32 }
 
-// --- page-span allocator (plain loads/stores; the engine is single-
-// threaded in offload mode, locked in inline mode) ---------------------------
-
-const spanGrowPages = 512 // 2 MiB hugepage-backed span pool
-
-func (a *Allocator) spanAlloc(t *sim.Thread, npages int) uint64 {
-	for {
-		for rec := t.Load64(a.spanSent); rec != a.spanSent; rec = t.Load64(rec + alloc.RecNext) {
-			t.Exec(2)
-			have := int(t.Load64(rec + alloc.RecPages))
-			if have < npages {
-				continue
-			}
-			alloc.ListRemove(t, rec)
-			if have > npages {
-				rem := a.recs.Alloc(t)
-				base := t.Load64(rec + alloc.RecBase)
-				t.Store64(rem+alloc.RecBase, base+uint64(npages)<<mem.PageShift)
-				t.Store64(rem+alloc.RecPages, uint64(have-npages))
-				t.Store64(rem+slClass, classFreeSpan)
-				alloc.ListInsert(t, a.spanSent, rem)
-				t.Store64(rec+alloc.RecPages, uint64(npages))
-			}
-			a.pages.Register(t, rec)
-			return rec
-		}
-		g := spanGrowPages
-		if npages > g {
-			g = (npages + spanGrowPages - 1) &^ (spanGrowPages - 1)
-		}
-		base := t.MmapHuge(g)
-		a.stats.HeapBytes += uint64(g) << mem.PageShift
-		rec := a.recs.Alloc(t)
-		t.Store64(rec+alloc.RecBase, base)
-		t.Store64(rec+alloc.RecPages, uint64(g))
-		t.Store64(rec+slClass, classFreeSpan)
-		alloc.ListInsert(t, a.spanSent, rec)
-	}
-}
-
-func (a *Allocator) spanFree(t *sim.Thread, rec uint64) {
-	t.Store64(rec+slClass, classFreeSpan)
-	alloc.ListInsert(t, a.spanSent, rec)
-}
-
 // --- slab engine -------------------------------------------------------------
 
 // freshSlab carves a slab for class: the span, the shared fields, then
 // the layout's free state, and last the free count.
 func (a *Allocator) freshSlab(t *sim.Thread, class int) uint64 {
 	pages, n := a.enc.geometry(a.sc, class)
-	rec := a.spanAlloc(t, pages)
+	rec := a.spans.Alloc(t, pages)
+	a.pages.Register(t, rec)
 	t.Store64(rec+slClass, uint64(class))
 	t.Store64(rec+slCapacity, uint64(n))
 	a.enc.carve(t, rec, a.sc.Size(class), n)
@@ -409,7 +362,7 @@ func (a *Allocator) freeClass(t *sim.Thread, rec uint64, class int, addr uint64)
 	case capacity:
 		// Fully free and not current: retire the pages.
 		alloc.ListRemove(t, rec)
-		a.spanFree(t, rec)
+		a.spans.Free(t, rec)
 	}
 }
 
@@ -419,7 +372,8 @@ func (a *Allocator) engineMalloc(t *sim.Thread, size uint64) uint64 {
 	class, ok := a.sc.ClassFor(size)
 	if !ok {
 		pages := int((size + mem.PageSize - 1) >> mem.PageShift)
-		rec := a.spanAlloc(t, pages)
+		rec := a.spans.Alloc(t, pages)
+		a.pages.Register(t, rec)
 		t.Store64(rec+slClass, classLarge)
 		return t.Load64(rec + alloc.RecBase)
 	}
@@ -535,7 +489,7 @@ func (a *Allocator) engineFree(t *sim.Thread, addr uint64, validate bool) bool {
 			return false // interior pointer into a large block
 		}
 		a.stats.LiveBytes -= t.Load64(rec+alloc.RecPages) << mem.PageShift
-		a.spanFree(t, rec)
+		a.spans.Free(t, rec)
 		return true
 	}
 	if validate && !a.validSmallFree(t, rec, classWord, addr) {

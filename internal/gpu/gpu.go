@@ -71,26 +71,23 @@ type Engine struct {
 	req  *ring.SPSC
 	seq  uint64 // next ticket (host mirror, app side)
 
-	// Device heap state (engine-core private; plain loads/stores).
+	// Device heap state (engine-core private; plain loads/stores), on
+	// the metadata kit in the metadata region, mapped by Serve.
 	sc         *alloc.SizeClasses
 	classCur   []uint64
 	classSlabs [][]uint64 // every slab of a class (engine-side index)
-	freeSpans  []span
-	meta       uint64
-	metaOff    uint64
-	metaLimit  uint64
-	pagemap    map[uint64]uint64 // device page -> slab rec (host map; the
-	// engine charges the same two loads a radix walk costs via rtCharge)
+	pages      alloc.PageMap
+	recs       alloc.Records
+	spans      alloc.Spans
 
 	stats Stats
 }
-
-type span struct{ base, pages uint64 }
 
 // Stats counts engine activity.
 type Stats struct {
 	Allocs, Frees, Copies, Kernels uint64
 	BytesCopied                    uint64
+	SlabBytes                      uint64 // device memory mapped for slabs
 }
 
 // New builds the engine's shared state; t is the application thread.
@@ -98,10 +95,9 @@ func New(t *sim.Thread) *Engine {
 	pages := (ringOff + ring.BytesFor(cmdDepth) + mem.PageSize - 1) >> mem.PageShift
 	page := t.Mmap(pages)
 	e := &Engine{
-		page:    page,
-		req:     ring.New(page+ringOff, cmdDepth),
-		sc:      alloc.NewSizeClasses(),
-		pagemap: make(map[uint64]uint64),
+		page: page,
+		req:  ring.New(page+ringOff, cmdDepth),
+		sc:   alloc.NewSizeClasses(),
 	}
 	e.classCur = make([]uint64, e.sc.NumClasses())
 	e.classSlabs = make([][]uint64, e.sc.NumClasses())
@@ -203,8 +199,12 @@ func (e *Engine) Sync(t *sim.Thread) {
 
 // --- engine-core side -------------------------------------------------------
 
-// Serve is the engine core's daemon body.
+// Serve is the engine core's daemon body. It first maps the device
+// heap's metadata; the span list's sentinel is the first record.
 func (e *Engine) Serve(t *sim.Thread) {
+	e.pages = alloc.NewPageMap(t, true)
+	e.recs = alloc.NewRecords(t, slRecBytes, 32, true)
+	e.spans = alloc.NewSpans(t, e.recs.Alloc(t), &e.recs, &e.stats.SlabBytes)
 	var completed uint64
 	for {
 		_, w1, ok := e.req.TryPop(t)
@@ -281,36 +281,15 @@ func (e *Engine) execute(t *sim.Thread, ticket Ticket) {
 
 // --- device heap (single-threaded slab engine, NextGen style) --------------
 
-const devSpanPages = 512
-
-// rtCharge models the engine's radix page-table walk (two dependent
-// loads on metadata it owns).
-func (e *Engine) rtCharge(t *sim.Thread) {
-	if e.meta != 0 {
-		t.Load64(e.meta)
-		t.Load64(e.meta + 8)
-	}
-}
-
-func (e *Engine) newRec(t *sim.Thread) uint64 {
-	const recBytes = 64 + 2*512
-	if e.meta == 0 || e.metaOff+recBytes > e.metaLimit {
-		e.meta = t.MmapMeta(32)
-		e.metaOff = 64 // first line reserved for rtCharge
-		e.metaLimit = 32 << mem.PageShift
-	}
-	r := e.meta + e.metaOff
-	e.metaOff += recBytes
-	return r
-}
-
-// Slab record offsets (index-stack layout, as in internal/core).
+// Slab record fields after the shared alloc.Rec* header: NextGen's
+// segregated record (internal/core), a 16-bit index stack of up to 512
+// free units after the fixed fields.
 const (
-	dBase  = 0
-	dClass = 8
-	dTop   = 16
-	dCap   = 24
-	dStack = 64
+	slClass    = alloc.RecClass
+	slTop      = 40 // free units in the slab
+	slCapacity = 48
+	slStack    = 64
+	slRecBytes = slStack + 2*512
 )
 
 func (e *Engine) deviceMalloc(t *sim.Thread, size uint64) uint64 {
@@ -320,12 +299,12 @@ func (e *Engine) deviceMalloc(t *sim.Thread, size uint64) uint64 {
 		return t.MmapHuge(pages) // large buffers map directly
 	}
 	rec := e.classCur[class]
-	if rec == 0 || t.Load64(rec+dTop) == 0 {
+	if rec == 0 || t.Load64(rec+slTop) == 0 {
 		rec = 0
 		// Rotate to another slab of the class with free blocks.
 		for _, r := range e.classSlabs[class] {
 			t.Exec(1)
-			if t.Load64(r+dTop) > 0 {
+			if t.Load64(r+slTop) > 0 {
 				rec = r
 				break
 			}
@@ -335,59 +314,38 @@ func (e *Engine) deviceMalloc(t *sim.Thread, size uint64) uint64 {
 		}
 		e.classCur[class] = rec
 	}
-	top := t.Load64(rec + dTop)
-	t.Store64(rec+dTop, top-1)
-	idx := t.Load16(rec + dStack + (top-1)*2)
-	return t.Load64(rec+dBase) + idx*e.sc.Size(class)
+	top := t.Load64(rec + slTop)
+	t.Store64(rec+slTop, top-1)
+	idx := t.Load16(rec + slStack + (top-1)*2)
+	return t.Load64(rec+alloc.RecBase) + idx*e.sc.Size(class)
 }
 
+// freshSlab carves a slab for class as NextGen's engine does: the span,
+// the fixed fields, the index stack, and last the free count.
 func (e *Engine) freshSlab(t *sim.Thread, class int) uint64 {
 	pages := e.sc.SpanPages(class)
-	var base uint64
-	for i, sp := range e.freeSpans {
-		if sp.pages >= uint64(pages) {
-			base = sp.base
-			e.freeSpans[i].base += uint64(pages) << mem.PageShift
-			e.freeSpans[i].pages -= uint64(pages)
-			break
-		}
-	}
-	if base == 0 {
-		base = t.MmapHuge(devSpanPages)
-		e.freeSpans = append(e.freeSpans, span{
-			base:  base + uint64(pages)<<mem.PageShift,
-			pages: devSpanPages - uint64(pages),
-		})
-	}
-	rec := e.newRec(t)
-	n := e.sc.ObjectsPerSpan(class, pages)
-	if n > 512 {
-		n = 512
-	}
-	t.Store64(rec+dBase, base)
-	t.Store64(rec+dClass, uint64(class))
-	t.Store64(rec+dCap, uint64(n))
-	alloc.CarveIndexStack(t, rec+dStack, n)
-	t.Store64(rec+dTop, uint64(n))
-	for p := uint64(0); p < uint64(pages); p++ {
-		e.pagemap[base>>mem.PageShift+p] = rec
-	}
+	rec := e.spans.Alloc(t, pages)
+	e.pages.Register(t, rec)
+	n := min(e.sc.ObjectsPerSpan(class, pages), 512)
+	t.Store64(rec+slClass, uint64(class))
+	t.Store64(rec+slCapacity, uint64(n))
+	alloc.CarveIndexStack(t, rec+slStack, n)
+	t.Store64(rec+slTop, uint64(n))
 	e.classSlabs[class] = append(e.classSlabs[class], rec)
 	return rec
 }
 
 func (e *Engine) deviceFree(t *sim.Thread, addr uint64) {
-	e.rtCharge(t)
-	rec, ok := e.pagemap[addr>>mem.PageShift]
-	if !ok {
+	rec := e.pages.Get(t, addr)
+	if rec == 0 {
 		// Directly mapped large buffer: leave it mapped (the stream test
 		// workloads recycle via the slab classes).
 		return
 	}
-	class := int(t.Load64(rec + dClass))
+	class := int(t.Load64(rec + slClass))
 	t.Exec(3)
-	idx := (addr - t.Load64(rec+dBase)) / e.sc.Size(class)
-	top := t.Load64(rec + dTop)
-	t.Store16(rec+dStack+top*2, idx)
-	t.Store64(rec+dTop, top+1)
+	idx := (addr - t.Load64(rec+alloc.RecBase)) / e.sc.Size(class)
+	top := t.Load64(rec + slTop)
+	t.Store16(rec+slStack+top*2, idx)
+	t.Store64(rec+slTop, top+1)
 }

@@ -3,6 +3,7 @@ package gpu
 import (
 	"testing"
 
+	"nextgenmalloc/internal/mem"
 	"nextgenmalloc/internal/sim"
 )
 
@@ -108,6 +109,10 @@ func TestDeviceHeapReuse(t *testing.T) {
 		}
 		if reused != n {
 			t.Errorf("only %d/%d device blocks reused", reused, n)
+		}
+		// The four slabs came from one span-heap chunk.
+		if st := e.Stats(); st.SlabBytes != 512<<mem.PageShift {
+			t.Errorf("device slabs mapped %d bytes, want one 512-page chunk", st.SlabBytes)
 		}
 	})
 }

@@ -147,14 +147,12 @@ type Options struct {
 	// before the measurement barrier (e.g. core.Allocator.Preheat).
 	Prepare func(t *sim.Thread, a alloc.Allocator)
 	// SampleInterval, when > 0, arms a timeline.Sampler snapshotting all
-	// cores every SampleInterval cycles and (for NextGen kinds) a
-	// latency recorder capturing per-request offload spans. Both are
-	// host-side observation only: counters stay bit-identical to an
-	// unsampled run (pinned by TestSamplerZeroTraffic).
+	// cores every SampleInterval cycles (the interval doubles whenever
+	// timeline.DefaultCapacity samples fill its buffer) and (for NextGen
+	// kinds) a latency recorder capturing per-request offload spans.
+	// Both are host-side observation only: counters stay bit-identical
+	// to an unsampled run (pinned by TestSamplerZeroTraffic).
 	SampleInterval uint64
-	// SampleCapacity bounds the sample series (timeline.DefaultCapacity
-	// when 0); the interval doubles when the buffer fills.
-	SampleCapacity int
 	// SpanCapacity bounds the latency recorder's raw span buffer
 	// (timeline.DefaultSpanCap when 0). Sweeps over big topologies
 	// raise it so per-client percentiles keep their tails.
@@ -602,7 +600,7 @@ func RunE(opt Options) (Result, error) {
 	var sampler *timeline.Sampler
 	var latRec *timeline.LatencyRecorder
 	if opt.SampleInterval > 0 {
-		sampler = timeline.NewSampler(opt.SampleInterval, opt.SampleCapacity)
+		sampler = timeline.NewSampler(opt.SampleInterval, timeline.DefaultCapacity)
 		sampler.Attach(m)
 		latRec = timeline.NewLatencyRecorder(opt.SpanCapacity)
 		sampler.ProbeRings(func() timeline.RingState {

@@ -82,10 +82,13 @@ func DefaultConfig() Config {
 		Profile:           BigCoreProfile(),
 		Syscall:           mem.DefaultSyscallCosts(),
 		AtomicExtraCycles: 63,
-		// 64-cycle leases keep cross-core event skew below the LLC
-		// round-trip time, so polling cores observe requests with
-		// realistic latency (coarser leases would inflate every
-		// cross-core interaction by the lease length).
+		// A lease lets a thread run up to 64 cycles past the next-lowest
+		// clock, so cross-core events can be seen out of clock order.
+		// Measured on xalanc nextgen (ROADMAP item 5, M2 and M10):
+		// Table 3's nextgen gain reads -7.84 % at lease 64 against
+		// -10.79 % at lease 1, and lease 64 shows 149 155 future reads
+		// of mean depth 40 cycles, almost all on ring lines. ROADMAP
+		// item 24 (ring-synchronized leases) removes that skew.
 		Quantum: 64,
 		Warp:    true,
 	}

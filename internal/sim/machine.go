@@ -89,9 +89,9 @@ type WarpStats struct {
 	// resuming them (including the rest of the lease they parked in).
 	ParkedLeases uint64
 	// FullChecks counts the parked leases that re-checked every watched
-	// word's L1 way, L1 TLB way and class, not only its value: the first
-	// after each park, and those after the core's L1, the region marks
-	// or the address space changed.
+	// word's L1 way, L1 TLB way and class, not only its value: those
+	// after the core's L1, the region marks or the address space changed
+	// since the park or the last full check.
 	FullChecks uint64
 }
 

@@ -51,11 +51,12 @@ import (
 //     itself fills its core's L1 and TLB, and it is parked, so these can
 //     change only with the address-space epoch, the core's L1 drop count
 //     (cache.System.L1Drops: every way dropped or refilled) or the
-//     region table's mark count. Before each parked lease Run compares
-//     those three counters with their values at the last full check; if
-//     none moved, it compares only the watched values. The full per-word
-//     check runs on the first lease after a park and whenever a counter
-//     moved (WarpStats.FullChecks counts it);
+//     region table's mark count. Parking proves every way and class
+//     and records the three counters; before each parked lease Run
+//     compares them with their values at that proof or the last full
+//     check, and if none moved it compares only the watched values. The
+//     full per-word check runs only when a counter moved
+//     (WarpStats.FullChecks counts it);
 //   - its own clock: a round never starts arithmetically at or past
 //     WaitSpec.Until or the Horizon value read at park time;
 //   - host state, under the parked-round contract below.
@@ -442,11 +443,9 @@ type parking struct {
 	rounds  uint64 // rounds completed arithmetically since parking
 	epoch   uint64 // address-space epoch the translations were made in
 
-	// The cheap check's counters as of the last full check: this core's
-	// L1 drop count and the region table's mark count. checked is false
-	// until the first full check after a park.
+	// The cheap check's counters as of resolve or the last full check:
+	// this core's L1 drop count and the region table's mark count.
 	drops, marks uint64
-	checked      bool
 
 	// The loads walked but not yet charged: from op from of a round,
 	// across ends round ends, up to op j.
@@ -488,7 +487,7 @@ func (t *Thread) park(s *WaitSpec) bool {
 		return false
 	}
 	pk.j, pk.c0, pk.i0, pk.rounds = 0, t.clock, t.instr, 0
-	pk.from, pk.ends, pk.checked = 0, 0, false
+	pk.from, pk.ends = 0, 0
 	pk.until, pk.horizon = s.Until, h
 	t.m.park(t)
 	t.yield(struct{}{})
@@ -499,8 +498,9 @@ func (t *Thread) park(s *WaitSpec) bool {
 }
 
 // resolve derives the per-op prefix sums, per-load ways and the watched
-// words of pk.ops. It fails when a load no longer hits, or when the
-// round loaded one word twice with different values.
+// words of pk.ops, and records the epoch and the cheap check's counters
+// it proved them under. It fails when a load no longer hits, or when
+// the round loaded one word twice with different values.
 func (pk *parking) resolve(t *Thread) bool {
 	pk.pre, pk.ipre, pk.lpre = pk.pre[:0], pk.ipre[:0], pk.lpre[:0]
 	pk.idxs, pk.ways, pk.cls, pk.watch = pk.idxs[:0], pk.ways[:0], pk.cls[:0], pk.watch[:0]
@@ -547,18 +547,19 @@ func (pk *parking) resolve(t *Thread) bool {
 	pk.ipre = append(pk.ipre, instr)
 	pk.lpre = append(pk.lpre, len(pk.idxs))
 	pk.epoch = t.m.as.Epoch()
+	pk.drops, pk.marks = t.caches.L1Drops(t.core), t.m.regions.marks
 	return true
 }
 
 // check reports whether the round would still run exactly as recorded:
 // every watched word holds its recorded value and class, in the same L1
 // and L1 TLB ways, under the same address space. While none of the
-// three counters moved since the last full check, comparing the values
-// is the whole check (see Soundness at the top of this file); a full
+// three counters moved since resolve or the last full check, comparing
+// the values is the whole check (see Soundness at the top of this file); a full
 // check increments *full.
 func (pk *parking) check(t *Thread, full *uint64) bool {
 	drops, marks := t.caches.L1Drops(t.core), t.m.regions.marks
-	if pk.checked && t.m.as.Epoch() == pk.epoch && drops == pk.drops && marks == pk.marks {
+	if t.m.as.Epoch() == pk.epoch && drops == pk.drops && marks == pk.marks {
 		for i := range pk.watch {
 			if w := &pk.watch[i]; w.frame.Load(w.addr&mem.PageMask, w.size) != w.val {
 				return false
@@ -577,7 +578,7 @@ func (pk *parking) check(t *Thread, full *uint64) bool {
 			return false
 		}
 	}
-	pk.drops, pk.marks, pk.checked = drops, marks, true
+	pk.drops, pk.marks = drops, marks
 	return true
 }
 
