@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"nextgenmalloc/internal/core"
 	"nextgenmalloc/internal/experiments"
@@ -48,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Validate everything up front: a bad flag must fail fast with a
 	// usage error, not panic mid-run or silently do no work.
-	if err := harness.CheckKind(*kind); err != nil {
+	if _, err := harness.KindConfig(*kind); err != nil {
 		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
 		return 2
 	}
@@ -62,12 +63,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ngm-run: -tenants must be >= 1 (got %d)\n", *tenants)
 		return 2
 	}
-	if env.Keys != "" && harness.WithKeys(*kind, env.Keys) == *kind {
+	serverKeys := strings.Contains(env.Keys, "sched=") || strings.Contains(env.Keys, "partition=")
+	if (base.Servers != 1 || serverKeys) && !harness.OffloadKind(*kind) {
+		fmt.Fprintf(stderr, "ngm-run: -servers/-sched/-partition target the offload path; %q runs no offload server\n", *kind)
+		return 2
+	}
+	spec := harness.WithKeys(*kind, env.Keys)
+	if env.Keys != "" && spec == *kind {
 		// WithKeys leaves a classic kind as it is: the keys would do nothing.
 		fmt.Fprintf(stderr, "ngm-run: -prealloc/-layout are NextGen kind-spec keys; %q takes no keys\n", *kind)
 		return 2
 	}
-	if len(base.FaultPlans) > 0 && !harness.OffloadKind(*kind) {
+	cfg, err := harness.KindConfig(spec)
+	if err != nil {
+		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
+		return 2
+	}
+	if len(base.FaultPlans) > 0 && !cfg.Offload {
 		fmt.Fprintf(stderr, "ngm-run: -fault targets the offload path; %q runs no offload server\n", *kind)
 		return 2
 	}
@@ -75,8 +87,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ngm-run: -failover re-homes across fleet shards; it needs -servers >= 2 (got %d)\n", base.Servers)
 		return 2
 	}
-	if (base.Servers != 1 || base.Sched != core.FixedScan || base.Partition != core.ByClient) && !harness.OffloadKind(*kind) {
-		fmt.Fprintf(stderr, "ngm-run: -servers/-sched/-partition target the offload path; %q runs no offload server\n", *kind)
+	if cfg.Partition == core.ByClass && base.Servers < 2 {
+		fmt.Fprintf(stderr, "ngm-run: partition=class splits clients across fleet shards; it needs -servers >= 2 (got %d)\n", base.Servers)
 		return 2
 	}
 	if *threads < 1 {
@@ -125,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	res, err := harness.RunE(env.Apply(harness.Options{Allocator: harness.WithKeys(*kind, env.Keys), Workload: w}))
+	res, err := harness.RunE(env.Apply(harness.Options{Allocator: spec, Workload: w}))
 	if err != nil {
 		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
 		return 2

@@ -54,6 +54,12 @@ func TestRejectsBadFlags(t *testing.T) {
 		"bad warp":           {[]string{"-warp=maybe"}, "invalid boolean value"},
 		"failover one server": {
 			[]string{"-failover", "on"}, "needs -servers >= 2"},
+		"partition one server": {
+			[]string{"-alloc", "nextgen", "-partition", "class", "-ops", "2000"}, "needs -servers >= 2"},
+		"partition spec one server": {
+			[]string{"-alloc", "nextgen:partition=class", "-ops", "2000"}, "needs -servers >= 2"},
+		"sched off inline": {
+			[]string{"-alloc", "nextgen-inline", "-sched", "round-robin"}, "no offload server"},
 		"servers off offload": {
 			[]string{"-alloc", "mimalloc", "-servers", "2"}, "no offload server"},
 		"sched off offload": {

@@ -129,7 +129,7 @@ func replay(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := harness.CheckKind(*kind); err != nil {
+	if _, err := harness.KindConfig(*kind); err != nil {
 		fmt.Fprintf(stderr, "ngm-trace: %v\n", err)
 		return 2
 	}

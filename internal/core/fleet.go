@@ -5,7 +5,6 @@ import (
 
 	"nextgenmalloc/internal/alloc"
 	"nextgenmalloc/internal/fault"
-	"nextgenmalloc/internal/ring"
 	"nextgenmalloc/internal/sim"
 	"nextgenmalloc/internal/timeline"
 )
@@ -52,7 +51,6 @@ func ParsePartition(s string) (Partition, error) {
 // an unmodified Allocator, so the per-shard protocol (and its golden
 // behaviour) is untouched.
 type Fleet struct {
-	part   Partition
 	shards []*Allocator
 	sc     *alloc.SizeClasses
 	// group is the thread→shard assignment (ByClient), filled
@@ -122,17 +120,16 @@ func (s *FailoverStats) Add(o FailoverStats) {
 // dispatch (a table lookup on the client side).
 const routeCost = 2
 
-// NewFleet builds servers independent shard allocators from one config;
-// t performs the initial mmaps. Shard i runs under its own fault injector
-// injs[i] when i < len(injs) (nil: clean), else under cfg.Faults. Attach
-// shard i to its own Server daemon (Fleet.Shards) before running.
-// servers must be >= 1.
-func NewFleet(t *sim.Thread, cfg Config, servers int, part Partition, injs []*fault.Injector) *Fleet {
+// NewFleet builds servers independent shard allocators from one config,
+// routed per cfg.Partition; t performs the initial mmaps. Shard i runs
+// under its own fault injector injs[i] when i < len(injs) (nil: clean),
+// else under cfg.Faults. Attach shard i to its own Server daemon
+// (Fleet.Shards) before running. servers must be >= 1.
+func NewFleet(t *sim.Thread, cfg Config, servers int, injs []*fault.Injector) *Fleet {
 	if servers < 1 {
 		panic(fmt.Sprintf("core: fleet needs at least one server, got %d", servers))
 	}
 	f := &Fleet{
-		part:     part,
 		sc:       alloc.NewSizeClasses(),
 		group:    make(map[int]int),
 		owner:    make(map[uint64]int),
@@ -149,7 +146,7 @@ func NewFleet(t *sim.Thread, cfg Config, servers int, part Partition, injs []*fa
 }
 
 // Shards exposes the per-server allocators (shard i belongs to server
-// daemon i) for attachment and telemetry.
+// daemon i) for attachment and telemetry, which callers sum themselves.
 func (f *Fleet) Shards() []*Allocator { return f.shards }
 
 // ClientShards reports the thread→home-shard assignment (a copy).
@@ -180,9 +177,12 @@ func (f *Fleet) threadShard(t *sim.Thread) int {
 	return sh
 }
 
+// byClass reports whether the fleet routes by size class.
+func (f *Fleet) byClass() bool { return f.shards[0].cfg.Partition == ByClass }
+
 // mallocShard routes an allocation request.
 func (f *Fleet) mallocShard(t *sim.Thread, size uint64) int {
-	if f.part == ByClass {
+	if f.byClass() {
 		if class, ok := f.sc.ClassFor(size); ok {
 			return class % len(f.shards)
 		}
@@ -371,7 +371,7 @@ func (f *Fleet) Flush(t *sim.Thread) {
 // Preheat warms the shard (or shards, under ByClass) that will serve
 // the given sizes.
 func (f *Fleet) Preheat(t *sim.Thread, sizes []uint64) {
-	if f.part != ByClass {
+	if !f.byClass() {
 		f.shards[f.threadShard(t)].Preheat(t, sizes)
 		return
 	}
@@ -388,44 +388,4 @@ func (f *Fleet) Preheat(t *sim.Thread, sizes []uint64) {
 			f.shards[sh].Preheat(t, sz)
 		}
 	}
-}
-
-// Served sums the shards' served-operation counts.
-func (f *Fleet) Served() uint64 {
-	var n uint64
-	for _, a := range f.shards {
-		n += a.Served()
-	}
-	return n
-}
-
-// RingTelemetry merges ring stats across every shard's clients.
-func (f *Fleet) RingTelemetry() (malloc, free ring.Stats) {
-	for _, a := range f.shards {
-		m, fr := a.RingTelemetry()
-		malloc.Add(m)
-		free.Add(fr)
-	}
-	return malloc, free
-}
-
-// RingDepths sums host-visible ring occupancy across shards (the
-// timeline sampler's gauge). Zero simulated cost.
-func (f *Fleet) RingDepths() (mallocDepth, freeDepth uint64) {
-	for _, a := range f.shards {
-		m, fr := a.RingDepths()
-		mallocDepth += m
-		freeDepth += fr
-	}
-	return mallocDepth, freeDepth
-}
-
-// ResilienceTelemetry sums client-side degradation counters across
-// shards.
-func (f *Fleet) ResilienceTelemetry() ResilienceStats {
-	var s ResilienceStats
-	for _, a := range f.shards {
-		s.Add(a.ResilienceTelemetry())
-	}
-	return s
 }

@@ -27,7 +27,8 @@ func fleetDaemon(n int, srvs *[]*Server) func(m *sim.Machine) {
 
 func fleetFactory(cfg Config, servers int, part Partition, srvs *[]*Server) alloctest.Factory {
 	return func(th *sim.Thread, m *sim.Machine) alloc.Allocator {
-		f := NewFleet(th, cfg, servers, part, nil)
+		cfg.Partition = part
+		f := NewFleet(th, cfg, servers, nil)
 		for i, sh := range f.Shards() {
 			(*srvs)[i].Attach(sh)
 		}
@@ -69,7 +70,7 @@ func TestFleetPartitionsClients(t *testing.T) {
 		part := i
 		m.Spawn(fmt.Sprintf("c%d", part), part, func(th *sim.Thread) {
 			if part == 0 {
-				f = NewFleet(th, DefaultConfig(), 2, ByClient, nil)
+				f = NewFleet(th, DefaultConfig(), 2, nil)
 				for j, sh := range f.Shards() {
 					srvs[j].Attach(sh)
 				}
@@ -94,7 +95,7 @@ func TestFleetPartitionsClients(t *testing.T) {
 		})
 	}
 	m.Run()
-	var sum uint64
+	var sum, pops uint64
 	for i, sh := range f.Shards() {
 		if sh.Served() == 0 {
 			t.Errorf("shard %d served nothing (client partition left it idle)", i)
@@ -103,9 +104,11 @@ func TestFleetPartitionsClients(t *testing.T) {
 			t.Errorf("shard %d registered %d clients, want %d", i, got, clients/2)
 		}
 		sum += sh.Served()
+		mr, fr := sh.RingTelemetry()
+		pops += mr.Pops + fr.Pops
 	}
-	if sum != f.Served() {
-		t.Errorf("shards served %d, fleet says %d", sum, f.Served())
+	if sum != pops {
+		t.Errorf("shards served %d, their rings popped %d", sum, pops)
 	}
 }
 
@@ -118,7 +121,9 @@ func TestFleetByClassRoutesSizes(t *testing.T) {
 	fleetDaemon(2, &srvs)(m)
 	var f *Fleet
 	m.Spawn("c0", 0, func(th *sim.Thread) {
-		f = NewFleet(th, DefaultConfig(), 2, ByClass, nil)
+		cfg := DefaultConfig()
+		cfg.Partition = ByClass
+		f = NewFleet(th, cfg, 2, nil)
 		for j, sh := range f.Shards() {
 			srvs[j].Attach(sh)
 		}
@@ -152,7 +157,7 @@ func TestFleetName(t *testing.T) {
 	var srvs []*Server
 	fleetDaemon(3, &srvs)(m)
 	m.Spawn("c0", 0, func(th *sim.Thread) {
-		f := NewFleet(th, DefaultConfig(), 3, ByClient, nil)
+		f := NewFleet(th, DefaultConfig(), 3, nil)
 		for j, sh := range f.Shards() {
 			srvs[j].Attach(sh)
 		}
@@ -174,7 +179,7 @@ func TestNewFleetRejectsZeroServers(t *testing.T) {
 				t.Error("NewFleet accepted zero servers")
 			}
 		}()
-		NewFleet(th, DefaultConfig(), 0, ByClient, nil)
+		NewFleet(th, DefaultConfig(), 0, nil)
 	})
 	m.Run()
 }
@@ -222,7 +227,7 @@ func TestFleetForeignFreesWaitForFlush(t *testing.T) {
 	var f *Fleet
 	var handoff []uint64 // blocks of thread 0 (shard 0) for thread 1 (shard 1) to free
 	m.Spawn("c0", 0, func(th *sim.Thread) {
-		f = NewFleet(th, DefaultConfig(), 2, ByClient, nil)
+		f = NewFleet(th, DefaultConfig(), 2, nil)
 		for j, sh := range f.Shards() {
 			srvs[j].Attach(sh)
 		}
@@ -354,7 +359,7 @@ func TestFleetFailoverReHomesAndRejoins(t *testing.T) {
 	inj.Attach(m)
 	var f *Fleet
 	m.Spawn("c0", 0, func(th *sim.Thread) {
-		f = NewFleet(th, failoverConfig(), 2, ByClient, []*fault.Injector{inj})
+		f = NewFleet(th, failoverConfig(), 2, []*fault.Injector{inj})
 		for j, sh := range f.Shards() {
 			srvs[j].Attach(sh)
 		}
@@ -418,7 +423,11 @@ func TestFleetFailoverReHomesAndRejoins(t *testing.T) {
 		}
 		lastCycle = ev.Cycle
 	}
-	if rs := f.ResilienceTelemetry(); rs.EmergencyMallocs != 0 {
+	var rs ResilienceStats
+	for _, sh := range f.Shards() {
+		rs.Add(sh.ResilienceTelemetry())
+	}
+	if rs.EmergencyMallocs != 0 {
 		t.Errorf("%d mallocs fell to the emergency tier with a healthy shard available", rs.EmergencyMallocs)
 	}
 	for i, sh := range f.Shards() {
@@ -439,7 +448,7 @@ func TestFleetFailoverDisarmedRecordsNothing(t *testing.T) {
 	m.Spawn("c0", 0, func(th *sim.Thread) {
 		cfg := failoverConfig()
 		cfg.Resilience.FailoverAfter = 0
-		f = NewFleet(th, cfg, 2, ByClient, []*fault.Injector{
+		f = NewFleet(th, cfg, 2, []*fault.Injector{
 			fault.NewShardInjector(fault.Plan{Seed: 1, StallStart: 20000, StallCycles: 30000, Shard: 1}, 0),
 		})
 		for j, sh := range f.Shards() {
@@ -481,7 +490,7 @@ func FuzzFleetServeWord(f *testing.F) {
 		m.Spawn("worker", 0, func(th *sim.Thread) {
 			cfg := DefaultConfig()
 			cfg.Resilience = DefaultResilience()
-			fl := NewFleet(th, cfg, 2, ByClient, nil)
+			fl := NewFleet(th, cfg, 2, nil)
 			var srvs []*Server
 			for _, sh := range fl.Shards() {
 				srv := NewServer()

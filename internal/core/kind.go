@@ -10,11 +10,13 @@ import (
 
 // KindSyntax is the grammar of a kind spec, one NextGen variant named by
 // the paper's design coordinates (offload §3.1, layout §3.1.2, prealloc
-// §3.3.2, async free), each key setting only its own Config fields. An
+// §3.3.2, async free) and the server's service discipline (ring-service
+// order, fleet partition), each key setting only its own Config fields. An
 // alias in kindTable stands for a base and keys; keys after it apply
 // after its own.
 const KindSyntax = "nextgen[-inline][:key=value,...] with keys layout=segregated|aggregated|compact, " +
-	"prealloc=off|static|adaptive, free=async|sync, slots=N (a power of two in [4, 4096])"
+	"prealloc=off|static|adaptive, free=async|sync, slots=N (a power of two in [4, 4096]), " +
+	"sched=fixed-scan|round-robin|doorbell-priority|batch-drain, partition=client|class"
 
 // kindTable lists the NextGen kind names in golden-file order: the two
 // bases and the aliases, each an Offload and the keys it stands for. A
@@ -35,7 +37,7 @@ var kindTable = []struct {
 }
 
 // kindKeys are the spec's keys in the order keyValues reads them back.
-var kindKeys = [...]string{"layout", "prealloc", "free", "slots"}
+var kindKeys = [...]string{"layout", "prealloc", "free", "slots", "sched", "partition"}
 
 // setKey sets exactly the Config fields key k owns from value v.
 func setKey(c *Config, k, v string) (err error) {
@@ -65,15 +67,21 @@ func setKey(c *Config, k, v string) (err error) {
 			return fmt.Errorf("slots=%s: want a power of two in [4, 4096]", v)
 		}
 		c.RingSlots = n
+	case "sched":
+		c.Sched, err = ParseSched(v)
+		return err
+	case "partition":
+		c.Partition, err = ParsePartition(v)
+		return err
 	default:
-		return fmt.Errorf("unknown key %q (want layout, prealloc, free, or slots)", k)
+		return fmt.Errorf("unknown key %q (want layout, prealloc, free, slots, sched, or partition)", k)
 	}
 	return nil
 }
 
 // keyValues reads c back as the values of kindKeys (any static depth
 // reads as static).
-func keyValues(c Config) [4]string {
+func keyValues(c Config) [len(kindKeys)]string {
 	prealloc, free := "off", "sync"
 	if c.AdaptivePrealloc {
 		prealloc = "adaptive"
@@ -83,7 +91,7 @@ func keyValues(c Config) [4]string {
 	if c.AsyncFree {
 		free = "async"
 	}
-	return [4]string{c.Layout.String(), prealloc, free, strconv.Itoa(c.RingSlots)}
+	return [...]string{c.Layout.String(), prealloc, free, strconv.Itoa(c.RingSlots), c.Sched.String(), c.Partition.String()}
 }
 
 // ParseKind resolves a kind spec (KindSyntax, or an alias and keys) to
@@ -125,7 +133,7 @@ func applyKeys(cfg *Config, spec, keys string) error {
 // Prealloc depth, say), the first row whose keys read the same; then
 // the first row and its differing keys.
 func kindOf(cfg Config) string {
-	cfg.Sched, cfg.Latency, cfg.Resilience, cfg.Faults = 0, nil, Resilience{}, nil // no spec sets them
+	cfg.Latency, cfg.Resilience, cfg.Faults = nil, Resilience{}, nil // no spec sets them
 	want, best, rank := keyValues(cfg), "", 4
 	for _, k := range kindTable {
 		c, _ := ParseKind(k.name)

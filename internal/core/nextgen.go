@@ -67,6 +67,9 @@ type Config struct {
 	// Sched selects the server's ring-service order (see SchedPolicy).
 	// The zero value (FixedScan) is the seed behaviour.
 	Sched SchedPolicy
+	// Partition selects how a Fleet of these allocators routes requests
+	// to its shards (see Partition); a single allocator ignores it.
+	Partition Partition
 	// Latency, when non-nil, receives one span per offload request:
 	// enqueue (ring stage, producer clock), dequeue, and completion
 	// (server clock). Host-side observation only — arming it enables

@@ -391,6 +391,8 @@ func TestVariantNames(t *testing.T) {
 		"nextgen:layout=compact,prealloc=static",
 		"nextgen-inline:free=sync,slots=256",
 		"nextgen-prealloc:prealloc=adaptive", // the static depth under the adaptive policy
+		"nextgen:sched=round-robin,partition=class",
+		"nextgen-inline:sched=batch-drain",
 	}
 	for _, k := range kindTable {
 		specs = append(specs, k.name)
@@ -420,6 +422,8 @@ func FuzzParseKind(f *testing.F) {
 		"nextgen:layout=compact,prealloc=static", "nextgen-inline:free=sync,slots=4096",
 		"nextgen-prealloc:prealloc=adaptive,layout=aggregated", "nextgen-sync:free=async",
 		"nextgen:slots=3", "nextgen:prealloc=static,prealloc=off", "mimalloc:layout=compact", "nextgen:",
+		"nextgen:sched=round-robin,partition=class", "nextgen-inline:sched=batch-drain",
+		"nextgen-adaptive:partition=class,sched=fixed-scan", "nextgen:sched=fifo", "nextgen:partition=thread",
 	} {
 		f.Add(s)
 	}

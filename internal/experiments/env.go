@@ -19,14 +19,16 @@ type Env struct {
 	Scale Scale
 	// Base is what every run launched through the standard experiment
 	// sets starts from: Machine, FaultPlans, Resilience, SLO,
-	// SampleInterval, Servers, Sched and Partition (see Apply). The sweeps
-	// that call harness.Run directly read only the knobs their cells do
-	// not own. Base.Machine has Quantum 0 unless -quantum was given, so an
+	// SampleInterval and Servers (see Apply). The sweeps that call
+	// harness.Run directly read only the knobs their cells do not own.
+	// Base.Machine has Quantum 0 unless -quantum was given, so an
 	// experiment with its own lease length keeps it (see fleetMachine).
 	Base harness.Options
-	// Keys are the NextGen kind-spec keys -prealloc and -layout give, in
-	// that order. Only runSet folds them in (harness.WithKeys);
-	// AblateTransport and AblateLayout own their variants.
+	// Keys are the NextGen kind-spec keys -prealloc, -layout, -sched and
+	// -partition give, in that order. runSet folds them all in
+	// (harness.WithKeys); AblateTransport and AblateLayout own their
+	// prealloc and layout variants, and Apply folds the sched and
+	// partition keys onto every offload run.
 	Keys string
 	// Tenants overrides the SLOSweep's tenant-count axis (0 = default).
 	Tenants int
@@ -50,9 +52,10 @@ func (e Env) machine() *sim.Config {
 func (e Env) quantumSet() bool { return e.Base.Machine != nil && e.Base.Machine.Quantum != 0 }
 
 // Apply folds the Env into one run's options. A knob opt sets itself
-// wins, except the sampling interval, which is always the Env's; the
-// -servers/-sched/-partition topology reaches offload kinds only (inline
-// allocators have no server to shard or schedule).
+// wins, its spec's own sched or partition key included, except the
+// sampling interval, which is always the Env's; the -servers, -sched and
+// -partition topology reaches offload kinds only (inline allocators have
+// no server to shard or schedule).
 func (e Env) Apply(opt harness.Options) harness.Options {
 	opt.SampleInterval = e.Base.SampleInterval
 	if opt.Machine == nil {
@@ -70,16 +73,27 @@ func (e Env) Apply(opt harness.Options) harness.Options {
 	if harness.OffloadKind(opt.Allocator) {
 		if opt.Servers == 0 && e.Base.Servers > 1 {
 			opt.Servers = e.Base.Servers
-			opt.Partition = e.Base.Partition
 		}
-		if opt.Sched == core.FixedScan {
-			opt.Sched = e.Base.Sched
+		_, own, _ := strings.Cut(opt.Allocator, ":")
+		var keys []string
+		for _, kv := range strings.Split(e.Keys, ",") {
+			k, _, _ := strings.Cut(kv, "=")
+			if (k == "sched" || k == "partition") && !strings.Contains(","+own, ","+k+"=") {
+				keys = append(keys, kv)
+			}
 		}
+		opt.Allocator = harness.WithKeys(opt.Allocator, strings.Join(keys, ","))
 	}
 	return opt
 }
 
-func (e Env) run(opt harness.Options) harness.Result { return harness.Run(e.Apply(opt)) }
+// run runs opt under the Env, its result labelled with opt's own
+// allocator spec.
+func (e Env) run(opt harness.Options) harness.Result {
+	r := harness.Run(e.Apply(opt))
+	r.Allocator = opt.Allocator
+	return r
+}
 
 // runSet runs w under each kind with the Env's NextGen keys, reporting
 // each result under its kind's own name.
@@ -106,8 +120,8 @@ func RunFlags(fs *flag.FlagSet) func() (Env, string, error) {
 	resSpec := fs.String("resilience", "", "offload degradation policy: off, on/default, or a comma list of timeout/retries/backoff/fallback/probe/max-request key=value pairs (empty = kind default)")
 	failoverSpec := fs.String("failover", "", "fleet malloc failover: off, on/default, or the consecutive-timeout threshold before a client re-homes (empty = off; needs -servers >= 2)")
 	servers := fs.Int("servers", 1, "offload server shard count (offload kinds only; clients are partitioned across shards)")
-	schedSpec := fs.String("sched", "", "offload ring service order: fixed-scan, round-robin, doorbell-priority, or batch-drain (empty = fixed-scan)")
-	partSpec := fs.String("partition", "", "fleet shard partition: client or class (empty = client)")
+	schedSpec := fs.String("sched", "", "offload ring service order, the kind-spec key sched: fixed-scan, round-robin, doorbell-priority, or batch-drain (empty = fixed-scan)")
+	partSpec := fs.String("partition", "", "fleet shard partition, the kind-spec key partition: client or class (empty = client)")
 	sloSpec := fs.String("slo", "", "per-tenant SLO tracking: off, on/default, or a comma list of window/interactive/bulk/spans/target-ppm key=value pairs (empty = off; only the service workload reports tenants)")
 	timeline := fs.Uint64("timeline", 0, "sample a cycle-interval timeline every N cycles (0 = off; implied by -chrome-trace)")
 	tracePath := fs.String("chrome-trace", "", "write a Chrome trace-event JSON file (chrome://tracing / Perfetto) to this path")
@@ -132,7 +146,7 @@ func RunFlags(fs *flag.FlagSet) func() (Env, string, error) {
 		}
 
 		var keys []string
-		for _, kv := range [][2]string{{"prealloc", *prealloc}, {"layout", *layout}} {
+		for _, kv := range [][2]string{{"prealloc", *prealloc}, {"layout", *layout}, {"sched", *schedSpec}, {"partition", *partSpec}} {
 			if kv[1] == "" {
 				continue
 			}
@@ -160,12 +174,6 @@ func RunFlags(fs *flag.FlagSet) func() (Env, string, error) {
 		}
 		e.Base.Resilience = withFailover(res, after)
 
-		if e.Base.Sched, err = core.ParseSched(*schedSpec); err != nil {
-			return Env{}, "", err
-		}
-		if e.Base.Partition, err = core.ParsePartition(*partSpec); err != nil {
-			return Env{}, "", err
-		}
 		if *servers < 0 {
 			return Env{}, "", fmt.Errorf("negative server count %d", *servers)
 		}

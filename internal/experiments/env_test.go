@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"nextgenmalloc/internal/harness"
 )
 
 // parseRunFlags runs args through a fresh flag set carrying only the
@@ -80,6 +82,9 @@ func TestRunFlagsValues(t *testing.T) {
 	if e, _, _ = parseRunFlags("-failover", "on"); e.Base.Resilience == nil || e.Base.Resilience.FailoverAfter != 1 {
 		t.Errorf("-failover on did not arm the default policy: %+v", e.Base.Resilience)
 	}
+	if e, _, _ = parseRunFlags("-partition", "class", "-layout", "compact", "-sched", "batch-drain"); e.Keys != "layout=compact,sched=batch-drain,partition=class" {
+		t.Errorf("-layout/-sched/-partition spelled kind-spec keys %q", e.Keys)
+	}
 }
 
 // TestRunFlagsFleetQuantum: the fleet sweep's long leases give way only
@@ -109,6 +114,24 @@ func TestRunFlagsFleetQuantum(t *testing.T) {
 		}
 		if fm.Cores != cell.workers+cell.servers {
 			t.Errorf("%v: fleet cell has %d cores, want %d", tc.args, fm.Cores, cell.workers+cell.servers)
+		}
+	}
+}
+
+// TestApplyFoldsServerKeys: Apply folds the -sched and -partition keys
+// onto every offload kind whose spec does not set them itself, and
+// leaves inline kinds and the -prealloc/-layout keys alone.
+func TestApplyFoldsServerKeys(t *testing.T) {
+	e := Env{Base: harness.Options{Servers: 2}, Keys: "prealloc=static,sched=round-robin,partition=class"}
+	for spec, want := range map[string]string{
+		"nextgen":                           "nextgen:sched=round-robin,partition=class",
+		"nextgen-compact:sched=batch-drain": "nextgen-compact:sched=batch-drain,partition=class",
+		"nextgen:partition=client":          "nextgen:partition=client,sched=round-robin",
+		"nextgen-inline":                    "nextgen-inline",
+		"mimalloc":                          "mimalloc",
+	} {
+		if got := e.Apply(harness.Options{Allocator: spec}).Allocator; got != want {
+			t.Errorf("Apply(%q) ran %q, want %q", spec, got, want)
 		}
 	}
 }

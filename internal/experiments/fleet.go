@@ -158,12 +158,10 @@ func FleetSweep(e Env) Outcome {
 	all := runAll(len(cells), func(i int) harness.Result {
 		c := cells[i]
 		r := harness.Run(harness.Options{
-			Allocator:      "nextgen",
+			Allocator:      fmt.Sprintf("nextgen:sched=%s,partition=%s", c.sched, c.part),
 			Workload:       fleetWorkload(e.Scale, c.workers),
 			Machine:        e.fleetMachine(c),
 			Servers:        c.servers,
-			Sched:          c.sched,
-			Partition:      c.part,
 			SampleInterval: interval,
 			SpanCapacity:   1 << 20,
 		})

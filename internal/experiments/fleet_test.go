@@ -86,11 +86,14 @@ func TestQuickFleetSweep(t *testing.T) {
 // experiment runner the same way -timeline and -fault do, and a run that
 // owns its topology wins over it.
 func TestSetFleetArmsRuns(t *testing.T) {
-	e := Env{Base: harness.Options{Servers: 2, Sched: core.RoundRobin}}
+	e := Env{Base: harness.Options{Servers: 2}, Keys: "sched=round-robin"}
 
 	r := e.run(harness.Options{Allocator: "nextgen", Workload: workload.DefaultXalanc(2000)})
 	if len(r.Servers) != 2 {
 		t.Fatalf("the Env's topology did not reach the run: %d server blocks, want 2", len(r.Servers))
+	}
+	if r.Allocator != "nextgen" {
+		t.Errorf("the run is labelled %q, not the caller's %q", r.Allocator, "nextgen")
 	}
 	if err := r.CheckLiveness(); err != nil {
 		t.Error(err)

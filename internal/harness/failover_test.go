@@ -120,10 +120,9 @@ func TestFleetMidBatchShardDeathLiveness(t *testing.T) {
 				// Churn frees a slot on every round (xalanc's phases can spend
 				// a whole degraded window in an allocation burst).
 				res := Run(Options{
-					Allocator:  "nextgen",
+					Allocator:  "nextgen:sched=" + sched.String(),
 					Workload:   &workload.Churn{NThreads: 2, Slots: 1000, Rounds: 10000, MinSize: 16, MaxSize: 256, TouchBytes: 32, Seed: 7},
 					Servers:    2,
-					Sched:      sched,
 					FaultPlans: []fault.Plan{{Seed: 3, StallStart: c.stallStart, StallCycles: 400000, Shard: 1}},
 					Resilience: patientFailover(),
 				})

@@ -45,11 +45,10 @@ func TestFleetConformance(t *testing.T) {
 			cfg.Cores = 4 + servers
 			w := &workload.Xmalloc{NThreads: 4, OpsPerThread: 2000, TouchBytes: 128, Seed: 3}
 			res := Run(Options{
-				Allocator: "nextgen",
+				Allocator: "nextgen:sched=round-robin",
 				Workload:  w,
 				Machine:   &cfg,
 				Servers:   servers,
-				Sched:     core.RoundRobin,
 			})
 			if err := res.CheckLiveness(); err != nil {
 				t.Fatal(err)
@@ -94,12 +93,10 @@ func TestFleetByClassPartition(t *testing.T) {
 	cfg.Cores = 4
 	w := &workload.Churn{NThreads: 2, Slots: 2000, Rounds: 6000, MinSize: 16, MaxSize: 256, TouchBytes: 32, Seed: 7}
 	res := Run(Options{
-		Allocator: "nextgen",
+		Allocator: "nextgen:sched=round-robin,partition=class",
 		Workload:  w,
 		Machine:   &cfg,
 		Servers:   2,
-		Sched:     core.RoundRobin,
-		Partition: core.ByClass,
 	})
 	if err := res.CheckLiveness(); err != nil {
 		t.Fatal(err)
@@ -121,10 +118,9 @@ func TestRoundRobinServiceShare(t *testing.T) {
 	cfg := sim.ScaledConfig()
 	cfg.Cores = 5
 	res := Run(Options{
-		Allocator: "nextgen",
+		Allocator: "nextgen:sched=round-robin",
 		Workload:  fleetXalanc(4, 3000),
 		Machine:   &cfg,
-		Sched:     core.RoundRobin,
 	})
 	if err := res.CheckLiveness(); err != nil {
 		t.Fatal(err)
@@ -159,9 +155,8 @@ func TestStarvationGapUnderStall(t *testing.T) {
 	const stall = 60000
 	opts := func() Options {
 		return Options{
-			Allocator:  "nextgen",
+			Allocator:  "nextgen:sched=round-robin",
 			Workload:   fleetXalanc(2, 2500),
-			Sched:      core.RoundRobin,
 			Resilience: &core.Resilience{},
 		}
 	}
@@ -202,10 +197,9 @@ func TestCrossClientWaitBound(t *testing.T) {
 		cfg := sim.ScaledConfig()
 		cfg.Cores = 9
 		res := Run(Options{
-			Allocator:      "nextgen",
+			Allocator:      "nextgen:sched=" + sched.String(),
 			Workload:       fleetXalanc(8, 1500),
 			Machine:        &cfg,
-			Sched:          sched,
 			SampleInterval: 1 << 16,
 		})
 		if err := res.CheckLiveness(); err != nil {
@@ -293,8 +287,8 @@ func TestFleetDefaultTopologyUnchanged(t *testing.T) {
 	}
 	implicit := Run(opts())
 	explicit := opts()
+	explicit.Allocator = "nextgen:sched=fixed-scan,partition=client"
 	explicit.Servers = 1
-	explicit.Sched = core.FixedScan
 	res := Run(explicit)
 	if implicit.Total != res.Total || implicit.Server != res.Server ||
 		implicit.WallCycles != res.WallCycles || implicit.Served != res.Served {

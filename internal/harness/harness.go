@@ -89,15 +89,18 @@ func parseKind(spec string) (row kindRow, cfg core.Config, err error) {
 // paper's column order.
 var ClassicKinds = []string{"ptmalloc2", "jemalloc", "tcmalloc", "mimalloc"}
 
-// CheckKind reports why spec is not an allocator Run can instantiate
-// (CLI flag validation shares the harness's own check).
-func CheckKind(spec string) error {
-	_, _, err := parseKind(spec)
-	return err
+// KindConfig resolves spec to its NextGen config (zero for a classic
+// kind, so Offload tells whether it runs the server), or reports why it
+// is not an allocator Run can instantiate (CLI flag validation shares
+// the harness's own resolution).
+func KindConfig(spec string) (core.Config, error) {
+	_, cfg, err := parseKind(spec)
+	return cfg, err
 }
 
-// WithKeys adds kind-spec keys (the -prealloc and -layout flags) to a
-// NextGen kind, after its own; any other kind comes back as is.
+// WithKeys adds kind-spec keys (the -prealloc, -layout, -sched and
+// -partition flags) to a NextGen kind, after its own; any other kind
+// comes back as is.
 func WithKeys(kind, keys string) string {
 	row, _, err := parseKind(kind)
 	switch {
@@ -112,7 +115,9 @@ func WithKeys(kind, keys string) string {
 // Options configures one experiment.
 type Options struct {
 	// Allocator is one of Kinds, or a NextGen kind followed by spec
-	// keys (KindHelp, core.ParseKind).
+	// keys (KindHelp, core.ParseKind). It is the run's whole allocator
+	// policy, the server's ring-service order (sched=) and the fleet's
+	// partition (partition=) included.
 	Allocator string
 	// Workload drives the run.
 	Workload workload.Workload
@@ -129,19 +134,12 @@ type Options struct {
 	PinServerCore bool
 	// Servers shards the offload allocator across this many server
 	// daemons (core.Fleet), each on its own core, partitioning clients
-	// per Partition. 0 or 1 is the seed single-server topology. Only
-	// offload kinds can shard.
+	// per the kind spec's partition key. 0 or 1 is the seed
+	// single-server topology. Only offload kinds can shard.
 	Servers int
-	// Partition selects how a multi-server fleet routes requests
-	// (by client thread — the default — or by size class). Ignored when
-	// Servers <= 1.
-	Partition core.Partition
-	// Sched selects the server's ring-service order (core.SchedPolicy).
-	// The zero value (fixed-scan) is the seed behaviour. Ignored for
-	// non-NextGen allocators.
-	Sched core.SchedPolicy
 	// Wrap, when non-nil, decorates the allocator before use (e.g. a
-	// trace recorder).
+	// trace recorder). The run's telemetry is read from the allocator
+	// the harness built, so a decorator hides none of it.
 	Wrap func(alloc.Allocator) alloc.Allocator
 	// Prepare, when non-nil, runs on worker 0 after workload setup and
 	// before the measurement barrier (e.g. core.Allocator.Preheat).
@@ -222,7 +220,8 @@ type Result struct {
 	Servers []ServerTelemetry
 	// ClientShards maps each application thread to its home shard (the
 	// fleet's first-touch assignment, where its allocations were
-	// served); nil unless the run was sharded (Servers > 1).
+	// served; shard 0 for every client of a single server); nil unless
+	// the run had a server daemon.
 	ClientShards map[int]int
 	// Timeline is the sampled counter series; nil unless
 	// Options.SampleInterval armed the sampler.
@@ -463,7 +462,6 @@ func RunE(opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	cfg.Sched = opt.Sched
 	w := opt.Workload
 	n := w.Threads()
 	if n <= 0 {
@@ -591,7 +589,11 @@ func RunE(opt Options) (Result, error) {
 	if len(srvs) > 0 {
 		res.ServerCore = serverCore
 	}
+	// a is what the workload sees; shards and fleet are what
+	// makeAllocator built, the only source of the run's telemetry.
 	var a alloc.Allocator
+	var shards []*core.Allocator
+	var fleet *core.Fleet
 	serverStarts := make([]sim.Counters, len(srvs))
 	serverStartCs := make([]sim.ClassBreakdown, len(srvs))
 	perThreadC := make([]sim.ClassBreakdown, n)
@@ -604,11 +606,13 @@ func RunE(opt Options) (Result, error) {
 		sampler.Attach(m)
 		latRec = timeline.NewLatencyRecorder(opt.SpanCapacity)
 		sampler.ProbeRings(func() timeline.RingState {
-			if ng, ok := a.(interface{ RingDepths() (uint64, uint64) }); ok {
+			var st timeline.RingState
+			for _, ng := range shards {
 				md, fd := ng.RingDepths()
-				return timeline.RingState{MallocDepth: md, FreeDepth: fd}
+				st.MallocDepth += md
+				st.FreeDepth += fd
 			}
-			return timeline.RingState{}
+			return st
 		})
 		if len(srvs) > 0 {
 			sampler.ProbeServer(func() timeline.ServerState {
@@ -643,7 +647,7 @@ func RunE(opt Options) (Result, error) {
 		part := i
 		m.Spawn(fmt.Sprintf("%s-worker-%d", w.Name(), part), workerCore(part), func(t *sim.Thread) {
 			if part == 0 {
-				a = makeAllocator(t, opt, row, cfg, servers, srvs, latRec, injs)
+				a, shards, fleet = makeAllocator(t, opt, row, cfg, servers, srvs, latRec, injs)
 				if opt.Wrap != nil {
 					a = opt.Wrap(a)
 				}
@@ -709,13 +713,13 @@ func RunE(opt Options) (Result, error) {
 	}
 	res.AllocStats = a.Stats()
 	res.Kernel = m.Kernel().Stats()
-	if f, ok := a.(*core.Fleet); ok {
-		res.ClientShards = f.ClientShards()
-		if cl, ev, tot, armed := f.FailoverTelemetry(); armed {
+	if fleet != nil {
+		res.ClientShards = fleet.ClientShards()
+		if cl, ev, tot, armed := fleet.FailoverTelemetry(); armed {
 			res.Failover = &FailoverTelemetry{Clients: cl, Events: ev, Totals: tot}
 		}
 	}
-	if shards := offloadShards(a); len(shards) > 0 {
+	if len(shards) > 0 {
 		for _, ng := range shards {
 			res.Served += ng.Served()
 		}
@@ -746,6 +750,12 @@ func RunE(opt Options) (Result, error) {
 				tel.ServerEmptyPollCycles += st.EmptyPollCycles
 			}
 			res.Offload = tel
+			if fleet == nil {
+				res.ClientShards = map[int]int{}
+				for _, c := range res.Servers[0].Clients {
+					res.ClientShards[c.ThreadID] = 0
+				}
+			}
 		}
 		if resilient || faultsArmed {
 			rt := &ResilienceTelemetry{}
@@ -771,52 +781,34 @@ func RunE(opt Options) (Result, error) {
 }
 
 // TenantShardRollup joins the SLO tracker's per-thread tenant ledger
-// with each server shard's client list (the per-client service ledger),
-// returning per-shard tenant->completed-request maps. Empty when the
-// run had no tracker or no server telemetry.
+// with each thread's home shard (ClientShards), returning per-shard
+// tenant->completed-request maps. Empty when the run had no tracker or
+// no server telemetry.
 func (r Result) TenantShardRollup() []map[int]uint64 {
 	if r.SLO == nil || len(r.Servers) == 0 {
 		return nil
 	}
+	// Each thread's home shard served its allocations, so the rollup
+	// partitions the completed requests.
 	shards := make([][]int, len(r.Servers))
-	if r.ClientShards != nil {
-		// Sharded fleet: each thread's home shard served its
-		// allocations, so the rollup partitions the completed requests.
-		for th, i := range r.ClientShards {
-			if i >= 0 && i < len(shards) {
-				shards[i] = append(shards[i], th)
-			}
+	for th, i := range r.ClientShards {
+		if i >= 0 && i < len(shards) {
+			shards[i] = append(shards[i], th)
 		}
-		return r.SLO.Rollup(shards)
-	}
-	// Single server: every client belongs to shard 0.
-	for _, c := range r.Servers[0].Clients {
-		shards[0] = append(shards[0], c.ThreadID)
 	}
 	return r.SLO.Rollup(shards)
-}
-
-// offloadShards exposes the NextGen allocator(s) behind a (possibly
-// sharded) run for telemetry extraction: the fleet's shards, a single
-// allocator as a one-shard fleet, nil for non-NextGen or wrapped
-// allocators. Shard i is attached to server daemon i.
-func offloadShards(a alloc.Allocator) []*core.Allocator {
-	switch ng := a.(type) {
-	case *core.Fleet:
-		return ng.Shards()
-	case *core.Allocator:
-		return []*core.Allocator{ng}
-	}
-	return nil
 }
 
 // makeAllocator instantiates the resolved kind (row, cfg; see
 // parseKind) on thread t, attaching offload shards to the
 // already-spawned server daemons. injs holds one fault injector per
-// daemon (nil entries = clean shard), or nil when no plan is armed.
-func makeAllocator(t *sim.Thread, opt Options, row kindRow, cfg core.Config, servers int, srvs []*core.Server, latRec *timeline.LatencyRecorder, injs []*fault.Injector) alloc.Allocator {
+// daemon (nil entries = clean shard), or nil when no plan is armed. It
+// hands back what it built: the allocator, every NextGen allocator in
+// it (shard i attached to daemon i; none for a classic kind) and the
+// Fleet when it sharded.
+func makeAllocator(t *sim.Thread, opt Options, row kindRow, cfg core.Config, servers int, srvs []*core.Server, latRec *timeline.LatencyRecorder, injs []*fault.Injector) (alloc.Allocator, []*core.Allocator, *core.Fleet) {
 	if row.classic != nil {
-		return row.classic(t)
+		return row.classic(t), nil, nil
 	}
 	cfg.Latency = latRec
 	if opt.Resilience != nil {
@@ -827,11 +819,11 @@ func makeAllocator(t *sim.Thread, opt Options, row kindRow, cfg core.Config, ser
 	if servers > 1 {
 		// Each shard is built with its own injector; the shared cfg
 		// stays clean so untargeted shards run the seed server loop.
-		f := core.NewFleet(t, cfg, servers, opt.Partition, injs)
+		f := core.NewFleet(t, cfg, servers, injs)
 		for i, sh := range f.Shards() {
 			srvs[i].Attach(sh)
 		}
-		return f
+		return f, f.Shards(), f
 	}
 	if len(injs) > 0 {
 		cfg.Faults = injs[0]
@@ -840,5 +832,5 @@ func makeAllocator(t *sim.Thread, opt Options, row kindRow, cfg core.Config, ser
 	if len(srvs) > 0 {
 		srvs[0].Attach(a)
 	}
-	return a
+	return a, []*core.Allocator{a}, nil
 }

@@ -68,14 +68,12 @@ func warpCases() map[string]Options {
 			SampleInterval: 5000,
 		},
 		"sched-doorbell-2": {
-			Allocator: "nextgen",
+			Allocator: "nextgen:sched=doorbell-priority",
 			Workload:  &workload.Xmalloc{NThreads: 2, OpsPerThread: 600, TouchBytes: 64, Seed: 3},
-			Sched:     core.DoorbellPriority,
 		},
 		"sched-round-robin-2": {
-			Allocator: "nextgen",
+			Allocator: "nextgen:sched=round-robin",
 			Workload:  &workload.Xmalloc{NThreads: 2, OpsPerThread: 600, TouchBytes: 64, Seed: 3},
-			Sched:     core.RoundRobin,
 		},
 		"service-failover": {
 			Allocator: "nextgen",
