@@ -42,6 +42,10 @@ func TestRejectsBadFlags(t *testing.T) {
 		"bare chrome-trace": {[]string{"-chrome-trace"}, "flag needs an argument"},
 		"bad warp":          {[]string{"-warp=maybe"}, "invalid boolean value"},
 		"zero quantum":      {[]string{"-quantum", "0"}, "-quantum must be > 0"},
+		// The fleet-only flags need a fleet: model runs no simulation,
+		// so without the check these would exit 0 having done nothing.
+		"failover one server":  {[]string{"-scale", "quick", "-failover", "on", "model"}, "needs -servers >= 2"},
+		"partition one server": {[]string{"-scale", "quick", "-partition", "class", "model"}, "needs -servers >= 2"},
 	} {
 		rc, _, stderr := runCLI(tc.args...)
 		if rc != 2 {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"nextgenmalloc/internal/core"
 	"nextgenmalloc/internal/experiments"
@@ -53,6 +52,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
 		return 2
 	}
+	// Ahead of the run flags' own checks (-partition class needs
+	// -servers >= 2): a kind with no server takes no server flag at all.
+	for _, name := range []string{"servers", "sched", "partition"} {
+		if f := fs.Lookup(name); f.Value.String() != f.DefValue && !harness.OffloadKind(*kind) {
+			fmt.Fprintf(stderr, "ngm-run: -servers/-sched/-partition target the offload path; %q runs no offload server\n", *kind)
+			return 2
+		}
+	}
 	env, tracePath, err := runFlags()
 	if err != nil {
 		fmt.Fprintf(stderr, "ngm-run: %v\n", err)
@@ -61,11 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	base := env.Base
 	if *tenants < 1 {
 		fmt.Fprintf(stderr, "ngm-run: -tenants must be >= 1 (got %d)\n", *tenants)
-		return 2
-	}
-	serverKeys := strings.Contains(env.Keys, "sched=") || strings.Contains(env.Keys, "partition=")
-	if (base.Servers != 1 || serverKeys) && !harness.OffloadKind(*kind) {
-		fmt.Fprintf(stderr, "ngm-run: -servers/-sched/-partition target the offload path; %q runs no offload server\n", *kind)
 		return 2
 	}
 	spec := harness.WithKeys(*kind, env.Keys)
@@ -83,10 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ngm-run: -fault targets the offload path; %q runs no offload server\n", *kind)
 		return 2
 	}
-	if base.Resilience != nil && base.Resilience.FailoverAfter > 0 && base.Servers < 2 {
-		fmt.Fprintf(stderr, "ngm-run: -failover re-homes across fleet shards; it needs -servers >= 2 (got %d)\n", base.Servers)
-		return 2
-	}
+	// RunFlags checked -partition class; this is partition=class inside -alloc.
 	if cfg.Partition == core.ByClass && base.Servers < 2 {
 		fmt.Fprintf(stderr, "ngm-run: partition=class splits clients across fleet shards; it needs -servers >= 2 (got %d)\n", base.Servers)
 		return 2

@@ -64,7 +64,7 @@ func main() {
 	run("offload, sync malloc", plain)
 
 	pre := core.DefaultConfig()
-	pre.Prealloc = 12
+	pre.Prealloc = core.PreallocStatic
 	run("offload + preallocation", pre)
 
 	syncFree := core.DefaultConfig()

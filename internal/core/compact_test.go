@@ -53,7 +53,7 @@ func TestConformanceCompactBatch(t *testing.T) {
 
 func TestConformanceCompactAdaptive(t *testing.T) {
 	cfg := compactCfg()
-	cfg.AdaptivePrealloc = true
+	cfg.Prealloc = PreallocAdaptive
 	var srv *Server
 	alloctest.Run(t, alloctest.Options{
 		Factory: factory(cfg, &srv),
@@ -279,8 +279,8 @@ func TestCompactVariantNames(t *testing.T) {
 		mut  func(*Config)
 		want string
 	}{
-		{func(c *Config) { c.Layout = Compact }, "nextgen-compact"},
-		{func(c *Config) { c.Offload = false; c.Layout = Compact }, "nextgen-inline-compact"},
+		{func(c *Config) { c.Layout = Compact }, "nextgen:layout=compact"},
+		{func(c *Config) { c.Offload = false; c.Layout = Compact }, "nextgen-inline:layout=compact"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

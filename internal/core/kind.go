@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -11,29 +12,39 @@ import (
 // KindSyntax is the grammar of a kind spec, one NextGen variant named by
 // the paper's design coordinates (offload §3.1, layout §3.1.2, prealloc
 // §3.3.2, async free) and the server's service discipline (ring-service
-// order, fleet partition), each key setting only its own Config fields. An
-// alias in kindTable stands for a base and keys; keys after it apply
-// after its own.
+// order, fleet partition): a base, nextgen (offloaded) or nextgen-inline,
+// then keys, each setting only its own Config fields. Named variants
+// (nextgen-prealloc, say) are the harness's rows, each a base and keys.
 const KindSyntax = "nextgen[-inline][:key=value,...] with keys layout=segregated|aggregated|compact, " +
 	"prealloc=off|static|adaptive, free=async|sync, slots=N (a power of two in [4, 4096]), " +
 	"sched=fixed-scan|round-robin|doorbell-priority|batch-drain, partition=client|class"
 
-// kindTable lists the NextGen kind names in golden-file order: the two
-// bases and the aliases, each an Offload and the keys it stands for. A
-// base precedes the aliases sharing its Offload, so kindOf keys a base.
-var kindTable = []struct {
-	name    string
-	offload bool
-	keys    string
-}{
-	{"nextgen", true, ""},
-	{"nextgen-prealloc", true, "prealloc=static"},
-	{"nextgen-sync", true, "free=sync"},
-	{"nextgen-inline", false, ""},
-	{"nextgen-inline-agg", false, "layout=aggregated"},
-	{"nextgen-adaptive", true, "prealloc=adaptive"},
-	{"nextgen-compact", true, "layout=compact"},
-	{"nextgen-inline-compact", false, "layout=compact"},
+// PreallocPolicy selects predictive preallocation (§3.3.2 / the MMT
+// discussion): whether the server hands each malloc response extra
+// blocks of the same class for the client to consume locally, and how
+// many (stashDepth).
+type PreallocPolicy int
+
+const (
+	// PreallocOff stocks no stash (the §4.2 prototype).
+	PreallocOff PreallocPolicy = iota
+	// PreallocStatic fills every requested class's stash to staticDepth.
+	PreallocStatic
+	// PreallocAdaptive sizes each class's stash from its rank in the
+	// client's recent-allocation list (noteHot), so hot classes get a
+	// deep stash and cold classes none.
+	PreallocAdaptive
+)
+
+// preallocNames are the policies' kind-spec spellings.
+var preallocNames = [...]string{PreallocOff: "off", PreallocStatic: "static", PreallocAdaptive: "adaptive"}
+
+// String reports the policy's kind-spec spelling.
+func (p PreallocPolicy) String() string {
+	if p >= 0 && int(p) < len(preallocNames) {
+		return preallocNames[p]
+	}
+	return fmt.Sprintf("prealloc(%d)", int(p))
 }
 
 // kindKeys are the spec's keys in the order keyValues reads them back.
@@ -46,16 +57,11 @@ func setKey(c *Config, k, v string) (err error) {
 		c.Layout, err = ParseLayout(v)
 		return err
 	case "prealloc":
-		switch v {
-		case "off":
-			c.Prealloc, c.AdaptivePrealloc = 0, false
-		case "static":
-			c.Prealloc, c.AdaptivePrealloc = 12, false
-		case "adaptive":
-			c.AdaptivePrealloc = true // a static depth stays, ignored
-		default:
+		p := slices.Index(preallocNames[:], v)
+		if p < 0 {
 			return fmt.Errorf("unknown prealloc policy %q (want off, static, or adaptive)", v)
 		}
+		c.Prealloc = PreallocPolicy(p)
 	case "free":
 		if v != "async" && v != "sync" {
 			return fmt.Errorf("unknown free policy %q (want async or sync)", v)
@@ -79,45 +85,38 @@ func setKey(c *Config, k, v string) (err error) {
 	return nil
 }
 
-// keyValues reads c back as the values of kindKeys (any static depth
-// reads as static).
+// keyValues reads c back as the values of kindKeys.
 func keyValues(c Config) [len(kindKeys)]string {
-	prealloc, free := "off", "sync"
-	if c.AdaptivePrealloc {
-		prealloc = "adaptive"
-	} else if c.Prealloc > 0 {
-		prealloc = "static"
-	}
+	free := "sync"
 	if c.AsyncFree {
 		free = "async"
 	}
-	return [...]string{c.Layout.String(), prealloc, free, strconv.Itoa(c.RingSlots), c.Sched.String(), c.Partition.String()}
+	return [...]string{c.Layout.String(), c.Prealloc.String(), free, strconv.Itoa(c.RingSlots), c.Sched.String(), c.Partition.String()}
 }
 
-// ParseKind resolves a kind spec (KindSyntax, or an alias and keys) to
-// its Config: DefaultConfig with the base's Offload, then the alias's
-// keys, then the spec's, in order.
+// ParseKind resolves a kind spec (KindSyntax) to its Config:
+// DefaultConfig with the base's Offload, then the spec's keys in order.
 func ParseKind(spec string) (Config, error) {
 	name, keys, keyed := strings.Cut(spec, ":")
-	for _, k := range kindTable {
-		if k.name == name {
-			cfg := DefaultConfig()
-			cfg.Offload = k.offload
-			if k.keys != "" {
-				applyKeys(&cfg, name, k.keys) // the table's own keys are valid
-			}
-			if keyed {
-				return cfg, applyKeys(&cfg, spec, keys)
-			}
-			return cfg, nil
-		}
+	cfg := DefaultConfig()
+	switch name {
+	case "nextgen":
+	case "nextgen-inline":
+		cfg.Offload = false
+	default:
+		return Config{}, fmt.Errorf("unknown allocator %q (want %s)", name, KindSyntax)
 	}
-	return Config{}, fmt.Errorf("unknown allocator %q (want %s, or an alias)", name, KindSyntax)
+	if keyed {
+		return cfg, ApplyKeys(&cfg, spec, keys)
+	}
+	return cfg, nil
 }
 
-// applyKeys sets each key=value pair of keys on cfg, in order, through
-// the one key=value walker (a repeated key is an error).
-func applyKeys(cfg *Config, spec, keys string) error {
+// ApplyKeys sets each key=value pair of keys on cfg, in order, through
+// the one key=value walker (a key repeated within keys is an error);
+// spec names the allocator in errors. The harness applies a caller's
+// keys with it after a named variant's own.
+func ApplyKeys(cfg *Config, spec, keys string) error {
 	prefix := fmt.Sprintf("allocator %q", spec)
 	return fault.WalkKV(prefix, keys, func(k, v string) error {
 		if v == "" {
@@ -127,29 +126,19 @@ func applyKeys(cfg *Config, spec, keys string) error {
 	})
 }
 
-// kindOf spells cfg through kindTable, preferring in turn: the row
-// whose config it is; the first row that the keys whose values differ
-// from its own turn into cfg; for a config no spec makes (a hand-set
-// Prealloc depth, say), the first row whose keys read the same; then
-// the first row and its differing keys.
-func kindOf(cfg Config) string {
-	cfg.Latency, cfg.Resilience, cfg.Faults = nil, Resilience{}, nil // no spec sets them
-	want, best, rank := keyValues(cfg), "", 4
-	for _, k := range kindTable {
-		c, _ := ParseKind(k.name)
-		spec, sep, r := k.name, ":", 0
-		for i, v := range keyValues(c) {
-			if v != want[i] {
-				spec, sep, r = spec+sep+kindKeys[i]+"="+want[i], ",", 1
-				setKey(&c, kindKeys[i], want[i])
-			}
-		}
-		if c != cfg {
-			r += 2
-		}
-		if c.Offload == cfg.Offload && r < rank {
-			best, rank = spec, r
+// Name spells c as its canonical kind spec: the base, then each key
+// whose value differs from the base's.
+func (c Config) Name() string {
+	spec := "nextgen-inline"
+	if c.Offload {
+		spec = "nextgen"
+	}
+	base, _ := ParseKind(spec)
+	have, sep := keyValues(base), ":"
+	for i, v := range keyValues(c) {
+		if v != have[i] {
+			spec, sep = spec+sep+kindKeys[i]+"="+v, ","
 		}
 	}
-	return best
+	return spec
 }

@@ -101,11 +101,6 @@ func (l Layout) encoding() encoding {
 // 1 KiB index stack, so many more of them share a metadata page.
 func (l Layout) RecordBytes() int { return l.encoding().recordBytes() }
 
-// SlabStateBytes is the out-of-band allocation-state footprint of one
-// slab of the given capacity, beyond the record fields every layout
-// shares.
-func (l Layout) SlabStateBytes(capacity int) int { return l.encoding().stateBytes(capacity) }
-
 // MetaFootprint reports the slab capacity and out-of-band
 // allocation-state bytes layout l uses for one size class — the inputs
 // to report.LayoutTable and the conformance suite's footprint

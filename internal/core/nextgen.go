@@ -46,10 +46,9 @@ type Config struct {
 	Offload bool
 	// Layout selects the metadata encoding (default Segregated).
 	Layout Layout
-	// Prealloc, when > 0, has the server hand each malloc response up to
-	// this many extra blocks of the same class for the client to consume
-	// locally (predictive preallocation, §3.3.2 / the MMT discussion).
-	Prealloc int
+	// Prealloc selects predictive preallocation (see PreallocPolicy;
+	// default off).
+	Prealloc PreallocPolicy
 	// AsyncFree releases the client as soon as a free request is queued
 	// (default true in offload mode; the paper argues free is off the
 	// critical path). Queued means staged: asynchronous frees leave the
@@ -59,11 +58,6 @@ type Config struct {
 	AsyncFree bool
 	// RingSlots is the per-client request ring capacity (power of two).
 	RingSlots int
-	// AdaptivePrealloc replaces the static Prealloc depth with a
-	// feedback-driven one: each class's stash is sized from its rank in
-	// the client's recent-allocation list (noteHot), so hot classes get a
-	// deep stash and cold classes none.
-	AdaptivePrealloc bool
 	// Sched selects the server's ring-service order (see SchedPolicy).
 	// The zero value (FixedScan) is the seed behaviour.
 	Sched SchedPolicy
@@ -129,6 +123,7 @@ const (
 	stashRead   = 64  // client-owned: blocks consumed so far
 	stashAddrs  = 128 // ring of stashWindow block addresses
 	stashWindow = 14
+	staticDepth = 12 // PreallocStatic's stash depth
 
 	mallocRingOff   = stashOff + stashSlots*stashStride
 	mallocRingSlots = 16
@@ -252,31 +247,28 @@ func New(t *sim.Thread, cfg Config) *Allocator {
 	return a
 }
 
-// Name implements alloc.Allocator: the kind spec of a's config, an
-// alias where one matches (kind.go).
-func (a *Allocator) Name() string { return kindOf(a.cfg) }
+// Name implements alloc.Allocator: the canonical kind spec of a's
+// config (kind.go).
+func (a *Allocator) Name() string { return a.cfg.Name() }
 
-// preallocOn reports whether any preallocation policy (static depth or
-// adaptive) is stocking the per-class stashes.
-func (a *Allocator) preallocOn() bool {
-	return a.cfg.Prealloc > 0 || a.cfg.AdaptivePrealloc
-}
+// preallocOn reports whether a preallocation policy is stocking the
+// per-class stashes.
+func (a *Allocator) preallocOn() bool { return a.cfg.Prealloc != PreallocOff }
+
+// The client publishes its read index every other pop, so the server's
+// view can lag by one; a stash keeps one window slot of slack, and this
+// fails to compile should staticDepth outgrow it.
+var _ [stashWindow - 1 - staticDepth]struct{}
 
 // stashDepth is the target stash depth for class on client c. The
-// static policy fills every requested class to Config.Prealloc; the
+// static policy fills every requested class to staticDepth; the
 // adaptive policy sizes the stash from the class's rank in the client's
 // recency list — 13, 13, 6, 6, 3, 3, 1, 1 blocks for ranks 0..7, zero
 // for classes that fell out — so the server's restocking work follows
 // the client's measured allocation heat (§3.3.2 feedback loop).
 func (a *Allocator) stashDepth(c *client, class int) uint64 {
-	if !a.cfg.AdaptivePrealloc {
-		d := uint64(a.cfg.Prealloc)
-		// The client publishes its read index every other pop, so the
-		// server's view can lag by one; keep one window slot of slack.
-		if d > stashWindow-1 {
-			d = stashWindow - 1
-		}
-		return d
+	if a.cfg.Prealloc == PreallocStatic {
+		return staticDepth
 	}
 	v := class + 1
 	for rank, h := range c.hot {

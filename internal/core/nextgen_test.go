@@ -34,7 +34,7 @@ func TestConformanceOffload(t *testing.T) {
 
 func TestConformancePrealloc(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Prealloc = 12
+	cfg.Prealloc = PreallocStatic
 	var srv *Server
 	alloctest.Run(t, alloctest.Options{
 		Factory: factory(cfg, &srv),
@@ -61,7 +61,7 @@ func TestConformanceBatch(t *testing.T) {
 
 func TestConformanceAdaptivePrealloc(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.AdaptivePrealloc = true
+	cfg.Prealloc = PreallocAdaptive
 	var srv *Server
 	alloctest.Run(t, alloctest.Options{
 		Factory: factory(cfg, &srv),
@@ -321,7 +321,7 @@ func TestAdaptiveStashServesHotClass(t *testing.T) {
 	var a *Allocator
 	m.Spawn("t", 0, func(th *sim.Thread) {
 		cfg := DefaultConfig()
-		cfg.AdaptivePrealloc = true
+		cfg.Prealloc = PreallocAdaptive
 		a = New(th, cfg)
 		srv.Attach(a)
 		var addrs []uint64
@@ -343,7 +343,7 @@ func TestAdaptiveStashServesHotClass(t *testing.T) {
 // TestAdaptiveStashDepthFollowsHeat: depth tracks the class's recency
 // rank and is zero for classes that fell out of the list.
 func TestAdaptiveStashDepthFollowsHeat(t *testing.T) {
-	a := &Allocator{cfg: Config{AdaptivePrealloc: true}}
+	a := &Allocator{cfg: Config{Prealloc: PreallocAdaptive}}
 	c := &client{}
 	if d := a.stashDepth(c, 3); d != 0 {
 		t.Errorf("cold class depth = %d, want 0", d)
@@ -366,15 +366,17 @@ func TestAdaptiveStashDepthFollowsHeat(t *testing.T) {
 	}
 }
 
-// TestVariantNames pins the Name strings the harness and reports key on.
+// TestVariantNames pins the canonical spellings Name gives a config:
+// the base, then each key whose value differs from the base's (the
+// named variants are the harness's rows).
 func TestVariantNames(t *testing.T) {
 	cases := []struct {
 		mut  func(*Config)
 		want string
 	}{
 		{func(c *Config) {}, "nextgen"},
-		{func(c *Config) { c.Prealloc = 12 }, "nextgen-prealloc"},
-		{func(c *Config) { c.AdaptivePrealloc = true }, "nextgen-adaptive"},
+		{func(c *Config) { c.Prealloc = PreallocStatic }, "nextgen:prealloc=static"},
+		{func(c *Config) { c.Prealloc = PreallocAdaptive }, "nextgen:prealloc=adaptive"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()
@@ -384,20 +386,18 @@ func TestVariantNames(t *testing.T) {
 		}
 	}
 
-	// Round trip through the kind table: every base and alias names
-	// itself, a keyed config spells its canonical spec, and either way
+	// Round trip: every base and canonical spec names itself, and
 	// ParseKind(Name()) is the config again.
-	specs := []string{
+	for _, spec := range []string{
+		"nextgen", "nextgen-inline",
 		"nextgen:layout=compact,prealloc=static",
 		"nextgen-inline:free=sync,slots=256",
-		"nextgen-prealloc:prealloc=adaptive", // the static depth under the adaptive policy
+		"nextgen:prealloc=adaptive",
 		"nextgen:sched=round-robin,partition=class",
 		"nextgen-inline:sched=batch-drain",
-	}
-	for _, k := range kindTable {
-		specs = append(specs, k.name)
-	}
-	for _, spec := range specs {
+		"nextgen-inline:layout=aggregated",
+		"nextgen:free=sync",
+	} {
 		cfg, err := ParseKind(spec)
 		if err != nil {
 			t.Fatalf("ParseKind(%q): %v", spec, err)
@@ -415,15 +415,15 @@ func TestVariantNames(t *testing.T) {
 // FuzzParseKind: any input is an error or a config with a defined
 // layout and a power-of-two ring that Name spells back into itself.
 func FuzzParseKind(f *testing.F) {
-	for _, k := range kindTable {
-		f.Add(k.name)
-	}
 	for _, s := range []string{
+		"nextgen", "nextgen:prealloc=static", "nextgen:free=sync", "nextgen-inline",
+		"nextgen-inline:layout=aggregated", "nextgen:prealloc=adaptive", "nextgen:layout=compact",
+		"nextgen-inline:layout=compact",
 		"nextgen:layout=compact,prealloc=static", "nextgen-inline:free=sync,slots=4096",
-		"nextgen-prealloc:prealloc=adaptive,layout=aggregated", "nextgen-sync:free=async",
+		"nextgen:prealloc=adaptive,layout=aggregated", "nextgen:free=sync,free=async",
 		"nextgen:slots=3", "nextgen:prealloc=static,prealloc=off", "mimalloc:layout=compact", "nextgen:",
 		"nextgen:sched=round-robin,partition=class", "nextgen-inline:sched=batch-drain",
-		"nextgen-adaptive:partition=class,sched=fixed-scan", "nextgen:sched=fifo", "nextgen:partition=thread",
+		"nextgen:prealloc=adaptive,partition=class,sched=fixed-scan", "nextgen:sched=fifo", "nextgen:partition=thread",
 	} {
 		f.Add(s)
 	}
@@ -451,7 +451,7 @@ func TestStashHitAvoidsRoundTrip(t *testing.T) {
 	var a *Allocator
 	m.Spawn("t", 0, func(th *sim.Thread) {
 		cfg := DefaultConfig()
-		cfg.Prealloc = 12
+		cfg.Prealloc = PreallocStatic
 		a = New(th, cfg)
 		srv.Attach(a)
 		var addrs []uint64

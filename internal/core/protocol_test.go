@@ -178,11 +178,11 @@ func TestNames(t *testing.T) {
 		agg := inline
 		agg.Layout = Aggregated
 		pre := DefaultConfig()
-		pre.Prealloc = 4
+		pre.Prealloc = PreallocStatic
 		names := []string{
 			mk(inline), mk(agg), mk(pre),
 		}
-		want := []string{"nextgen-inline", "nextgen-inline-agg", "nextgen-prealloc"}
+		want := []string{"nextgen-inline", "nextgen-inline:layout=aggregated", "nextgen:prealloc=static"}
 		for i := range names {
 			if names[i] != want[i] {
 				t.Errorf("name %d = %q, want %q", i, names[i], want[i])
@@ -399,7 +399,7 @@ func TestResponseWordNeverStale(t *testing.T) {
 			m.SpawnDaemon("server", 1, srv.Run)
 			m.Spawn("worker", 0, func(th *sim.Thread) {
 				cfg := DefaultConfig()
-				cfg.Prealloc = 8 // most of the n mallocs are stash hits
+				cfg.Prealloc = PreallocStatic // most of the n mallocs are stash hits
 				a := New(th, cfg)
 				srv.Attach(a)
 				blocks := make([]uint64, n)

@@ -177,6 +177,12 @@ func RunFlags(fs *flag.FlagSet) func() (Env, string, error) {
 		if *servers < 0 {
 			return Env{}, "", fmt.Errorf("negative server count %d", *servers)
 		}
+		if after > 0 && *servers < 2 {
+			return Env{}, "", fmt.Errorf("-failover re-homes across fleet shards; it needs -servers >= 2 (got %d)", *servers)
+		}
+		if *partSpec == "class" && *servers < 2 {
+			return Env{}, "", fmt.Errorf("partition=class splits clients across fleet shards; it needs -servers >= 2 (got %d)", *servers)
+		}
 		e.Base.Servers = *servers
 
 		if e.Base.SLO, err = ParseSLO(*sloSpec); err != nil {

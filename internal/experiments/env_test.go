@@ -43,6 +43,8 @@ func TestRunFlagsRejects(t *testing.T) {
 		{[]string{"-servers", "two"}, "invalid value"},
 		{[]string{"-sched", "fifo"}, "unknown scheduling policy"},
 		{[]string{"-partition", "thread"}, "unknown partition"},
+		{[]string{"-failover", "on"}, "needs -servers >= 2"},
+		{[]string{"-partition", "class", "-servers", "1"}, "needs -servers >= 2"},
 		{[]string{"-slo", "latency=5"}, "unknown key"},
 		{[]string{"-slo", "window=abc"}, "bad value"},
 		{[]string{"-slo", "window=0"}, "window must be positive"},
@@ -79,10 +81,10 @@ func TestRunFlagsValues(t *testing.T) {
 	if e, _, _ = parseRunFlags("-chrome-trace", "t.json", "-timeline", "700"); e.Base.SampleInterval != 700 {
 		t.Errorf("explicit -timeline lost to -chrome-trace: interval %d", e.Base.SampleInterval)
 	}
-	if e, _, _ = parseRunFlags("-failover", "on"); e.Base.Resilience == nil || e.Base.Resilience.FailoverAfter != 1 {
+	if e, _, _ = parseRunFlags("-failover", "on", "-servers", "2"); e.Base.Resilience == nil || e.Base.Resilience.FailoverAfter != 1 {
 		t.Errorf("-failover on did not arm the default policy: %+v", e.Base.Resilience)
 	}
-	if e, _, _ = parseRunFlags("-partition", "class", "-layout", "compact", "-sched", "batch-drain"); e.Keys != "layout=compact,sched=batch-drain,partition=class" {
+	if e, _, _ = parseRunFlags("-partition", "class", "-layout", "compact", "-sched", "batch-drain", "-servers", "2"); e.Keys != "layout=compact,sched=batch-drain,partition=class" {
 		t.Errorf("-layout/-sched/-partition spelled kind-spec keys %q", e.Keys)
 	}
 }

@@ -58,7 +58,7 @@ func runSharedRoom(cfg sim.Config, shared bool, rounds int) (appCycles uint64, s
 	var h *gcheap.Heap
 	m.Spawn("app", 0, func(th *sim.Thread) {
 		cfg := core.DefaultConfig()
-		cfg.Prealloc = 12
+		cfg.Prealloc = core.PreallocStatic
 		a := core.New(th, cfg)
 		srv.Attach(a)
 		h = gcheap.New(th, 2)

@@ -166,11 +166,7 @@ func SLOSweep(e Env) Outcome {
 		if tr != nil {
 			total = tr.Completed()
 			viol = tr.Violations()
-			var merged slo.TenantStats
-			for _, id := range tr.TenantIDs() {
-				merged.Add(*tr.Tenant(id))
-			}
-			p99 = merged.Total.Total.Quantile(0.99)
+			p99 = mergedP99(r)
 			if w, ok := tr.WorstWindow(); ok {
 				worstWin = w.Violations
 				burn = tr.BurnRate(w)

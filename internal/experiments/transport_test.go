@@ -9,9 +9,8 @@ import (
 )
 
 // TestParseTransport: -prealloc is the kind spec's prealloc key. Empty
-// adds no key, an unknown policy is rejected, and each policy sets
-// exactly its fields after the kind's own keys: adaptive keeps
-// nextgen-prealloc's static depth, which the adaptive policy ignores.
+// adds no key, an unknown policy is rejected, and each policy replaces
+// the kind's own: the flag's policy is the Config's one prealloc field.
 func TestParseTransport(t *testing.T) {
 	if e, _, err := parseRunFlags("-prealloc", ""); err != nil || e.Keys != "" {
 		t.Errorf("the default should add no key (err %v, keys %q)", err, e.Keys)
@@ -21,27 +20,25 @@ func TestParseTransport(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		policy, kind string
-		depth        int
-		adaptive     bool
+		want         core.PreallocPolicy
 	}{
-		{"off", "nextgen-prealloc", 0, false},
-		{"off", "nextgen-adaptive", 0, false},
-		{"static", "nextgen", 12, false},
-		{"static", "nextgen-adaptive", 12, false},
-		{"adaptive", "nextgen", 0, true},
-		{"adaptive", "nextgen-prealloc", 12, true},
+		{"off", "nextgen-prealloc", core.PreallocOff},
+		{"off", "nextgen-adaptive", core.PreallocOff},
+		{"static", "nextgen", core.PreallocStatic},
+		{"static", "nextgen-adaptive", core.PreallocStatic},
+		{"adaptive", "nextgen", core.PreallocAdaptive},
+		{"adaptive", "nextgen-prealloc", core.PreallocAdaptive},
 	} {
 		e, _, err := parseRunFlags("-prealloc", tc.policy)
 		if err != nil {
 			t.Fatalf("-prealloc %s: %v", tc.policy, err)
 		}
-		cfg, err := core.ParseKind(harness.WithKeys(tc.kind, e.Keys))
+		cfg, err := harness.KindConfig(harness.WithKeys(tc.kind, e.Keys))
 		if err != nil {
 			t.Fatalf("-prealloc %s on %s: %v", tc.policy, tc.kind, err)
 		}
-		if cfg.Prealloc != tc.depth || cfg.AdaptivePrealloc != tc.adaptive {
-			t.Errorf("-prealloc %s on %s produced Prealloc=%d AdaptivePrealloc=%v, want %d %v",
-				tc.policy, tc.kind, cfg.Prealloc, cfg.AdaptivePrealloc, tc.depth, tc.adaptive)
+		if cfg.Prealloc != tc.want {
+			t.Errorf("-prealloc %s on %s produced Prealloc=%v, want %v", tc.policy, tc.kind, cfg.Prealloc, tc.want)
 		}
 	}
 }

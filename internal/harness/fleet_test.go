@@ -239,7 +239,7 @@ func TestRunEErrors(t *testing.T) {
 		{"unknown allocator", Options{Allocator: "nosuch", Workload: smallChurn()}, "unknown allocator"},
 		{"negative servers", Options{Allocator: "nextgen", Workload: smallChurn(), Servers: -1}, "negative server count"},
 		{"shard inline", Options{Allocator: "mimalloc", Workload: smallChurn(), Servers: 2}, "no offload server"},
-		{"pin with fleet", Options{Allocator: "nextgen", Workload: smallChurn(), Servers: 2, PinServerCore: true}, "cannot pin"},
+		{"too many servers", Options{Allocator: "nextgen", Workload: smallChurn(), Machine: &tiny, Servers: 4}, "do not fit"},
 		// A malformed kind spec is an error before any thread runs, never
 		// a panic inside one.
 		{"invalid layout", Options{Allocator: "nextgen:layout=bitmap", Workload: smallChurn()}, "unknown layout"},

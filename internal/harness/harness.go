@@ -31,63 +31,75 @@ import (
 	"nextgenmalloc/internal/workload"
 )
 
-// kindRow is an allocator the harness resolves itself, ahead of core's
-// kind specs (core.ParseKind): a classic constructor, or the NextGen
-// spec nearMem run with the near-memory profile on its server cores.
+// kindRow is one allocator name: a classic constructor, or a NextGen
+// kind spec (core.ParseKind), run with the near-memory profile on its
+// server cores when nearMem is set.
 type kindRow struct {
 	name    string
 	classic func(*sim.Thread) alloc.Allocator
-	nearMem string
+	spec    string
+	nearMem bool
 }
 
-// kindTable is the one list of those allocators, in golden-file order.
+// kindTable is the one list of allocator names, in golden-file order.
+// The first four are Figure 1's (ClassicKinds).
 var kindTable = []kindRow{
 	{name: "ptmalloc2", classic: func(t *sim.Thread) alloc.Allocator { return ptmalloc.New(t) }},
 	{name: "jemalloc", classic: func(t *sim.Thread) alloc.Allocator { return jemalloc.New(t, 0) }},
 	{name: "tcmalloc", classic: func(t *sim.Thread) alloc.Allocator { return tcmalloc.New(t) }},
 	{name: "mimalloc", classic: func(t *sim.Thread) alloc.Allocator { return mimalloc.New(t) }},
 	{name: "bump", classic: func(t *sim.Thread) alloc.Allocator { return bump.New(t) }},
-	{name: "nextgen-nearmem", nearMem: "nextgen"},
+	{name: "nextgen", spec: "nextgen"},
+	{name: "nextgen-prealloc", spec: "nextgen:prealloc=static"},
+	{name: "nextgen-sync", spec: "nextgen:free=sync"},
+	{name: "nextgen-inline", spec: "nextgen-inline"},
+	{name: "nextgen-inline-agg", spec: "nextgen-inline:layout=aggregated"},
+	{name: "nextgen-nearmem", spec: "nextgen", nearMem: true},
+	{name: "nextgen-adaptive", spec: "nextgen:prealloc=adaptive"},
+	{name: "nextgen-compact", spec: "nextgen:layout=compact"},
+	{name: "nextgen-inline-compact", spec: "nextgen-inline:layout=compact"},
 }
 
-// Kinds lists every allocator name, in golden-file order: kindTable's
-// and core's.
-var Kinds = []string{
-	"ptmalloc2", "jemalloc", "tcmalloc", "mimalloc", "bump",
-	"nextgen", "nextgen-prealloc", "nextgen-sync", "nextgen-inline", "nextgen-inline-agg",
-	"nextgen-nearmem", "nextgen-adaptive", "nextgen-compact", "nextgen-inline-compact",
-}
+// Kinds lists every allocator name, kindTable's, in golden-file order.
+var Kinds = func() (names []string) {
+	for _, r := range kindTable {
+		names = append(names, r.name)
+	}
+	return names
+}()
+
+// ClassicKinds are the four allocators of Figure 1 / Table 1, in the
+// paper's column order.
+var ClassicKinds = slices.Clip(Kinds[:4])
 
 // KindHelp spells what Run accepts as an allocator, for CLI help and
 // errors.
 var KindHelp = strings.Join(Kinds, ", ") + ", or a kind spec " + core.KindSyntax
 
 // parseKind resolves spec, a name in Kinds with optional keys, to its
-// kindTable row (zero for a core kind spec) and NextGen config (zero for
-// a classic row, so cfg.Offload tells whether it runs the server).
+// kindTable row and NextGen config (zero for a classic row, so
+// cfg.Offload tells whether it runs the server): the row's own spec,
+// then spec's keys as a second walk, so they override the row's.
 func parseKind(spec string) (row kindRow, cfg core.Config, err error) {
-	name, _, keyed := strings.Cut(spec, ":")
-	if !slices.Contains(Kinds, name) {
+	name, keys, keyed := strings.Cut(spec, ":")
+	i := slices.IndexFunc(kindTable, func(r kindRow) bool { return r.name == name })
+	if i < 0 {
 		return row, cfg, fmt.Errorf("harness: unknown allocator %q (want %s)", name, KindHelp)
 	}
-	if i := slices.IndexFunc(kindTable, func(r kindRow) bool { return r.name == name }); i >= 0 {
-		if row = kindTable[i]; row.classic != nil {
-			if keyed {
-				err = fmt.Errorf("harness: allocator %q takes no keys", name)
-			}
-			return row, cfg, err
+	if row = kindTable[i]; row.classic != nil {
+		if keyed {
+			err = fmt.Errorf("harness: allocator %q takes no keys", name)
 		}
-		spec = row.nearMem + spec[len(name):]
+		return row, cfg, err
 	}
-	if cfg, err = core.ParseKind(spec); err != nil {
-		err = fmt.Errorf("harness: %v", err)
+	cfg, _ = core.ParseKind(row.spec) // the table's own specs are valid
+	if keyed {
+		if err = core.ApplyKeys(&cfg, spec, keys); err != nil {
+			err = fmt.Errorf("harness: %v", err)
+		}
 	}
 	return row, cfg, err
 }
-
-// ClassicKinds are the four allocators of Figure 1 / Table 1, in the
-// paper's column order.
-var ClassicKinds = []string{"ptmalloc2", "jemalloc", "tcmalloc", "mimalloc"}
 
 // KindConfig resolves spec to its NextGen config (zero for a classic
 // kind, so Offload tells whether it runs the server), or reports why it
@@ -123,17 +135,9 @@ type Options struct {
 	Workload workload.Workload
 	// Machine overrides the default 16-core configuration when non-nil.
 	Machine *sim.Config
-	// ServerCore pins NextGen's dedicated core. It is only honoured when
-	// PinServerCore is set; otherwise the last core is used. (A bare int
-	// can't express "pin to core 0" — the zero value must keep meaning
-	// "default".)
-	ServerCore int
-	// PinServerCore makes ServerCore authoritative, including core 0.
-	// Incompatible with Servers > 1 (the fleet always occupies the last
-	// Servers cores).
-	PinServerCore bool
 	// Servers shards the offload allocator across this many server
-	// daemons (core.Fleet), each on its own core, partitioning clients
+	// daemons (core.Fleet), each on its own core of the machine's last
+	// Servers (workers take the first ones), partitioning clients
 	// per the kind spec's partition key. 0 or 1 is the seed
 	// single-server topology. Only offload kinds can shard.
 	Servers int
@@ -454,7 +458,7 @@ func Run(opt Options) Result {
 
 // RunE executes the experiment, returning an error for an invalid
 // topology (unknown allocator or malformed kind spec, zero-thread
-// workload, server core out of range, worker/server collision, bad
+// workload, more servers than cores, worker/server collision, bad
 // shard count) instead of panicking — CLIs print the message and exit
 // instead of dumping a goroutine trace.
 func RunE(opt Options) (Result, error) {
@@ -477,20 +481,14 @@ func RunE(opt Options) (Result, error) {
 	if servers > 1 && !cfg.Offload {
 		return Result{}, fmt.Errorf("harness: allocator %q has no offload server to shard across %d cores", opt.Allocator, servers)
 	}
-	if servers > 1 && opt.PinServerCore {
-		return Result{}, fmt.Errorf("harness: cannot pin the server core with %d servers (the fleet occupies the last %d cores)", servers, servers)
-	}
 
 	mcfg := sim.ScaledConfig()
 	if opt.Machine != nil {
 		mcfg = *opt.Machine
 	}
-	serverCore := opt.ServerCore
-	if !opt.PinServerCore {
-		serverCore = mcfg.Cores - servers
-	}
-	if serverCore < 0 || serverCore >= mcfg.Cores {
-		return Result{}, fmt.Errorf("harness: server core %d out of range [0,%d)", serverCore, mcfg.Cores)
+	serverCore := mcfg.Cores - servers // the first of the last Servers cores
+	if serverCore < 0 {
+		return Result{}, fmt.Errorf("harness: %d servers do not fit in %d cores", servers, mcfg.Cores)
 	}
 	// nsrv is how many cores the fleet reserves; workers are placed
 	// around them.
@@ -502,7 +500,7 @@ func RunE(opt Options) (Result, error) {
 	if n > avail {
 		return Result{}, fmt.Errorf("harness: %d workers collide with server core %d (%d cores)", n, serverCore, mcfg.Cores)
 	}
-	if row.nearMem != "" {
+	if row.nearMem {
 		if mcfg.CoreOverrides == nil {
 			mcfg.CoreOverrides = map[int]sim.CoreProfile{}
 		}
@@ -633,19 +631,9 @@ func RunE(opt Options) (Result, error) {
 		}
 	}
 
-	// Workers occupy cores in order, stepping over the server's core when
-	// one is reserved (with the default last-core server this is the
-	// identity mapping the original assignment used).
-	workerCore := func(part int) int {
-		if nsrv > 0 && part >= serverCore {
-			return part + nsrv
-		}
-		return part
-	}
-
 	for i := 0; i < n; i++ {
 		part := i
-		m.Spawn(fmt.Sprintf("%s-worker-%d", w.Name(), part), workerCore(part), func(t *sim.Thread) {
+		m.Spawn(fmt.Sprintf("%s-worker-%d", w.Name(), part), part, func(t *sim.Thread) {
 			if part == 0 {
 				a, shards, fleet = makeAllocator(t, opt, row, cfg, servers, srvs, latRec, injs)
 				if opt.Wrap != nil {

@@ -44,70 +44,6 @@ func TestServerCoreCollisionPanics(t *testing.T) {
 	Run(Options{Allocator: "nextgen", Workload: w, Machine: &cfg})
 }
 
-// TestPinServerCoreZero: PinServerCore makes core 0 a valid server core
-// (the bare-int default used to make 0 mean "last core"); the worker is
-// placed on the next free core.
-func TestPinServerCoreZero(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.Cores = 4
-	res := Run(Options{
-		Allocator:     "nextgen",
-		Workload:      smallChurn(),
-		Machine:       &cfg,
-		ServerCore:    0,
-		PinServerCore: true,
-	})
-	if res.Server.Instructions == 0 {
-		t.Error("server pinned to core 0 shows no work")
-	}
-	if res.Total.Instructions == 0 {
-		t.Error("worker ran nothing with server on core 0")
-	}
-}
-
-// TestPinServerCoreMiddle: workers step over a server pinned between
-// them, and every worker still runs.
-func TestPinServerCoreMiddle(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.Cores = 4
-	w := &workload.Xmalloc{NThreads: 3, OpsPerThread: 200, Seed: 1}
-	res := Run(Options{
-		Allocator:     "nextgen",
-		Workload:      w,
-		Machine:       &cfg,
-		ServerCore:    1,
-		PinServerCore: true,
-	})
-	if res.Server.Instructions == 0 {
-		t.Error("server pinned to core 1 shows no work")
-	}
-	if len(res.PerThread) != 3 {
-		t.Fatalf("PerThread = %d entries, want 3", len(res.PerThread))
-	}
-	for i, d := range res.PerThread {
-		if d.Instructions == 0 {
-			t.Errorf("worker %d ran nothing", i)
-		}
-	}
-}
-
-func TestPinServerCoreOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for out-of-range pinned server core")
-		}
-	}()
-	cfg := sim.DefaultConfig()
-	cfg.Cores = 4
-	Run(Options{
-		Allocator:     "nextgen",
-		Workload:      smallChurn(),
-		Machine:       &cfg,
-		ServerCore:    4,
-		PinServerCore: true,
-	})
-}
-
 func TestWrapRecordsTrace(t *testing.T) {
 	var rec *trace.Recorder
 	res := Run(Options{
