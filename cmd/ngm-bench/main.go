@@ -71,6 +71,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ngm-bench: unknown scale %q\n", *scaleName)
 		return 2
 	}
+	if err := env.Check(); err != nil {
+		fmt.Fprintf(stderr, "ngm-bench: %v\n", err)
+		return 2
+	}
 
 	if *list {
 		for _, x := range experiments.Registry {

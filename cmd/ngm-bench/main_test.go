@@ -46,6 +46,10 @@ func TestRejectsBadFlags(t *testing.T) {
 		// so without the check these would exit 0 having done nothing.
 		"failover one server":  {[]string{"-scale", "quick", "-failover", "on", "model"}, "needs -servers >= 2"},
 		"partition one server": {[]string{"-scale", "quick", "-partition", "class", "model"}, "needs -servers >= 2"},
+		// Topologies harness.Check rejects are caught before any
+		// experiment runs, instead of panicking in the first one.
+		"servers beyond cores":     {[]string{"-scale", "quick", "-servers", "20", "table3"}, "20 servers do not fit in 16 cores"},
+		"fault shard out of range": {[]string{"-scale", "quick", "-fault", "shard=3,stall-len=1000", "table3"}, "fault plan targets shard 3 but the run has 1 server(s)"},
 	} {
 		rc, _, stderr := runCLI(tc.args...)
 		if rc != 2 {

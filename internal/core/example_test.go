@@ -1,8 +1,4 @@
-// Quickstart: build a simulated machine, create NextGen-Malloc with its
-// dedicated allocator core, allocate and free from an application
-// thread, and read the PMU counters — the minimal end-to-end tour of the
-// public surface (sim.Machine, core.Allocator, alloc.Allocator).
-package main
+package core_test
 
 import (
 	"fmt"
@@ -11,7 +7,14 @@ import (
 	"nextgenmalloc/internal/sim"
 )
 
-func main() {
+// Example is the quickstart: build a simulated machine, create
+// NextGen-Malloc with its dedicated allocator core, allocate and free
+// from an application thread, and read the PMU counters — the minimal
+// end-to-end tour of the public surface (sim.Machine, core.Allocator,
+// alloc.Allocator). Run it with
+//
+//	go test ./internal/core -run Example -v
+func Example() {
 	// A 16-core machine with default (paper-like) parameters.
 	m := sim.New(sim.DefaultConfig())
 
@@ -61,4 +64,10 @@ func main() {
 	server := m.CoreCounters(15)
 	fmt.Printf("allocator core: %d cycles, %d instructions (all metadata work happened here)\n",
 		server.Cycles, server.Instructions)
+	// Output:
+	// allocated 48 bytes at 0x700000200fc0, first word 0xdeadbeef
+	// checksum 499500, mallocs 1001, frees 1001
+	// app core: 677579 cycles, 44646 instructions, 2 LLC load misses, 1 dTLB load misses
+	// machine ran for 677597 simulated cycles
+	// allocator core: 677597 cycles, 63058 instructions (all metadata work happened here)
 }

@@ -95,6 +95,14 @@ func (e Env) run(opt harness.Options) harness.Result {
 	return r
 }
 
+// Check reports the error harness.Check finds in the Env's -servers
+// and -fault knobs on Table 3's one-worker NextGen run, so a CLI can
+// reject them before any experiment starts instead of panicking in
+// one.
+func (e Env) Check() error {
+	return harness.Check(e.Apply(harness.Options{Allocator: "nextgen", Workload: table3Xalanc(e.Scale)}))
+}
+
 // runSet runs w under each kind with the Env's NextGen keys, reporting
 // each result under its kind's own name.
 func (e Env) runSet(w func() workload.Workload, kinds []string) []harness.Result {

@@ -225,9 +225,9 @@ func TestCrossClientWaitBound(t *testing.T) {
 	}
 }
 
-// TestRunEErrors: every invalid topology comes back as an error from
-// RunE (the CLIs print it and exit 2) and as the matching panic from
-// the Run shim.
+// TestRunEErrors: every invalid topology comes back as the same error
+// from Check (before anything runs) and RunE (the CLIs print it and exit
+// 2), and as the matching panic from the Run shim.
 func TestRunEErrors(t *testing.T) {
 	tiny := sim.ScaledConfig()
 	tiny.Cores = 3
@@ -255,6 +255,16 @@ func TestRunEErrors(t *testing.T) {
 			Machine:   &tiny,
 			Servers:   2,
 		}, "collide"},
+		{"fault shard out of range", Options{
+			Allocator:  "nextgen",
+			Workload:   smallChurn(),
+			FaultPlans: []fault.Plan{{Shard: 4, StallCycles: 1000}},
+		}, "fault plan targets shard 3 but the run has 1 server(s)"},
+		{"two fault plans one shard", Options{
+			Allocator:  "nextgen",
+			Workload:   smallChurn(),
+			FaultPlans: []fault.Plan{{StallCycles: 1000}, {Shard: 1, DropEveryN: 7}},
+		}, "two fault plans target shard 0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -264,6 +274,9 @@ func TestRunEErrors(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not mention %q", err, c.want)
+			}
+			if cerr := Check(c.opt); cerr == nil || cerr.Error() != err.Error() {
+				t.Errorf("Check returns %v, RunE %q", cerr, err)
 			}
 			defer func() {
 				r := recover()

@@ -456,30 +456,42 @@ func Run(opt Options) Result {
 	return res
 }
 
-// RunE executes the experiment, returning an error for an invalid
-// topology (unknown allocator or malformed kind spec, zero-thread
-// workload, more servers than cores, worker/server collision, bad
-// shard count) instead of panicking — CLIs print the message and exit
-// instead of dumping a goroutine trace.
-func RunE(opt Options) (Result, error) {
+// Check reports the error RunE would return for opt without running
+// anything.
+func Check(opt Options) error {
+	_, err := resolve(opt)
+	return err
+}
+
+// topology is what RunE resolves from Options before it builds a
+// machine. injs holds one fault injector per server daemon (nil entry =
+// clean shard), or is nil when no armed plan reaches a server.
+type topology struct {
+	row              kindRow
+	cfg              core.Config
+	mcfg             sim.Config
+	serverCore, nsrv int
+	injs             []*fault.Injector
+}
+
+func resolve(opt Options) (topology, error) {
 	row, cfg, err := parseKind(opt.Allocator)
 	if err != nil {
-		return Result{}, err
+		return topology{}, err
 	}
-	w := opt.Workload
-	n := w.Threads()
+	n := opt.Workload.Threads()
 	if n <= 0 {
-		return Result{}, fmt.Errorf("harness: workload declares no threads")
+		return topology{}, fmt.Errorf("harness: workload declares no threads")
 	}
 	servers := opt.Servers
 	if servers == 0 {
 		servers = 1
 	}
 	if servers < 0 {
-		return Result{}, fmt.Errorf("harness: negative server count %d", opt.Servers)
+		return topology{}, fmt.Errorf("harness: negative server count %d", opt.Servers)
 	}
 	if servers > 1 && !cfg.Offload {
-		return Result{}, fmt.Errorf("harness: allocator %q has no offload server to shard across %d cores", opt.Allocator, servers)
+		return topology{}, fmt.Errorf("harness: allocator %q has no offload server to shard across %d cores", opt.Allocator, servers)
 	}
 
 	mcfg := sim.ScaledConfig()
@@ -488,7 +500,7 @@ func RunE(opt Options) (Result, error) {
 	}
 	serverCore := mcfg.Cores - servers // the first of the last Servers cores
 	if serverCore < 0 {
-		return Result{}, fmt.Errorf("harness: %d servers do not fit in %d cores", servers, mcfg.Cores)
+		return topology{}, fmt.Errorf("harness: %d servers do not fit in %d cores", servers, mcfg.Cores)
 	}
 	// nsrv is how many cores the fleet reserves; workers are placed
 	// around them.
@@ -498,8 +510,53 @@ func RunE(opt Options) (Result, error) {
 	}
 	avail := mcfg.Cores - nsrv
 	if n > avail {
-		return Result{}, fmt.Errorf("harness: %d workers collide with server core %d (%d cores)", n, serverCore, mcfg.Cores)
+		return topology{}, fmt.Errorf("harness: %d workers collide with server core %d (%d cores)", n, serverCore, mcfg.Cores)
 	}
+
+	// Deterministic fault injection (offload runs only; a plan against an
+	// inline allocator has no transport to break). Each targeted shard
+	// gets its own injector, seeded from the plan and the shard index
+	// (fault.NewShardInjector), so shard i's fault sequence never depends
+	// on what the other shards are doing; shard 0 keeps the plan's own
+	// stream, so single-server fault runs stay byte-identical.
+	var injs []*fault.Injector
+	for _, p := range opt.FaultPlans {
+		if nsrv == 0 || !p.Armed() {
+			continue
+		}
+		if p.Shard > 0 && p.Shard-1 >= nsrv {
+			return topology{}, fmt.Errorf("harness: fault plan targets shard %d but the run has %d server(s)", p.Shard-1, nsrv)
+		}
+		if injs == nil {
+			injs = make([]*fault.Injector, nsrv)
+		}
+		for i := range injs {
+			if !p.TargetsShard(i) {
+				continue
+			}
+			if injs[i] != nil {
+				return topology{}, fmt.Errorf("harness: two fault plans target shard %d", i)
+			}
+			injs[i] = fault.NewShardInjector(p, i)
+		}
+	}
+	return topology{row, cfg, mcfg, serverCore, nsrv, injs}, nil
+}
+
+// RunE executes the experiment, returning an error for an invalid
+// topology (unknown allocator or malformed kind spec, zero-thread
+// workload, more servers than cores, worker/server collision, bad
+// shard count, a fault plan for a shard the run lacks) instead of
+// panicking — CLIs print the message and exit instead of dumping a
+// goroutine trace.
+func RunE(opt Options) (Result, error) {
+	top, err := resolve(opt)
+	if err != nil {
+		return Result{}, err
+	}
+	row, cfg, mcfg, serverCore, nsrv, injs := top.row, top.cfg, top.mcfg, top.serverCore, top.nsrv, top.injs
+	w := opt.Workload
+	n := w.Threads()
 	if row.nearMem {
 		if mcfg.CoreOverrides == nil {
 			mcfg.CoreOverrides = map[int]sim.CoreProfile{}
@@ -527,38 +584,9 @@ func RunE(opt Options) (Result, error) {
 		srvs = append(srvs, srv)
 	}
 
-	// Deterministic fault injection (offload runs only; a plan against an
-	// inline allocator has no transport to break). Each targeted shard
-	// gets its own injector, seeded from the plan and the shard index
-	// (fault.NewShardInjector), so shard i's fault sequence never depends
-	// on what the other shards are doing; shard 0 keeps the plan's own
-	// stream, so single-server fault runs stay byte-identical.
-	var injs []*fault.Injector // per server daemon; nil entry = clean shard
-	if len(srvs) > 0 {
-		for _, p := range opt.FaultPlans {
-			if !p.Armed() {
-				continue
-			}
-			if p.Shard > 0 && p.Shard-1 >= len(srvs) {
-				return Result{}, fmt.Errorf("harness: fault plan targets shard %d but the run has %d server(s)", p.Shard-1, len(srvs))
-			}
-			if injs == nil {
-				injs = make([]*fault.Injector, len(srvs))
-			}
-			for i := range srvs {
-				if !p.TargetsShard(i) {
-					continue
-				}
-				if injs[i] != nil {
-					return Result{}, fmt.Errorf("harness: two fault plans target shard %d", i)
-				}
-				injs[i] = fault.NewShardInjector(p, i)
-			}
-		}
-		for _, in := range injs {
-			if in != nil {
-				in.Attach(m)
-			}
+	for _, in := range injs {
+		if in != nil {
+			in.Attach(m)
 		}
 	}
 	faultsArmed := injs != nil
@@ -635,7 +663,7 @@ func RunE(opt Options) (Result, error) {
 		part := i
 		m.Spawn(fmt.Sprintf("%s-worker-%d", w.Name(), part), part, func(t *sim.Thread) {
 			if part == 0 {
-				a, shards, fleet = makeAllocator(t, opt, row, cfg, servers, srvs, latRec, injs)
+				a, shards, fleet = makeAllocator(t, opt, row, cfg, srvs, latRec, injs)
 				if opt.Wrap != nil {
 					a = opt.Wrap(a)
 				}
@@ -794,7 +822,7 @@ func (r Result) TenantShardRollup() []map[int]uint64 {
 // hands back what it built: the allocator, every NextGen allocator in
 // it (shard i attached to daemon i; none for a classic kind) and the
 // Fleet when it sharded.
-func makeAllocator(t *sim.Thread, opt Options, row kindRow, cfg core.Config, servers int, srvs []*core.Server, latRec *timeline.LatencyRecorder, injs []*fault.Injector) (alloc.Allocator, []*core.Allocator, *core.Fleet) {
+func makeAllocator(t *sim.Thread, opt Options, row kindRow, cfg core.Config, srvs []*core.Server, latRec *timeline.LatencyRecorder, injs []*fault.Injector) (alloc.Allocator, []*core.Allocator, *core.Fleet) {
 	if row.classic != nil {
 		return row.classic(t), nil, nil
 	}
@@ -804,10 +832,10 @@ func makeAllocator(t *sim.Thread, opt Options, row kindRow, cfg core.Config, ser
 	} else if injs != nil {
 		cfg.Resilience = core.DefaultResilience()
 	}
-	if servers > 1 {
+	if len(srvs) > 1 {
 		// Each shard is built with its own injector; the shared cfg
 		// stays clean so untargeted shards run the seed server loop.
-		f := core.NewFleet(t, cfg, servers, injs)
+		f := core.NewFleet(t, cfg, len(srvs), injs)
 		for i, sh := range f.Shards() {
 			srvs[i].Attach(sh)
 		}

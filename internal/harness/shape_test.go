@@ -106,17 +106,37 @@ func TestPaperShapeTable3(t *testing.T) {
 	}
 }
 
-// TestProfileAllocatorCost logs per-pair allocator costs (informational).
+// TestProfileAllocatorCost bounds each kind's app-core cost per
+// malloc/free pair on a one-thread churn. Instructions per pair stay
+// within 10 % above the kind's value when the bound was set
+// (instrPerPair). An offload kind's app core issues one atomic in the
+// whole run, the lock it takes once to register its client rings, and
+// none per pair: its metadata lives on the server core, and the rings
+// are published with plain stores (paper §3.1.1).
 func TestProfileAllocatorCost(t *testing.T) {
 	if testing.Short() {
-		t.Skip("informational profile")
+		t.Skip("full-scale cost profile")
+	}
+	instrPerPair := map[string]float64{
+		"ptmalloc2": 68.5, "jemalloc": 31.3, "tcmalloc": 33.7, "mimalloc": 38.4, "bump": 16.0,
+		"nextgen": 56.3, "nextgen-prealloc": 29.9, "nextgen-sync": 76.3, "nextgen-inline": 52.4,
+		"nextgen-inline-agg": 49.4, "nextgen-nearmem": 87.0, "nextgen-adaptive": 30.2,
+		"nextgen-compact": 57.2, "nextgen-inline-compact": 58.7,
 	}
 	for _, kind := range Kinds {
 		w := &workload.Churn{NThreads: 1, Slots: 20000, Rounds: 100000, MinSize: 16, MaxSize: 256, TouchBytes: 0, Seed: 9}
 		res := Run(Options{Allocator: kind, Workload: w})
 		pairs := float64(res.AllocStats.FreeCalls)
-		t.Logf("%-18s instr/pair=%6.1f cyc/pair=%7.1f atomics/pair=%4.2f",
-			kind, float64(res.Total.Instructions)/pairs,
-			float64(res.Total.Cycles)/pairs, float64(res.Total.AtomicOps)/pairs)
+		instr := float64(res.Total.Instructions) / pairs
+		t.Logf("%-22s instr/pair=%6.1f cyc/pair=%7.1f atomics/pair=%4.2f",
+			kind, instr, float64(res.Total.Cycles)/pairs, float64(res.Total.AtomicOps)/pairs)
+		if want, ok := instrPerPair[kind]; !ok {
+			t.Errorf("%s has no instructions-per-pair bound", kind)
+		} else if instr > 1.10*want {
+			t.Errorf("%s costs %.1f instructions per pair, more than 10%% above %.1f", kind, instr, want)
+		}
+		if OffloadKind(kind) && res.Total.AtomicOps > 1 {
+			t.Errorf("%s: the app core issued %d atomics; an offload kind issues one, to register", kind, res.Total.AtomicOps)
+		}
 	}
 }
